@@ -31,7 +31,7 @@ from .config import (
 )
 from .core import ParamError
 from .drivers import FbmParams, sample_fbm, sample_wiener
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, ExperimentError, run_experiment
 from .grid import GridError, GridPath, SeedSpec
 from .solver import (
     MollifiedDrift,
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         if loaded.kind != "experiment":
             raise ConfigError(f"subcommand experiment got a {loaded.kind!r} config")
         return _cmd_experiment(loaded, run, args.flavor)
-    except (ConfigError, ParamError, GridError) as exc:
+    except (ConfigError, ParamError, GridError, ExperimentError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except SolverExplosionError as exc:

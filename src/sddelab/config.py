@@ -9,7 +9,7 @@ to a canonical dict that round-trips losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,18 +63,45 @@ def _require_keys(d: dict, required: tuple, optional: tuple, context: str) -> No
         raise ConfigError(f"{context}: missing required keys {sorted(missing)}")
 
 
-def _number(d: dict, key: str, context: str) -> float:
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{context}.{key}: expected a number, got {v!r}")
-    return float(v)
+_REQUIRED = object()
 
 
-def _integer(d: dict, key: str, context: str) -> int:
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{context}.{key}: expected an integer, got {v!r}")
+def _typed(d: dict, key: str, context: str, types, what: str, default=_REQUIRED):
+    """``d[key]`` checked against ``types``; an absent key gives ``default``.
+    An explicit null is accepted only where the default is None."""
+    if key not in d and default is not _REQUIRED:
+        return default
+    v = d.get(key)
+    if v is None and default is None:
+        return None
+    if isinstance(v, bool) is not (bool in types) or not isinstance(v, types):
+        raise ConfigError(f"{context}.{key}: expected {what}, got {v!r}")
     return v
+
+
+def _number(d: dict, key: str, context: str, default=_REQUIRED) -> float | None:
+    v = _typed(d, key, context, (int, float), "a number", default)
+    return None if v is None else float(v)
+
+
+def _integer(d: dict, key: str, context: str, default=_REQUIRED) -> int | None:
+    return _typed(d, key, context, (int,), "an integer", default)
+
+
+def _array(d: dict, key: str, context: str, default=_REQUIRED) -> np.ndarray:
+    """A number or a (nested) list of numbers, as an array."""
+    v = d.get(key, default)
+    try:
+        arr = np.asarray(v)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{context}.{key}: expected numbers, got {v!r}")
+    return arr
+
+
+def _boolean(d: dict, key: str, context: str, default: bool) -> bool:
+    return _typed(d, key, context, (bool,), "true or false", default)
 
 
 def _parse_holder(d: dict) -> HolderParams:
@@ -99,9 +126,9 @@ def _parse_block(d: dict | None, channels: int, dim: int, context: str) -> Coeff
         return CoeffBlock.build(
             channels,
             dim,
-            gain_now=d.get("gain_now", 0.0),
-            gain_delay=d.get("gain_delay", 0.0),
-            const=d.get("const", 0.0),
+            gain_now=_array(d, "gain_now", context, 0.0),
+            gain_delay=_array(d, "gain_delay", context, 0.0),
+            const=_array(d, "const", context, 0.0),
             time_modulation=d.get("time_modulation", "none"),
         )
     except ParamError as exc:
@@ -132,8 +159,8 @@ def _parse_coefficients(d: dict) -> CoefficientSpec:
             drift=_parse_block(d.get("drift"), 1, dim, "coefficients.drift"),
             diffusion=_parse_block(d.get("diffusion"), m, dim, "coefficients.diffusion"),
             zdrive=_parse_block(d.get("zdrive"), l, dim, "coefficients.zdrive"),
-            tau=float(d.get("tau", 0.0)),
-            delay_span=float(d.get("delay_span", 0.0)),
+            tau=_number(d, "tau", "coefficients", 0.0),
+            delay_span=_number(d, "delay_span", "coefficients", 0.0),
         )
     except ParamError as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
@@ -141,14 +168,16 @@ def _parse_coefficients(d: dict) -> CoefficientSpec:
     if constants is not None:
         _require_keys(constants, (), ("K", "K_R", "beta"), "coefficients.constants")
         tol = 1e-9
-        if "K" in constants and constants["K"] < spec.growth_constant() - tol:
+        bounds = {key: _number(constants, key, "coefficients.constants") for key in constants}
+        k, k_r = bounds.get("K"), bounds.get("K_R")
+        if k is not None and k < spec.growth_constant() - tol:
             raise ConfigError(
-                f"coefficients.constants.K={constants['K']} is below the closed-form "
+                f"coefficients.constants.K={k} is below the closed-form "
                 f"growth constant {spec.growth_constant():.6g} of this family"
             )
-        if "K_R" in constants and constants["K_R"] < spec.lipschitz_constant() - tol:
+        if k_r is not None and k_r < spec.lipschitz_constant() - tol:
             raise ConfigError(
-                f"coefficients.constants.K_R={constants['K_R']} is below the "
+                f"coefficients.constants.K_R={k_r} is below the "
                 f"closed-form Lipschitz constant {spec.lipschitz_constant():.6g}"
             )
     return spec
@@ -161,13 +190,13 @@ def _parse_initial(d: dict, spec: CoefficientSpec) -> InitialCondition:
         if "constant" in d:
             _require_keys(d, ("theta", "constant", "delay"), ("dt",), "initial")
             r = _number(d, "delay", "initial")
-            value = d["constant"]
-            dt = float(d.get("dt", r / 64 if r > 0 else 1.0))
+            value = _array(d, "constant", "initial")
+            dt = _number(d, "dt", "initial", r / 64 if r > 0 else 1.0)
             eta = constant_initial(value, r, dt)
             return InitialCondition(eta.eta, theta)
         _require_keys(d, ("theta", "t0", "dt", "values"), (), "initial")
         path = GridPath(_number(d, "t0", "initial"), _number(d, "dt", "initial"),
-                        np.asarray(d["values"], dtype=float))
+                        _array(d, "values", "initial"))
         return InitialCondition(path, theta)
     except (ParamError, ValueError) as exc:
         raise ConfigError(f"initial: {exc}") from exc
@@ -176,7 +205,7 @@ def _parse_initial(d: dict, spec: CoefficientSpec) -> InitialCondition:
 def _parse_seed(d: dict) -> SeedSpec:
     _require_keys(d, ("master",), ("stream",), "seed")
     try:
-        return SeedSpec(_integer(d, "master", "seed"), int(d.get("stream", 0)))
+        return SeedSpec(_integer(d, "master", "seed"), _integer(d, "stream", "seed", 0))
     except ValueError as exc:
         raise ConfigError(f"seed: {exc}") from exc
 
@@ -216,12 +245,7 @@ def _parse_fbm(doc: dict) -> LoadedConfig:
     seed = _parse_seed(doc["seed"])
     resolved = {
         "kind": "fbm",
-        "fbm": {
-            "hurst": params.hurst,
-            "n_steps": params.n_steps,
-            "horizon": params.horizon,
-            "method": params.method,
-        },
+        "fbm": asdict(params),
         "seed": {"master": seed.master_seed, "stream": seed.stream_index},
     }
     return LoadedConfig("fbm", (params, seed), resolved)
@@ -246,35 +270,32 @@ def _parse_frac(doc: dict) -> LoadedConfig:
         raise ConfigError("frac: young_love requires explicit lambda and mu")
     if op == "delay_norms" and not ("delay" in f and "t" in f):
         raise ConfigError("frac: delay_norms requires explicit delay and t")
+    for key in ("lambda", "mu", "delay", "t"):
+        _number(f, key, "frac", None)
+    if f.get("rule", "left") not in ("left", "midpoint"):
+        raise ConfigError(f"frac.rule must be left or midpoint, got {f['rule']!r}")
     interval = f.get("interval")
     if interval is not None:
         if not (isinstance(interval, list) and len(interval) == 2):
             raise ConfigError("frac.interval must be a [a, b] pair")
-        interval = (float(interval[0]), float(interval[1]))
+        interval = tuple(_number({"interval": v}, "interval", "frac") for v in interval)
     resolved = {
         "kind": "frac",
         "frac": {
             "operation": op,
             "input_csv": str(f["input_csv"]),
             "alpha": alpha,
-            "lambda": f.get("lambda"),
-            "mu": f.get("mu"),
             "interval": list(interval) if interval is not None else None,
             "rule": f.get("rule", "left"),
-            "delay": f.get("delay"),
-            "t": f.get("t"),
+            **{key: f.get(key) for key in ("lambda", "mu", "delay", "t")},
         },
     }
     return LoadedConfig("frac", resolved["frac"], resolved)
 
 
 def _block_to_dict(block: CoeffBlock) -> dict:
-    return {
-        "gain_now": block.gain_now.tolist(),
-        "gain_delay": block.gain_delay.tolist(),
-        "const": block.const.tolist(),
-        "time_modulation": block.time_modulation,
-    }
+    arrays = {key: getattr(block, key).tolist() for key in ("gain_now", "gain_delay", "const")}
+    return {**arrays, "time_modulation": block.time_modulation}
 
 
 def _spec_to_dict(spec: CoefficientSpec) -> dict:
@@ -305,9 +326,20 @@ def _initial_to_dict(initial: InitialCondition) -> dict:
     }
 
 
-def _holder_to_dict(p: HolderParams) -> dict:
-    return {"gamma": p.gamma, "alpha": p.alpha, "beta": p.beta,
-            "theta": p.theta, "hurst": p.hurst}
+def _attrs(obj, *names: str) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _model_to_dict(holder: HolderParams, spec: CoefficientSpec, initial: InitialCondition,
+                   method: str, seed: SeedSpec) -> dict:
+    """The resolved sections shared by solve and experiment configs."""
+    return {
+        "holder": asdict(holder),
+        "coefficients": _spec_to_dict(spec),
+        "initial": _initial_to_dict(initial),
+        "driver": {"method": method},
+        "seed": {"master": seed.master_seed, "stream": seed.stream_index},
+    }
 
 
 def _parse_solve(doc: dict) -> LoadedConfig:
@@ -329,9 +361,9 @@ def _parse_solve(doc: dict) -> LoadedConfig:
         scfg = SolverConfig(
             n_steps=_integer(s, "n_steps", "solve"),
             horizon=_number(s, "horizon", "solve"),
-            delay=float(s.get("delay", initial.r)),
+            delay=_number(s, "delay", "solve", initial.r),
             scheme=s["scheme"],
-            explosion_threshold=float(s.get("explosion_threshold", 1e8)),
+            explosion_threshold=_number(s, "explosion_threshold", "solve", 1e8),
         )
     except ValueError as exc:
         raise ConfigError(f"solve: {exc}") from exc
@@ -340,24 +372,16 @@ def _parse_solve(doc: dict) -> LoadedConfig:
             f"solve.delay={scfg.delay} does not match the initial-condition "
             f"window [-{initial.r}, 0]"
         )
-    level = s.get("mollifier_level")
+    level = _integer(s, "mollifier_level", "solve", None)
     if scfg.scheme == "euler_ito" and level is None:
         raise ConfigError("solve: scheme euler_ito requires mollifier_level")
     resolved = {
         "kind": "solve",
         "solve": {
-            "scheme": scfg.scheme,
-            "horizon": scfg.horizon,
-            "n_steps": scfg.n_steps,
-            "delay": scfg.delay,
-            "explosion_threshold": scfg.explosion_threshold,
+            **_attrs(scfg, "scheme", "horizon", "n_steps", "delay", "explosion_threshold"),
             "mollifier_level": level,
         },
-        "holder": _holder_to_dict(holder),
-        "coefficients": _spec_to_dict(spec),
-        "initial": _initial_to_dict(initial),
-        "driver": {"method": method},
-        "seed": {"master": seed.master_seed, "stream": seed.stream_index},
+        **_model_to_dict(holder, spec, initial, method, seed),
     }
     payload = (scfg, holder, spec, initial, seed, method, level)
     return LoadedConfig("solve", payload, resolved)
@@ -397,6 +421,10 @@ def _parse_experiment(doc: dict) -> LoadedConfig:
     levels = e["levels"]
     if not isinstance(levels, list) or not levels:
         raise ConfigError("experiment.levels must be a non-empty list")
+    for level in levels:
+        _number({"levels": level}, "levels", "experiment")
+    if e.get("moment_p") is not None:  # type-checked; kept as written
+        _number(e, "moment_p", "experiment")
     try:
         cfg = ExperimentConfig(
             kind=flavor,
@@ -412,14 +440,14 @@ def _parse_experiment(doc: dict) -> LoadedConfig:
             driver_method=method,
             perturbation=e.get("perturbation", "none"),
             reference=e.get("reference", "closed_form"),
-            m_trunc=float(e.get("m_trunc", 10.0)),
-            r_trunc=float(e.get("r_trunc", 1e3)),
+            m_trunc=_number(e, "m_trunc", "experiment", 10.0),
+            r_trunc=_number(e, "r_trunc", "experiment", 1e3),
             moment_p=e.get("moment_p"),
-            max_final_exceedance=float(criteria.get("max_final_exceedance", 0.05)),
-            min_decreasing_steps=criteria.get("min_decreasing_steps"),
-            ratio_bound=float(criteria.get("ratio_bound", 10.0)),
-            heavy_tail_fails=bool(criteria.get("heavy_tail_fails", False)),
-            emit_distances=bool(e.get("emit_distances", False)),
+            max_final_exceedance=_number(criteria, "max_final_exceedance", "criteria", 0.05),
+            min_decreasing_steps=_integer(criteria, "min_decreasing_steps", "criteria", None),
+            ratio_bound=_number(criteria, "ratio_bound", "criteria", 10.0),
+            heavy_tail_fails=_boolean(criteria, "heavy_tail_fails", "criteria", False),
+            emit_distances=_boolean(e, "emit_distances", "experiment", False),
         )
     except (ExperimentError, ValueError) as exc:
         raise ConfigError(f"experiment: {exc}") from exc
@@ -428,28 +456,12 @@ def _parse_experiment(doc: dict) -> LoadedConfig:
         "experiment": {
             "flavor": cfg.kind,
             "levels": [float(x) for x in cfg.levels],
-            "replicas": cfg.replicas,
-            "epsilon": cfg.epsilon,
-            "horizon": cfg.horizon,
-            "n_steps": cfg.n_steps,
-            "perturbation": cfg.perturbation,
-            "reference": cfg.reference,
-            "m_trunc": cfg.m_trunc,
-            "r_trunc": cfg.r_trunc,
-            "moment_p": cfg.moment_p,
-            "emit_distances": cfg.emit_distances,
+            **_attrs(cfg, "replicas", "epsilon", "horizon", "n_steps", "perturbation",
+                     "reference", "m_trunc", "r_trunc", "moment_p", "emit_distances"),
         },
-        "criteria": {
-            "max_final_exceedance": cfg.max_final_exceedance,
-            "min_decreasing_steps": cfg.min_decreasing_steps,
-            "ratio_bound": cfg.ratio_bound,
-            "heavy_tail_fails": cfg.heavy_tail_fails,
-        },
-        "holder": _holder_to_dict(holder),
-        "coefficients": _spec_to_dict(spec),
-        "initial": _initial_to_dict(initial),
-        "driver": {"method": method},
-        "seed": {"master": seed.master_seed, "stream": seed.stream_index},
+        "criteria": _attrs(cfg, "max_final_exceedance", "min_decreasing_steps",
+                           "ratio_bound", "heavy_tail_fails"),
+        **_model_to_dict(holder, spec, initial, method, seed),
     }
     return LoadedConfig("experiment", cfg, resolved)
 
@@ -467,7 +479,7 @@ def parse_config(doc: dict) -> LoadedConfig:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("config must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise ConfigError(f"kind must be one of {sorted(_PARSERS)}, got {kind!r}")
     return _PARSERS[kind](doc)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridError, GridPath
-from .fraccalc import holder_seminorm_values
+from .fraccalc import _mags, holder_seminorm_values
 
 __all__ = [
     "HolderParams",
@@ -271,10 +271,6 @@ class Segment:
         return self.lookback * self.path.dt
 
     @property
-    def anchor_time(self) -> float:
-        return self.path.t0 + self.anchor * self.path.dt
-
-    @property
     def values(self) -> np.ndarray:
         return self.path.values[self.anchor - self.lookback : self.anchor + 1]
 
@@ -287,10 +283,7 @@ class Segment:
         return self.path.values[self.anchor + k]
 
     def sup_norm(self) -> float:
-        vals = self.values
-        if vals.shape[1] == 1:
-            return float(np.abs(vals[:, 0]).max())
-        return float(np.linalg.norm(vals, axis=1).max())
+        return float(_mags(self.values).max())
 
 
 def segment_at(path: GridPath, t: float, r: float) -> Segment:

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fraccalc import holder_seminorm_values
 from .grid import GridError, GridPath, SeedSpec
 
 __all__ = [
@@ -162,16 +163,7 @@ def holder_seminorm(
     Vector paths use the Euclidean norm of the difference.  The supremum runs
     over grid pairs only; refinement studies quantify the proxy error.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     p = path.window(*window) if window is not None else path
-    n = p.n_points
-    if n < 2:
+    if p.n_points < 2:
         raise GridError("need at least two grid points in the window")
-    vals = p.values
-    best = 0.0
-    for gap in range(1, n):
-        diffs = vals[gap:] - vals[:-gap]
-        mags = np.abs(diffs[:, 0]) if vals.shape[1] == 1 else np.linalg.norm(diffs, axis=1)
-        best = max(best, float(mags.max()) / (gap * p.dt) ** lam)
-    return best
+    return holder_seminorm_values(p.values, p.dt, lam)

@@ -7,15 +7,18 @@ probability is rendered as a family of exceedance estimates
 ``P(sup |X_level - X_ref| > epsilon)`` with Wilson intervals, plus
 pre-registered pass criteria (decreasing trend, final-level threshold).
 
-Replicas are independent; reports are reduced in replica order, so the same
-configuration produces identical reports for any worker count.
+Replicas are independent.  They are solved in blocks of a fixed size (one
+block is one task for the worker pool) and reduced in replica order, so the
+same configuration produces identical reports for any worker count.  A
+solver explosion names the lowest exploding replica and its level.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,10 +30,11 @@ from .core import (
     InitialCondition,
 )
 from .drivers import FbmParams, sample_fbm, sample_wiener
-from .grid import GridPath, SeedSpec, stack_paths
+from .grid import GridPath, SeedSpec, stack_paths, stack_replicas
 from .solver import (
     MollifiedDrift,
     SolverConfig,
+    SolverExplosionError,
     coefficient_evaluator,
     euler_ito_sdde,
     euler_mixed_sdde,
@@ -66,6 +70,7 @@ EXPERIMENT_KINDS = (
     "quasi_contract",
 )
 PERTURBATIONS = ("none", "drift_shift", "gain_shift", "initial_shift")
+REFERENCES = ("closed_form", "fine_euler")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -122,6 +127,8 @@ class ExperimentConfig:
             raise ExperimentError("level schedule must be strictly monotone")
         if self.perturbation not in PERTURBATIONS:
             raise ExperimentError(f"unknown perturbation {self.perturbation!r}")
+        if self.reference not in REFERENCES:
+            raise ExperimentError(f"unknown reference {self.reference!r}")
         if self.workers < 1:
             raise ExperimentError("workers must be positive")
 
@@ -161,6 +168,13 @@ def estimate_exceedance(distances, epsilon: float) -> ExceedanceEstimate:
     )
 
 
+def _report_fields(report, **overrides) -> dict:
+    """The report's fields as a dict, without the run-time measurement."""
+    d = {f.name: getattr(report, f.name) for f in fields(report)}
+    d.pop("runtime_seconds", None)
+    return {**d, **overrides}
+
+
 @dataclass(frozen=True)
 class LevelResult:
     level: float
@@ -170,17 +184,11 @@ class LevelResult:
     distances: tuple = ()
 
     def to_dict(self, include_distances: bool = False) -> dict:
-        d = {
-            "level": self.level,
-            "exceedance": self.exceedance.estimate,
-            "ci_low": self.exceedance.ci_low,
-            "ci_high": self.exceedance.ci_high,
-            "n_samples": self.exceedance.n_samples,
-            "mean_distance": self.mean_distance,
-            "median_distance": self.median_distance,
-        }
-        if include_distances:
-            d["distances"] = list(self.distances)
+        ex = self.exceedance
+        d = _report_fields(self, exceedance=ex.estimate, ci_low=ex.ci_low,
+                           ci_high=ex.ci_high, n_samples=ex.n_samples)
+        if not include_distances:
+            del d["distances"]
         return d
 
 
@@ -197,16 +205,9 @@ class ConvergenceReport:
     runtime_seconds: float = 0.0
 
     def to_dict(self, include_distances: bool = False) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilon": self.epsilon,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "reference": self.reference,
-            "levels": [lv.to_dict(include_distances) for lv in self.levels],
-            "passed": self.passed,
-            "reasons": list(self.reasons),
-        }
+        return _report_fields(
+            self, levels=[lv.to_dict(include_distances) for lv in self.levels]
+        )
 
 
 @dataclass(frozen=True)
@@ -231,26 +232,7 @@ class MomentReport:
     runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "moments",
-            "p_values": list(self.p_values),
-            "sup_moments": list(self.sup_moments),
-            "truncated_moments": list(self.truncated_moments),
-            "m_trunc": self.m_trunc,
-            "trunc_fraction": self.trunc_fraction,
-            "stability_p": self.stability_p,
-            "stability_rel_change": self.stability_rel_change,
-            "survival_thresholds": list(self.survival_thresholds),
-            "survival_probs": list(self.survival_probs),
-            "heavy_tail_share": self.heavy_tail_share,
-            "heavy_tail_alarm": self.heavy_tail_alarm,
-            "oracle_second_moment": self.oracle_second_moment,
-            "oracle_gap_se": self.oracle_gap_se,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "passed": self.passed,
-            "reasons": list(self.reasons),
-        }
+        return _report_fields(self, kind="moments")
 
 
 @dataclass(frozen=True)
@@ -270,21 +252,7 @@ class QuasiReport:
     runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "quasi_contract",
-            "epsilons": list(self.epsilons),
-            "ratios": list(self.ratios),
-            "numerators": list(self.numerators),
-            "denominators": list(self.denominators),
-            "indicator_counts": list(self.indicator_counts),
-            "p": self.p,
-            "m_trunc": self.m_trunc,
-            "r_trunc": self.r_trunc,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "passed": self.passed,
-            "reasons": list(self.reasons),
-        }
+        return _report_fields(self, kind="quasi_contract")
 
 
 # --------------------------------------------------------------------------
@@ -324,44 +292,77 @@ def _perturbed_spec(spec: CoefficientSpec, perturbation: str, n: float) -> Coeff
     )
 
 
-def _sup_distance(x: GridPath, y: GridPath) -> float:
-    diff = x.values - y.values
-    if diff.shape[1] == 1:
-        return float(np.abs(diff[:, 0]).max())
-    return float(np.linalg.norm(diff, axis=1).max())
+def _sup_distance(x: GridPath, y: GridPath) -> np.ndarray:
+    """Per-replica sup distance between two replica blocks."""
+    return fraccalc._mags(x.values - y.values).max(axis=-1)
+
+
+@contextmanager
+def _at_level(level):
+    """Tag a solver explosion inside the block with the level being solved."""
+    try:
+        yield
+    except SolverExplosionError as exc:
+        exc.level = level
+        raise
 
 
 # --------------------------------------------------------------------------
-# per-replica work, one function per experiment kind (module level so the
-# process pool can pickle them)
+# per-block work, one function per experiment kind (module level so the
+# process pool can pickle them).  Drivers are sampled per replica, stacked
+# into a replica block and solved together; each returns one row per replica.
 
 
-def _replica_coeff(cfg: ExperimentConfig, replica: int) -> np.ndarray:
-    w, z = _sample_drivers(cfg, replica, cfg.n_steps)
+def _block_drivers(cfg: ExperimentConfig, replicas: range, n_steps: int):
+    pairs = [_sample_drivers(cfg, r, n_steps) for r in replicas]
+    return stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
+
+
+def _level_distances(cfg: ExperimentConfig, replicas: range, solve_reference, solve_level):
+    """Per-replica sup distance of every level's solve to the reference solve."""
+    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
+    with _at_level("reference"):
+        reference = solve_reference(w, z)
+    out = np.empty((len(replicas), len(cfg.levels)))
+    for i, level in enumerate(cfg.levels):
+        with _at_level(level):
+            out[:, i] = _sup_distance(solve_level(level, w, z), reference)
+    return out
+
+
+def _block_coeff(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     scfg = cfg.solver_config
-    base = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
-    out = np.empty(len(cfg.levels))
-    for i, n in enumerate(cfg.levels):
+
+    def solve_level(n, w, z):
         spec_n = _perturbed_spec(cfg.spec, cfg.perturbation, n)
-        eta_n = (
-            cfg.initial.shifted(1.0 / n)
-            if cfg.perturbation == "initial_shift"
-            else cfg.initial
-        )
-        level_path = euler_mixed_sdde(spec_n, eta_n, w, z, scfg)
-        out[i] = _sup_distance(level_path, base)
-    return out
+        shifted = cfg.perturbation == "initial_shift"
+        eta_n = cfg.initial.shifted(1.0 / n) if shifted else cfg.initial
+        return euler_mixed_sdde(spec_n, eta_n, w, z, scfg)
+
+    return _level_distances(
+        cfg, replicas, lambda w, z: euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg),
+        solve_level,
+    )
 
 
-def _replica_delay(cfg: ExperimentConfig, replica: int) -> np.ndarray:
-    w, z = _sample_drivers(cfg, replica, cfg.n_steps)
+def _block_delay(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     scfg = cfg.solver_config
-    base = euler_mixed_sdde(cfg.spec.merge_delay(), cfg.initial, w, z, scfg)
-    out = np.empty(len(cfg.levels))
-    for i, tau in enumerate(cfg.levels):
-        level_path = euler_mixed_sdde(cfg.spec.with_tau(tau), cfg.initial, w, z, scfg)
-        out[i] = _sup_distance(level_path, base)
-    return out
+    return _level_distances(
+        cfg, replicas,
+        lambda w, z: euler_mixed_sdde(cfg.spec.merge_delay(), cfg.initial, w, z, scfg),
+        lambda tau, w, z: euler_mixed_sdde(cfg.spec.with_tau(tau), cfg.initial, w, z, scfg),
+    )
+
+
+def _block_ito(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    scfg = cfg.solver_config
+    diffusion = coefficient_evaluator(cfg.spec, "b")
+    return _level_distances(
+        cfg, replicas, lambda w, z: euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg),
+        lambda level, w, z: euler_ito_sdde(
+            MollifiedDrift(cfg.spec, z, int(level)), diffusion, cfg.initial, w, scfg
+        ),
+    )
 
 
 def _geometric_triple(cfg: ExperimentConfig):
@@ -386,11 +387,11 @@ def _geometric_triple(cfg: ExperimentConfig):
     )
 
 
-def _replica_euler(cfg: ExperimentConfig, replica: int) -> np.ndarray:
+def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     finest = int(max(cfg.levels))
     use_closed = cfg.reference == "closed_form"
     n_driver = finest if use_closed else 4 * finest
-    w, z = _sample_drivers(cfg, replica, n_driver)
+    w, z = _block_drivers(cfg, replicas, n_driver)
     x0 = float(cfg.initial.eta.values[-1, 0])
     if use_closed:
         triple = _geometric_triple(cfg)
@@ -401,92 +402,114 @@ def _replica_euler(cfg: ExperimentConfig, replica: int) -> np.ndarray:
         reference = geometric_closed_form(*triple, x0, w, z)
     else:
         fine_cfg = SolverConfig(n_steps=n_driver, horizon=cfg.horizon)
-        reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, fine_cfg)
-    out = np.empty(len(cfg.levels))
-    for i, n in enumerate(cfg.levels):
-        n = int(n)
-        step = n_driver // n
-        scfg = SolverConfig(n_steps=n, horizon=cfg.horizon)
-        level_path = euler_mixed_sdde(
-            cfg.spec, cfg.initial, w.restrict(step), z.restrict(step), scfg
-        )
-        out[i] = _sup_distance(level_path, reference.restrict(step))
-    return out
-
-
-def _replica_ito(cfg: ExperimentConfig, replica: int) -> np.ndarray:
-    w, z = _sample_drivers(cfg, replica, cfg.n_steps)
-    scfg = cfg.solver_config
-    mixed = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
-    diffusion = coefficient_evaluator(cfg.spec, "b")
-    out = np.empty(len(cfg.levels))
+        with _at_level("reference"):
+            reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, fine_cfg)
+    out = np.empty((len(replicas), len(cfg.levels)))
     for i, level in enumerate(cfg.levels):
-        drift = MollifiedDrift(cfg.spec, z, int(level))
-        ito = euler_ito_sdde(drift, diffusion, cfg.initial, w, scfg, guarded=(drift.guard,))
-        out[i] = _sup_distance(ito, mixed)
+        step = n_driver // int(level)
+        scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
+        with _at_level(level):
+            level_path = euler_mixed_sdde(
+                cfg.spec, cfg.initial, w.restrict(step), z.restrict(step), scfg
+            )
+        out[:, i] = _sup_distance(level_path, reference.restrict(step))
     return out
 
 
-def _replica_moments(cfg: ExperimentConfig, replica: int) -> np.ndarray:
-    w, z = _sample_drivers(cfg, replica, cfg.n_steps)
-    scfg = cfg.solver_config
-    x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
-    sup_mag = float(fraccalc._mags(x.values).max())
-    dn = fraccalc.delay_norms(x, cfg.params.alpha, cfg.initial.r, cfg.horizon)
-    z_semi = fraccalc._seminorm_0_alpha(z.values, z.dt, cfg.params.alpha)
-    return np.array([sup_mag, dn.norm_t, z_semi])
+def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
+    with _at_level("reference"):
+        x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, cfg.solver_config)
+    out = np.empty((len(replicas), 3))
+    for r in range(len(replicas)):
+        xr = GridPath(x.t0, x.dt, x.values[r])
+        out[r] = (
+            float(fraccalc._mags(xr.values).max()),
+            fraccalc.delay_norms(xr, cfg.params.alpha, cfg.initial.r, cfg.horizon).norm_t,
+            fraccalc._seminorm_0_alpha(z.values[r], z.dt, cfg.params.alpha),
+        )
+    return out
 
 
-def _replica_quasi(cfg: ExperimentConfig, replica: int) -> np.ndarray:
-    w, z1 = _sample_drivers(cfg, replica, cfg.n_steps)
+def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    w, z1 = _block_drivers(cfg, replicas, cfg.n_steps)
     scfg = cfg.solver_config
     alpha = cfg.params.alpha
-    y1 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z1, scfg)
-    z1_semi = fraccalc._seminorm_0_alpha(z1.values, z1.dt, alpha)
-    y1_norm = fraccalc.delay_norms(y1, alpha, cfg.initial.r, cfg.horizon).norm_t
+    p = quasi_contraction_order(alpha) if cfg.moment_p is None else cfg.moment_p
+
+    def semi(values: np.ndarray) -> float:
+        return fraccalc._seminorm_0_alpha(values, z1.dt, alpha)
+
+    def norm(y: GridPath, r: int) -> float:
+        path = GridPath(y.t0, y.dt, y.values[r])
+        return fraccalc.delay_norms(path, alpha, cfg.initial.r, cfg.horizon).norm_t
+
+    with _at_level("reference"):
+        y1 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z1, scfg)
+    z1_semi = [semi(z1.values[r]) for r in range(len(replicas))]
+    y1_norm = [norm(y1, r) for r in range(len(replicas))]
     ramp = z1.times[:, None]
-    out = np.empty((len(cfg.levels), 3))
+    out = np.empty((len(replicas), len(cfg.levels), 3))
     for i, eps in enumerate(cfg.levels):
         z2 = GridPath(z1.t0, z1.dt, z1.values + eps * ramp)
-        y2 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z2, scfg)
-        z2_semi = fraccalc._seminorm_0_alpha(z2.values, z2.dt, alpha)
-        y2_norm = fraccalc.delay_norms(y2, alpha, cfg.initial.r, cfg.horizon).norm_t
-        indicator = (
-            z1_semi <= cfg.m_trunc
-            and z2_semi <= cfg.m_trunc
-            and y1_norm <= cfg.r_trunc
-            and y2_norm <= cfg.r_trunc
-        )
-        diff_semi = fraccalc._seminorm_0_alpha(z2.values - z1.values, z1.dt, alpha)
-        p = quasi_contraction_order(alpha) if cfg.moment_p is None else cfg.moment_p
-        num = _sup_distance(y1, y2) ** p if indicator else 0.0
-        den = diff_semi**p if indicator else 0.0
-        out[i] = (num, den, 1.0 if indicator else 0.0)
+        with _at_level(eps):
+            y2 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z2, scfg)
+        sup = _sup_distance(y1, y2)
+        for r in range(len(replicas)):
+            indicator = (
+                z1_semi[r] <= cfg.m_trunc
+                and semi(z2.values[r]) <= cfg.m_trunc
+                and y1_norm[r] <= cfg.r_trunc
+                and norm(y2, r) <= cfg.r_trunc
+            )
+            diff_semi = semi(z2.values[r] - z1.values[r])
+            num = float(sup[r]) ** p if indicator else 0.0
+            den = diff_semi**p if indicator else 0.0
+            out[r, i] = (num, den, 1.0 if indicator else 0.0)
     return out
 
 
-_REPLICA_FNS = {
-    "coeff_convergence": _replica_coeff,
-    "vanishing_delay": _replica_delay,
-    "euler_refinement": _replica_euler,
-    "ito_limit": _replica_ito,
-    "moments": _replica_moments,
-    "quasi_contract": _replica_quasi,
+_BLOCK_FNS = {
+    "coeff_convergence": _block_coeff,
+    "vanishing_delay": _block_delay,
+    "euler_refinement": _block_euler,
+    "ito_limit": _block_ito,
+    "moments": _block_moments,
+    "quasi_contract": _block_quasi,
 }
 
+# Replicas per block.  Fixed, so that block boundaries (and with them every
+# rounding inside a block) never depend on the worker count.
+_BLOCK_REPLICAS = 50
 
-def _run_one(args) -> np.ndarray:
-    cfg, replica = args
-    return _REPLICA_FNS[cfg.kind](cfg, replica)
+
+def _run_block(args) -> np.ndarray:
+    cfg, replicas = args
+    fn = _BLOCK_FNS[cfg.kind]
+    try:
+        return fn(cfg, replicas)
+    except SolverExplosionError as exc:
+        # name the lowest exploding replica: solve the block's replicas alone
+        for r in replicas:
+            try:
+                fn(cfg, range(r, r + 1))
+            except SolverExplosionError as single:
+                single.replica = r
+                raise single from None
+        exc.replica = replicas[exc.replica]
+        raise
 
 
-def _map_replicas(cfg: ExperimentConfig) -> list[np.ndarray]:
-    tasks = [(cfg, i) for i in range(cfg.replicas)]
+def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
+    """Rows of all replicas in replica order, computed block by block."""
+    tasks = [
+        (cfg, range(lo, min(lo + _BLOCK_REPLICAS, cfg.replicas)))
+        for lo in range(0, cfg.replicas, _BLOCK_REPLICAS)
+    ]
     if cfg.workers == 1:
-        return [_run_one(t) for t in tasks]
-    chunk = max(1, cfg.replicas // (4 * cfg.workers))
+        return np.concatenate([_run_block(t) for t in tasks])
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(_run_one, tasks, chunksize=chunk))
+        return np.concatenate(list(pool.map(_run_block, tasks)))
 
 
 # --------------------------------------------------------------------------
@@ -509,9 +532,8 @@ def _monotone_violations(levels: tuple[LevelResult, ...]) -> list[str]:
     return reasons
 
 
-def _reduce_convergence(cfg: ExperimentConfig, rows: list[np.ndarray], started: float,
+def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray, started: float,
                         reference: str = "") -> ConvergenceReport:
-    table = np.vstack(rows)  # (replicas, levels)
     level_results = []
     for i, level in enumerate(cfg.levels):
         dist = table[:, i]
@@ -608,8 +630,6 @@ def run_euler_refinement(cfg: ExperimentConfig) -> ConvergenceReport:
     for n in levels:
         if finest % n != 0:
             raise ExperimentError("mesh levels must divide the finest mesh")
-    if cfg.reference not in ("closed_form", "fine_euler"):
-        raise ExperimentError(f"unknown reference {cfg.reference!r}")
     if cfg.reference == "closed_form" and _geometric_triple(cfg) is None:
         raise ExperimentError(
             "closed-form reference unavailable for this spec; use reference='fine_euler'"
@@ -636,7 +656,7 @@ def estimate_moments(cfg: ExperimentConfig) -> MomentReport:
     if cfg.kind != "moments":
         raise ExperimentError(f"config kind is {cfg.kind!r}")
     started = time.perf_counter()
-    rows = np.vstack(_map_replicas(cfg))
+    rows = _map_replicas(cfg)
     sup, delay_norm, z_semi = rows[:, 0], rows[:, 1], rows[:, 2]
     inside = z_semi <= cfg.m_trunc
     p_values = tuple(float(p) for p in cfg.levels)
@@ -714,7 +734,7 @@ def estimate_quasi_contractivity(cfg: ExperimentConfig) -> QuasiReport:
         raise ExperimentError(
             f"moment order p={p} below the admissible range 4/(1-2 alpha)"
         )
-    rows = np.stack(_map_replicas(cfg))  # (replicas, levels, 3)
+    rows = _map_replicas(cfg)  # (replicas, levels, 3)
     sums = rows.sum(axis=0)
     ratios: list[float | None] = []
     for num, den, _ in sums:

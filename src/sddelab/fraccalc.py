@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 from .grid import GridError, GridPath
 
@@ -76,6 +76,8 @@ def _scalar_grid(path: GridPath, interval: tuple[float, float] | None) -> GridPa
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) + len(b) > _FFT_THRESHOLD:
+        from scipy import signal  # heavy import, needed only above the threshold
+
         return signal.fftconvolve(a, b)
     return np.convolve(a, b)
 
@@ -285,12 +287,9 @@ def holder_seminorm_values(values: np.ndarray, dt: float, lam: float) -> float:
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     vals = values if values.ndim == 2 else values[:, None]
-    n = vals.shape[0]
     best = 0.0
-    for gap in range(1, n):
-        diffs = vals[gap:] - vals[:-gap]
-        mags = np.abs(diffs[:, 0]) if vals.shape[1] == 1 else np.linalg.norm(diffs, axis=1)
-        best = max(best, float(mags.max()) / (gap * dt) ** lam)
+    for gap in range(1, vals.shape[0]):
+        best = max(best, float(_mags(vals[gap:] - vals[:-gap]).max()) / (gap * dt) ** lam)
     return best
 
 
@@ -321,7 +320,8 @@ def young_love_bound(
 
 
 def _mags(values: np.ndarray) -> np.ndarray:
-    return np.abs(values[:, 0]) if values.shape[1] == 1 else np.linalg.norm(values, axis=1)
+    """Pointwise magnitudes of an (..., n, d) value array: |.| or the Euclidean norm."""
+    return np.abs(values[..., 0]) if values.shape[-1] == 1 else np.linalg.norm(values, axis=-1)
 
 
 def _singular_weighted_integral(h: np.ndarray, dt: float, alpha: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridPath", "SeedSpec", "GridError", "stack_paths"]
+__all__ = ["GridPath", "SeedSpec", "GridError", "stack_paths", "stack_replicas"]
 
 # Relative slack for "does this time land on a grid node" checks.
 _ALIGN_RTOL = 1e-9
@@ -26,7 +26,9 @@ class GridPath:
     """A d-dimensional path on the uniform grid ``{t0 + k*dt, k=0..n-1}``.
 
     ``values`` has shape ``(n, d)``; scalar paths are stored with ``d = 1``.
-    The array is made read-only so paths can be shared between workers.
+    A replica block stacks paths on one grid as ``(replicas, n, d)``; the
+    grid operations act on the time axis of every replica alike.  The array
+    is made read-only so paths can be shared between workers.
     """
 
     t0: float
@@ -37,8 +39,8 @@ class GridPath:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise GridError("values must be a non-empty (n,) or (n, d) array")
+        if arr.ndim not in (2, 3) or arr.shape[-2] == 0:
+            raise GridError("values must be a non-empty (n,), (n, d) or (reps, n, d) array")
         if not np.all(np.isfinite(arr)):
             raise GridError("path values must be finite")
         if not self.dt > 0:
@@ -49,11 +51,16 @@ class GridPath:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def n_points(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
+
+    @property
+    def replicas(self) -> int | None:
+        """Block size of a replica block; None for a single path."""
+        return self.values.shape[0] if self.values.ndim == 3 else None
 
     @property
     def end_time(self) -> float:
@@ -64,10 +71,10 @@ class GridPath:
         return self.t0 + self.dt * np.arange(self.n_points)
 
     def scalar_values(self) -> np.ndarray:
-        """The (n,) value array of a one-dimensional path."""
+        """The (n,) value array of a one-dimensional path ((replicas, n) for a block)."""
         if self.dim != 1:
             raise GridError(f"expected a scalar path, got dim={self.dim}")
-        return self.values[:, 0]
+        return self.values[..., 0]
 
     def index_of(self, t: float) -> int:
         """Exact grid index of time ``t``; rejects off-grid times."""
@@ -80,7 +87,7 @@ class GridPath:
         return k
 
     def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.index_of(t)]
+        return self.values[..., self.index_of(t), :]
 
     def restrict(self, step: int) -> "GridPath":
         """Keep every ``step``-th node; the coupling device for dyadic grids."""
@@ -88,14 +95,14 @@ class GridPath:
             raise GridError(
                 f"cannot restrict {self.n_points} points by step {step}: end node lost"
             )
-        return GridPath(self.t0, self.dt * step, self.values[::step])
+        return GridPath(self.t0, self.dt * step, self.values[..., ::step, :])
 
     def window(self, a: float, b: float) -> "GridPath":
         """Sub-path on the grid-aligned interval ``[a, b]``."""
         ia, ib = self.index_of(a), self.index_of(b)
         if ib <= ia:
             raise GridError(f"empty window [{a}, {b}]")
-        return GridPath(self.t0 + ia * self.dt, self.dt, self.values[ia : ib + 1])
+        return GridPath(self.t0 + ia * self.dt, self.dt, self.values[..., ia : ib + 1, :])
 
     def same_grid(self, other: "GridPath") -> bool:
         return (
@@ -105,15 +112,26 @@ class GridPath:
         )
 
 
-def stack_paths(paths: list[GridPath]) -> GridPath:
-    """Stack scalar paths on a common grid into one vector-valued path."""
+def _common_grid(paths: list[GridPath]) -> GridPath:
     if not paths:
         raise GridError("need at least one path")
     head = paths[0]
     for p in paths[1:]:
         if not head.same_grid(p):
             raise GridError("paths are not on a common grid")
+    return head
+
+
+def stack_paths(paths: list[GridPath]) -> GridPath:
+    """Stack scalar paths on a common grid into one vector-valued path."""
+    head = _common_grid(paths)
     return GridPath(head.t0, head.dt, np.column_stack([p.scalar_values() for p in paths]))
+
+
+def stack_replicas(paths: list[GridPath]) -> GridPath:
+    """Stack paths on a common grid into a replica block, in list order."""
+    head = _common_grid(paths)
+    return GridPath(head.t0, head.dt, np.stack([p.values for p in paths]))
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,31 @@ raw increment of Z is used directly; the mollified driver Z^N exists only to
 re-express the equation as an Ito equation with random drift, which
 ``euler_ito_sdde`` integrates.
 
+Both schemes run on one stepper.  A :class:`CoefficientSpec` is compiled
+once into arrays (gain matrices, constants, the delay tap or the
+distributed-kernel weights, the time modulation), and each step advances a
+``(replicas, d)`` state block with one affine update.  Drivers given as a
+replica block (a :class:`GridPath` with values ``(replicas, n, d)``) are
+solved together; a single path is a block of one.  The mixed step adds
+``a dt + b dW + c dZ``; the mollified Ito step adds ``(a + c dZ^N/dt) dt +
+b dW``, with dZ^N/dt tabulated on the step times from driver values at or
+before each step time.  ``euler_ito_sdde`` given other callables runs the
+general per-step loop.
+
 All solves are pure functions of their inputs: identical arguments give
-bit-identical output paths.
+bit-identical output paths.  For scalar equations every replica of a block
+is bit-identical to its solve as a block of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import CoefficientSpec, InitialCondition, eval_coefficient
+from .core import CoefficientSpec, InitialCondition, Segment, eval_coefficient
 from .grid import GridError, GridPath
 
 __all__ = [
@@ -37,15 +50,24 @@ __all__ = [
 
 
 class SolverExplosionError(RuntimeError):
-    """The discrete path left the configured trust region."""
+    """The discrete path left the configured trust region.
 
-    def __init__(self, time: float, magnitude: float, threshold: float):
-        super().__init__(
-            f"solution magnitude {magnitude:.3e} exceeded the explosion "
-            f"threshold {threshold:.3e} at t={time:.6g}"
+    ``replica`` is the row of the exploding path in its block; callers that
+    know more (the Monte Carlo harness) overwrite it with the replica index
+    and set ``level``.
+    """
+
+    def __init__(self, time: float, magnitude: float, threshold: float, replica: int = 0):
+        super().__init__(time, magnitude, threshold, replica)
+        self.time, self.magnitude, self.threshold = time, magnitude, threshold
+        self.replica, self.level = replica, None
+
+    def __str__(self) -> str:
+        where = "" if self.level is None else f"replica {self.replica}, level {self.level}: "
+        return (
+            f"{where}solution magnitude {self.magnitude:.3e} exceeded the explosion "
+            f"threshold {self.threshold:.3e} at t={self.time:.6g}"
         )
-        self.time = time
-        self.magnitude = magnitude
 
 
 class AdaptednessError(RuntimeError):
@@ -110,10 +132,6 @@ class MollifierParams:
     def window(self) -> float:
         return 1.0 / self.level
 
-    @property
-    def truncation(self) -> float:
-        return float(self.level)
-
 
 def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
     if abs(path.t0) > 1e-9:
@@ -150,34 +168,6 @@ def _history_values(eta: InitialCondition, cfg: SolverConfig) -> np.ndarray:
     return path.values.copy()
 
 
-class _StepView:
-    """Segment protocol over the in-progress solution buffer (no copies)."""
-
-    __slots__ = ("_buf", "anchor", "lookback", "dt")
-
-    def __init__(self, buf: np.ndarray, anchor: int, lookback: int, dt: float):
-        self._buf = buf
-        self.anchor = anchor
-        self.lookback = lookback
-        self.dt = dt
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._buf[self.anchor - self.lookback : self.anchor + 1]
-
-    def value_at(self, u: float) -> np.ndarray:
-        k = round(u / self.dt)
-        if not -self.lookback <= k <= 0:
-            raise GridError(f"segment argument {u} outside the window")
-        return self._buf[self.anchor + k]
-
-    def sup_norm(self) -> float:
-        vals = self.values
-        if vals.shape[1] == 1:
-            return float(np.abs(vals[:, 0]).max())
-        return float(np.linalg.norm(vals, axis=1).max())
-
-
 def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int:
     if spec.family not in ("linear", "pointwise_delay"):
         return 0
@@ -191,13 +181,108 @@ def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int:
     return q_tau
 
 
-def _scalar_fast_path(spec: CoefficientSpec) -> bool:
-    return (
-        spec.dim == 1
-        and spec.n_wiener == 1
-        and spec.n_holder == 1
-        and spec.family != "distributed_delay"
-    )
+def _compile(spec: CoefficientSpec, cfg: SolverConfig):
+    """The spec as arrays for one solver grid: ``(now, delay, const, mods, y_at)``.
+
+    Columns are ``[a | b_1..b_m | c_1..c_l]``: ``x @ now + y @ delay + const``,
+    reshaped to ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``,
+    holds every coefficient at state ``x`` and delay read ``y`` at step k.
+    ``y_at(buf, i)`` reads the tap, or integrates the window with the
+    trapezoid kernel for the distributed family.  Zero parts are None.
+    """
+    blocks = (spec.drift, spec.diffusion, spec.zdrive)
+    d, cols = spec.dim, 1 + spec.n_wiener + spec.n_holder
+
+    def matrix(name: str) -> np.ndarray:  # (cols, d, d) gains -> (d, d * cols)
+        gains = np.concatenate([getattr(b, name) for b in blocks])
+        return gains.transpose(2, 1, 0).reshape(d, d * cols)
+
+    delay = matrix("gain_delay")
+    const = np.concatenate([b.const for b in blocks]).T.reshape(d * cols)
+    sin_cols = np.concatenate([np.full(b.channels, b.time_modulation == "sin") for b in blocks])
+    mods = None
+    if sin_cols.any():
+        sines = np.array([math.sin(k * cfg.dt) for k in range(cfg.n_steps)])
+        mods = np.where(sin_cols, sines[:, None], 1.0)
+    q, tap = cfg.delay_steps, _tap_steps(spec, cfg)
+    if spec.family != "distributed_delay":
+        y_at = lambda buf, i: buf[i - tap]  # noqa: E731
+    elif q == 0:
+        raise GridError("distributed_delay needs a non-trivial segment window")
+    else:
+        kernel = np.full(q + 1, cfg.dt)
+        kernel[[0, -1]] *= 0.5
+        y_at = lambda buf, i: np.tensordot(kernel, buf[i - q : i + 1], axes=1)  # noqa: E731
+    return (matrix("gain_now"), delay if delay.any() else None,
+            const if const.any() else None, mods, y_at)
+
+
+def _block(path: GridPath) -> np.ndarray:
+    return path.values if path.replicas is not None else path.values[None]
+
+
+def _solve(spec: CoefficientSpec, eta: InitialCondition, cfg: SolverConfig, w: GridPath,
+           first: float, third: np.ndarray, ito: bool) -> GridPath:
+    """Euler steps of a ``(replicas, d)`` state block, for both schemes.
+
+    The step-k increments ``[first | dW | third]`` multiply the coefficient
+    columns.  Mixed scheme: ``[dt | dW | dZ]``, added column by column.  Ito
+    scheme: ``[1 | dW | dZ^N/dt]``, with ``a + c dZ^N/dt`` multiplied by dt.
+    The trust region is checked once the path is complete: the first node
+    outside it is where a step-by-step check would have stopped.
+    """
+    hist = _history_values(eta, cfg)
+    if hist.shape[1] != spec.dim:
+        raise GridError(
+            f"initial condition dimension {hist.shape[1]} != spec dim {spec.dim}"
+        )
+    now, delay, const, mods, y_at = _compile(spec, cfg)
+    dw = np.diff(_block(w), axis=1)
+    inc = np.concatenate([np.full(dw.shape[:2] + (1,), first), dw, third], axis=-1)
+    inc = np.ascontiguousarray(inc.transpose(1, 0, 2)[:, :, None, :])
+    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
+    reps, d, cols, m = inc.shape[1], spec.dim, inc.shape[-1], spec.n_wiener
+    buf = np.empty((q + n + 1, reps, d))
+    buf[: q + 1] = hist[:, None, :]
+    v, tmp, f = np.empty((reps, d * cols)), np.empty((reps, d * cols)), np.empty((reps, d))
+    p = v.reshape(reps, d, cols)  # a view: the coefficient columns of the step
+
+    def channels(lo: int, hi: int):  # the increment terms of columns lo..hi-1
+        view = p[..., lo:hi]
+        return (lambda: view[..., 0]) if hi == lo + 1 else (lambda: view.sum(axis=-1))
+
+    a, b_terms, c_terms = p[..., 0], channels(1, 1 + m), channels(1 + m, cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
+        for k in range(n):
+            i = q + k
+            x, nxt = buf[i], buf[i + 1]
+            np.matmul(x, now, out=v)
+            if delay is not None:
+                v += np.matmul(y_at(buf, i), delay, out=tmp)
+            if const is not None:
+                v += const
+            if mods is not None:
+                p *= mods[k]
+            p *= inc[k]
+            if ito:
+                np.add(a, c_terms(), out=f)
+                f *= dt
+                np.add(x, f, out=nxt)
+                nxt += b_terms()
+            else:
+                np.add(x, a, out=nxt)
+                nxt += b_terms()
+                nxt += c_terms()
+    mags = np.linalg.norm(buf[q + 1 :], axis=-1)
+    over = np.argwhere(~(mags <= cfg.explosion_threshold))
+    if over.size:
+        k, row = over[0]
+        if mags[k, row] > cfg.explosion_threshold:  # else non-finite: GridPath rejects it
+            raise SolverExplosionError(
+                (k + 1) * dt, float(mags[k, row]), cfg.explosion_threshold, int(row)
+            )
+    values = buf[:, 0] if w.replicas is None else buf.transpose(1, 0, 2)
+    return GridPath(-cfg.delay, dt, values)
 
 
 def euler_mixed_sdde(
@@ -211,7 +296,8 @@ def euler_mixed_sdde(
 
     On [-delay, 0] the output equals the initial condition bitwise.  Each step
     advances ``X += a dt + b dW + c dZ`` with all three coefficients frozen at
-    the left node and the segment of the discrete solution there.
+    the left node and the segment of the discrete solution there.  ``W`` and
+    ``Z`` may be replica blocks of one size; the output is then a block too.
     """
     if cfg.dims is not None and cfg.dims != (spec.dim, spec.n_wiener, spec.n_holder):
         raise GridError(
@@ -220,66 +306,25 @@ def euler_mixed_sdde(
         )
     w = _align_driver(W, cfg, spec.n_wiener, "W")
     z = _align_driver(Z, cfg, spec.n_holder, "Z")
-    hist = _history_values(eta, cfg)
-    if hist.shape[1] != spec.dim:
-        raise GridError(
-            f"initial condition dimension {hist.shape[1]} != spec dim {spec.dim}"
-        )
-    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
-    q_tau = _tap_steps(spec, cfg)
-    buf = np.empty((q + n + 1, spec.dim))
-    buf[: q + 1] = hist
-    threshold = cfg.explosion_threshold
+    if w.replicas != z.replicas:
+        raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
+    return _solve(spec, eta, cfg, w, cfg.dt, np.diff(_block(z), axis=1), False)
 
-    if _scalar_fast_path(spec):
-        gna, gda, ca = spec.drift.gain_now[0, 0, 0], spec.drift.gain_delay[0, 0, 0], spec.drift.const[0, 0]
-        gnb, gdb, cb = spec.diffusion.gain_now[0, 0, 0], spec.diffusion.gain_delay[0, 0, 0], spec.diffusion.const[0, 0]
-        gnc, gdc, cc = spec.zdrive.gain_now[0, 0, 0], spec.zdrive.gain_delay[0, 0, 0], spec.zdrive.const[0, 0]
-        mods = [b.time_modulation == "sin" for b in (spec.drift, spec.diffusion, spec.zdrive)]
-        dw = np.diff(w.values[:, 0])
-        dz = np.diff(z.values[:, 0])
-        col = buf[:, 0]
-        for k in range(n):
-            i = q + k
-            t = k * dt
-            x = col[i]
-            xd = col[i - q_tau]
-            ma = math.sin(t) if mods[0] else 1.0
-            mb = math.sin(t) if mods[1] else 1.0
-            mc = math.sin(t) if mods[2] else 1.0
-            a = (gna * x + gda * xd + ca) * ma
-            b = (gnb * x + gdb * xd + cb) * mb
-            c = (gnc * x + gdc * xd + cc) * mc
-            x_new = x + a * dt + b * dw[k] + c * dz[k]
-            if abs(x_new) > threshold:
-                raise SolverExplosionError((k + 1) * dt, abs(x_new), threshold)
-            col[i + 1] = x_new
-        return GridPath(-cfg.delay, dt, buf)
 
-    dw = np.diff(w.values, axis=0)
-    dz = np.diff(z.values, axis=0)
-    for k in range(n):
-        i = q + k
-        t = k * dt
-        psi = _StepView(buf, i, q, dt)
-        a = eval_coefficient(spec, "a", t, psi)
-        b = eval_coefficient(spec, "b", t, psi)
-        c = eval_coefficient(spec, "c", t, psi)
-        x_new = buf[i] + a * dt + b @ dw[k] + c @ dz[k]
-        mag = float(np.linalg.norm(x_new))
-        if mag > threshold:
-            raise SolverExplosionError((k + 1) * dt, mag, threshold)
-        buf[i + 1] = x_new
-    return GridPath(-cfg.delay, dt, buf)
+@dataclass(frozen=True, eq=False)
+class _Coefficient:
+    """One coefficient of a spec as a ``(t, psi) -> array`` callable."""
+
+    spec: CoefficientSpec
+    which: str
+
+    def __call__(self, t: float, psi):
+        return eval_coefficient(self.spec, self.which, t, psi)
 
 
 def coefficient_evaluator(spec: CoefficientSpec, which: str):
     """Bind one coefficient of a spec as a plain ``(t, psi) -> array`` callable."""
-
-    def evaluate(t: float, psi):
-        return eval_coefficient(spec, which, t, psi)
-
-    return evaluate
+    return _Coefficient(spec, which)
 
 
 def euler_ito_sdde(
@@ -297,24 +342,48 @@ def euler_ito_sdde(
     ``guarded`` is advanced to the current step time before evaluation, so an
     evaluator that asks for future driver values raises
     :class:`AdaptednessError`.
+
+    A :class:`MollifiedDrift` with the ``coefficient_evaluator(spec, "b")``
+    of its own spec is solved by the compiled stepper (``W`` and the drift's
+    driver may then be replica blocks of one size); it reads the driver only
+    at nodes at or before each step time, so no guard is needed.
     """
+    if (
+        isinstance(drift, MollifiedDrift)
+        and isinstance(diffusion, _Coefficient)
+        and diffusion.which == "b"
+        and diffusion.spec is drift.spec
+    ):
+        spec = drift.spec
+        w = _align_driver(W, cfg, spec.n_wiener, "W")
+        if w.replicas != drift.driver.replicas:
+            raise GridError(f"W has {w.replicas} replicas, Z has {drift.driver.replicas}")
+        if drift.driver.dim != spec.n_holder:
+            raise GridError(f"Z has dimension {drift.driver.dim}, expected {spec.n_holder}")
+        zdot = drift.zdot_table(cfg.dt * np.arange(cfg.n_steps))
+        if w.replicas is None:
+            zdot = zdot[None]
+        return _solve(spec, theta, cfg, w, 1.0, zdot, True)
     n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
     hist = _history_values(theta, cfg)
     dim = hist.shape[1]
     w = _align_driver(W, cfg, W.dim, "W")
+    if w.replicas is not None:
+        raise GridError("replica blocks need a MollifiedDrift and its spec's diffusion")
     dw = np.diff(w.values, axis=0)
     buf = np.empty((q + n + 1, dim))
     buf[: q + 1] = hist
+    live = SimpleNamespace(values=buf, dt=dt)  # segments view the buffer, no copies
     threshold = cfg.explosion_threshold
     for k in range(n):
         i = q + k
         t = k * dt
         for guard in guarded:
             guard.advance(t)
-        psi = _StepView(buf, i, q, dt)
+        psi = Segment(live, i, q)
         f = np.asarray(drift(t, psi), dtype=float).reshape(dim)
         g = np.asarray(diffusion(t, psi), dtype=float).reshape(dim, w.dim)
-        x_new = buf[i] + f * dt + g @ dw[k]
+        x_new = buf[i] + f * dt + (g * dw[k]).sum(axis=-1)
         mag = float(np.linalg.norm(x_new))
         if mag > threshold:
             raise SolverExplosionError((k + 1) * dt, mag, threshold)
@@ -329,21 +398,33 @@ def geometric_closed_form(
 
     The Wiener integral is an Ito integral (hence the -b^2/2 correction); the
     rough integral obeys the pathwise chain rule with no correction:
-    ``X(t) = x0 exp((a - b^2/2) t + b W(t) + c Z(t))``.
+    ``X(t) = x0 exp((a - b^2/2) t + b W(t) + c Z(t))``.  Replica blocks give
+    a block.
     """
     if not W.same_grid(Z):
         raise GridError("W and Z must live on a common grid")
     t = W.times
     vals = x0 * np.exp((a - 0.5 * b * b) * t + b * W.scalar_values() + c * Z.scalar_values())
-    return GridPath(W.t0, W.dt, vals)
+    return GridPath(W.t0, W.dt, vals[..., None])
 
 
 def _clamp(values: np.ndarray, level: float) -> np.ndarray:
-    mags = np.linalg.norm(values, axis=1)
-    factor = np.ones_like(mags)
-    over = mags > level
-    factor[over] = level / mags[over]
-    return values * factor[:, None]
+    mags = np.linalg.norm(values, axis=-1, keepdims=True)
+    return values * (level / np.maximum(mags, level))
+
+
+def _interpolate(path: GridPath, s):
+    """Linear interpolation of ``path`` at the time(s) ``s``, clamped to its
+    grid.  A time within rounding of a node reads that node alone, so a read
+    at a node time never touches a later node."""
+    s = np.clip(s, path.t0, path.end_time)
+    pos = (s - path.t0) / path.dt
+    node = np.rint(pos)
+    pos = np.where(np.abs(pos - node) <= 1e-9 * np.maximum(pos, 1.0), node, pos)
+    j = np.minimum(pos.astype(int), path.n_points - 2)
+    theta = (pos - j)[..., None]
+    vals = path.values
+    return vals[..., j, :] + theta * (vals[..., j + 1, :] - vals[..., j, :])
 
 
 def mollify_driver(Z: GridPath, level: int) -> GridPath:
@@ -398,12 +479,7 @@ class GuardedDriver:
             raise AdaptednessError(
                 f"driver value at s={s} requested while the clock is at {self._clock}"
             )
-        s = min(max(s, self._path.t0), self._path.end_time)
-        pos = (s - self._path.t0) / self._path.dt
-        j = min(int(pos), self._path.n_points - 2)
-        theta = pos - j
-        vals = self._path.values
-        return vals[j] + theta * (vals[j + 1] - vals[j])
+        return _interpolate(self._path, s)
 
 
 class MollifiedDrift:
@@ -417,15 +493,28 @@ class MollifiedDrift:
     def __init__(self, spec: CoefficientSpec, Z: GridPath, level: int):
         self.spec = spec
         self.level = MollifierParams(level)
+        self.driver = Z
         self.guard = GuardedDriver(Z)
+
+    def _derivative(self, now: np.ndarray, past: np.ndarray) -> np.ndarray:
+        lvl = float(self.level.level)
+        return lvl * (_clamp(now, lvl) - _clamp(past, lvl))
 
     def zdot(self, t: float) -> np.ndarray:
         now = self.guard.value(t)
         past = self.guard.value(max(t - self.level.window, 0.0))
-        lvl = float(self.level.level)
-        return lvl * (_clamp(now[None, :], lvl)[0] - _clamp(past[None, :], lvl)[0])
+        return self._derivative(now, past)
+
+    def zdot_table(self, times: np.ndarray) -> np.ndarray:
+        """``zdot`` at every time in ``times`` at once: (len(times), l), or
+        (replicas, len(times), l) for a replica block.  The entry at time t
+        reads the driver at nodes at or before t only."""
+        past = np.maximum(times - self.level.window, 0.0)
+        return self._derivative(
+            _interpolate(self.driver, times), _interpolate(self.driver, past)
+        )
 
     def __call__(self, t: float, psi) -> np.ndarray:
         a = eval_coefficient(self.spec, "a", t, psi)
         c = eval_coefficient(self.spec, "c", t, psi)
-        return a + c @ self.zdot(t)
+        return a + (c * self.zdot(t)).sum(axis=-1)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sddelab.cli import main
 from sddelab.config import ConfigError, load_config, parse_config
@@ -319,3 +324,139 @@ class TestCliFbmAndFrac:
     def test_subcommand_config_kind_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, self.fbm_doc())
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+# --------------------------------------------------------------------------
+# exit-code contract
+
+
+def typed_doc():
+    """A small valid coeff-convergence config that sets most optional fields."""
+    return {
+        "kind": "experiment",
+        "experiment": {
+            "flavor": "coeff_convergence", "levels": [2, 4], "replicas": 30,
+            "epsilon": 0.1, "horizon": 1.0, "n_steps": 16, "perturbation": "drift_shift",
+            "reference": "closed_form", "m_trunc": 10.0, "r_trunc": 1000.0,
+            "emit_distances": False,
+        },
+        "criteria": {"max_final_exceedance": 0.5, "min_decreasing_steps": 1,
+                     "ratio_bound": 10.0, "heavy_tail_fails": False},
+        "holder": {"gamma": 0.7, "alpha": 0.35, "beta": 1.0, "theta": 0.45, "hurst": 0.75},
+        "coefficients": {
+            "family": "pointwise_delay", "dim": 1, "n_wiener": 1, "n_holder": 1,
+            "tau": 0.25,
+            "drift": {"gain_now": 0.3, "gain_delay": 0.2, "const": 0.1, "time_modulation": "sin"},
+            "diffusion": {"gain_now": 0.2},
+            "zdrive": {"gain_now": 0.1},
+            "constants": {"K": 100.0, "K_R": 100.0},
+        },
+        "initial": {"constant": 1.0, "delay": 0.25, "theta": 0.45, "dt": 0.0625},
+        "driver": {"method": "cholesky"},
+        "seed": {"master": 5, "stream": 0},
+    }
+
+
+def _field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# null means "unset" for these fields and for the optional objects
+NULLABLE = {("criteria", "min_decreasing_steps")}
+
+
+def _wrong_values(path, value):
+    """Values of a type the field never accepts."""
+    if path in NULLABLE:
+        return [v for v in _wrong_values((), value) if v is not None]
+    if isinstance(value, bool):
+        return ["x", 1, None]
+    if isinstance(value, (int, float)):
+        return ["x", True, {"k": 1}, None]
+    if isinstance(value, str):
+        return [1, ["x"], {"k": 1}, None]
+    if isinstance(value, list):
+        return ["x", 1, {"k": 1}, None]
+    return ["x", 1, ["x"]]
+
+
+TYPED_PATHS = [path for path, _ in _field_paths(typed_doc())]
+
+
+def test_typed_doc_is_valid(tmp_path):
+    cfg = write_config(tmp_path, typed_doc())
+    assert main(["experiment", "coeff", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_fields_exit_two_or_three(tmp_path_factory, data):
+    """Swapping any field of a valid config for a wrong-typed value is a
+    parse or constraint error (exit 2 or 3), never a traceback or a run."""
+    path = data.draw(st.sampled_from(TYPED_PATHS))
+    doc = typed_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(_wrong_values(path, node[path[-1]])))
+    tmp = tmp_path_factory.mktemp("typed")
+    cfg = write_config(tmp, doc)
+    assert main(["experiment", "coeff", "--config", str(cfg), "--out", str(tmp)]) in (2, 3)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("coefficients", "tau", "abc"),
+    ("coefficients.drift", "gain_now", "x"),
+    ("criteria", "min_decreasing_steps", "x"),
+])
+def test_named_wrong_types_are_constraint_violations(tmp_path, capsys, section, key, value):
+    doc = typed_doc()
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main(["experiment", "coeff", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drift, zdrive, named", [
+    # the drift explodes on the paths whose rough part is large
+    (16.0, 3.0, "replica 46, level 64"),
+    # replica 34 explodes at level 64 only; its block first trips on a later
+    # replica at level 16, so the block is solved again replica by replica
+    (0.0, 20.0, "replica 34, level 64"),
+])
+def test_explosion_names_the_replica_identically_at_every_worker_count(
+    tmp_path, capsys, drift, zdrive, named
+):
+    doc = geometric_doc()
+    doc["experiment"].update(replicas=60, levels=[16, 64], n_steps=64)
+    doc["coefficients"].update(
+        drift={"gain_now": drift}, diffusion={"gain_now": 0.0}, zdrive={"gain_now": zdrive}
+    )
+    cfg = write_config(tmp_path, doc)
+    errs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        code = main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers])
+        assert code == 4
+        assert not (out / "report.json").exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"solver explosion: {named}: ")
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, sddelab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
