@@ -6,7 +6,10 @@ path), ``frac`` (fractional-calculus operations on a CSV path), ``solve``
 (one SDDE solve), ``experiment`` (Monte Carlo studies).
 
 Exit codes: 0 success and all configured pass criteria hold; 1 criteria
-failed; 2 config parse error; 3 constraint violation; 4 solver explosion;
+failed; 2 config parse error (unreadable file or invalid JSON); 3 constraint
+violation (a key, type, choice or range outside the config schema, a broken
+rule linking fields, a malformed input CSV, or a level schedule the experiment
+cannot run), with the offending field named on stderr; 4 solver explosion;
 5 I/O error.
 """
 
@@ -17,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from .config import (
     load_config,
 )
 from .core import ParamError
-from .drivers import FbmParams, sample_fbm, sample_wiener
+from .drivers import sample_fbm, sample_wiener
 from .experiments import ExperimentConfig, ExperimentError, run_experiment
 from .grid import GridError, GridPath, SeedSpec
 from .solver import (
@@ -63,6 +66,7 @@ class RunConfig:
     seed_override: int | None
     workers: int | None
     verbose: bool
+    flavor: str | None = None  # the experiment subcommand's flavor alias
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -79,10 +83,20 @@ def _write_csv(path: Path, grid: GridPath, header: str) -> None:
 
 
 def _read_csv(path: Path) -> GridPath:
-    lines = [ln for ln in Path(path).read_text().strip().splitlines() if ln]
+    lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), 1)
+             if ln.strip()]
     if len(lines) < 3:
         raise ConfigError(f"{path}: need a header and at least two rows")
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    rows = []
+    for i, ln in lines[1:]:
+        try:
+            rows.append([float(x) for x in ln.split(",")])
+        except ValueError:
+            raise ConfigError(f"{path}, line {i}: expected comma-separated numbers, "
+                              f"got {ln!r}") from None
+        if len(rows[-1]) < 2 or len(rows[-1]) != len(rows[0]):
+            raise ConfigError(f"{path}, line {i}: {len(rows[-1])} columns; every row needs "
+                              f"the time and the value columns of the first row")
     arr = np.asarray(rows)
     times, values = arr[:, 0], arr[:, 1:]
     steps = np.diff(times)
@@ -127,20 +141,10 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
     if op in ("gls", "rs", "young_love") and grid.dim != 2:
         raise ConfigError(f"operation {op!r} needs a two-column CSV (f and g)")
     if op == "norms":
-        bundle = fraccalc.fractional_norms(grid, alpha, interval, f.get("lambda"))
-        result = {
-            "norm_1_alpha": bundle.norm_1_alpha,
-            "seminorm_0_alpha": bundle.seminorm_0_alpha,
-            "sup_norm": bundle.sup_norm,
-            "holder": bundle.holder,
-        }
+        result = asdict(fraccalc.fractional_norms(grid, alpha, interval, f["lambda"]))
     elif op == "delay_norms":
         bundle = fraccalc.delay_norms(grid, alpha, f["delay"], f["t"])
-        result = {
-            "norm_inf_t": bundle.norm_inf_t,
-            "norm_1_t": bundle.norm_1_t,
-            "norm_t": bundle.norm_t,
-        }
+        result = {**asdict(bundle), "norm_t": bundle.norm_t}
     else:
         fp = GridPath(grid.t0, grid.dt, grid.values[:, 0])
         gp = GridPath(grid.t0, grid.dt, grid.values[:, 1])
@@ -149,7 +153,7 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
         if op == "gls":
             result = {"value": fraccalc.gls_integral(fp, gp, alpha)}
         elif op == "rs":
-            result = {"value": fraccalc.riemann_stieltjes_integral(fp, gp, f.get("rule", "left"))}
+            result = {"value": fraccalc.riemann_stieltjes_integral(fp, gp, f["rule"])}
         else:
             result = {
                 "bound": fraccalc.young_love_bound(fp, gp, f["lambda"], f["mu"])
@@ -161,22 +165,18 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
 
 
 def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
-    scfg, holder, spec, initial, seed, method, level = loaded.payload
+    scfg, spec, initial, seed, fbm, mollifier = loaded.payload
     if run.seed_override is not None:
         seed = SeedSpec(run.seed_override, seed.stream_index)
         loaded.resolved["seed"]["master"] = run.seed_override
     started = time.perf_counter()
     w = sample_wiener(scfg.n_steps, scfg.horizon, spec.n_wiener, seed.child(0))
-    fbm = FbmParams(holder.hurst, scfg.n_steps, scfg.horizon, method)
     z = sample_fbm(fbm, seed.child(1))
     if scfg.scheme == "euler_mixed":
         path = euler_mixed_sdde(spec, initial, w, z, scfg)
     else:
-        drift = MollifiedDrift(spec, z, int(level))
-        path = euler_ito_sdde(
-            drift, coefficient_evaluator(spec, "b"), initial, w, scfg,
-            guarded=(drift.guard,),
-        )
+        drift = MollifiedDrift(spec, z, mollifier.level)
+        path = euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), initial, w, scfg)
     runtime = time.perf_counter() - started
     out = run.output_dir
     header = "time," + ",".join(f"v{i + 1}" for i in range(path.dim))
@@ -197,11 +197,11 @@ def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(loaded: LoadedConfig, run: RunConfig, requested: str | None) -> int:
+def _cmd_experiment(loaded: LoadedConfig, run: RunConfig) -> int:
     cfg: ExperimentConfig = loaded.payload
-    if requested is not None and FLAVOR_ALIASES[requested] != cfg.kind:
+    if run.flavor is not None and FLAVOR_ALIASES[run.flavor] != cfg.kind:
         raise ConfigError(
-            f"experiment subcommand {requested!r} does not match config flavor "
+            f"experiment subcommand {run.flavor!r} does not match config flavor "
             f"{cfg.kind!r}"
         )
     overrides = {}
@@ -211,8 +211,6 @@ def _cmd_experiment(loaded: LoadedConfig, run: RunConfig, requested: str | None)
     if run.workers is not None:
         overrides["workers"] = run.workers
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     report = run_experiment(cfg)
     out = run.output_dir
@@ -241,6 +239,10 @@ def _cmd_experiment(loaded: LoadedConfig, run: RunConfig, requested: str | None)
         for reason in report.reasons:
             print(f"  - {reason}")
     return EXIT_OK if report.passed else EXIT_CRITERIA_FAILED
+
+
+_COMMANDS = {"fbm": _cmd_fbm, "frac": _cmd_frac, "solve": _cmd_solve,
+             "experiment": _cmd_experiment}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         seed_override=args.seed,
         workers=args.workers,
         verbose=args.verbose,
+        flavor=getattr(args, "flavor", None),
     )
     try:
         loaded = load_config(run.config_path)
@@ -287,21 +290,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         run.output_dir.mkdir(parents=True, exist_ok=True)
-        if run.subcommand == "fbm":
-            if loaded.kind != "fbm":
-                raise ConfigError(f"subcommand fbm got a {loaded.kind!r} config")
-            return _cmd_fbm(loaded, run)
-        if run.subcommand == "frac":
-            if loaded.kind != "frac":
-                raise ConfigError(f"subcommand frac got a {loaded.kind!r} config")
-            return _cmd_frac(loaded, run)
-        if run.subcommand == "solve":
-            if loaded.kind != "solve":
-                raise ConfigError(f"subcommand solve got a {loaded.kind!r} config")
-            return _cmd_solve(loaded, run)
-        if loaded.kind != "experiment":
-            raise ConfigError(f"subcommand experiment got a {loaded.kind!r} config")
-        return _cmd_experiment(loaded, run, args.flavor)
+        if loaded.kind != run.subcommand:
+            raise ConfigError(f"subcommand {run.subcommand} got a {loaded.kind!r} config")
+        return _COMMANDS[run.subcommand](loaded, run)
     except (ConfigError, ParamError, GridError, ExperimentError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT

@@ -120,6 +120,13 @@ class ExperimentConfig:
             )
         if not self.epsilon > 0:
             raise ExperimentError("epsilon must be positive")
+        if not self.horizon > 0:
+            raise ExperimentError(f"horizon must be positive, got {self.horizon}")
+        if self.n_steps < 1:
+            raise ExperimentError(f"n_steps must be at least 1, got {self.n_steps}")
+        if self.kind != "euler_refinement":  # n_steps sets the driver and solver grids
+            FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
+            SolverConfig(self.n_steps, self.horizon, self.initial.r)
         if len(self.levels) < 1:
             raise ExperimentError("need at least one level")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
@@ -599,10 +606,22 @@ def quasi_contraction_order(alpha: float) -> float:
     return float(p if p % 2 == 0 else p + 1)
 
 
+def _require_counts(cfg: ExperimentConfig, what: str) -> None:
+    """Levels that count something (mesh steps, mollifier levels): integers >= 1."""
+    if any(not float(n).is_integer() or n < 1 for n in cfg.levels):
+        raise ExperimentError(
+            f"levels of {cfg.kind} are {what}, integers >= 1; got {list(cfg.levels)}"
+        )
+
+
 def run_coefficient_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     """Solutions under level-n coefficient perturbations versus the base equation."""
     if cfg.kind != "coeff_convergence":
         raise ExperimentError(f"config kind is {cfg.kind!r}")
+    if any(not n > 0 for n in cfg.levels):
+        raise ExperimentError(
+            f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}"
+        )
     started = time.perf_counter()
     return _reduce_convergence(cfg, _map_replicas(cfg), started, reference="base_spec")
 
@@ -625,8 +644,11 @@ def run_euler_refinement(cfg: ExperimentConfig) -> ConvergenceReport:
     """Euler paths across dyadic meshes versus the closed form (or a 4x-finer solve)."""
     if cfg.kind != "euler_refinement":
         raise ExperimentError(f"config kind is {cfg.kind!r}")
+    _require_counts(cfg, "mesh sizes")
     levels = [int(n) for n in cfg.levels]
     finest = max(levels)
+    if finest < 2:
+        raise ExperimentError("levels of euler_refinement need a finest mesh of 2 or more steps")
     for n in levels:
         if finest % n != 0:
             raise ExperimentError("mesh levels must divide the finest mesh")
@@ -642,6 +664,7 @@ def run_ito_limit(cfg: ExperimentConfig) -> ConvergenceReport:
     """Mollified-drift Ito solutions versus the mixed solution as the level grows."""
     if cfg.kind != "ito_limit":
         raise ExperimentError(f"config kind is {cfg.kind!r}")
+    _require_counts(cfg, "mollifier levels")
     dt = cfg.horizon / cfg.n_steps
     if dt > 1.0 / (4.0 * max(cfg.levels)):
         raise ExperimentError(
@@ -655,6 +678,8 @@ def estimate_moments(cfg: ExperimentConfig) -> MomentReport:
     """Monte Carlo moment estimates of the sup norm and the truncated delay norm."""
     if cfg.kind != "moments":
         raise ExperimentError(f"config kind is {cfg.kind!r}")
+    if any(not p > 0 for p in cfg.levels):
+        raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}")
     started = time.perf_counter()
     rows = _map_replicas(cfg)
     sup, delay_norm, z_semi = rows[:, 0], rows[:, 1], rows[:, 2]

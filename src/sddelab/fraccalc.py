@@ -34,6 +34,8 @@ __all__ = [
     "holder_seminorm_values",
 ]
 
+RS_RULES = ("left", "midpoint")  # Riemann-Stieltjes sum rules
+
 # Above this size the RL tail convolutions switch from direct to FFT.
 _FFT_THRESHOLD = 2048
 
@@ -270,7 +272,7 @@ def riemann_stieltjes_integral(f: GridPath, g: GridPath, rule: str = "left") -> 
     ``midpoint`` evaluates f at cell midpoints through linear interpolation,
     i.e. averages the endpoint values.
     """
-    if rule not in ("left", "midpoint"):
+    if rule not in RS_RULES:
         raise ValueError(f"rule must be 'left' or 'midpoint', got {rule!r}")
     pf = _scalar_grid(f, None)
     pg = _scalar_grid(g, None)

@@ -48,6 +48,8 @@ __all__ = [
     "coefficient_evaluator",
 ]
 
+SCHEMES = ("euler_mixed", "euler_ito")
+
 
 class SolverExplosionError(RuntimeError):
     """The discrete path left the configured trust region.
@@ -96,7 +98,7 @@ class SolverConfig:
             raise ValueError("horizon must be positive")
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
-        if self.scheme not in ("euler_mixed", "euler_ito"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         q = round(self.delay / self.dt)
         if abs(q * self.dt - self.delay) > 1e-9 * max(1.0, self.delay):
@@ -126,7 +128,7 @@ class MollifierParams:
 
     def __post_init__(self) -> None:
         if self.level < 1:
-            raise ValueError("mollifier level must be a positive integer")
+            raise ValueError(f"mollifier level must be a positive integer, got {self.level}")
 
     @property
     def window(self) -> float:

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab.cli import main
+from sddelab import config
 from sddelab.config import ConfigError, load_config, parse_config
 
 DATA = Path(__file__).parent / "data"
@@ -408,6 +412,142 @@ def test_wrong_typed_fields_exit_two_or_three(tmp_path_factory, data):
     assert main(["experiment", "coeff", "--config", str(cfg), "--out", str(tmp)]) in (2, 3)
 
 
+# right-typed values outside each field's range; levels[0] values keep the
+# schedule monotone, so the flavor's own level rule is what rejects them
+OUT_OF_RANGE = {
+    ("holder", "gamma"): [0.5, 0.75, 1.2],
+    ("holder", "alpha"): [0.3, 0.5, -0.1],
+    ("holder", "beta"): [0.3, 1.5],
+    ("holder", "theta"): [0.3, 0.5],
+    ("holder", "hurst"): [0.5, 1.0, 0.3, 1.5],
+    ("coefficients", "dim"): [0, -1],
+    ("coefficients", "n_wiener"): [0, -1],
+    ("coefficients", "n_holder"): [0, -1],
+    ("coefficients", "tau"): [-0.25],
+    ("coefficients", "constants", "K"): [-1.0],
+    ("experiment", "replicas"): [0, -1, 29],
+    ("experiment", "epsilon"): [0.0, -0.1],
+    ("experiment", "horizon"): [0.0, -1.0],
+    ("experiment", "n_steps"): [0, -1],
+    ("initial", "theta"): [0.0, 1.0],
+    ("initial", "delay"): [-0.25],
+    ("initial", "dt"): [0.0, -0.0625],
+    ("seed", "master"): [-1, 2**64],
+    ("seed", "stream"): [-1],
+}
+LEVEL_OUT_OF_RANGE = {"coeff": [0, -2, 0.0], "euler": [16.5, 0, -16, 1.5]}
+RANGE_DOCS = {"coeff": typed_doc, "euler": geometric_doc}
+
+
+def _range_cases(flavor):
+    paths = {path for path, _ in _field_paths(RANGE_DOCS[flavor]())}
+    cases = [(path, v) for path, values in OUT_OF_RANGE.items() if path in paths
+             for v in values]
+    return cases + [(("experiment", "levels", 0), v) for v in LEVEL_OUT_OF_RANGE[flavor]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_out_of_range_fields_exit_three_naming_the_field(tmp_path_factory, data):
+    """A right-typed value outside its field's range (a zero or negative
+    count, a non-positive horizon, a non-integral mesh, a hurst outside
+    (1/2, 1), ...) is a constraint violation that names the field."""
+    flavor = data.draw(st.sampled_from(sorted(RANGE_DOCS)))
+    path, value = data.draw(st.sampled_from(_range_cases(flavor)))
+    doc = RANGE_DOCS[flavor]()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("range")
+    cfg = write_config(tmp, doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["experiment", flavor, "--config", str(cfg), "--out", str(tmp)])
+    assert code == 3
+    named = [k for k in path if isinstance(k, str)][-1]
+    assert named in err.getvalue()
+
+
+def _frac_doc(**frac):
+    return {"kind": "frac", "frac": {"input_csv": "f.csv", "alpha": 0.3, **frac}}
+
+
+def _with(doc, section, **values):
+    doc[section].update(values)
+    return doc
+
+
+RANGE_ERRORS = {
+    "ito_half_level": (
+        "experiment", "levels",
+        _with(geometric_doc(), "experiment", flavor="ito_limit", levels=[0.5, 4]),
+    ),
+    "mollifier_level_zero": (
+        "solve", "mollifier",
+        _with(TestCliSolve().solve_doc("euler_ito"), "solve", mollifier_level=0),
+    ),
+    "young_love_lambda_above_one": (
+        "frac", "frac.lambda", _frac_doc(operation="young_love", **{"lambda": 2.0, "mu": 0.5}),
+    ),
+    "norms_negative_lambda": (
+        "frac", "frac.lambda", _frac_doc(operation="norms", **{"lambda": -1}),
+    ),
+    "delay_norms_negative_t": (
+        "frac", "frac.t", _frac_doc(operation="delay_norms", delay=0.25, t=-1),
+    ),
+    "euler_zero_mesh": (
+        "experiment", "levels", _with(geometric_doc(), "experiment", levels=[0, 64]),
+    ),
+    "coeff_zero_index": (
+        "experiment", "levels", _with(typed_doc(), "experiment", levels=[0, 2]),
+    ),
+    "negative_horizon": (
+        "experiment", "horizon", _with(geometric_doc(), "experiment", horizon=-1),
+    ),
+    "moments_negative_order": (
+        "experiment", "levels",
+        _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0, -4.0]),
+    ),
+    # int(16.5) would run mesh 16 while the report says 16.5
+    "euler_half_mesh": (
+        "experiment", "levels", _with(geometric_doc(), "experiment", levels=[16.5, 64]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
+def test_range_errors_exit_three_naming_the_field(tmp_path, capsys, case):
+    subcommand, named, doc = RANGE_ERRORS[case]
+    cfg = write_config(tmp_path, doc)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_integral_float_meshes_run_as_integers(tmp_path):
+    reports = []
+    for name, levels in (("float", [16.0, 64.0, 256.0]), ("int", [16, 64, 256])):
+        doc = _with(geometric_doc(), "experiment", levels=levels)
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        out = tmp_path / name
+        assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["0.0,0.0", "0.5,x", "1.0,1.0"], 3),
+    (["0.0,0.0", "0.5,0.5,0.5", "1.0,1.0"], 3),
+    (["0.0", "0.5", "1.0"], 2),
+])
+def test_malformed_csv_is_a_constraint_violation(tmp_path, capsys, rows, line):
+    (tmp_path / "f.csv").write_text("time,value\n" + "\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, _frac_doc(operation="norms"))
+    assert main(["frac", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert f"f.csv, line {line}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("coefficients", "tau", "abc"),
     ("coefficients.drift", "gain_now", "x"),
@@ -460,3 +600,66 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "False"
+
+
+# --------------------------------------------------------------------------
+# the README's config schema is rendered from the field tables
+
+
+def _cell(f):
+    if f.choices:
+        return ", ".join(f"`{c}`" for c in f.choices)
+    if f.range:
+        left, lo, hi, right = f.range
+        return f"{left}{lo:g}, {hi:g}{right}"
+    return ""
+
+
+def _default(f):
+    if f.default is config.REQUIRED:
+        return "required"
+    if f.default is config.OPTIONAL:
+        return "optional"
+    return f"`{json.dumps(f.default)}`"
+
+
+def render_schema():
+    """One markdown table per document kind and per section, each section once."""
+    sections = {}  # id(table) -> (table, paths where it is nested)
+
+    def walk(table, path):
+        for f in table:
+            if isinstance(f.type, tuple):
+                here = f"{path}.{f.key}" if path else f.key
+                entry = sections.setdefault(id(f.type), (f.type, []))
+                if here not in entry[1]:
+                    entry[1].append(here)
+                walk(f.type, here)
+
+    headed = [(f'`"kind": "{kind}"`', table) for kind, table in config.DOCUMENTS.items()]
+    for table in config.DOCUMENTS.values():
+        walk(table, "")
+    headed += [(", ".join(f"`{p}`" for p in paths), table) for table, paths in sections.values()]
+    out = []
+    for heading, table in headed:
+        out += [f"#### {heading}", "", "| key | type | range or choices | default | meaning |",
+                "|---|---|---|---|---|"]
+        for f in table:
+            kind = "object" if isinstance(f.type, tuple) else f.type
+            out.append(f"| `{f.key}` | {kind} | {_cell(f)} | {_default(f)} | {f.doc} |")
+        out.append("")
+    return "\n".join(out)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_schema_matches_the_field_tables():
+    assert render_schema() in README.read_text()
+
+
+def test_readme_json_examples_parse():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_config(json.loads(block))
