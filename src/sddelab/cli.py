@@ -33,8 +33,8 @@ from .config import (
     load_config,
 )
 from .core import ParamError
-from .drivers import sample_fbm, sample_wiener
-from .experiments import ExperimentConfig, ExperimentError, run_experiment
+from .drivers import sample_fbm
+from .experiments import ExperimentConfig, ExperimentError, _sample_drivers, run_experiment
 from .grid import GridError, GridPath, SeedSpec
 from .solver import (
     MollifiedDrift,
@@ -170,8 +170,7 @@ def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
         seed = SeedSpec(run.seed_override, seed.stream_index)
         loaded.resolved["seed"]["master"] = run.seed_override
     started = time.perf_counter()
-    w = sample_wiener(scfg.n_steps, scfg.horizon, spec.n_wiener, seed.child(0))
-    z = sample_fbm(fbm, seed.child(1))
+    w, z = _sample_drivers(spec, fbm, seed)
     if scfg.scheme == "euler_mixed":
         path = euler_mixed_sdde(spec, initial, w, z, scfg)
     else:

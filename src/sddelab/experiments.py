@@ -266,17 +266,18 @@ class QuasiReport:
 # driver sampling and spec perturbations
 
 
-def _sample_drivers(cfg: ExperimentConfig, replica: int, n_steps: int):
-    seed = SeedSpec(cfg.seed, replica)
-    w = sample_wiener(n_steps, cfg.horizon, cfg.spec.n_wiener, seed.child(0))
-    fbm = FbmParams(cfg.params.hurst, n_steps, cfg.horizon, cfg.driver_method)
-    if cfg.spec.n_holder == 1:
-        z = sample_fbm(fbm, seed.child(1))
-    else:
-        z = stack_paths(
-            [sample_fbm(fbm, seed.child(1).child(j)) for j in range(cfg.spec.n_holder)]
-        )
-    return w, z
+def _sample_drivers(spec: CoefficientSpec, fbm: FbmParams, seed: SeedSpec):
+    """Wiener and fBm drivers of one solve on the grid of ``fbm``.
+
+    A single fBm channel draws from ``seed.child(1)``, channel j of several
+    from ``seed.child(1).child(j)``.  Experiment replicas and ``sddelab
+    solve`` both sample here.
+    """
+    w = sample_wiener(fbm.n_steps, fbm.horizon, spec.n_wiener, seed.child(0))
+    if spec.n_holder == 1:
+        return w, sample_fbm(fbm, seed.child(1))
+    channels = [sample_fbm(fbm, seed.child(1).child(j)) for j in range(spec.n_holder)]
+    return w, stack_paths(channels)
 
 
 def _perturbed_spec(spec: CoefficientSpec, perturbation: str, n: float) -> CoefficientSpec:
@@ -321,7 +322,8 @@ def _at_level(level):
 
 
 def _block_drivers(cfg: ExperimentConfig, replicas: range, n_steps: int):
-    pairs = [_sample_drivers(cfg, r, n_steps) for r in replicas]
+    fbm = FbmParams(cfg.params.hurst, n_steps, cfg.horizon, cfg.driver_method)
+    pairs = [_sample_drivers(cfg.spec, fbm, SeedSpec(cfg.seed, r)) for r in replicas]
     return stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
 
 

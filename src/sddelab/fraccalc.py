@@ -9,7 +9,11 @@ Quadrature strategy, used uniformly for every singular kernel: the grid
 function is replaced by its piecewise-linear interpolant and the product with
 the kernel is integrated in closed form cell by cell.  This is exact for
 piecewise-linear inputs and avoids the blow-up of naive Riemann sums next to
-the singularity.
+the singularity.  The rule lives in one place: every power kernel ``v^beta``
+(the RL tails, the norms, the GLS boundary terms) takes its cell weights from
+:func:`_power_cells`, and :func:`_cell_integrals` pairs them with node data.
+Only the two-sided weight of the GLS integral has its own cell moments
+(:func:`_beta_cell_moments`).
 """
 
 from __future__ import annotations
@@ -84,49 +88,75 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)
 
 
+def _power_cells(beta: float, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``int v^beta dv`` and ``int v^(beta+1) dv`` over the cells ``[l dt, (l+1) dt]``.
+
+    One entry per cell ``l = 0..n-1``.  For ``beta < -1`` the first cell of the
+    first moment diverges and is returned as 0: such a kernel is only paired
+    with node data that vanish at ``v = 0``, whose interpolant has no constant
+    part on that cell.
+    """
+    v = dt * np.arange(n + 1)
+    m1 = np.diff(v ** (beta + 2.0)) / (beta + 2.0)
+    if beta > -1.0:
+        return np.diff(v ** (beta + 1.0)) / (beta + 1.0), m1
+    m0 = np.zeros(n)
+    m0[1:] = np.diff(v[1:] ** (beta + 1.0)) / (beta + 1.0)
+    return m0, m1
+
+
+def _cell_integrals(h: np.ndarray, m0: np.ndarray, m1: np.ndarray, dt: float) -> np.ndarray:
+    """Per-cell integrals of the piecewise-linear interpolant of ``h`` times a kernel.
+
+    ``h`` holds node data at ``v = 0, dt, 2 dt, ...``; on cell l the
+    interpolant is ``c + e v``, which pairs with the kernel's cell moments
+    ``m0 = int kernel``, ``m1 = int v kernel`` (at least ``len(h) - 1`` cells
+    of them, from :func:`_power_cells` or :func:`_beta_cell_moments`).
+    """
+    k = len(h) - 1
+    e = np.diff(h) / dt
+    c = h[:-1] - e * (dt * np.arange(k))
+    return c * m0[:k] + e * m1[:k]
+
+
+def _product_integral(h: np.ndarray, beta: float, dt: float) -> float:
+    """``int_0^(k dt) h(v) v^beta dv`` for node data h at ``v = 0, dt, ..., k dt``."""
+    m0, m1 = _power_cells(beta, len(h) - 1, dt)
+    return float(np.sum(_cell_integrals(h, m0, m1, dt)))
+
+
 def _forward_tail(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     """``alpha * int_a^x (f(x)-f(u)) (x-u)^(-1-alpha) du`` at nodes 1..n.
 
-    Piecewise-linear product integration; the cell adjacent to the
-    singularity reduces to ``alpha/(1-alpha) * (f_k - f_{k-1}) * dt^-alpha``.
+    Piecewise-linear product integration in units of ``dt``: the cell at lag
+    m >= 2 weighs ``f(u)`` through ``p(m)`` and its slope through ``q(m)``;
+    the cell adjacent to the singularity reduces to its slope term.
     """
     n = len(f) - 1
-    m = np.arange(n + 1, dtype=float)
-    # p(m), q(m) carry the closed-form cell integrals at lag m >= 2.
+    m0, m1 = _power_cells(-1.0 - alpha, n, 1.0)
+    lag = np.arange(2.0, n + 1)
     p = np.zeros(n + 1)
     q = np.zeros(n + 1)
-    if n >= 2:
-        mm = m[2:]
-        p[2:] = (mm - 1.0) ** (-alpha) - mm ** (-alpha)
-        q[2:] = -mm * p[2:] + (alpha / (1.0 - alpha)) * (
-            mm ** (1.0 - alpha) - (mm - 1.0) ** (1.0 - alpha)
-        )
+    p[2:] = alpha * m0[1:]
+    q[2:] = alpha * (m1[1:] - lag * m0[1:])
     delta = np.diff(f)
     p_cum = np.cumsum(p)
     conv_f = _convolve(f, p)[: n + 1]
     conv_d = _convolve(delta, q)[: n + 1]
     tail = np.zeros(n + 1)
-    tail[1:] = (
-        f[1:] * p_cum[1:]
-        - conv_f[1:]
-        + conv_d[1:]
-        + (alpha / (1.0 - alpha)) * delta
-    )
+    tail[1:] = f[1:] * p_cum[1:] - conv_f[1:] + conv_d[1:] + alpha * m1[0] * delta
     return tail * dt ** (-alpha)
 
 
 def _backward_tail(g: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     """``(1-alpha) * int_x^b (g(x)-g(u)) (u-x)^(alpha-2) du`` at nodes 0..n-1."""
     n = len(g) - 1
-    m = np.arange(n + 1, dtype=float)
+    m0, m1 = _power_cells(alpha - 2.0, n + 1, 1.0)
+    lag = np.arange(1.0, n + 1)
     p = np.zeros(n + 1)
     r = np.zeros(n + 1)
-    if n >= 1:
-        mm = m[1:]
-        p[1:] = mm ** (alpha - 1.0) - (mm + 1.0) ** (alpha - 1.0)
-        r[1:] = mm * p[1:] - ((1.0 - alpha) / alpha) * (
-            (mm + 1.0) ** alpha - mm**alpha
-        )
+    p[1:] = (1.0 - alpha) * m0[1:]
+    r[1:] = (1.0 - alpha) * (lag * m0[1:] - m1[1:])
     delta = np.diff(g)
     # Regular cells stop at j = n-1, so the convolutions run over g[0:n].
     rev_g = g[:-1][::-1]
@@ -139,7 +169,7 @@ def _backward_tail(g: np.ndarray, dt: float, alpha: float) -> np.ndarray:
         g[:-1] * p_cum[n - 1 - k]
         - conv_g[n - 1 - k]
         + conv_d[n - 1 - k]
-        - ((1.0 - alpha) / alpha) * delta
+        - (1.0 - alpha) * m1[0] * delta
     )
     return tail * dt ** (alpha - 1.0)
 
@@ -191,26 +221,6 @@ def _beta_cell_moments(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.diff(c0), np.diff(c1)
 
 
-def _integrate_left_singular(phi: np.ndarray, dt: float, alpha: float) -> float:
-    """``int phi(x) (x-a)^(-alpha) dx`` with piecewise-linear phi at nodes."""
-    n = len(phi) - 1
-    xa = dt * np.arange(n + 1)
-    m0 = np.diff(xa ** (1.0 - alpha)) / (1.0 - alpha)
-    m1 = np.diff(xa ** (2.0 - alpha)) / (2.0 - alpha)
-    slope = np.diff(phi) / dt
-    return float(np.sum((phi[:-1] - slope * xa[:-1]) * m0 + slope * m1))
-
-
-def _integrate_right_singular(phi: np.ndarray, dt: float, alpha: float) -> float:
-    """``int phi(x) (b-x)^(alpha-1) dx`` with piecewise-linear phi at nodes."""
-    n = len(phi) - 1
-    bx = dt * np.arange(n, -1, -1)
-    m0 = (bx[:-1] ** alpha - bx[1:] ** alpha) / alpha
-    m1 = (bx[:-1] ** (1.0 + alpha) - bx[1:] ** (1.0 + alpha)) / (1.0 + alpha)
-    slope = (phi[:-1] - phi[1:]) / dt  # coefficient of (b - x)
-    return float(np.sum((phi[:-1] - slope * bx[:-1]) * m0 + slope * m1))
-
-
 def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     """Generalized Lebesgue-Stieltjes integral of f against dg.
 
@@ -237,22 +247,18 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     tail_g = np.append(tail_g, 0.0)  # cusp ~ (b-x)^alpha, limit 0 at b
 
     # I1: f * g_b against the two-sided weight (x-a)^-alpha (b-x)^(alpha-1).
-    m0, m1 = _beta_cell_moments(alpha, n)
-    s = np.linspace(0.0, 1.0, n + 1)
-    phi1 = fv * gb
-    slope1 = np.diff(phi1) / (1.0 / n)
-    i1 = float(np.sum((phi1[:-1] - slope1 * s[:-1]) * m0 + slope1 * m1))
+    i1 = float(np.sum(_cell_integrals(fv * gb, *_beta_cell_moments(alpha, n), 1.0 / n)))
     # the s-substitution leaves a total length factor of one: L^-a * L^(a-1) * L
 
     # I2: f * tail_g against (x-a)^-alpha; cusp-modelled last cell.
     phi2 = fv * tail_g
-    i2 = _integrate_left_singular(phi2[:-1], dt, alpha)
+    i2 = _product_integral(phi2[:-1], -alpha, dt)
     w_last = (length - 0.5 * dt) ** (-alpha)
     i2 += 0.5 * (fv[-2] + fv[-1]) * tail_g[-2] * w_last * dt / (1.0 + alpha)
 
     # I3: tail_f * g_b against (b-x)^(alpha-1); cusp-modelled first cell.
     phi3 = tail_f * gb
-    i3 = _integrate_right_singular(phi3[1:], dt, alpha)
+    i3 = _product_integral(phi3[:0:-1], alpha - 1.0, dt)  # v = b - x
     w_first = (length - 0.5 * dt) ** (alpha - 1.0)
     i3 += 0.5 * (gb[0] + gb[1]) * tail_f[1] * w_first * dt / (2.0 - alpha)
 
@@ -326,40 +332,16 @@ def _mags(values: np.ndarray) -> np.ndarray:
     return np.abs(values[..., 0]) if values.shape[-1] == 1 else np.linalg.norm(values, axis=-1)
 
 
-def _singular_weighted_integral(h: np.ndarray, dt: float, alpha: float) -> float:
-    """``int_0^t h(s) (t-s)^(-1-alpha) ds`` for node data h with h(t) = 0.
-
-    Piecewise-linear h; the last cell uses the exact limit h(t) = 0 so the
-    kernel singularity integrates to a finite closed form.
-    """
-    k = len(h) - 1
-    if k == 0:
-        return 0.0
-    v = dt * np.arange(k, 0, -1)  # t - s at nodes 0..k-1
-    # h(s) = c + e*(t-s) on each cell, with e the slope in v = t - s.
-    e_ts = -np.diff(h) / dt
-    c_ts = h[:-1] - e_ts * v
-    v_hi = v
-    v_lo = np.append(v[1:], 0.0)
-    contrib = np.empty(k)
-    if k > 1:
-        contrib[:-1] = c_ts[:-1] * (v_lo[:-1] ** (-alpha) - v_hi[:-1] ** (-alpha)) / alpha
-        contrib[:-1] += (
-            e_ts[:-1] * (v_hi[:-1] ** (1.0 - alpha) - v_lo[:-1] ** (1.0 - alpha)) / (1.0 - alpha)
-        )
-    contrib[-1] = h[-2] * dt ** (-alpha) / (1.0 - alpha)
-    return float(np.sum(contrib))
-
-
 def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
     """``int_a^b ( |f(t)|/(t-a)^alpha + int_a^t |f(t)-f(s)|/(t-s)^(1+alpha) ds ) dt``."""
     mags = _mags(values)
     n = len(mags) - 1
-    term_a = _integrate_left_singular(mags, dt, alpha)
+    term_a = _product_integral(mags, -alpha, dt)
+    m0, m1 = _power_cells(-1.0 - alpha, n, dt)
     inner = np.zeros(n + 1)
     for k in range(1, n + 1):
-        h = _mags(values[: k + 1] - values[k])
-        inner[k] = _singular_weighted_integral(h, dt, alpha)
+        h = _mags(values[k::-1] - values[k])  # ordered by t - s, h[0] = 0
+        inner[k] = float(np.sum(_cell_integrals(h, m0, m1, dt)))
     # inner(t) vanishes at a like (t-a)^(1-alpha): cusp-matched first cell.
     term_b = float(np.trapezoid(inner[1:], dx=dt)) + inner[1] * dt / (2.0 - alpha)
     return term_a + term_b
@@ -368,27 +350,14 @@ def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
 def _seminorm_0_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
     """``sup_{s<t} ( |g(t)-g(s)|/(t-s)^(1-alpha) + int_s^t |g(u)-g(s)|/(u-s)^(2-alpha) du )``."""
     n = values.shape[0] - 1
-    lags = np.arange(1, n + 1, dtype=float)
-    hol_w = (lags * dt) ** (alpha - 1.0)
-    w_lo = (lags * dt) ** (alpha - 1.0)
-    w_hi = ((lags + 1.0) * dt) ** (alpha - 1.0)
-    pow_a = (lags * dt) ** alpha
-    pow_a = np.concatenate([[0.0], pow_a])
+    hol_w = (dt * np.arange(1, n + 1)) ** (alpha - 1.0)
+    m0, m1 = _power_cells(alpha - 2.0, n, dt)
     best = 0.0
     for i in range(n):
         h = _mags(values[i:] - values[i])  # h[0] = 0
-        m = len(h) - 1
-        # cell integrals of |g(u)-g(s)| (u-s)^(alpha-2) over [u_l, u_{l+1}]
-        e = np.diff(h) / dt
-        w = dt * np.arange(m, dtype=float)  # u_l - s
-        c = h[:-1] - e * w
-        cells = np.empty(m)
-        cells[0] = h[1] * dt ** (alpha - 1.0) / alpha
-        if m > 1:
-            cells[1:] = c[1:] * (w_lo[: m - 1] - w_hi[: m - 1]) / (1.0 - alpha)
-            cells[1:] += e[1:] * (pow_a[2 : m + 1] - pow_a[1:m]) / alpha
-        integ = np.cumsum(cells)
-        total = h[1:] * hol_w[:m] + integ
+        # running integral of |g(u)-g(s)| (u-s)^(alpha-2) up to each node u
+        integ = np.cumsum(_cell_integrals(h, m0, m1, dt))
+        total = h[1:] * hol_w[: n - i] + integ
         cand = float(total.max())
         if cand > best:
             best = cand
@@ -439,5 +408,5 @@ def delay_norms(f: GridPath, alpha: float, r: float, t: float) -> DelayNormBundl
     for j in range(q, k_t):
         lag = k_t - j
         m[j - q] = float(_mags(vals[lag:] - vals[:-lag]).max())
-    norm_1 = _singular_weighted_integral(m, p.dt, alpha)
+    norm_1 = _product_integral(m[::-1], -1.0 - alpha, p.dt)
     return DelayNormBundle(norm_inf_t=norm_inf, norm_1_t=norm_1)

@@ -78,18 +78,13 @@ class AdaptednessError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Uniform-grid solve on [0, horizon] with look-back window ``delay``.
-
-    ``dims`` optionally pins the expected (d, m, l) triple; when present the
-    solve rejects specs or drivers with other shapes.
-    """
+    """Uniform-grid solve on [0, horizon] with look-back window ``delay``."""
 
     n_steps: int
     horizon: float
     delay: float = 0.0
     scheme: str = "euler_mixed"
     explosion_threshold: float = 1e8
-    dims: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
@@ -301,11 +296,6 @@ def euler_mixed_sdde(
     the left node and the segment of the discrete solution there.  ``W`` and
     ``Z`` may be replica blocks of one size; the output is then a block too.
     """
-    if cfg.dims is not None and cfg.dims != (spec.dim, spec.n_wiener, spec.n_holder):
-        raise GridError(
-            f"config dims {cfg.dims} != spec dims "
-            f"{(spec.dim, spec.n_wiener, spec.n_holder)}"
-        )
     w = _align_driver(W, cfg, spec.n_wiener, "W")
     z = _align_driver(Z, cfg, spec.n_holder, "Z")
     if w.replicas != z.replicas:

@@ -13,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab.cli import main
-from sddelab import config
+from sddelab import FbmParams, config, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
+from sddelab.grid import stack_paths
+from sddelab.solver import (
+    MollifiedDrift, coefficient_evaluator, euler_ito_sdde, euler_mixed_sdde,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,6 +253,26 @@ class TestCliSolve:
         assert (tmp_path / "r1" / "solution.csv").read_bytes() == (
             tmp_path / "r2" / "solution.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["euler_mixed", "euler_ito"])
+    def test_several_holder_channels_solve_on_the_stacked_channels(self, tmp_path, scheme):
+        doc = self.solve_doc(scheme)
+        doc["coefficients"]["n_holder"] = 2
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        solved = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 1]
+
+        scfg, spec, initial, seed, _, mollifier = load_config(cfg).payload
+        fbm = FbmParams(0.75, 128, 1.0)
+        w = sample_wiener(128, 1.0, 1, seed.child(0))
+        z = stack_paths([sample_fbm(fbm, seed.child(1).child(j)) for j in range(2)])
+        if scheme == "euler_mixed":
+            path = euler_mixed_sdde(spec, initial, w, z, scfg)
+        else:
+            drift = MollifiedDrift(spec, z, mollifier.level)
+            path = euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), initial, w, scfg)
+        np.testing.assert_array_equal(solved, path.values[:, 0])
 
     def test_explosion_exits_four(self, tmp_path):
         doc = self.solve_doc()
@@ -590,6 +614,30 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert errs[0].startswith(f"solver explosion: {named}: ")
+
+
+@pytest.mark.parametrize("flavor,levels,extra", [
+    ("moments", [2.0, 4.0], {}),
+    ("quasi_contract", [0.1, 0.05], {"m_trunc": 25.0}),
+])
+def test_reports_byte_identical_across_workers_over_several_blocks(
+    tmp_path, flavor, levels, extra
+):
+    # 120 replicas are three replica blocks, so 3 workers reduce blocks
+    # solved in different processes (criterion 9 runs a single block)
+    doc = geometric_doc()
+    doc["experiment"].update(flavor=flavor, levels=levels, replicas=120, n_steps=16,
+                             epsilon=0.5, **extra)
+    doc["criteria"] = {"max_final_exceedance": 1.0}
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for workers in ("1", "3"):
+        out = tmp_path / workers
+        code = main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers])
+        assert code in (0, 1)
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

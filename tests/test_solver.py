@@ -134,16 +134,6 @@ class TestEulerMixed:
         with pytest.raises(GridError):
             euler_mixed_sdde(spec, constant_initial(1.0, 0.0, cfg.dt), w, z, cfg)
 
-    def test_pinned_dims_validated(self):
-        spec = geometric_spec(0.5, 0.4, 0.3)
-        w, z = drivers(32)
-        eta = constant_initial(1.0, 0.0, 1 / 32)
-        good = SolverConfig(n_steps=32, horizon=1.0, dims=(1, 1, 1))
-        euler_mixed_sdde(spec, eta, w, z, good)
-        bad = SolverConfig(n_steps=32, horizon=1.0, dims=(2, 1, 1))
-        with pytest.raises(GridError):
-            euler_mixed_sdde(spec, eta, w, z, bad)
-
     def test_vector_equation_runs(self):
         spec = CoefficientSpec(
             "no_delay", 2, 2, 1,
