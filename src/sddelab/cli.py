@@ -91,8 +91,10 @@ def _read_csv(path: Path) -> GridPath:
     for i, ln in lines[1:]:
         try:
             rows.append([float(x) for x in ln.split(",")])
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"{path}, line {i}: expected comma-separated numbers, "
+            raise ConfigError(f"{path}, line {i}: expected comma-separated finite numbers, "
                               f"got {ln!r}") from None
         if len(rows[-1]) < 2 or len(rows[-1]) != len(rows[0]):
             raise ConfigError(f"{path}, line {i}: {len(rows[-1])} columns; every row needs "
@@ -211,7 +213,9 @@ def _cmd_experiment(loaded: LoadedConfig, run: RunConfig) -> int:
         overrides["workers"] = run.workers
     if overrides:
         cfg = replace(cfg, **overrides)
+    started = time.perf_counter()
     report = run_experiment(cfg)
+    runtime = time.perf_counter() - started
     out = run.output_dir
     report_dict = {
         "code_version": __version__,
@@ -221,10 +225,7 @@ def _cmd_experiment(loaded: LoadedConfig, run: RunConfig) -> int:
     _dump_json(out / "report.json", report_dict)
     _dump_json(
         out / "run_meta.json",
-        {
-            "runtime_seconds": report.runtime_seconds,
-            "workers": cfg.workers,
-        },
+        {"runtime_seconds": runtime, "workers": cfg.workers},
     )
     if cfg.emit_distances and hasattr(report, "levels"):
         lines = ["level,replica,distance"]

@@ -36,7 +36,6 @@ __all__ = [
     "LoadedConfig",
     "load_config",
     "parse_config",
-    "config_to_dict",
 ]
 
 # CLI short names for experiment flavors.
@@ -211,7 +210,8 @@ FRAC = (
           "required by young_love", None, range=_UNIT_HALF_OPEN),
     Field("mu", "number", "Hölder exponent of g, lambda + mu > 1; required by young_love",
           None, range=_UNIT_HALF_OPEN),
-    Field("interval", "numbers", "grid-aligned window [a, b]", None),
+    Field("interval", "numbers", "grid-aligned window [a, b]; not for delay_norms, whose "
+          "window is [-delay, t]", None),
     Field("rule", "string", "Riemann-Stieltjes sum rule of rs", "left", RS_RULES),
     Field("delay", "number", "history length r; required by delay_norms", None,
           range=_NON_NEGATIVE),
@@ -376,6 +376,8 @@ def _parse_frac(v: dict, doc: dict) -> LoadedConfig:
         raise ConfigError(f"frac: young_love needs lambda + mu > 1, got {f['lambda']} + {f['mu']}")
     if op == "delay_norms" and (f["delay"] is None or f["t"] is None):
         raise ConfigError("frac: delay_norms requires explicit delay and t")
+    if op == "delay_norms" and f["interval"] is not None:
+        raise ConfigError("frac.interval: delay_norms takes no interval; its window is [-delay, t]")
     if f["interval"] is not None:
         if len(f["interval"]) != 2:
             raise ConfigError("frac.interval must be a [a, b] pair")
@@ -439,8 +441,3 @@ def parse_config(doc: dict) -> LoadedConfig:
 def load_config(path: str | Path) -> LoadedConfig:
     """Read and validate a JSON config file."""
     return parse_config(json.loads(Path(path).read_text()))
-
-
-def config_to_dict(loaded: LoadedConfig) -> dict:
-    """Canonical dict form of a parsed config (round-trips losslessly)."""
-    return loaded.resolved

@@ -7,15 +7,19 @@ probability is rendered as a family of exceedance estimates
 ``P(sup |X_level - X_ref| > epsilon)`` with Wilson intervals, plus
 pre-registered pass criteria (decreasing trend, final-level threshold).
 
-Replicas are independent.  They are solved in blocks of a fixed size (one
-block is one task for the worker pool) and reduced in replica order, so the
-same configuration produces identical reports for any worker count.  A
-solver explosion names the lowest exploding replica and its level.
+One table, ``_FLAVORS``, maps each experiment kind to its code: a ``check``
+of the level schedule, a ``block`` function that computes one row per
+replica, and a ``reduce`` that turns the rows of all replicas into a report.
+:func:`run_experiment` runs the three in turn.  Replicas are independent.
+They are solved in blocks of a fixed size (one block is one task for the
+worker pool) and reduced in replica order, so the same configuration
+produces identical reports for any worker count.  A solver explosion names
+the lowest exploding replica and its level.  Reports hold no timing; the CLI
+times the run and writes it to a sidecar.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -50,25 +54,11 @@ __all__ = [
     "QuasiReport",
     "estimate_exceedance",
     "run_experiment",
-    "run_coefficient_convergence",
-    "run_vanishing_delay",
-    "run_euler_refinement",
-    "run_ito_limit",
-    "estimate_moments",
-    "estimate_quasi_contractivity",
     "lognormal_terminal_second_moment",
     "quasi_contraction_order",
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = (
-    "coeff_convergence",
-    "vanishing_delay",
-    "euler_refinement",
-    "ito_limit",
-    "moments",
-    "quasi_contract",
-)
 PERTURBATIONS = ("none", "drift_shift", "gain_shift", "initial_shift")
 REFERENCES = ("closed_form", "fine_euler")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -176,10 +166,8 @@ def estimate_exceedance(distances, epsilon: float) -> ExceedanceEstimate:
 
 
 def _report_fields(report, **overrides) -> dict:
-    """The report's fields as a dict, without the run-time measurement."""
-    d = {f.name: getattr(report, f.name) for f in fields(report)}
-    d.pop("runtime_seconds", None)
-    return {**d, **overrides}
+    """The report's fields as a dict, with ``overrides`` replacing or adding keys."""
+    return {**{f.name: getattr(report, f.name) for f in fields(report)}, **overrides}
 
 
 @dataclass(frozen=True)
@@ -209,7 +197,6 @@ class ConvergenceReport:
     passed: bool
     reasons: tuple[str, ...]
     reference: str = ""
-    runtime_seconds: float = 0.0
 
     def to_dict(self, include_distances: bool = False) -> dict:
         return _report_fields(
@@ -236,7 +223,6 @@ class MomentReport:
     master_seed: int
     passed: bool
     reasons: tuple[str, ...]
-    runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return _report_fields(self, kind="moments")
@@ -256,7 +242,6 @@ class QuasiReport:
     master_seed: int
     passed: bool
     reasons: tuple[str, ...]
-    runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return _report_fields(self, kind="quasi_contract")
@@ -340,6 +325,7 @@ def _level_distances(cfg: ExperimentConfig, replicas: range, solve_reference, so
 
 
 def _block_coeff(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """Solutions under level-n coefficient perturbations versus the base equation."""
     scfg = cfg.solver_config
 
     def solve_level(n, w, z):
@@ -355,6 +341,7 @@ def _block_coeff(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 
 def _block_delay(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """Pointwise-delay solutions as the tap shrinks versus the no-delay equation."""
     scfg = cfg.solver_config
     return _level_distances(
         cfg, replicas,
@@ -364,6 +351,7 @@ def _block_delay(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 
 def _block_ito(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """Mollified-drift Ito solutions versus the mixed solution as the level grows."""
     scfg = cfg.solver_config
     diffusion = coefficient_evaluator(cfg.spec, "b")
     return _level_distances(
@@ -375,40 +363,23 @@ def _block_ito(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 
 def _geometric_triple(cfg: ExperimentConfig):
+    """The gains (a, b, c) of a scalar pure-gain no_delay spec, else None."""
     spec = cfg.spec
-    ok = (
-        spec.family == "no_delay"
-        and spec.dim == spec.n_wiener == spec.n_holder == 1
-        and not np.any(spec.drift.const)
-        and not np.any(spec.diffusion.const)
-        and not np.any(spec.zdrive.const)
-        and all(
-            b.time_modulation == "none"
-            for b in (spec.drift, spec.diffusion, spec.zdrive)
-        )
-    )
-    if not ok:
-        return None
-    return (
-        float(spec.drift.gain_now[0, 0, 0]),
-        float(spec.diffusion.gain_now[0, 0, 0]),
-        float(spec.zdrive.gain_now[0, 0, 0]),
-    )
+    blocks = (spec.drift, spec.diffusion, spec.zdrive)
+    ok = (spec.family == "no_delay" and spec.dim == spec.n_wiener == spec.n_holder == 1
+          and all(not np.any(b.const) and b.time_modulation == "none" for b in blocks))
+    return tuple(float(b.gain_now[0, 0, 0]) for b in blocks) if ok else None
 
 
 def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """Euler paths across dyadic meshes versus the closed form (or a 4x-finer solve)."""
     finest = int(max(cfg.levels))
     use_closed = cfg.reference == "closed_form"
     n_driver = finest if use_closed else 4 * finest
     w, z = _block_drivers(cfg, replicas, n_driver)
     x0 = float(cfg.initial.eta.values[-1, 0])
     if use_closed:
-        triple = _geometric_triple(cfg)
-        if triple is None:
-            raise ExperimentError(
-                "closed-form reference requires a scalar pure-gain no_delay spec"
-            )
-        reference = geometric_closed_form(*triple, x0, w, z)
+        reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
     else:
         fine_cfg = SolverConfig(n_steps=n_driver, horizon=cfg.horizon)
         with _at_level("reference"):
@@ -426,6 +397,7 @@ def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 
 def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """Per replica: the sup norm, the delay norm of the solution and the driver seminorm."""
     w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     with _at_level("reference"):
         x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, cfg.solver_config)
@@ -441,10 +413,11 @@ def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 
 def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """Per replica and perturbation size: p-th power distances on the truncation event."""
     w, z1 = _block_drivers(cfg, replicas, cfg.n_steps)
     scfg = cfg.solver_config
     alpha = cfg.params.alpha
-    p = quasi_contraction_order(alpha) if cfg.moment_p is None else cfg.moment_p
+    p = _quasi_p(cfg)
 
     def semi(values: np.ndarray) -> float:
         return fraccalc._seminorm_0_alpha(values, z1.dt, alpha)
@@ -478,15 +451,6 @@ def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     return out
 
 
-_BLOCK_FNS = {
-    "coeff_convergence": _block_coeff,
-    "vanishing_delay": _block_delay,
-    "euler_refinement": _block_euler,
-    "ito_limit": _block_ito,
-    "moments": _block_moments,
-    "quasi_contract": _block_quasi,
-}
-
 # Replicas per block.  Fixed, so that block boundaries (and with them every
 # rounding inside a block) never depend on the worker count.
 _BLOCK_REPLICAS = 50
@@ -494,7 +458,7 @@ _BLOCK_REPLICAS = 50
 
 def _run_block(args) -> np.ndarray:
     cfg, replicas = args
-    fn = _BLOCK_FNS[cfg.kind]
+    _, fn, _ = _FLAVORS[cfg.kind]
     try:
         return fn(cfg, replicas)
     except SolverExplosionError as exc:
@@ -522,6 +486,72 @@ def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# level checks, one per experiment kind: the rules a level schedule must meet
+# before any replica is solved
+
+
+def _require_counts(cfg: ExperimentConfig, what: str) -> None:
+    """Levels that count something (mesh steps, mollifier levels): integers >= 1."""
+    if any(not float(n).is_integer() or n < 1 for n in cfg.levels):
+        raise ExperimentError(
+            f"levels of {cfg.kind} are {what}, integers >= 1; got {list(cfg.levels)}"
+        )
+
+
+def _check_coeff(cfg: ExperimentConfig) -> None:
+    if any(not n > 0 for n in cfg.levels):
+        raise ExperimentError(
+            f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}"
+        )
+
+
+def _check_delay(cfg: ExperimentConfig) -> None:
+    if cfg.spec.family != "pointwise_delay":
+        raise ExperimentError("vanishing delay needs a pointwise_delay spec")
+    dt = cfg.horizon / cfg.n_steps
+    for tau in cfg.levels:
+        if abs(round(tau / dt) * dt - tau) > 1e-9 * max(1.0, tau):
+            raise ExperimentError(f"tap {tau} is not aligned with the mesh (dt={dt})")
+
+
+def _check_euler(cfg: ExperimentConfig) -> None:
+    _require_counts(cfg, "mesh sizes")
+    levels = [int(n) for n in cfg.levels]
+    finest = max(levels)
+    if finest < 2:
+        raise ExperimentError("levels of euler_refinement need a finest mesh of 2 or more steps")
+    for n in levels:
+        if finest % n != 0:
+            raise ExperimentError("mesh levels must divide the finest mesh")
+    if cfg.reference == "closed_form" and _geometric_triple(cfg) is None:
+        raise ExperimentError(
+            "closed-form reference unavailable for this spec; use reference='fine_euler'"
+        )
+
+
+def _check_ito(cfg: ExperimentConfig) -> None:
+    _require_counts(cfg, "mollifier levels")
+    dt = cfg.horizon / cfg.n_steps
+    if dt > 1.0 / (4.0 * max(cfg.levels)):
+        raise ExperimentError(
+            f"mesh dt={dt} too coarse for mollifier level {max(cfg.levels)}"
+        )
+
+
+def _check_moments(cfg: ExperimentConfig) -> None:
+    if any(not p > 0 for p in cfg.levels):
+        raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}")
+
+
+def _check_quasi(cfg: ExperimentConfig) -> None:
+    p = _quasi_p(cfg)
+    if p < 4.0 / (1.0 - 2.0 * cfg.params.alpha) - 1e-12:
+        raise ExperimentError(
+            f"moment order p={p} below the admissible range 4/(1-2 alpha)"
+        )
+
+
+# --------------------------------------------------------------------------
 # reduction and pass criteria
 
 
@@ -541,8 +571,7 @@ def _monotone_violations(levels: tuple[LevelResult, ...]) -> list[str]:
     return reasons
 
 
-def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray, started: float,
-                        reference: str = "") -> ConvergenceReport:
+def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray) -> ConvergenceReport:
     level_results = []
     for i, level in enumerate(cfg.levels):
         dist = table[:, i]
@@ -562,8 +591,8 @@ def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray, started: float
         reasons.append(
             f"final-level exceedance {final:.3f} >= {cfg.max_final_exceedance}"
         )
+    means = [lv.mean_distance for lv in levels]
     if cfg.kind == "euler_refinement":
-        means = [lv.mean_distance for lv in levels]
         drops = sum(1 for a, b in zip(means, means[1:]) if b <= a)
         need = (
             cfg.min_decreasing_steps
@@ -572,10 +601,8 @@ def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray, started: float
         )
         if drops < need:
             reasons.append(f"mean distance decreased in only {drops} steps, need {need}")
-    if cfg.kind == "ito_limit":
-        means = [lv.mean_distance for lv in levels]
-        if any(b >= a for a, b in zip(means, means[1:])):
-            reasons.append("mean distance not strictly decreasing across mollifier levels")
+    if cfg.kind == "ito_limit" and any(b >= a for a, b in zip(means, means[1:])):
+        reasons.append("mean distance not strictly decreasing across mollifier levels")
     return ConvergenceReport(
         kind=cfg.kind,
         epsilon=cfg.epsilon,
@@ -584,8 +611,8 @@ def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray, started: float
         levels=levels,
         passed=not reasons,
         reasons=tuple(reasons),
-        reference=reference,
-        runtime_seconds=time.perf_counter() - started,
+        reference={"coeff_convergence": "base_spec", "vanishing_delay": "no_delay_limit",
+                   "euler_refinement": cfg.reference, "ito_limit": "euler_mixed"}[cfg.kind],
     )
 
 
@@ -608,82 +635,13 @@ def quasi_contraction_order(alpha: float) -> float:
     return float(p if p % 2 == 0 else p + 1)
 
 
-def _require_counts(cfg: ExperimentConfig, what: str) -> None:
-    """Levels that count something (mesh steps, mollifier levels): integers >= 1."""
-    if any(not float(n).is_integer() or n < 1 for n in cfg.levels):
-        raise ExperimentError(
-            f"levels of {cfg.kind} are {what}, integers >= 1; got {list(cfg.levels)}"
-        )
+def _quasi_p(cfg: ExperimentConfig) -> float:
+    """The moment order of quasi_contract: ``moment_p``, or the smallest admissible."""
+    return quasi_contraction_order(cfg.params.alpha) if cfg.moment_p is None else cfg.moment_p
 
 
-def run_coefficient_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Solutions under level-n coefficient perturbations versus the base equation."""
-    if cfg.kind != "coeff_convergence":
-        raise ExperimentError(f"config kind is {cfg.kind!r}")
-    if any(not n > 0 for n in cfg.levels):
-        raise ExperimentError(
-            f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}"
-        )
-    started = time.perf_counter()
-    return _reduce_convergence(cfg, _map_replicas(cfg), started, reference="base_spec")
-
-
-def run_vanishing_delay(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Pointwise-delay solutions as the tap shrinks versus the no-delay equation."""
-    if cfg.kind != "vanishing_delay":
-        raise ExperimentError(f"config kind is {cfg.kind!r}")
-    if cfg.spec.family != "pointwise_delay":
-        raise ExperimentError("vanishing delay needs a pointwise_delay spec")
-    dt = cfg.horizon / cfg.n_steps
-    for tau in cfg.levels:
-        if abs(round(tau / dt) * dt - tau) > 1e-9 * max(1.0, tau):
-            raise ExperimentError(f"tap {tau} is not aligned with the mesh (dt={dt})")
-    started = time.perf_counter()
-    return _reduce_convergence(cfg, _map_replicas(cfg), started, reference="no_delay_limit")
-
-
-def run_euler_refinement(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Euler paths across dyadic meshes versus the closed form (or a 4x-finer solve)."""
-    if cfg.kind != "euler_refinement":
-        raise ExperimentError(f"config kind is {cfg.kind!r}")
-    _require_counts(cfg, "mesh sizes")
-    levels = [int(n) for n in cfg.levels]
-    finest = max(levels)
-    if finest < 2:
-        raise ExperimentError("levels of euler_refinement need a finest mesh of 2 or more steps")
-    for n in levels:
-        if finest % n != 0:
-            raise ExperimentError("mesh levels must divide the finest mesh")
-    if cfg.reference == "closed_form" and _geometric_triple(cfg) is None:
-        raise ExperimentError(
-            "closed-form reference unavailable for this spec; use reference='fine_euler'"
-        )
-    started = time.perf_counter()
-    return _reduce_convergence(cfg, _map_replicas(cfg), started, reference=cfg.reference)
-
-
-def run_ito_limit(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Mollified-drift Ito solutions versus the mixed solution as the level grows."""
-    if cfg.kind != "ito_limit":
-        raise ExperimentError(f"config kind is {cfg.kind!r}")
-    _require_counts(cfg, "mollifier levels")
-    dt = cfg.horizon / cfg.n_steps
-    if dt > 1.0 / (4.0 * max(cfg.levels)):
-        raise ExperimentError(
-            f"mesh dt={dt} too coarse for mollifier level {max(cfg.levels)}"
-        )
-    started = time.perf_counter()
-    return _reduce_convergence(cfg, _map_replicas(cfg), started, reference="euler_mixed")
-
-
-def estimate_moments(cfg: ExperimentConfig) -> MomentReport:
-    """Monte Carlo moment estimates of the sup norm and the truncated delay norm."""
-    if cfg.kind != "moments":
-        raise ExperimentError(f"config kind is {cfg.kind!r}")
-    if any(not p > 0 for p in cfg.levels):
-        raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}")
-    started = time.perf_counter()
-    rows = _map_replicas(cfg)
+def _reduce_moments(cfg: ExperimentConfig, rows: np.ndarray) -> MomentReport:
+    """Moment estimates of the sup norm and the truncated delay norm."""
     sup, delay_norm, z_semi = rows[:, 0], rows[:, 1], rows[:, 2]
     inside = z_semi <= cfg.m_trunc
     p_values = tuple(float(p) for p in cfg.levels)
@@ -746,26 +704,14 @@ def estimate_moments(cfg: ExperimentConfig) -> MomentReport:
         master_seed=cfg.seed,
         passed=not reasons,
         reasons=tuple(reasons),
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
-def estimate_quasi_contractivity(cfg: ExperimentConfig) -> QuasiReport:
+def _reduce_quasi(cfg: ExperimentConfig, rows: np.ndarray) -> QuasiReport:
     """Ratio of p-th moment solution distances to driver distances, on the
     truncation event, across a schedule of driver perturbation sizes."""
-    if cfg.kind != "quasi_contract":
-        raise ExperimentError(f"config kind is {cfg.kind!r}")
-    started = time.perf_counter()
-    p = quasi_contraction_order(cfg.params.alpha) if cfg.moment_p is None else cfg.moment_p
-    if p < 4.0 / (1.0 - 2.0 * cfg.params.alpha) - 1e-12:
-        raise ExperimentError(
-            f"moment order p={p} below the admissible range 4/(1-2 alpha)"
-        )
-    rows = _map_replicas(cfg)  # (replicas, levels, 3)
-    sums = rows.sum(axis=0)
-    ratios: list[float | None] = []
-    for num, den, _ in sums:
-        ratios.append(float(num / den) if den > 0 else None)
+    sums = rows.sum(axis=0)  # rows: (replicas, levels, 3)
+    ratios = [float(num / den) if den > 0 else None for num, den, _ in sums]
     finite = [r for r in ratios if r is not None and r > 0]
     reasons = []
     if not finite:
@@ -780,27 +726,33 @@ def estimate_quasi_contractivity(cfg: ExperimentConfig) -> QuasiReport:
         numerators=tuple(float(v) for v in sums[:, 0]),
         denominators=tuple(float(v) for v in sums[:, 1]),
         indicator_counts=tuple(int(v) for v in sums[:, 2]),
-        p=p,
+        p=_quasi_p(cfg),
         m_trunc=cfg.m_trunc,
         r_trunc=cfg.r_trunc,
         replicas=cfg.replicas,
         master_seed=cfg.seed,
         passed=not reasons,
         reasons=tuple(reasons),
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
-_RUNNERS = {
-    "coeff_convergence": run_coefficient_convergence,
-    "vanishing_delay": run_vanishing_delay,
-    "euler_refinement": run_euler_refinement,
-    "ito_limit": run_ito_limit,
-    "moments": estimate_moments,
-    "quasi_contract": estimate_quasi_contractivity,
+# --------------------------------------------------------------------------
+# the flavor table: the one place that maps an experiment kind to its code
+
+_FLAVORS = {  # kind: (check, block, reduce)
+    "coeff_convergence": (_check_coeff, _block_coeff, _reduce_convergence),
+    "vanishing_delay": (_check_delay, _block_delay, _reduce_convergence),
+    "euler_refinement": (_check_euler, _block_euler, _reduce_convergence),
+    "ito_limit": (_check_ito, _block_ito, _reduce_convergence),
+    "moments": (_check_moments, _block_moments, _reduce_moments),
+    "quasi_contract": (_check_quasi, _block_quasi, _reduce_quasi),
 }
+EXPERIMENT_KINDS = tuple(_FLAVORS)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch a configured experiment to its runner."""
-    return _RUNNERS[cfg.kind](cfg)
+    """Check the level schedule, compute the rows of all replicas, reduce them
+    to the kind's report."""
+    check, _, reduce = _FLAVORS[cfg.kind]
+    check(cfg)
+    return reduce(cfg, _map_replicas(cfg))

@@ -75,8 +75,6 @@ def _scalar_grid(path: GridPath, interval: tuple[float, float] | None) -> GridPa
     p = path.window(*interval) if interval is not None else path
     if p.n_points < 2:
         raise GridError("need at least two grid points")
-    if not np.all(np.isfinite(p.values)):
-        raise GridError("non-finite values in input path")
     return p
 
 

@@ -520,6 +520,10 @@ RANGE_ERRORS = {
     "delay_norms_negative_t": (
         "frac", "frac.t", _frac_doc(operation="delay_norms", delay=0.25, t=-1),
     ),
+    "delay_norms_interval": (
+        "frac", "frac.interval",
+        _frac_doc(operation="delay_norms", delay=0.25, t=1.0, interval=[0.0, 0.5]),
+    ),
     "euler_zero_mesh": (
         "experiment", "levels", _with(geometric_doc(), "experiment", levels=[0, 64]),
     ),
@@ -564,6 +568,9 @@ def test_integral_float_meshes_run_as_integers(tmp_path):
     (["0.0,0.0", "0.5,x", "1.0,1.0"], 3),
     (["0.0,0.0", "0.5,0.5,0.5", "1.0,1.0"], 3),
     (["0.0", "0.5", "1.0"], 2),
+    (["0.0,0.0", "0.5,nan", "1.0,1.0"], 3),
+    (["0.0,0.0", "0.5,0.5", "1.0,-inf"], 4),
+    (["0.0,0.0", "nan,0.5", "1.0,1.0"], 3),
 ])
 def test_malformed_csv_is_a_constraint_violation(tmp_path, capsys, rows, line):
     (tmp_path / "f.csv").write_text("time,value\n" + "\n".join(rows) + "\n")

@@ -312,13 +312,19 @@ class TestAggregation:
     @pytest.mark.parametrize("kind,extra", [
         ("euler_refinement", {}),
         ("moments", dict(levels=(2.0, 4.0))),
+        ("coeff_convergence", dict(levels=(1, 2, 4), perturbation="drift_shift")),
+        ("vanishing_delay", dict(
+            spec=pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.25),
+            levels=(0.25, 0.125), initial=constant_initial(1.0, 0.25, 1.0 / 64))),
+        ("ito_limit", dict(levels=(4, 8))),
+        ("quasi_contract", dict(levels=(0.1, 0.05), m_trunc=25.0)),
     ])
     def test_worker_count_does_not_change_the_report(self, kind, extra):
         base = dict(n_steps=64, replicas=32, emit_distances=True)
         base.update(extra)
         r1 = run_experiment(make_config(kind, **base, workers=1))
         r2 = run_experiment(make_config(kind, **base, workers=2))
-        if kind == "moments":
+        if kind in ("moments", "quasi_contract"):
             assert r1.to_dict() == r2.to_dict()
         else:
             assert r1.to_dict(True) == r2.to_dict(True)
