@@ -396,58 +396,51 @@ def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     return out
 
 
+def _delay_norm_t(cfg: ExperimentConfig, x: GridPath) -> np.ndarray:
+    """Per replica of a solution block: the delay norm over [-r, horizon]."""
+    norm_inf, norm_1 = fraccalc._delay_norm_block(x, cfg.params.alpha, cfg.initial.r, cfg.horizon)
+    return norm_inf + norm_1
+
+
 def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     """Per replica: the sup norm, the delay norm of the solution and the driver seminorm."""
     w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     with _at_level("reference"):
         x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, cfg.solver_config)
-    out = np.empty((len(replicas), 3))
-    for r in range(len(replicas)):
-        xr = GridPath(x.t0, x.dt, x.values[r])
-        out[r] = (
-            float(fraccalc._mags(xr.values).max()),
-            fraccalc.delay_norms(xr, cfg.params.alpha, cfg.initial.r, cfg.horizon).norm_t,
-            fraccalc._seminorm_0_alpha(z.values[r], z.dt, cfg.params.alpha),
-        )
-    return out
+    return np.column_stack((
+        fraccalc._mags(x.values).max(axis=1),
+        _delay_norm_t(cfg, x),
+        fraccalc._seminorm_block(z.values, z.dt, cfg.params.alpha),
+    ))
 
 
 def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     """Per replica and perturbation size: p-th power distances on the truncation event."""
     w, z1 = _block_drivers(cfg, replicas, cfg.n_steps)
     scfg = cfg.solver_config
-    alpha = cfg.params.alpha
     p = _quasi_p(cfg)
 
-    def semi(values: np.ndarray) -> float:
-        return fraccalc._seminorm_0_alpha(values, z1.dt, alpha)
-
-    def norm(y: GridPath, r: int) -> float:
-        path = GridPath(y.t0, y.dt, y.values[r])
-        return fraccalc.delay_norms(path, alpha, cfg.initial.r, cfg.horizon).norm_t
+    def semi(values: np.ndarray) -> np.ndarray:
+        return fraccalc._seminorm_block(values, z1.dt, cfg.params.alpha)
 
     with _at_level("reference"):
         y1 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z1, scfg)
-    z1_semi = [semi(z1.values[r]) for r in range(len(replicas))]
-    y1_norm = [norm(y1, r) for r in range(len(replicas))]
+    inside_1 = (semi(z1.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y1) <= cfg.r_trunc)
     ramp = z1.times[:, None]
-    out = np.empty((len(replicas), len(cfg.levels), 3))
+    out = np.zeros((len(replicas), len(cfg.levels), 3))
     for i, eps in enumerate(cfg.levels):
         z2 = GridPath(z1.t0, z1.dt, z1.values + eps * ramp)
         with _at_level(eps):
             y2 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z2, scfg)
+        indicator = (
+            inside_1 & (semi(z2.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y2) <= cfg.r_trunc)
+        )
         sup = _sup_distance(y1, y2)
-        for r in range(len(replicas)):
-            indicator = (
-                z1_semi[r] <= cfg.m_trunc
-                and semi(z2.values[r]) <= cfg.m_trunc
-                and y1_norm[r] <= cfg.r_trunc
-                and norm(y2, r) <= cfg.r_trunc
-            )
-            diff_semi = semi(z2.values[r] - z1.values[r])
-            num = float(sup[r]) ** p if indicator else 0.0
-            den = diff_semi**p if indicator else 0.0
-            out[r, i] = (num, den, 1.0 if indicator else 0.0)
+        diff_semi = semi(z2.values - z1.values)
+        # Python powers, one replica at a time: numpy's vectorized power may
+        # round differently in the last bit.
+        for r in np.flatnonzero(indicator):
+            out[r, i] = (float(sup[r]) ** p, float(diff_semi[r]) ** p, 1.0)
     return out
 
 
@@ -713,9 +706,19 @@ def _reduce_quasi(cfg: ExperimentConfig, rows: np.ndarray) -> QuasiReport:
     sums = rows.sum(axis=0)  # rows: (replicas, levels, 3)
     ratios = [float(num / den) if den > 0 else None for num, den, _ in sums]
     finite = [r for r in ratios if r is not None and r > 0]
+    counts = sums[:, 2]
     reasons = []
-    if not finite:
+    if not counts.any():
         reasons.append("indicator event empty in every level: inconclusive")
+    elif not finite:
+        undefined = [eps for eps, r, c in zip(cfg.levels, ratios, counts) if r is None and c > 0]
+        if undefined:
+            reasons.append(
+                f"driver distance 0 on a non-empty indicator event at epsilon "
+                f"{', '.join(f'{e:g}' for e in undefined)}: ratio undefined, inconclusive"
+            )
+        if 0.0 in ratios:
+            reasons.append("every defined ratio is 0 (solutions do not move): inconclusive")
     elif max(finite) / min(finite) >= cfg.ratio_bound:
         reasons.append(
             f"ratio spread {max(finite) / min(finite):.2f} exceeds bound {cfg.ratio_bound}"

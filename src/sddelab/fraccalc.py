@@ -14,6 +14,15 @@ the singularity.  The rule lives in one place: every power kernel ``v^beta``
 :func:`_power_cells`, and :func:`_cell_integrals` pairs them with node data.
 Only the two-sided weight of the GLS integral has its own cell moments
 (:func:`_beta_cell_moments`).
+
+The driver seminorm and the delay norm, which the Monte Carlo harness computes
+for every replica, run lag-major over replica blocks: one loop over the lag
+advances every start of every replica of a ``(replicas, n+1, d)`` block at
+once (:func:`_seminorm_block`, :func:`_delay_norm_block`), and one helper
+takes the shift sup ``max_k |v[k+lag] - v[k]|`` of each lag for both the delay
+norm and the Holder seminorm (:func:`_shift_sups`).  Each replica's value is
+bit-identical to the same kernel run on that path alone, so
+:func:`_seminorm_0_alpha` and :func:`delay_norms` are blocks of one.
 """
 
 from __future__ import annotations
@@ -106,14 +115,15 @@ def _power_cells(beta: float, n: int, dt: float) -> tuple[np.ndarray, np.ndarray
 def _cell_integrals(h: np.ndarray, m0: np.ndarray, m1: np.ndarray, dt: float) -> np.ndarray:
     """Per-cell integrals of the piecewise-linear interpolant of ``h`` times a kernel.
 
-    ``h`` holds node data at ``v = 0, dt, 2 dt, ...``; on cell l the
-    interpolant is ``c + e v``, which pairs with the kernel's cell moments
-    ``m0 = int kernel``, ``m1 = int v kernel`` (at least ``len(h) - 1`` cells
-    of them, from :func:`_power_cells` or :func:`_beta_cell_moments`).
+    ``h`` holds node data at ``v = 0, dt, 2 dt, ...`` along its last axis; on
+    cell l the interpolant is ``c + e v``, which pairs with the kernel's cell
+    moments ``m0 = int kernel``, ``m1 = int v kernel`` (at least
+    ``h.shape[-1] - 1`` cells of them, from :func:`_power_cells` or
+    :func:`_beta_cell_moments`).
     """
-    k = len(h) - 1
+    k = h.shape[-1] - 1
     e = np.diff(h) / dt
-    c = h[:-1] - e * (dt * np.arange(k))
+    c = h[..., :-1] - e * (dt * np.arange(k))
     return c * m0[:k] + e * m1[:k]
 
 
@@ -294,8 +304,9 @@ def holder_seminorm_values(values: np.ndarray, dt: float, lam: float) -> float:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     vals = values if values.ndim == 2 else values[:, None]
     best = 0.0
-    for gap in range(1, vals.shape[0]):
-        best = max(best, float(_mags(vals[gap:] - vals[:-gap]).max()) / (gap * dt) ** lam)
+    # Python-scalar weights: a vectorized numpy power rounds some of them differently.
+    for gap, sup in enumerate(_shift_sups(vals[None], vals.shape[0] - 1)[0], start=1):
+        best = max(best, float(sup) / (gap * dt) ** lam)
     return best
 
 
@@ -345,21 +356,62 @@ def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
     return term_a + term_b
 
 
-def _seminorm_0_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
-    """``sup_{s<t} ( |g(t)-g(s)|/(t-s)^(1-alpha) + int_s^t |g(u)-g(s)|/(u-s)^(2-alpha) du )``."""
-    n = values.shape[0] - 1
+def _start_major(values: np.ndarray) -> np.ndarray:
+    """A ``(replicas, n, d)`` block as a contiguous ``(n, replicas, d)`` array.
+
+    The lag-major kernels slice a prefix of the start axis at every lag; with
+    that axis leading, the slices are contiguous.
+    """
+    return np.ascontiguousarray(np.moveaxis(values, 1, 0))
+
+
+def _shift_sups(values: np.ndarray, max_lag: int) -> np.ndarray:
+    """``max_k |v[k+lag] - v[k]|`` for lag = 1..max_lag, per replica of a block.
+
+    ``values`` is a ``(replicas, n, d)`` block; the result has shape
+    ``(replicas, max_lag)``, column ``lag - 1`` for each lag.
+    """
+    vals = _start_major(values)
+    sups = np.empty((max_lag, values.shape[0]))
+    for lag in range(1, max_lag + 1):
+        sups[lag - 1] = _mags(vals[lag:] - vals[:-lag]).max(axis=0)
+    return sups.T
+
+
+def _seminorm_block(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    """:func:`_seminorm_0_alpha` of every replica of a ``(replicas, n+1, d)`` block.
+
+    Lag-major: at lag m the arrays run over the starts s = 0..n-m of all
+    replicas at once.  ``h`` is ``|g(s + m dt) - g(s)|`` and ``integ`` the
+    running integral of ``|g(u) - g(s)| (u-s)^(alpha-2)`` up to ``u = s + m dt``,
+    accumulated cell by cell in the order of a cumulative sum over u, so each
+    replica's value is bit-identical to a start-by-start loop over its path.
+    """
+    n = values.shape[1] - 1
     hol_w = (dt * np.arange(1, n + 1)) ** (alpha - 1.0)
     m0, m1 = _power_cells(alpha - 2.0, n, dt)
-    best = 0.0
-    for i in range(n):
-        h = _mags(values[i:] - values[i])  # h[0] = 0
-        # running integral of |g(u)-g(s)| (u-s)^(alpha-2) up to each node u
-        integ = np.cumsum(_cell_integrals(h, m0, m1, dt))
-        total = h[1:] * hol_w[: n - i] + integ
-        cand = float(total.max())
-        if cand > best:
-            best = cand
+    cell_lo = dt * np.arange(n)  # left end of cell m-1, as u - s
+    vals = _start_major(values)
+    best = np.zeros(values.shape[0])
+    h = np.zeros(vals.shape[:2])  # lag 0
+    integ = None
+    for m in range(1, n + 1):
+        h_lo = h[: n + 1 - m]
+        h = _mags(vals[m:] - vals[:-m])
+        e = (h - h_lo) / dt
+        cell = (h_lo - e * cell_lo[m - 1]) * m0[m - 1] + e * m1[m - 1]
+        integ = cell if integ is None else integ[: n + 1 - m] + cell
+        cand = (h * hol_w[m - 1] + integ).max(axis=0)
+        best = np.where(cand > best, cand, best)
     return best
+
+
+def _seminorm_0_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
+    """``sup_{s<t} ( |g(t)-g(s)|/(t-s)^(1-alpha) + int_s^t |g(u)-g(s)|/(u-s)^(2-alpha) du )``.
+
+    One (n+1, d) path: the block kernel on a block of one.
+    """
+    return float(_seminorm_block(values[None], dt, alpha)[0])
 
 
 def fractional_norms(
@@ -384,6 +436,28 @@ def fractional_norms(
     )
 
 
+def _delay_norm_block(
+    f: GridPath, alpha: float, r: float, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``norm_inf_t`` and ``norm_1_t`` of :func:`delay_norms` for every replica.
+
+    ``f`` is a single path (a block of one) or a replica block; both results
+    have one entry per replica.
+    """
+    _check_alpha(alpha)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    p = f.window(-r, t)
+    vals = p.values if p.replicas is not None else p.values[None]
+    n_lags = p.n_points - 1 - p.index_of(0.0)
+    # h[:, k] = sup over u in [-r, t - k dt] of |f(u + k dt) - f(u)|: the shift
+    # sup at distance k dt = t - s from the kernel singularity, 0 at k = 0.
+    h = np.zeros((vals.shape[0], n_lags + 1))
+    h[:, 1:] = _shift_sups(vals, n_lags)
+    m0, m1 = _power_cells(-1.0 - alpha, n_lags, p.dt)
+    return _mags(vals).max(axis=1), _cell_integrals(h, m0, m1, p.dt).sum(axis=-1)
+
+
 def delay_norms(f: GridPath, alpha: float, r: float, t: float) -> DelayNormBundle:
     """Delay norms of a path over ``[-r, t]`` with kernel ``(t-s)^(-1-alpha)``.
 
@@ -391,20 +465,7 @@ def delay_norms(f: GridPath, alpha: float, r: float, t: float) -> DelayNormBundl
     time shift; the shifted-sup factor vanishes at the kernel singularity at
     the Holder rate of the path, which keeps the integrand integrable.
     """
-    _check_alpha(alpha)
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    p = f.window(-r, t)
-    vals = p.values
-    k_t = p.n_points - 1
-    q = p.index_of(0.0)
-    norm_inf = float(_mags(vals).max())
-    # m[j] = sup over u in [-r, s_j] of |f(u + (t - s_j)) - f(u)|; the time
-    # shift is k_t - j grid nodes and the admissible u indices are 0..j.
-    m = np.empty(k_t - q + 1)
-    m[-1] = 0.0
-    for j in range(q, k_t):
-        lag = k_t - j
-        m[j - q] = float(_mags(vals[lag:] - vals[:-lag]).max())
-    norm_1 = _product_integral(m[::-1], -1.0 - alpha, p.dt)
-    return DelayNormBundle(norm_inf_t=norm_inf, norm_1_t=norm_1)
+    if f.replicas is not None:
+        raise GridError(f"delay_norms takes one path, got a block of {f.replicas}")
+    (norm_inf,), (norm_1,) = _delay_norm_block(f, alpha, r, t)
+    return DelayNormBundle(norm_inf_t=float(norm_inf), norm_1_t=float(norm_1))

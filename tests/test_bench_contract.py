@@ -33,6 +33,7 @@ CASES = {
     "delay": ("vanishing_delay", [0.25, 0.125], 64, POINTWISE_DELAY,
               {"constant": 1.0, "delay": 0.25, "dt": 1 / 64}),
     "moments": ("moments", [2.0, 4.0], 32, GEOMETRIC, {"constant": 1.0, "delay": 0.0}),
+    "quasi": ("quasi_contract", [0.1, 0.05], 32, GEOMETRIC, {"constant": 1.0, "delay": 0.0}),
 }
 
 

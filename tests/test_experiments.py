@@ -296,7 +296,29 @@ class TestQuasiContract:
         )
         rep = run_experiment(cfg)
         assert not rep.passed
-        assert any("inconclusive" in r for r in rep.reasons)
+        assert rep.indicator_counts == (0, 0)
+        assert rep.reasons == ("indicator event empty in every level: inconclusive",)
+
+    def test_zero_driver_distance_has_its_own_reason(self):
+        # eps = 0 alone: the indicator event holds, but both distances vanish
+        cfg = make_config("quasi_contract", levels=(0.0,), n_steps=64, m_trunc=50.0)
+        rep = run_experiment(cfg)
+        assert not rep.passed
+        assert rep.indicator_counts[0] > 0 and rep.denominators == (0.0,)
+        assert rep.ratios == (None,)
+        assert len(rep.reasons) == 1 and "driver distance 0" in rep.reasons[0]
+        assert "epsilon 0" in rep.reasons[0] and "empty in every level" not in rep.reasons[0]
+
+    def test_all_zero_ratios_have_their_own_reason(self):
+        # c = 0: the solutions ignore the driver, so every ratio is 0
+        cfg = make_config(
+            "quasi_contract", spec=geometric_spec(0.5, 0.4, 0.0),
+            levels=(0.1, 0.05), n_steps=64, m_trunc=50.0,
+        )
+        rep = run_experiment(cfg)
+        assert not rep.passed
+        assert all(c > 0 for c in rep.indicator_counts) and rep.ratios == (0.0, 0.0)
+        assert rep.reasons == ("every defined ratio is 0 (solutions do not move): inconclusive",)
 
     def test_unperturbed_level_reports_not_applicable(self):
         # eps = 0 makes both sides vanish; the ratio is reported as None

@@ -6,15 +6,23 @@ kept below, unchanged, as oracles: the three product-integration helpers, the
 RL tail weights ``p``/``q``/``r`` and the ``_seminorm_0_alpha`` cell loop,
 plus the assembly of ``_norm_1_alpha``, ``delay_norms`` and ``gls_integral``
 around them.  The new code is compared with them on fBm paths.
+
+The second half pins the replica-blocked, lag-major kernels
+(``_seminorm_block``, ``_delay_norm_block``, ``_shift_sups``) against the
+per-path loops they replaced, which are kept as oracles too.  Those kernels
+index the same weight arrays in the same order of operations, so the
+comparison is bitwise.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from sddelab import FbmParams, GridPath, SeedSpec, fraccalc, sample_fbm
-from sddelab.fraccalc import _mags
-from sddelab.grid import stack_paths
+from sddelab.fraccalc import _cell_integrals, _mags, _power_cells, _product_integral
+from sddelab.grid import GridError, stack_paths
 
 # Both sides evaluate the same closed-form cell integrals, but in a different
 # order of operations (moments as differences of v^(beta+1), sums reversed
@@ -251,3 +259,142 @@ def test_power_cells_integrate_the_kernel(beta):
     np.testing.assert_allclose(m1, np.diff(v ** (beta + 2)) / (beta + 2), rtol=1e-15)
     np.testing.assert_allclose(m0[1:], np.diff(v[1:] ** (beta + 1)) / (beta + 1), rtol=1e-15)
     assert m0[0] == (0.0 if beta < -1 else dt ** (beta + 1) / (beta + 1))
+
+
+# --------------------------------------------------------------------------
+# oracles: the per-path loops replaced by the lag-major block kernels
+
+
+def loop_seminorm_0_alpha(values, dt, alpha):
+    """One start s at a time: the cell integrals of |g(u)-g(s)| (u-s)^(alpha-2)."""
+    n = values.shape[0] - 1
+    hol_w = (dt * np.arange(1, n + 1)) ** (alpha - 1.0)
+    m0, m1 = _power_cells(alpha - 2.0, n, dt)
+    best = 0.0
+    for i in range(n):
+        h = _mags(values[i:] - values[i])  # h[0] = 0
+        integ = np.cumsum(_cell_integrals(h, m0, m1, dt))
+        total = h[1:] * hol_w[: n - i] + integ
+        cand = float(total.max())
+        if cand > best:
+            best = cand
+    return best
+
+
+def loop_delay_norms(path, alpha, r, t):
+    """One lag at a time: (norm_inf_t, norm_1_t) of one path."""
+    p = path.window(-r, t)
+    vals = p.values
+    k_t = p.n_points - 1
+    q = p.index_of(0.0)
+    norm_inf = float(_mags(vals).max())
+    m = np.empty(k_t - q + 1)
+    m[-1] = 0.0
+    for j in range(q, k_t):
+        lag = k_t - j
+        m[j - q] = float(_mags(vals[lag:] - vals[:-lag]).max())
+    return norm_inf, _product_integral(m[::-1], -1.0 - alpha, p.dt)
+
+
+def loop_holder_seminorm(values, dt, lam):
+    vals = values if values.ndim == 2 else values[:, None]
+    best = 0.0
+    for gap in range(1, vals.shape[0]):
+        best = max(best, float(_mags(vals[gap:] - vals[:-gap]).max()) / (gap * dt) ** lam)
+    return best
+
+
+# --------------------------------------------------------------------------
+
+
+def fbm_block(n, replicas, dim, seed):
+    """A (replicas, n+1, dim) block of fBm paths on [0, 1], one stream per replica.
+
+    Sampled on at least two cells and restricted, so n = 1 works too.
+    """
+    n_fine = max(n, 2)
+    params = FbmParams(0.75, n_fine, 1.0)
+    step = n_fine // n
+    return np.stack([
+        np.column_stack([
+            sample_fbm(params, SeedSpec(seed, r).child(j)).restrict(step).scalar_values()
+            for j in range(dim)
+        ])
+        for r in range(replicas)
+    ])
+
+
+def delay_windows(n, dt):
+    """(t0, r, t) triples: history q cells long (q > 0 where the grid allows it),
+    t at the path's end and t short of it."""
+    q = n // 4 if n >= 4 else n // 2
+    out = [(-q * dt, q * dt, (n - q) * dt), (0.0, 0.0, n * dt)]
+    short = n - q - max(1, n // 8)
+    if short > 0:
+        out.append((-q * dt, q * dt, short * dt))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("replicas", [1, 7, 50])
+@pytest.mark.parametrize("n", [1, 2, 16, 256])
+def test_block_kernels_equal_the_per_path_loops_bitwise(n, replicas, dim):
+    block = fbm_block(n, replicas, dim, seed=1100 + n)
+    dt, alpha = 1.0 / n, 0.35
+    loop = [loop_seminorm_0_alpha(v, dt, alpha) for v in block]
+    assert np.array_equal(fraccalc._seminorm_block(block, dt, alpha), loop)
+    assert [fraccalc._seminorm_0_alpha(v, dt, alpha) for v in block] == loop
+    for t0, r, t in delay_windows(n, dt):
+        paths = [GridPath(t0, dt, v) for v in block]
+        loop = np.array([loop_delay_norms(p, alpha, r, t) for p in paths])
+        norm_inf, norm_1 = fraccalc._delay_norm_block(GridPath(t0, dt, block), alpha, r, t)
+        assert np.array_equal(norm_inf, loop[:, 0]) and np.array_equal(norm_1, loop[:, 1])
+        single = [fraccalc.delay_norms(p, alpha, r, t) for p in paths]
+        assert [(b.norm_inf_t, b.norm_1_t) for b in single] == [tuple(x) for x in loop]
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.65, 1.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_holder_seminorm_equals_the_per_gap_loop_bitwise(dim, lam):
+    values = fbm_block(64, 1, dim, seed=1300)[0]
+    assert fraccalc.holder_seminorm_values(values, 1 / 64, lam) == loop_holder_seminorm(
+        values, 1 / 64, lam
+    )
+    if dim == 1:
+        flat = values[:, 0]
+        assert fraccalc.holder_seminorm_values(flat, 1 / 64, lam) == loop_holder_seminorm(
+            flat, 1 / 64, lam
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    replicas=st.integers(min_value=1, max_value=9),
+    dim=st.sampled_from([1, 2]),
+    alpha=st.sampled_from([0.2, 0.35, 0.45]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_each_block_row_equals_its_own_block_of_one(n, replicas, dim, alpha, seed):
+    # random-walk rows with widely spread scales; row i of the block must be
+    # bit-identical to the kernel run on row i alone
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(replicas, 1, 1))
+    block = scale * np.cumsum(rng.standard_normal((replicas, n + 1, dim)), axis=1)
+    dt = 1.0 / n
+    semi = fraccalc._seminorm_block(block, dt, alpha)
+    sups = fraccalc._shift_sups(block, n)
+    q = n // 2
+    norm_inf, norm_1 = fraccalc._delay_norm_block(GridPath(-q * dt, dt, block), alpha, q * dt,
+                                                  (n - q) * dt)
+    for i, row in enumerate(block):
+        assert semi[i] == fraccalc._seminorm_block(row[None], dt, alpha)[0]
+        assert np.array_equal(sups[i], fraccalc._shift_sups(row[None], n)[0])
+        one = fraccalc._delay_norm_block(GridPath(-q * dt, dt, row), alpha, q * dt, (n - q) * dt)
+        assert (norm_inf[i], norm_1[i]) == (one[0][0], one[1][0])
+
+
+def test_delay_norms_takes_one_path_not_a_block():
+    block = GridPath(-0.25, 1 / 16, fbm_block(16, 3, 1, seed=1400))
+    with pytest.raises(GridError, match="one path"):
+        fraccalc.delay_norms(block, 0.35, 0.25, 0.5)
