@@ -10,16 +10,18 @@ pre-registered pass criteria (decreasing trend, final-level threshold).
 One table, ``_FLAVORS``, maps each experiment kind to its code: a ``check``
 of the level schedule, a ``block`` function that computes one row per
 replica, and a ``reduce`` that turns the rows of all replicas into a report.
-:func:`run_experiment` runs the three in turn.  Replicas are independent.
-They are solved in blocks of a fixed size (one block is one task for the
-worker pool) and reduced in replica order, so the same configuration
-produces identical reports for any worker count.  A solver explosion names
-the lowest exploding replica and its level.  Reports hold no timing; the CLI
-times the run and writes it to a sidecar.
+:func:`run_experiment` runs the three in turn.  Replicas are independent,
+and a replica's rows do not depend on the block it is solved in, so blocks
+follow the pool size (one pool task each) and the rows are reduced in
+replica order: the same configuration produces identical reports for any
+worker count.  A solver explosion names the lowest exploding replica and its
+level.  Reports hold no timing; the CLI times the run and writes it to a
+sidecar.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -444,9 +446,15 @@ def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     return out
 
 
-# Replicas per block.  Fixed, so that block boundaries (and with them every
-# rounding inside a block) never depend on the worker count.
+# Replicas per block at most: bounds the memory of one pool task.
 _BLOCK_REPLICAS = 50
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_block(args) -> np.ndarray:
@@ -467,14 +475,14 @@ def _run_block(args) -> np.ndarray:
 
 
 def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
-    """Rows of all replicas in replica order, computed block by block."""
-    tasks = [
-        (cfg, range(lo, min(lo + _BLOCK_REPLICAS, cfg.replicas)))
-        for lo in range(0, cfg.replicas, _BLOCK_REPLICAS)
-    ]
-    if cfg.workers == 1:
+    """Rows of all replicas in replica order.  The replicas are split evenly
+    over the usable workers, at most ``_BLOCK_REPLICAS`` per block."""
+    workers = min(cfg.workers, _usable_cpus())
+    size = min(_BLOCK_REPLICAS, -(-cfg.replicas // workers))
+    tasks = [(cfg, range(lo, min(lo + size, cfg.replicas))) for lo in range(0, cfg.replicas, size)]
+    if workers == 1:
         return np.concatenate([_run_block(t) for t in tasks])
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return np.concatenate(list(pool.map(_run_block, tasks)))
 
 

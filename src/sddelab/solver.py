@@ -8,19 +8,19 @@ re-express the equation as an Ito equation with random drift, which
 ``euler_ito_sdde`` integrates.
 
 Both schemes run on one stepper.  A :class:`CoefficientSpec` is compiled
-once into arrays (gain matrices, constants, the delay tap or the
-distributed-kernel weights, the time modulation), and each step advances a
-``(replicas, d)`` state block with one affine update.  Drivers given as a
-replica block (a :class:`GridPath` with values ``(replicas, n, d)``) are
-solved together; a single path is a block of one.  The mixed step adds
-``a dt + b dW + c dZ``; the mollified Ito step adds ``(a + c dZ^N/dt) dt +
-b dW``, with dZ^N/dt tabulated on the step times from driver values at or
-before each step time.  ``euler_ito_sdde`` given other callables runs the
-general per-step loop.
+once into arrays (gain matrices, constants, the delay tap, the time
+modulation), and each step advances a ``(replicas, d)`` state block with one
+affine update.  Drivers given as a replica block (a :class:`GridPath` with
+values ``(replicas, n, d)``) are solved together; a single path is a block
+of one.  The mixed step adds ``a dt + b dW + c dZ``; the mollified Ito step
+adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step times
+from driver values at or before each step time.  ``euler_ito_sdde`` given
+other callables runs the general per-step loop.
 
 All solves are pure functions of their inputs: identical arguments give
-bit-identical output paths.  For scalar equations every replica of a block
-is bit-identical to its solve as a block of one.
+bit-identical output paths.  Each replica's path is independent of its
+block: every replica of a block is bit-identical to its solve as a block of
+one, in any dimension and for every coefficient family.
 """
 
 from __future__ import annotations
@@ -179,13 +179,14 @@ def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int:
 
 
 def _compile(spec: CoefficientSpec, cfg: SolverConfig):
-    """The spec as arrays for one solver grid: ``(now, delay, const, mods, y_at)``.
+    """The spec as arrays for one solver grid: ``(now, delay, const, mods, tap)``.
 
     Columns are ``[a | b_1..b_m | c_1..c_l]``: ``x @ now + y @ delay + const``,
     reshaped to ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``,
     holds every coefficient at state ``x`` and delay read ``y`` at step k.
-    ``y_at(buf, i)`` reads the tap, or integrates the window with the
-    trapezoid kernel for the distributed family.  Zero parts are None.
+    The delay read is the state ``tap`` steps back, or for the distributed
+    family (``tap`` None) the trapezoid integral over the segment window.
+    Zero parts are None.
     """
     blocks = (spec.drift, spec.diffusion, spec.zdrive)
     d, cols = spec.dim, 1 + spec.n_wiener + spec.n_holder
@@ -201,17 +202,11 @@ def _compile(spec: CoefficientSpec, cfg: SolverConfig):
     if sin_cols.any():
         sines = np.array([math.sin(k * cfg.dt) for k in range(cfg.n_steps)])
         mods = np.where(sin_cols, sines[:, None], 1.0)
-    q, tap = cfg.delay_steps, _tap_steps(spec, cfg)
-    if spec.family != "distributed_delay":
-        y_at = lambda buf, i: buf[i - tap]  # noqa: E731
-    elif q == 0:
+    tap = None if spec.family == "distributed_delay" else _tap_steps(spec, cfg)
+    if tap is None and cfg.delay_steps == 0:
         raise GridError("distributed_delay needs a non-trivial segment window")
-    else:
-        kernel = np.full(q + 1, cfg.dt)
-        kernel[[0, -1]] *= 0.5
-        y_at = lambda buf, i: np.tensordot(kernel, buf[i - q : i + 1], axes=1)  # noqa: E731
     return (matrix("gain_now"), delay if delay.any() else None,
-            const if const.any() else None, mods, y_at)
+            const if const.any() else None, mods, tap)
 
 
 def _block(path: GridPath) -> np.ndarray:
@@ -225,15 +220,20 @@ def _solve(spec: CoefficientSpec, eta: InitialCondition, cfg: SolverConfig, w: G
     The step-k increments ``[first | dW | third]`` multiply the coefficient
     columns.  Mixed scheme: ``[dt | dW | dZ]``, added column by column.  Ito
     scheme: ``[1 | dW | dZ^N/dt]``, with ``a + c dZ^N/dt`` multiplied by dt.
-    The trust region is checked once the path is complete: the first node
-    outside it is where a step-by-step check would have stopped.
+    Every operation reads one replica's row only, in an order fixed by the
+    spec: ``x @ now`` and ``y @ delay`` are one-component products (exact in
+    any matmul kernel) added in component order, and the distributed window
+    is a running sum of trapezoid cells.  So a replica's path does not depend
+    on the block it is solved in.  The trust region is checked once the path
+    is complete: the first node outside it is where a step-by-step check
+    would have stopped.
     """
     hist = _history_values(eta, cfg)
     if hist.shape[1] != spec.dim:
         raise GridError(
             f"initial condition dimension {hist.shape[1]} != spec dim {spec.dim}"
         )
-    now, delay, const, mods, y_at = _compile(spec, cfg)
+    now, delay, const, mods, tap = _compile(spec, cfg)
     dw = np.diff(_block(w), axis=1)
     inc = np.concatenate([np.full(dw.shape[:2] + (1,), first), dw, third], axis=-1)
     inc = np.ascontiguousarray(inc.transpose(1, 0, 2)[:, :, None, :])
@@ -248,14 +248,28 @@ def _solve(spec: CoefficientSpec, eta: InitialCondition, cfg: SolverConfig, w: G
         view = p[..., lo:hi]
         return (lambda: view[..., 0]) if hi == lo + 1 else (lambda: view.sum(axis=-1))
 
+    window = delay is not None and tap is None
+    reads = [(0, buf, now)]  # (steps back, source, gains) of x @ now + y @ delay
+    if window:  # win[k]: the trapezoid integral over the segment at step k
+        half = 0.5 * dt
+        cells, win = np.empty((q + n, reps, d)), np.empty((n + 1, reps, d))
+        hist_cells = (hist[:-1] + hist[1:]) * half
+        cells[:q] = hist_cells[:, None, :]
+        win[0] = np.cumsum(hist_cells, axis=0)[-1]  # in cell order
+        reads.append((q, win, delay))
+    elif delay is not None:
+        reads.append((tap, buf, delay))
+    terms = [(back, src[..., j : j + 1], gains[j : j + 1])
+             for back, src, gains in reads for j in range(d)]
+    (_, col0, gains0), rest = terms[0], terms[1:]
     a, b_terms, c_terms = p[..., 0], channels(1, 1 + m), channels(1 + m, cols)
     with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
         for k in range(n):
             i = q + k
             x, nxt = buf[i], buf[i + 1]
-            np.matmul(x, now, out=v)
-            if delay is not None:
-                v += np.matmul(y_at(buf, i), delay, out=tmp)
+            np.matmul(col0[i], gains0, out=v)
+            for back, col, gains in rest:
+                v += np.matmul(col[i - back], gains, out=tmp)
             if const is not None:
                 v += const
             if mods is not None:
@@ -270,6 +284,11 @@ def _solve(spec: CoefficientSpec, eta: InitialCondition, cfg: SolverConfig, w: G
                 np.add(x, a, out=nxt)
                 nxt += b_terms()
                 nxt += c_terms()
+            if window:
+                np.add(x, nxt, out=cells[i])
+                cells[i] *= half
+                np.add(win[k], cells[i], out=win[k + 1])
+                win[k + 1] -= cells[k]
     mags = np.linalg.norm(buf[q + 1 :], axis=-1)
     over = np.argwhere(~(mags <= cfg.explosion_threshold))
     if over.size:

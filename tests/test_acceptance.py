@@ -23,6 +23,7 @@ from sddelab import (
     sample_fbm,
     young_love_bound,
 )
+from sddelab import experiments
 from sddelab.cli import main
 from sddelab.core import constant_initial, geometric_spec, pointwise_delay_spec
 from sddelab.experiments import (
@@ -305,9 +306,11 @@ def test_criterion_8_quasi_contractivity():
     assert rep.passed
 
 
-def test_criterion_9_determinism_across_workers(tmp_path):
+def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
     """Every experiment kind re-run at worker counts 1 and 8 produces
-    byte-identical report files."""
+    byte-identical report files.  The 40 replicas are one block at 1 worker
+    and eight blocks of 5 at 8; the dim-2 and distributed-delay equations
+    sum several products per coefficient."""
     base_holder = {"gamma": 0.7, "alpha": 0.35, "beta": 1.0, "theta": 0.45,
                    "hurst": 0.75}
     geo = {
@@ -321,6 +324,20 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         "drift": {"gain_now": 0.3, "gain_delay": 0.3},
         "diffusion": {"gain_delay": 0.2},
         "zdrive": {"gain_now": 0.2},
+    }
+    linear2 = {
+        "family": "linear", "dim": 2, "n_wiener": 2, "n_holder": 2, "tau": 0.125,
+        "drift": {"gain_now": [[0.1, 0.3], [-0.2, 0.1]], "gain_delay": 0.2,
+                  "const": [[0.1, -0.1]]},
+        "diffusion": {"gain_now": 0.2, "gain_delay": [[0.0, 0.1], [0.1, 0.0]]},
+        "zdrive": {"gain_now": [[0.1, 0.2], [0.0, 0.3]], "time_modulation": "sin"},
+    }
+    distributed = {
+        "family": "distributed_delay", "dim": 1, "n_wiener": 1, "n_holder": 1,
+        "delay_span": 0.25,
+        "drift": {"gain_now": 0.2, "gain_delay": 0.5},
+        "diffusion": {"gain_now": 0.1, "gain_delay": 0.3},
+        "zdrive": {"gain_now": 0.2, "gain_delay": -0.4, "const": 0.1},
     }
     point_initial = {"constant": 1.0, "delay": 0.0, "theta": 0.45}
     window_initial = {"constant": 1.0, "delay": 0.25, "theta": 0.45, "dt": 0.25 / 32}
@@ -337,9 +354,17 @@ def test_criterion_9_determinism_across_workers(tmp_path):
                         initial=point_initial, n_steps=64),
         "quasi": dict(flavor="quasi_contract", levels=[0.1, 0.05], coeff=geo,
                       initial=point_initial, n_steps=64, m_trunc=25.0),
+        "coeff_dim2": dict(flavor="coeff_convergence", levels=[1, 4, 16], coeff=linear2,
+                           initial=dict(window_initial, constant=[1.0, -0.5]),
+                           n_steps=128, perturbation="gain_shift"),
+        "ito_distributed": dict(flavor="ito_limit", levels=[4, 8], coeff=distributed,
+                                initial=window_initial, n_steps=128),
     }
+    # 8 usable CPUs whatever the machine, so that 8 workers split the replicas
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
     all_ok = True
-    for alias, case in cases.items():
+    for name, case in cases.items():
+        alias = name.split("_")[0]
         doc = {
             "kind": "experiment",
             "experiment": {
@@ -356,11 +381,11 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         for key in ("perturbation", "m_trunc"):
             if key in case:
                 doc["experiment"][key] = case[key]
-        cfg = tmp_path / f"{alias}.json"
+        cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(doc))
         blobs = []
         for workers in ("1", "8"):
-            out = tmp_path / f"{alias}_w{workers}"
+            out = tmp_path / f"{name}_w{workers}"
             code = main([
                 "experiment", alias, "--config", str(cfg),
                 "--out", str(out), "--workers", workers,
@@ -369,5 +394,5 @@ def test_criterion_9_determinism_across_workers(tmp_path):
             blobs.append((out / "report.json").read_bytes())
         identical = blobs[0] == blobs[1]
         all_ok = all_ok and identical
-        assert identical, f"{alias}: reports differ between 1 and 8 workers"
-    report_line("9 determinism across worker counts", all_ok, "6 kinds x 2 runs")
+        assert identical, f"{name}: reports differ between 1 and 8 workers"
+    report_line("9 determinism across worker counts", all_ok, "8 cases x 2 runs")

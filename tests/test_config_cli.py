@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab.cli import main
-from sddelab import FbmParams, config, sample_fbm, sample_wiener
+from sddelab import FbmParams, config, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
 from sddelab.grid import stack_paths
 from sddelab.solver import (
@@ -601,6 +601,11 @@ def test_named_wrong_types_are_constraint_violations(tmp_path, capsys, section, 
     # replica 34 explodes at level 64 only; its block first trips on a later
     # replica at level 16, so the block is solved again replica by replica
     (0.0, 20.0, "replica 34, level 64"),
+    # a stiff 2-d linear system: the 16-step mesh is unstable, and replica 10
+    # passes the threshold by 2.6%, so solved alone it must reproduce the bits
+    # it has in its block
+    pytest.param([[-63.3, 0.3], [-0.2, -63.3]], [[1.0, 0.2], [0.0, 1.0]],
+                 "replica 10, level 16", id="dim2"),
 ])
 def test_explosion_names_the_replica_identically_at_every_worker_count(
     tmp_path, capsys, drift, zdrive, named
@@ -610,6 +615,10 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
     doc["coefficients"].update(
         drift={"gain_now": drift}, diffusion={"gain_now": 0.0}, zdrive={"gain_now": zdrive}
     )
+    if np.ndim(drift) == 2:
+        doc["coefficients"].update(family="linear", dim=2, n_wiener=2, n_holder=2, tau=0.0)
+        doc["experiment"]["reference"] = "fine_euler"
+        doc["initial"]["constant"] = [1.0, -0.5]
     cfg = write_config(tmp_path, doc)
     errs = []
     for workers in ("1", "2"):
@@ -630,8 +639,9 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
 def test_reports_byte_identical_across_workers_over_several_blocks(
     tmp_path, flavor, levels, extra
 ):
-    # 120 replicas are three replica blocks, so 3 workers reduce blocks
-    # solved in different processes (criterion 9 runs a single block)
+    # one worker solves 120 replicas in blocks of 50, 50 and 20; three
+    # workers solve the same blocks on two CPUs, or blocks of 40 on three or
+    # more, in separate processes
     doc = geometric_doc()
     doc["experiment"].update(flavor=flavor, levels=levels, replicas=120, n_steps=16,
                              epsilon=0.5, **extra)
@@ -645,6 +655,49 @@ def test_reports_byte_identical_across_workers_over_several_blocks(
         assert code in (0, 1)
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 64])
+def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
+    """``--workers 10000`` starts at most min(CPUs, tasks) processes, each
+    task at most ``_BLOCK_REPLICAS`` replicas, and reports the bytes of one
+    worker.  The pool is a stand-in that runs the tasks in this process."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            started.append((self.max_workers, [len(r) for _, r in tasks]))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    doc = geometric_doc()
+    doc["experiment"].update(flavor="moments", levels=[2.0], replicas=130, n_steps=16)
+    doc["criteria"] = {"max_final_exceedance": 1.0}
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for workers in ("1", "10000"):
+        out = tmp_path / workers
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) in (0, 1)
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    if cpus == 1:
+        assert started == []
+        return
+    [(max_workers, sizes)] = started
+    assert sum(sizes) == 130 and max(sizes) <= experiments._BLOCK_REPLICAS
+    assert max_workers == min(cpus, len(sizes))
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

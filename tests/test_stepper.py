@@ -34,8 +34,9 @@ from sddelab.solver import (
     euler_mixed_sdde,
 )
 
-# Vector and distributed-delay specs sum several products per coefficient;
-# the stepper's matrix products may round those sums differently.
+# Vector and distributed-delay specs sum several products per coefficient.
+# The stepper adds them in component order and keeps a running window sum;
+# the oracle's ``@`` and ``np.trapezoid`` may round those sums differently.
 VECTOR_RTOL = 1e-12
 
 
@@ -196,6 +197,49 @@ def test_vector_and_distributed_blocks_match_old_generic_path(make_spec, x0):
     for r, (w, z) in enumerate(pairs):
         oracle = old_generic_path(spec, eta, w, z, cfg)
         np.testing.assert_allclose(block.values[r], oracle, rtol=VECTOR_RTOL, atol=1e-14)
+
+
+PARTITION_REPLICAS = 9
+PARTITION_CASES = {  # name: (spec factory, psi(0), delay of the solve)
+    "no_delay": (lambda: geometric_spec(0.5, 0.4, 0.3), np.array([1.0]), 0.0),
+    "sin_pointwise_delay": (sin_delay_spec, np.array([0.7]), 0.25),
+    "linear_dim2": (_vector_spec, np.array([1.0, -0.5]), 0.25),
+    "distributed_delay": (_distributed_spec, np.array([1.0]), 0.25),
+}
+
+
+def _partition_solve(spec, eta, cfg, pairs, ito):
+    w, z = stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
+    if ito:
+        return euler_ito_sdde(MollifiedDrift(spec, z, 2), coefficient_evaluator(spec, "b"),
+                              eta, w, cfg).values
+    return euler_mixed_sdde(spec, eta, w, z, cfg).values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PARTITION_CASES)),
+    ito=st.booleans(),
+    n=st.sampled_from([16, 32, 64]),
+    cuts=st.sets(st.integers(min_value=1, max_value=PARTITION_REPLICAS - 1)),
+)
+def test_any_partition_of_the_replicas_gives_bitwise_equal_paths(name, ito, n, cuts):
+    """A replica's path does not depend on the block it is solved in: one
+    block of all replicas, blocks of one and the drawn partition agree bit
+    for bit, under both schemes."""
+    make_spec, x0, delay = PARTITION_CASES[name]
+    spec, cfg = make_spec(), SolverConfig(n_steps=n, horizon=1.0, delay=delay)
+    eta = constant_initial(x0, delay, cfg.dt)
+    if delay:  # a sloped history, so the delay read differs from psi(0)
+        ramp = np.linspace(0.5, 1.0, cfg.delay_steps + 1)[:, None]
+        eta = InitialCondition(GridPath(-delay, cfg.dt, ramp * x0), 0.45)
+    pairs = [drivers(cfg, spec, r) for r in range(PARTITION_REPLICAS)]
+    whole = _partition_solve(spec, eta, cfg, pairs, ito)
+    bounds = [0, *sorted(cuts), PARTITION_REPLICAS]
+    for edges in (bounds, range(PARTITION_REPLICAS + 1)):
+        parts = [_partition_solve(spec, eta, cfg, pairs[lo:hi], ito)
+                 for lo, hi in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_block_explosion_names_the_first_exploding_row():
