@@ -223,7 +223,7 @@ SOLVE = (
     _N_STEPS,
     Field("delay", "float", "look-back window, equal to the history length r (default r)",
           OPTIONAL),
-    Field("explosion_threshold", "float", "state norm that counts as an explosion", 1e8),
+    Field("explosion_threshold", "float", "state norm that counts as an explosion, > 0", 1e8),
     Field("mollifier_level", "integer", "mollifier level N >= 1; required by euler_ito", None),
 )
 EXPERIMENT = (
@@ -245,7 +245,7 @@ EXPERIMENT = (
 )
 CRITERIA = (
     Field("max_final_exceedance", "float", "last-level exceedance must stay below", 0.05),
-    Field("min_decreasing_steps", "integer", "euler_refinement: mean-distance drops needed "
+    Field("min_decreasing_steps", "integer", "euler_refinement: mean-distance drops needed, >= 0 "
           "(default: levels - 2, at least 1)", None),
     Field("ratio_bound", "float", "quasi_contract: largest allowed ratio spread", 10.0),
     Field("heavy_tail_fails", "boolean", "moments: fail when the top 1% carry half the "

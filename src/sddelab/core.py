@@ -18,7 +18,7 @@ computable):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,10 +229,7 @@ class CoefficientSpec:
         return self.zdrive.growth_constant(self._delay_scale)
 
     def with_tau(self, tau: float) -> "CoefficientSpec":
-        return CoefficientSpec(
-            self.family, self.dim, self.n_wiener, self.n_holder,
-            self.drift, self.diffusion, self.zdrive, tau, self.delay_span,
-        )
+        return replace(self, tau=tau)
 
     def merge_delay(self) -> "CoefficientSpec":
         """The zero-delay limit: every delay gain folded onto the psi(0) gain.
@@ -241,17 +238,12 @@ class CoefficientSpec:
         delay study.
         """
         def fold(block: CoeffBlock) -> CoeffBlock:
-            return CoeffBlock(
-                gain_now=block.gain_now + block.gain_delay,
-                gain_delay=np.zeros_like(block.gain_delay),
-                const=block.const,
-                time_modulation=block.time_modulation,
-            )
+            return replace(block, gain_now=block.gain_now + block.gain_delay,
+                           gain_delay=np.zeros_like(block.gain_delay))
 
-        return CoefficientSpec(
-            "no_delay", self.dim, self.n_wiener, self.n_holder,
-            fold(self.drift), fold(self.diffusion), fold(self.zdrive), 0.0, 0.0,
-        )
+        return replace(self, family="no_delay", drift=fold(self.drift),
+                       diffusion=fold(self.diffusion), zdrive=fold(self.zdrive),
+                       tau=0.0, delay_span=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,9 +363,7 @@ class InitialCondition:
         return holder_seminorm_values(self.eta.values, self.eta.dt, self.holder_theta)
 
     def shifted(self, offset: float) -> "InitialCondition":
-        return InitialCondition(
-            GridPath(self.eta.t0, self.eta.dt, self.eta.values + offset), self.holder_theta
-        )
+        return replace(self, eta=replace(self.eta, values=self.eta.values + offset))
 
 
 def constant_initial(value, r: float, dt: float) -> InitialCondition:

@@ -24,13 +24,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import fraccalc
 from .core import (
-    CoeffBlock,
     CoefficientSpec,
     HolderParams,
     InitialCondition,
@@ -130,6 +129,10 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown reference {self.reference!r}")
         if self.workers < 1:
             raise ExperimentError("workers must be positive")
+        if self.min_decreasing_steps is not None and self.min_decreasing_steps < 0:
+            raise ExperimentError(
+                f"min_decreasing_steps must be non-negative, got {self.min_decreasing_steps}"
+            )
 
     @property
     def solver_config(self) -> SolverConfig:
@@ -273,18 +276,10 @@ def _perturbed_spec(spec: CoefficientSpec, perturbation: str, n: float) -> Coeff
     shift = 1.0 / n
     drift = spec.drift
     if perturbation == "drift_shift":
-        new_drift = CoeffBlock(
-            drift.gain_now, drift.gain_delay, drift.const + shift, drift.time_modulation
-        )
+        drift = replace(drift, const=drift.const + shift)
     else:  # gain_shift
-        bump = shift * np.eye(spec.dim)[None, :, :]
-        new_drift = CoeffBlock(
-            drift.gain_now + bump, drift.gain_delay, drift.const, drift.time_modulation
-        )
-    return CoefficientSpec(
-        spec.family, spec.dim, spec.n_wiener, spec.n_holder,
-        new_drift, spec.diffusion, spec.zdrive, spec.tau, spec.delay_span,
-    )
+        drift = replace(drift, gain_now=drift.gain_now + shift * np.eye(spec.dim)[None, :, :])
+    return replace(spec, drift=drift)
 
 
 def _sup_distance(x: GridPath, y: GridPath) -> np.ndarray:

@@ -15,13 +15,16 @@ the singularity.  The rule lives in one place: every power kernel ``v^beta``
 Only the two-sided weight of the GLS integral has its own cell moments
 (:func:`_beta_cell_moments`).
 
-The driver seminorm and the delay norm, which the Monte Carlo harness computes
-for every replica, run lag-major over replica blocks: one loop over the lag
-advances every start of every replica of a ``(replicas, n+1, d)`` block at
-once (:func:`_seminorm_block`, :func:`_delay_norm_block`), and one helper
-takes the shift sup ``max_k |v[k+lag] - v[k]|`` of each lag for both the delay
-norm and the Holder seminorm (:func:`_shift_sups`).  Each replica's value is
-bit-identical to the same kernel run on that path alone, so
+Each singular integral has one one-sided kernel: the reflection
+``s -> a + b - s`` turns a right-sided operator into its left-sided twin.  The
+backward RL derivative is the forward one of order ``1 - alpha`` read
+backwards, and both fractional norms run on one lag-major loop
+(:func:`_running_integrals`) that advances every start of every replica of a
+``(replicas, n+1, d)`` block at once: the driver seminorm takes the sup of its
+running integrals, ``||f||_{1,alpha}`` reads the completed ones of the
+reflected path.  The delay norm and the Holder seminorm share the shift sups
+``max_k |v[k+lag] - v[k]|`` (:func:`_shift_sups`).  Each replica's value is
+bit-identical to the same kernel run on its path alone, so
 :func:`_seminorm_0_alpha` and :func:`delay_norms` are blocks of one.
 """
 
@@ -156,32 +159,6 @@ def _forward_tail(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     return tail * dt ** (-alpha)
 
 
-def _backward_tail(g: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """``(1-alpha) * int_x^b (g(x)-g(u)) (u-x)^(alpha-2) du`` at nodes 0..n-1."""
-    n = len(g) - 1
-    m0, m1 = _power_cells(alpha - 2.0, n + 1, 1.0)
-    lag = np.arange(1.0, n + 1)
-    p = np.zeros(n + 1)
-    r = np.zeros(n + 1)
-    p[1:] = (1.0 - alpha) * m0[1:]
-    r[1:] = (1.0 - alpha) * (lag * m0[1:] - m1[1:])
-    delta = np.diff(g)
-    # Regular cells stop at j = n-1, so the convolutions run over g[0:n].
-    rev_g = g[:-1][::-1]
-    rev_d = delta[::-1]
-    conv_g = _convolve(rev_g, p)
-    conv_d = _convolve(rev_d, r)
-    p_cum = np.cumsum(p)
-    k = np.arange(n)
-    tail = (
-        g[:-1] * p_cum[n - 1 - k]
-        - conv_g[n - 1 - k]
-        + conv_d[n - 1 - k]
-        - (1.0 - alpha) * m1[0] * delta
-    )
-    return tail * dt ** (alpha - 1.0)
-
-
 def forward_rl_derivative(
     f: GridPath, alpha: float, interval: tuple[float, float] | None = None
 ) -> GridPath:
@@ -207,17 +184,15 @@ def backward_rl_derivative(
 
     Acts on ``g_{b-}(x) = g(x) - g(b)`` and uses the real-valued convention:
     the complex phase of the textbook definition is dropped here and accounted
-    for in :func:`gls_integral`.
+    for in :func:`gls_integral`.  The reflection ``s -> a + b - s`` turns it
+    into the forward derivative of order ``1 - alpha`` of ``g(b - .) - g(b)``,
+    read backwards.
     """
     _check_alpha(alpha)
     p = _scalar_grid(g, interval)
     vals = p.scalar_values()
-    n = p.n_points - 1
-    b_minus_x = p.dt * np.arange(n, 0, -1)
-    tail = _backward_tail(vals, p.dt, alpha)
-    deriv = ((vals[:-1] - vals[-1]) * b_minus_x ** (alpha - 1.0) + tail) / special.gamma(
-        alpha
-    )
+    reflected = GridPath(p.t0, p.dt, vals[::-1] - vals[-1])  # s -> a + b - s
+    deriv = forward_rl_derivative(reflected, 1.0 - alpha).values[::-1]
     return GridPath(p.t0, p.dt, deriv)
 
 
@@ -251,8 +226,9 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
 
     gb = gv - gv[-1]
     tail_f = _forward_tail(fv, dt, alpha)  # cusp ~ (x-a)^(1-alpha), zero at a
-    tail_g = _backward_tail(gv, dt, alpha)  # nodes 0..n-1
-    tail_g = np.append(tail_g, 0.0)  # cusp ~ (b-x)^alpha, limit 0 at b
+    # the backward tail is the forward one of order 1 - alpha on the reflected
+    # path; cusp ~ (b-x)^alpha, 0 at b (the reflected start)
+    tail_g = _forward_tail(gv[::-1], dt, 1.0 - alpha)[::-1]
 
     # I1: f * g_b against the two-sided weight (x-a)^-alpha (b-x)^(alpha-1).
     i1 = float(np.sum(_cell_integrals(fv * gb, *_beta_cell_moments(alpha, n), 1.0 / n)))
@@ -303,11 +279,10 @@ def holder_seminorm_values(values: np.ndarray, dt: float, lam: float) -> float:
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     vals = values if values.ndim == 2 else values[:, None]
-    best = 0.0
+    n = vals.shape[0] - 1
     # Python-scalar weights: a vectorized numpy power rounds some of them differently.
-    for gap, sup in enumerate(_shift_sups(vals[None], vals.shape[0] - 1)[0], start=1):
-        best = max(best, float(sup) / (gap * dt) ** lam)
-    return best
+    weights = np.array([(gap * dt) ** lam for gap in range(1, n + 1)])
+    return float(np.max(_shift_sups(vals[None], n)[0] / weights, initial=0.0))
 
 
 def young_love_bound(
@@ -341,21 +316,6 @@ def _mags(values: np.ndarray) -> np.ndarray:
     return np.abs(values[..., 0]) if values.shape[-1] == 1 else np.linalg.norm(values, axis=-1)
 
 
-def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
-    """``int_a^b ( |f(t)|/(t-a)^alpha + int_a^t |f(t)-f(s)|/(t-s)^(1+alpha) ds ) dt``."""
-    mags = _mags(values)
-    n = len(mags) - 1
-    term_a = _product_integral(mags, -alpha, dt)
-    m0, m1 = _power_cells(-1.0 - alpha, n, dt)
-    inner = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        h = _mags(values[k::-1] - values[k])  # ordered by t - s, h[0] = 0
-        inner[k] = float(np.sum(_cell_integrals(h, m0, m1, dt)))
-    # inner(t) vanishes at a like (t-a)^(1-alpha): cusp-matched first cell.
-    term_b = float(np.trapezoid(inner[1:], dx=dt)) + inner[1] * dt / (2.0 - alpha)
-    return term_a + term_b
-
-
 def _start_major(values: np.ndarray) -> np.ndarray:
     """A ``(replicas, n, d)`` block as a contiguous ``(n, replicas, d)`` array.
 
@@ -378,21 +338,21 @@ def _shift_sups(values: np.ndarray, max_lag: int) -> np.ndarray:
     return sups.T
 
 
-def _seminorm_block(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """:func:`_seminorm_0_alpha` of every replica of a ``(replicas, n+1, d)`` block.
+def _running_integrals(values: np.ndarray, dt: float, beta: float):
+    """Lag-major running integrals of ``|v(u) - v(s)| (u-s)^beta``, beta < -1.
 
-    Lag-major: at lag m the arrays run over the starts s = 0..n-m of all
-    replicas at once.  ``h`` is ``|g(s + m dt) - g(s)|`` and ``integ`` the
-    running integral of ``|g(u) - g(s)| (u-s)^(alpha-2)`` up to ``u = s + m dt``,
-    accumulated cell by cell in the order of a cumulative sum over u, so each
-    replica's value is bit-identical to a start-by-start loop over its path.
+    ``values`` is a ``(replicas, n+1, d)`` block.  At lag m = 1..n this yields
+    ``(m, h, integ)``, arrays of shape ``(n+1-m, replicas)`` over the starts
+    s = 0..n-m of all replicas: ``h`` is ``|v(s + m dt) - v(s)|`` and
+    ``integ`` the integral up to ``u = s + m dt``, accumulated cell by cell in
+    the order of a cumulative sum over u.  So each replica's values are
+    bit-identical to a start-by-start loop over its path, and the last start,
+    s = n - m, has its integral complete to the end of the path.
     """
     n = values.shape[1] - 1
-    hol_w = (dt * np.arange(1, n + 1)) ** (alpha - 1.0)
-    m0, m1 = _power_cells(alpha - 2.0, n, dt)
+    m0, m1 = _power_cells(beta, n, dt)
     cell_lo = dt * np.arange(n)  # left end of cell m-1, as u - s
     vals = _start_major(values)
-    best = np.zeros(values.shape[0])
     h = np.zeros(vals.shape[:2])  # lag 0
     integ = None
     for m in range(1, n + 1):
@@ -401,6 +361,18 @@ def _seminorm_block(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
         e = (h - h_lo) / dt
         cell = (h_lo - e * cell_lo[m - 1]) * m0[m - 1] + e * m1[m - 1]
         integ = cell if integ is None else integ[: n + 1 - m] + cell
+        yield m, h, integ
+
+
+def _seminorm_block(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    """:func:`_seminorm_0_alpha` of every replica of a ``(replicas, n+1, d)`` block.
+
+    The sup over the starts and lags of :func:`_running_integrals` with the
+    kernel ``(u-s)^(alpha-2)``, plus the Holder term ``h (t-s)^(alpha-1)``.
+    """
+    hol_w = (dt * np.arange(1, values.shape[1])) ** (alpha - 1.0)
+    best = np.zeros(values.shape[0])
+    for m, h, integ in _running_integrals(values, dt, alpha - 2.0):
         cand = (h * hol_w[m - 1] + integ).max(axis=0)
         best = np.where(cand > best, cand, best)
     return best
@@ -412,6 +384,22 @@ def _seminorm_0_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
     One (n+1, d) path: the block kernel on a block of one.
     """
     return float(_seminorm_block(values[None], dt, alpha)[0])
+
+
+def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
+    """``int_a^b ( |f(t)|/(t-a)^alpha + int_a^t |f(t)-f(s)|/(t-s)^(1+alpha) ds ) dt``.
+
+    On the path reflected at b the inner integral at ``t_m = a + m dt`` is the
+    running integral of :func:`_running_integrals` from the start ``b - t_m``,
+    which is complete (it reaches the end) at lag m.
+    """
+    term_a = _product_integral(_mags(values), -alpha, dt)
+    inner = np.zeros(values.shape[0])
+    for m, _, integ in _running_integrals(values[None, ::-1], dt, -1.0 - alpha):
+        inner[m] = integ[-1, 0]
+    # inner(t) vanishes at a like (t-a)^(1-alpha): cusp-matched first cell.
+    term_b = float(np.trapezoid(inner[1:], dx=dt)) + inner[1] * dt / (2.0 - alpha)
+    return term_a + term_b
 
 
 def fractional_norms(

@@ -95,6 +95,10 @@ class SolverConfig:
             raise ValueError("delay must be non-negative")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not self.explosion_threshold > 0:  # also refuses NaN
+            raise ValueError(
+                f"explosion_threshold must be positive, got {self.explosion_threshold}"
+            )
         q = round(self.delay / self.dt)
         if abs(q * self.dt - self.delay) > 1e-9 * max(1.0, self.delay):
             raise ValueError(
@@ -169,8 +173,8 @@ def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int:
     if spec.family not in ("linear", "pointwise_delay"):
         return 0
     q_tau = round(spec.tau / cfg.dt)
-    if abs(q_tau * cfg.dt - spec.tau) > 0.5 * cfg.dt * (1 + 1e-9):
-        raise GridError(f"tap {spec.tau} too far from any grid node (dt={cfg.dt})")
+    if abs(q_tau * cfg.dt - spec.tau) > 1e-9 * max(1.0, spec.tau):
+        raise GridError(f"tap {spec.tau} does not land on the grid (dt={cfg.dt})")
     if q_tau > cfg.delay_steps:
         raise GridError(
             f"tap {spec.tau} exceeds the delay horizon {cfg.delay} of the solve"

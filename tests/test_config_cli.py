@@ -537,6 +537,21 @@ RANGE_ERRORS = {
         "experiment", "levels",
         _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0, -4.0]),
     ),
+    # 0.3 lies between the nodes 19/64 and 20/64; the stepper must not round it
+    "solve_off_grid_tap": (
+        "solve", "tap 0.3",
+        _with(_with(_with(TestCliSolve().solve_doc(), "solve", n_steps=64, delay=0.5),
+                    "initial", delay=0.5), "coefficients", family="pointwise_delay", tau=0.3),
+    ),
+    "negative_explosion_threshold": (
+        "solve", "explosion_threshold",
+        _with(TestCliSolve().solve_doc(), "solve", explosion_threshold=-1.0),
+    ),
+    # drops < need never holds below zero: the criterion would be vacuous
+    "negative_min_decreasing_steps": (
+        "experiment", "min_decreasing_steps",
+        {**geometric_doc(), "criteria": {"min_decreasing_steps": -1}},
+    ),
     # int(16.5) would run mesh 16 while the report says 16.5
     "euler_half_mesh": (
         "experiment", "levels", _with(geometric_doc(), "experiment", levels=[16.5, 64]),

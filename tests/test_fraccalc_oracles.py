@@ -229,7 +229,7 @@ def test_rl_derivatives_and_gls_match_the_per_kernel_oracles(n, alpha):
     fv, gv, dt = f.scalar_values(), g.scalar_values(), f.dt
     for new, old in (
         (fraccalc._forward_tail(fv, dt, alpha), old_forward_tail(fv, dt, alpha)),
-        (fraccalc._backward_tail(gv, dt, alpha), old_backward_tail(gv, dt, alpha)),
+        (fraccalc._forward_tail(gv[::-1], dt, 1 - alpha)[:0:-1], old_backward_tail(gv, dt, alpha)),
     ):
         scale = np.abs(old).max()
         np.testing.assert_allclose(new, old, rtol=0.0, atol=ORACLE_RTOL * scale)
@@ -247,6 +247,25 @@ def test_rl_derivatives_and_gls_match_the_per_kernel_oracles(n, alpha):
     ):
         np.testing.assert_allclose(new, old, rtol=0.0, atol=ORACLE_RTOL * np.abs(old).max())
     assert_close(fraccalc.gls_integral(f, g, alpha), old_gls_integral(fv, gv, dt, alpha))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reflected_kernels_match_the_oracles_on_the_smallest_grids(n, alpha):
+    # the reflection s -> a + b - s and the completed running integrals read
+    # the end nodes, where an off-by-one would show on a grid of a few cells
+    f, g = (GridPath(0.0, 1.0 / n, fbm_block(n, 1, 1, seed)[0]) for seed in (1500, 1550))
+    fv, gv, dt = f.scalar_values(), g.scalar_values(), f.dt
+    old_bwd = (
+        (gv[:-1] - gv[-1]) * (dt * np.arange(n, 0, -1)) ** (alpha - 1.0)
+        + old_backward_tail(gv, dt, alpha)
+    ) / special.gamma(alpha)
+    new_bwd = fraccalc.backward_rl_derivative(g, alpha).values[:, 0]
+    np.testing.assert_allclose(new_bwd, old_bwd, rtol=0, atol=ORACLE_RTOL * np.abs(old_bwd).max())
+    assert_close(fraccalc.gls_integral(f, g, alpha), old_gls_integral(fv, gv, dt, alpha))
+    for dim in (1, 2):
+        vals = fbm_block(n, 1, dim, seed=1600)[0]
+        assert_close(fraccalc._norm_1_alpha(vals, dt, alpha), old_norm_1_alpha(vals, dt, alpha))
 
 
 @pytest.mark.parametrize("beta", [-0.35, -0.65, -1.35, -1.65])

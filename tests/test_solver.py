@@ -43,6 +43,8 @@ class TestSolverConfig:
         dict(n_steps=4, horizon=-1.0),
         dict(n_steps=4, horizon=1.0, delay=-0.25),
         dict(n_steps=4, horizon=1.0, scheme="milstein"),
+        dict(n_steps=4, horizon=1.0, explosion_threshold=-1.0),
+        dict(n_steps=4, horizon=1.0, explosion_threshold=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -148,6 +150,22 @@ class TestEulerMixed:
         x = euler_mixed_sdde(spec, constant_initial(np.array([1.0, -1.0]), 0.0, cfg.dt), w, z, cfg)
         assert x.values.shape == (33, 2)
         assert np.all(np.isfinite(x.values))
+
+
+@pytest.mark.parametrize("stepper", ["mixed", "compiled_ito", "callable_ito"])
+def test_off_grid_tap_is_rejected_by_every_stepper(stepper):
+    # tau = 0.3 falls between the nodes 19/64 and 20/64; no stepper may round it
+    spec = pointwise_delay_spec(0.1, 0.2, 0.1, 0.1, 0.1, 0.1, tau=0.3)
+    cfg = SolverConfig(n_steps=64, horizon=1.0, delay=0.5)
+    eta = constant_initial(1.0, 0.5, cfg.dt)
+    w, z = drivers(64)
+    drift = {"mixed": None, "compiled_ito": MollifiedDrift(spec, z, 8),
+             "callable_ito": coefficient_evaluator(spec, "a")}[stepper]
+    with pytest.raises(GridError, match="0.3 does not land on the grid"):
+        if drift is None:
+            euler_mixed_sdde(spec, eta, w, z, cfg)
+        else:
+            euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), eta, w, cfg)
 
 
 class TestGeometricClosedForm:
