@@ -14,9 +14,13 @@ replica, and a ``reduce`` that turns the rows of all replicas into a report.
 and a replica's rows do not depend on the block it is solved in, so blocks
 follow the pool size (one pool task each) and the rows are reduced in
 replica order: the same configuration produces identical reports for any
-worker count.  A solver explosion names the lowest exploding replica and its
-level.  Reports hold no timing; the CLI times the run and writes it to a
-sidecar.
+worker count.  A level study solves the reference and all levels of a block
+as row groups of one stepper call where one grid and one scheme allow it.
+A solver explosion names the lowest exploding replica and, of that
+replica, the first exploding level in schedule order (the reference first):
+the block is solved again replica by replica, and the stepper names the
+first exploding row group.  Reports hold no timing; the CLI times the run
+and writes it to a sidecar.
 """
 
 from __future__ import annotations
@@ -288,12 +292,12 @@ def _sup_distance(x: GridPath, y: GridPath) -> np.ndarray:
 
 
 @contextmanager
-def _at_level(level):
-    """Tag a solver explosion inside the block with the level being solved."""
+def _at_levels(*labels):
+    """Tag a solver explosion inside the block with the level of its row group."""
     try:
         yield
     except SolverExplosionError as exc:
-        exc.level = level
+        exc.level = labels[exc.group]
         raise
 
 
@@ -309,54 +313,45 @@ def _block_drivers(cfg: ExperimentConfig, replicas: range, n_steps: int):
     return stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
 
 
-def _level_distances(cfg: ExperimentConfig, replicas: range, solve_reference, solve_level):
+def _level_distances(reference: GridPath, levels) -> np.ndarray:
     """Per-replica sup distance of every level's solve to the reference solve."""
-    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
-    with _at_level("reference"):
-        reference = solve_reference(w, z)
-    out = np.empty((len(replicas), len(cfg.levels)))
-    for i, level in enumerate(cfg.levels):
-        with _at_level(level):
-            out[:, i] = _sup_distance(solve_level(level, w, z), reference)
-    return out
+    return np.column_stack([_sup_distance(x, reference) for x in levels])
 
 
 def _block_coeff(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     """Solutions under level-n coefficient perturbations versus the base equation."""
-    scfg = cfg.solver_config
-
-    def solve_level(n, w, z):
-        spec_n = _perturbed_spec(cfg.spec, cfg.perturbation, n)
-        shifted = cfg.perturbation == "initial_shift"
-        eta_n = cfg.initial.shifted(1.0 / n) if shifted else cfg.initial
-        return euler_mixed_sdde(spec_n, eta_n, w, z, scfg)
-
-    return _level_distances(
-        cfg, replicas, lambda w, z: euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg),
-        solve_level,
-    )
+    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
+    shifted = cfg.perturbation == "initial_shift"
+    specs = [_perturbed_spec(cfg.spec, cfg.perturbation, n) for n in cfg.levels]
+    etas = [cfg.initial.shifted(1.0 / n) if shifted else cfg.initial for n in cfg.levels]
+    with _at_levels("reference", *cfg.levels):
+        reference, *levels = euler_mixed_sdde(
+            [cfg.spec, *specs], [cfg.initial, *etas], w, z, cfg.solver_config
+        )
+    return _level_distances(reference, levels)
 
 
 def _block_delay(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     """Pointwise-delay solutions as the tap shrinks versus the no-delay equation."""
-    scfg = cfg.solver_config
-    return _level_distances(
-        cfg, replicas,
-        lambda w, z: euler_mixed_sdde(cfg.spec.merge_delay(), cfg.initial, w, z, scfg),
-        lambda tau, w, z: euler_mixed_sdde(cfg.spec.with_tau(tau), cfg.initial, w, z, scfg),
-    )
+    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
+    specs = [cfg.spec.merge_delay(), *(cfg.spec.with_tau(tau) for tau in cfg.levels)]
+    with _at_levels("reference", *cfg.levels):
+        reference, *levels = euler_mixed_sdde(specs, cfg.initial, w, z, cfg.solver_config)
+    return _level_distances(reference, levels)
 
 
 def _block_ito(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     """Mollified-drift Ito solutions versus the mixed solution as the level grows."""
+    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     scfg = cfg.solver_config
-    diffusion = coefficient_evaluator(cfg.spec, "b")
-    return _level_distances(
-        cfg, replicas, lambda w, z: euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg),
-        lambda level, w, z: euler_ito_sdde(
-            MollifiedDrift(cfg.spec, z, int(level)), diffusion, cfg.initial, w, scfg
-        ),
-    )
+    with _at_levels("reference"):
+        reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
+    drifts = [MollifiedDrift(cfg.spec, z, int(level)) for level in cfg.levels]
+    with _at_levels(*cfg.levels):
+        levels = euler_ito_sdde(
+            drifts, coefficient_evaluator(cfg.spec, "b"), cfg.initial, w, scfg
+        )
+    return _level_distances(reference, levels)
 
 
 def _geometric_triple(cfg: ExperimentConfig):
@@ -379,13 +374,13 @@ def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
         reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
     else:
         fine_cfg = SolverConfig(n_steps=n_driver, horizon=cfg.horizon)
-        with _at_level("reference"):
+        with _at_levels("reference"):
             reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, fine_cfg)
     out = np.empty((len(replicas), len(cfg.levels)))
-    for i, level in enumerate(cfg.levels):
+    for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
         step = n_driver // int(level)
         scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
-        with _at_level(level):
+        with _at_levels(level):
             level_path = euler_mixed_sdde(
                 cfg.spec, cfg.initial, w.restrict(step), z.restrict(step), scfg
             )
@@ -402,7 +397,7 @@ def _delay_norm_t(cfg: ExperimentConfig, x: GridPath) -> np.ndarray:
 def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     """Per replica: the sup norm, the delay norm of the solution and the driver seminorm."""
     w, z = _block_drivers(cfg, replicas, cfg.n_steps)
-    with _at_level("reference"):
+    with _at_levels("reference"):
         x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, cfg.solver_config)
     return np.column_stack((
         fraccalc._mags(x.values).max(axis=1),
@@ -420,15 +415,13 @@ def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     def semi(values: np.ndarray) -> np.ndarray:
         return fraccalc._seminorm_block(values, z1.dt, cfg.params.alpha)
 
-    with _at_level("reference"):
-        y1 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z1, scfg)
-    inside_1 = (semi(z1.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y1) <= cfg.r_trunc)
     ramp = z1.times[:, None]
+    z2s = [GridPath(z1.t0, z1.dt, z1.values + eps * ramp) for eps in cfg.levels]
+    with _at_levels("reference", *cfg.levels):
+        y1, *y2s = euler_mixed_sdde(cfg.spec, cfg.initial, w, [z1, *z2s], scfg)
+    inside_1 = (semi(z1.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y1) <= cfg.r_trunc)
     out = np.zeros((len(replicas), len(cfg.levels), 3))
-    for i, eps in enumerate(cfg.levels):
-        z2 = GridPath(z1.t0, z1.dt, z1.values + eps * ramp)
-        with _at_level(eps):
-            y2 = euler_mixed_sdde(cfg.spec, cfg.initial, w, z2, scfg)
+    for i, (z2, y2) in enumerate(zip(z2s, y2s)):
         indicator = (
             inside_1 & (semi(z2.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y2) <= cfg.r_trunc)
         )
@@ -441,8 +434,10 @@ def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     return out
 
 
-# Replicas per block at most: bounds the memory of one pool task.
+# Replicas per block, and stepper rows (replicas x (levels + 1)) per block, at
+# most: together they bound the memory of one pool task.
 _BLOCK_REPLICAS = 50
+_BLOCK_ROWS = 450
 
 
 def _usable_cpus() -> int:
@@ -471,9 +466,11 @@ def _run_block(args) -> np.ndarray:
 
 def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     """Rows of all replicas in replica order.  The replicas are split evenly
-    over the usable workers, at most ``_BLOCK_REPLICAS`` per block."""
+    over the usable workers, at most ``_BLOCK_REPLICAS`` and
+    ``_BLOCK_ROWS`` stepper rows per block."""
     workers = min(cfg.workers, _usable_cpus())
-    size = min(_BLOCK_REPLICAS, -(-cfg.replicas // workers))
+    size = min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // (len(cfg.levels) + 1)),
+               -(-cfg.replicas // workers))
     tasks = [(cfg, range(lo, min(lo + size, cfg.replicas))) for lo in range(0, cfg.replicas, size)]
     if workers == 1:
         return np.concatenate([_run_block(t) for t in tasks])
@@ -504,8 +501,13 @@ def _check_coeff(cfg: ExperimentConfig) -> None:
 def _check_delay(cfg: ExperimentConfig) -> None:
     if cfg.spec.family != "pointwise_delay":
         raise ExperimentError("vanishing delay needs a pointwise_delay spec")
-    dt = cfg.horizon / cfg.n_steps
+    dt, r = cfg.horizon / cfg.n_steps, cfg.initial.r
     for tau in cfg.levels:
+        if not 0.0 <= tau or round(tau / dt) > round(r / dt):
+            raise ExperimentError(
+                f"levels of vanishing_delay are taps in [0, {r:g}], the initial delay; "
+                f"got {list(cfg.levels)}"
+            )
         if abs(round(tau / dt) * dt - tau) > 1e-9 * max(1.0, tau):
             raise ExperimentError(f"tap {tau} is not aligned with the mesh (dt={dt})")
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .grid import GridError, GridPath
 
@@ -167,6 +166,8 @@ def forward_rl_derivative(
     Returned on the grid nodes ``a + dt, ..., b``; the kernel is singular at
     ``x = a`` so no value is produced there.
     """
+    from scipy import special  # heavy import, needed only by the RL and GLS quadratures
+
     _check_alpha(alpha)
     p = _scalar_grid(f, interval)
     vals = p.scalar_values()
@@ -198,6 +199,8 @@ def backward_rl_derivative(
 
 def _beta_cell_moments(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell integrals of ``s^-alpha (1-s)^(alpha-1)`` and ``s * (same)`` on [0,1]."""
+    from scipy import special
+
     s = np.linspace(0.0, 1.0, n + 1)
     c0 = special.beta(1.0 - alpha, alpha) * special.betainc(1.0 - alpha, alpha, s)
     c1 = special.beta(2.0 - alpha, alpha) * special.betainc(2.0 - alpha, alpha, s)
@@ -213,6 +216,8 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     integrated with kernel-exact product quadrature; the Holder cusps of the
     derivative tails at the interval ends get matched-exponent end cells.
     """
+    from scipy import special
+
     _check_alpha(alpha)
     pf = _scalar_grid(f, None)
     pg = _scalar_grid(g, None)

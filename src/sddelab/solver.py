@@ -9,18 +9,23 @@ re-express the equation as an Ito equation with random drift, which
 
 Both schemes run on one stepper.  A :class:`CoefficientSpec` is compiled
 once into arrays (gain matrices, constants, the delay tap, the time
-modulation), and each step advances a ``(replicas, d)`` state block with one
-affine update.  Drivers given as a replica block (a :class:`GridPath` with
-values ``(replicas, n, d)``) are solved together; a single path is a block
-of one.  The mixed step adds ``a dt + b dW + c dZ``; the mollified Ito step
-adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step times
-from driver values at or before each step time.  ``euler_ito_sdde`` given
-other callables runs the general per-step loop.
+modulation), and each step advances a ``(groups, replicas, d)`` state block
+with one affine update.  Drivers given as a replica block (a
+:class:`GridPath` with values ``(replicas, n, d)``) are solved together; a
+single path is a block of one.  Row groups, given as lists of specs,
+initial conditions and rough drivers (or mollified drifts), are solved in
+the same pass on a shared Wiener block, each group with its own gains,
+constants, tap and history.  The mixed step adds ``a dt + b dW + c dZ``;
+the mollified Ito step adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt
+tabulated on the step times from driver values at or before each step time.
+``euler_ito_sdde`` given other callables runs the general per-step loop.
 
 All solves are pure functions of their inputs: identical arguments give
-bit-identical output paths.  Each replica's path is independent of its
-block: every replica of a block is bit-identical to its solve as a block of
-one, in any dimension and for every coefficient family.
+bit-identical output paths.  Each row's path is independent of its block:
+every replica of every group is bit-identical to its solve as a block of
+one, in any dimension and for every coefficient family.  An explosion names
+the first exploding group, then that group's first node outside the trust
+region.
 """
 
 from __future__ import annotations
@@ -54,15 +59,16 @@ SCHEMES = ("euler_mixed", "euler_ito")
 class SolverExplosionError(RuntimeError):
     """The discrete path left the configured trust region.
 
-    ``replica`` is the row of the exploding path in its block; callers that
-    know more (the Monte Carlo harness) overwrite it with the replica index
-    and set ``level``.
+    ``replica`` is the row of the exploding path in its block and ``group``
+    its row group; callers that know more (the Monte Carlo harness)
+    overwrite ``replica`` with the replica index and set ``level``.
     """
 
-    def __init__(self, time: float, magnitude: float, threshold: float, replica: int = 0):
-        super().__init__(time, magnitude, threshold, replica)
+    def __init__(self, time: float, magnitude: float, threshold: float, replica: int = 0,
+                 group: int = 0):
+        super().__init__(time, magnitude, threshold, replica, group)
         self.time, self.magnitude, self.threshold = time, magnitude, threshold
-        self.replica, self.level = replica, None
+        self.replica, self.group, self.level = replica, group, None
 
     def __str__(self) -> str:
         where = "" if self.level is None else f"replica {self.replica}, level {self.level}: "
@@ -182,100 +188,166 @@ def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int:
     return q_tau
 
 
-def _compile(spec: CoefficientSpec, cfg: SolverConfig):
-    """The spec as arrays for one solver grid: ``(now, delay, const, mods, tap)``.
+def _stack(parts: list):
+    """Per-group arrays (None where zero) as ``(stacked, where)``: ``stacked``
+    is None if no group has a part; ``where`` marks the groups that have one,
+    or is None if all do."""
+    have = np.array([part is not None for part in parts])
+    if not have.any():
+        return None, None
+    zero = np.zeros_like(parts[int(have.argmax())])
+    stacked = np.stack([zero if part is None else part for part in parts])
+    return stacked, None if have.all() else have[:, None, None]
 
-    Columns are ``[a | b_1..b_m | c_1..c_l]``: ``x @ now + y @ delay + const``,
-    reshaped to ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``,
-    holds every coefficient at state ``x`` and delay read ``y`` at step k.
-    The delay read is the state ``tap`` steps back, or for the distributed
-    family (``tap`` None) the trapezoid integral over the segment window.
-    Zero parts are None.
+
+def _compile(specs: list, cfg: SolverConfig):
+    """The specs of the row groups as arrays for one solver grid:
+    ``(now, delay, const, mods, taps)``.
+
+    Columns are ``[a | b_1..b_m | c_1..c_l]``: in group g,
+    ``x @ now[g] + y @ delay[g] + const[g]``, reshaped to
+    ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``, holds every
+    coefficient at state ``x`` and delay read ``y`` at step k.  The delay read
+    is the state ``taps[g]`` steps back, or for the distributed family
+    (``taps`` None) the trapezoid integral over the segment window.  ``delay``
+    and ``const`` are ``(stacked, where)`` pairs as :func:`_stack` gives them:
+    a group whose part is zero skips its term, as it does when solved alone.
+    The groups must share the dimensions, the time modulation and the kind of
+    delay read.
     """
-    blocks = (spec.drift, spec.diffusion, spec.zdrive)
-    d, cols = spec.dim, 1 + spec.n_wiener + spec.n_holder
+    head = specs[0]
+    d, cols = head.dim, 1 + head.n_wiener + head.n_holder
+    nows, delays, consts, sines, taps = [], [], [], [], []
+    for spec in specs:
+        if (spec.dim, spec.n_wiener, spec.n_holder) != (d, head.n_wiener, head.n_holder):
+            raise GridError("row groups must share the state and driver dimensions")
+        blocks = (spec.drift, spec.diffusion, spec.zdrive)
 
-    def matrix(name: str) -> np.ndarray:  # (cols, d, d) gains -> (d, d * cols)
-        gains = np.concatenate([getattr(b, name) for b in blocks])
-        return gains.transpose(2, 1, 0).reshape(d, d * cols)
+        def matrix(name: str) -> np.ndarray:  # (cols, d, d) gains -> (d, d * cols)
+            gains = np.concatenate([getattr(b, name) for b in blocks])
+            return gains.transpose(2, 1, 0).reshape(d, d * cols)
 
-    delay = matrix("gain_delay")
-    const = np.concatenate([b.const for b in blocks]).T.reshape(d * cols)
-    sin_cols = np.concatenate([np.full(b.channels, b.time_modulation == "sin") for b in blocks])
+        delay = matrix("gain_delay")
+        const = np.concatenate([b.const for b in blocks]).T.reshape(1, d * cols)
+        nows.append(matrix("gain_now"))
+        delays.append(delay if delay.any() else None)
+        consts.append(const if const.any() else None)
+        sines.append(np.concatenate([np.full(b.channels, b.time_modulation == "sin")
+                                     for b in blocks]))
+        tap = None if spec.family == "distributed_delay" else _tap_steps(spec, cfg)
+        if tap is None and cfg.delay_steps == 0:
+            raise GridError("distributed_delay needs a non-trivial segment window")
+        taps.append(tap)
+    sin_cols = sines[0]
+    if any(not np.array_equal(s, sin_cols) for s in sines):
+        raise GridError("row groups must share the time modulation")
+    read = {tap is None for tap, delay in zip(taps, delays) if delay is not None}
+    if len(read) > 1:
+        raise GridError("row groups must share the kind of delay read")
     mods = None
     if sin_cols.any():
         sines = np.array([math.sin(k * cfg.dt) for k in range(cfg.n_steps)])
         mods = np.where(sin_cols, sines[:, None], 1.0)
-    tap = None if spec.family == "distributed_delay" else _tap_steps(spec, cfg)
-    if tap is None and cfg.delay_steps == 0:
-        raise GridError("distributed_delay needs a non-trivial segment window")
-    return (matrix("gain_now"), delay if delay.any() else None,
-            const if const.any() else None, mods, tap)
+    window = read == {True}
+    return (np.stack(nows), _stack(delays), _stack(consts), mods,
+            None if window else [tap or 0 for tap in taps])
 
 
 def _block(path: GridPath) -> np.ndarray:
     return path.values if path.replicas is not None else path.values[None]
 
 
-def _solve(spec: CoefficientSpec, eta: InitialCondition, cfg: SolverConfig, w: GridPath,
-           first: float, third: np.ndarray, ito: bool) -> GridPath:
-    """Euler steps of a ``(replicas, d)`` state block, for both schemes.
+def _row_groups(*args):
+    """Per-group argument lists: a list or tuple gives one entry per row
+    group, a single value serves every group.  Also whether any was a list."""
+    sizes = {len(a) for a in args if isinstance(a, (list, tuple))}
+    if len(sizes) > 1 or 0 in sizes:
+        raise GridError(f"row groups of different sizes {sorted(sizes)}")
+    n = max(sizes, default=1)
+    return [a if isinstance(a, (list, tuple)) else [a] * n for a in args], bool(sizes)
 
-    The step-k increments ``[first | dW | third]`` multiply the coefficient
+
+def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float,
+           thirds: list, ito: bool) -> list:
+    """Euler steps of a ``(groups, replicas, d)`` state block, for both schemes.
+
+    Row group g solves ``specs[g]`` from history ``etas[g]``; all groups share
+    the Wiener increments, and ``thirds`` holds the third increment column
+    block, ``(replicas, n, l)``, once for all groups or once per group.  The
+    step-k increments ``[first | dW | third]`` multiply the coefficient
     columns.  Mixed scheme: ``[dt | dW | dZ]``, added column by column.  Ito
     scheme: ``[1 | dW | dZ^N/dt]``, with ``a + c dZ^N/dt`` multiplied by dt.
-    Every operation reads one replica's row only, in an order fixed by the
-    spec: ``x @ now`` and ``y @ delay`` are one-component products (exact in
-    any matmul kernel) added in component order, and the distributed window
-    is a running sum of trapezoid cells.  So a replica's path does not depend
-    on the block it is solved in.  The trust region is checked once the path
-    is complete: the first node outside it is where a step-by-step check
-    would have stopped.
+    Every operation reads one row only, in an order fixed by the spec:
+    ``x @ now`` and ``y @ delay`` are one-component products added in
+    component order, a group skips the terms its spec does not have, and the
+    distributed window is a running sum of trapezoid cells.  So a row's path
+    depends neither on the block it is solved in nor on the other groups.
+
+    The trust region is checked once the paths are complete.  The first group
+    with a node outside it is named, and in it the first such node (earliest
+    step, then lowest row): where a step-by-step check of the groups solved
+    one after the other would have stopped.  Returns one path per group.
     """
-    hist = _history_values(eta, cfg)
-    if hist.shape[1] != spec.dim:
-        raise GridError(
-            f"initial condition dimension {hist.shape[1]} != spec dim {spec.dim}"
-        )
-    now, delay, const, mods, tap = _compile(spec, cfg)
-    dw = np.diff(_block(w), axis=1)
-    inc = np.concatenate([np.full(dw.shape[:2] + (1,), first), dw, third], axis=-1)
-    inc = np.ascontiguousarray(inc.transpose(1, 0, 2)[:, :, None, :])
+    groups, d, m = len(specs), specs[0].dim, specs[0].n_wiener
+    now, (delay, on_delay), (const, on_const), mods, taps = _compile(specs, cfg)
     n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
-    reps, d, cols, m = inc.shape[1], spec.dim, inc.shape[-1], spec.n_wiener
-    buf = np.empty((q + n + 1, reps, d))
-    buf[: q + 1] = hist[:, None, :]
-    v, tmp, f = np.empty((reps, d * cols)), np.empty((reps, d * cols)), np.empty((reps, d))
-    p = v.reshape(reps, d, cols)  # a view: the coefficient columns of the step
+    hist = [_history_values(eta, cfg) for eta in etas]
+    for h in hist:
+        if h.shape[1] != d:
+            raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
+    hist = np.stack(hist)  # (groups, q + 1, d)
+    dw = np.diff(_block(w), axis=1)
+    reps = dw.shape[0]
+    cols = now.shape[-1] // d
+    inc = np.empty((n, len(thirds), reps, 1, cols))  # built once, in stepping order
+    inc[..., 0] = first
+    inc[:, :, :, 0, 1 : 1 + m] = dw.transpose(1, 0, 2)[:, None]
+    for g, third in enumerate(thirds):
+        inc[:, g, :, 0, 1 + m :] = third.transpose(1, 0, 2)
+    buf = np.empty((q + n + 1, groups, reps, d))
+    buf[: q + 1] = hist.transpose(1, 0, 2)[:, :, None, :]
+    shape = (groups, reps, d * cols)
+    v, tmp, f = np.empty(shape), np.empty(shape), np.empty((groups, reps, d))
+    p = v.reshape(groups, reps, d, cols)  # a view: the coefficient columns of the step
 
     def channels(lo: int, hi: int):  # the increment terms of columns lo..hi-1
         view = p[..., lo:hi]
         return (lambda: view[..., 0]) if hi == lo + 1 else (lambda: view.sum(axis=-1))
 
-    window = delay is not None and tap is None
-    reads = [(0, buf, now)]  # (steps back, source, gains) of x @ now + y @ delay
+    window = delay is not None and taps is None
+    gather = None  # the taps: step k reads flat row gather[k, g] into y
+    reads = [(0, buf, now, None)]  # (steps back, source, gains, where) of the terms
     if window:  # win[k]: the trapezoid integral over the segment at step k
         half = 0.5 * dt
-        cells, win = np.empty((q + n, reps, d)), np.empty((n + 1, reps, d))
-        hist_cells = (hist[:-1] + hist[1:]) * half
-        cells[:q] = hist_cells[:, None, :]
-        win[0] = np.cumsum(hist_cells, axis=0)[-1]  # in cell order
-        reads.append((q, win, delay))
+        cells, win = np.empty((q + n, groups, reps, d)), np.empty((n + 1, groups, reps, d))
+        hist_cells = (hist[:, :-1] + hist[:, 1:]) * half
+        cells[:q] = hist_cells.transpose(1, 0, 2)[:, :, None, :]
+        win[0] = np.cumsum(hist_cells, axis=1)[:, -1, None, :]  # in cell order
+        reads.append((q, win, delay, on_delay))
     elif delay is not None:
-        reads.append((tap, buf, delay))
-    terms = [(back, src[..., j : j + 1], gains[j : j + 1])
-             for back, src, gains in reads for j in range(d)]
-    (_, col0, gains0), rest = terms[0], terms[1:]
+        flat = buf.reshape(-1, reps, d)
+        gather = (q + np.arange(n)[:, None] - taps) * groups + np.arange(groups)
+        y = np.empty((1, groups, reps, d))
+        reads.append((None, y, delay, on_delay))
+    terms = [(back, src[..., j : j + 1], gains[:, None, j], where)
+             for back, src, gains, where in reads for j in range(d)]
+    (_, col0, gains0, _), rest = terms[0], terms[1:]
     a, b_terms, c_terms = p[..., 0], channels(1, 1 + m), channels(1 + m, cols)
     with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
         for k in range(n):
             i = q + k
             x, nxt = buf[i], buf[i + 1]
-            np.matmul(col0[i], gains0, out=v)
-            for back, col, gains in rest:
-                v += np.matmul(col[i - back], gains, out=tmp)
+            if gather is not None:
+                np.take(flat, gather[k], axis=0, out=y[0])
+            np.multiply(col0[i], gains0, out=v)
+            for back, col, gains, where in rest:
+                np.multiply(col[0 if back is None else i - back], gains, out=tmp)
+                if where is None:
+                    v += tmp
+                else:
+                    np.add(v, tmp, out=v, where=where)
             if const is not None:
-                v += const
+                np.add(v, const, out=v, where=True if on_const is None else on_const)
             if mods is not None:
                 p *= mods[k]
             p *= inc[k]
@@ -294,15 +366,17 @@ def _solve(spec: CoefficientSpec, eta: InitialCondition, cfg: SolverConfig, w: G
                 np.add(win[k], cells[i], out=win[k + 1])
                 win[k + 1] -= cells[k]
     mags = np.linalg.norm(buf[q + 1 :], axis=-1)
-    over = np.argwhere(~(mags <= cfg.explosion_threshold))
-    if over.size:
-        k, row = over[0]
-        if mags[k, row] > cfg.explosion_threshold:  # else non-finite: GridPath rejects it
+    over = ~(mags <= cfg.explosion_threshold)
+    if over.any():
+        g = int(over.any(axis=(0, 2)).argmax())
+        k, row = np.argwhere(over[:, g])[0]
+        if mags[k, g, row] > cfg.explosion_threshold:  # else non-finite: GridPath rejects it
             raise SolverExplosionError(
-                (k + 1) * dt, float(mags[k, row]), cfg.explosion_threshold, int(row)
+                (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
             )
-    values = buf[:, 0] if w.replicas is None else buf.transpose(1, 0, 2)
-    return GridPath(-cfg.delay, dt, values)
+    single = w.replicas is None
+    return [GridPath(-cfg.delay, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))
+            for g in range(groups)]
 
 
 def euler_mixed_sdde(
@@ -311,19 +385,30 @@ def euler_mixed_sdde(
     W: GridPath,
     Z: GridPath,
     cfg: SolverConfig,
-) -> GridPath:
+) -> GridPath | tuple[GridPath, ...]:
     """Explicit Euler path of the mixed delay equation on [-delay, horizon].
 
     On [-delay, 0] the output equals the initial condition bitwise.  Each step
     advances ``X += a dt + b dW + c dZ`` with all three coefficients frozen at
     the left node and the segment of the discrete solution there.  ``W`` and
     ``Z`` may be replica blocks of one size; the output is then a block too.
+
+    Row groups: ``spec``, ``eta`` and ``Z`` may each be a list, one entry per
+    group (a single value serves every group).  All groups are solved in one
+    pass on the shared ``W``, and a tuple of paths comes back, one per group,
+    each bit-identical to its group solved alone.  The specs must share the
+    dimensions, the time modulation and the kind of delay read.
     """
-    w = _align_driver(W, cfg, spec.n_wiener, "W")
-    z = _align_driver(Z, cfg, spec.n_holder, "Z")
-    if w.replicas != z.replicas:
-        raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
-    return _solve(spec, eta, cfg, w, cfg.dt, np.diff(_block(z), axis=1), False)
+    (specs, etas, zs), grouped = _row_groups(spec, eta, Z)
+    w = _align_driver(W, cfg, specs[0].n_wiener, "W")
+    thirds = []
+    for z in (zs if isinstance(Z, (list, tuple)) else [Z]):
+        z = _align_driver(z, cfg, specs[0].n_holder, "Z")
+        if w.replicas != z.replicas:
+            raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
+        thirds.append(np.diff(_block(z), axis=1))
+    paths = _solve(specs, etas, cfg, w, cfg.dt, thirds, False)
+    return tuple(paths) if grouped else paths[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +434,7 @@ def euler_ito_sdde(
     W: GridPath,
     cfg: SolverConfig,
     guarded: tuple = (),
-) -> GridPath:
+) -> GridPath | tuple[GridPath, ...]:
     """Euler-Maruyama path of an Ito delay equation with (possibly random)
     coefficients ``drift(t, psi)`` and ``diffusion(t, psi)``.
 
@@ -361,24 +446,32 @@ def euler_ito_sdde(
     A :class:`MollifiedDrift` with the ``coefficient_evaluator(spec, "b")``
     of its own spec is solved by the compiled stepper (``W`` and the drift's
     driver may then be replica blocks of one size); it reads the driver only
-    at nodes at or before each step time, so no guard is needed.
+    at nodes at or before each step time, so no guard is needed.  There,
+    ``drift`` and ``theta`` may each be a list, one entry per row group, as
+    in :func:`euler_mixed_sdde`: mollified drifts of that spec at any levels,
+    solved in one pass, with a tuple of paths returned.
     """
+    (drifts, thetas), grouped = _row_groups(drift, theta)
     if (
-        isinstance(drift, MollifiedDrift)
+        all(isinstance(f, MollifiedDrift) for f in drifts)
         and isinstance(diffusion, _Coefficient)
         and diffusion.which == "b"
-        and diffusion.spec is drift.spec
+        and all(f.spec is diffusion.spec for f in drifts)
     ):
-        spec = drift.spec
+        spec = diffusion.spec
         w = _align_driver(W, cfg, spec.n_wiener, "W")
-        if w.replicas != drift.driver.replicas:
-            raise GridError(f"W has {w.replicas} replicas, Z has {drift.driver.replicas}")
-        if drift.driver.dim != spec.n_holder:
-            raise GridError(f"Z has dimension {drift.driver.dim}, expected {spec.n_holder}")
-        zdot = drift.zdot_table(cfg.dt * np.arange(cfg.n_steps))
-        if w.replicas is None:
-            zdot = zdot[None]
-        return _solve(spec, theta, cfg, w, 1.0, zdot, True)
+        thirds = []
+        for f in drifts:
+            if w.replicas != f.driver.replicas:
+                raise GridError(f"W has {w.replicas} replicas, Z has {f.driver.replicas}")
+            if f.driver.dim != spec.n_holder:
+                raise GridError(f"Z has dimension {f.driver.dim}, expected {spec.n_holder}")
+            zdot = f.zdot_table(cfg.dt * np.arange(cfg.n_steps))
+            thirds.append(zdot[None] if w.replicas is None else zdot)
+        paths = _solve([spec] * len(drifts), thetas, cfg, w, 1.0, thirds, True)
+        return tuple(paths) if grouped else paths[0]
+    if grouped:
+        raise GridError("row groups need MollifiedDrifts and their spec's diffusion")
     n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
     hist = _history_values(theta, cfg)
     dim = hist.shape[1]

@@ -34,14 +34,17 @@ CASES = {
               {"constant": 1.0, "delay": 0.25, "dt": 1 / 64}),
     "moments": ("moments", [2.0, 4.0], 32, GEOMETRIC, {"constant": 1.0, "delay": 0.0}),
     "quasi": ("quasi_contract", [0.1, 0.05], 32, GEOMETRIC, {"constant": 1.0, "delay": 0.0}),
+    "coeff": ("coeff_convergence", [2, 4], 32, POINTWISE_DELAY,
+              {"constant": 1.0, "delay": 0.25, "dt": 1 / 32}, {"perturbation": "initial_shift"}),
+    "euler": ("euler_refinement", [8, 32], 32, GEOMETRIC, {"constant": 1.0, "delay": 0.0}),
 }
 
 
-def _config(flavor, levels, n_steps, coefficients, initial):
+def _config(flavor, levels, n_steps, coefficients, initial, extra=None):
     return {
         "kind": "experiment",
         "experiment": {"flavor": flavor, "levels": levels, "replicas": 30,
-                       "epsilon": 0.1, "horizon": 1.0, "n_steps": n_steps},
+                       "epsilon": 0.1, "horizon": 1.0, "n_steps": n_steps, **(extra or {})},
         "criteria": {"max_final_exceedance": 1.0},
         "holder": {"gamma": 0.7, "alpha": 0.35, "beta": 1.0, "theta": 0.45, "hurst": 0.75},
         "coefficients": coefficients,

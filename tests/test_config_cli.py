@@ -502,7 +502,18 @@ def _with(doc, section, **values):
     return doc
 
 
+def delay_doc(levels):
+    """A vanishing-delay config on the history window [-0.5, 0]."""
+    doc = _with(typed_doc(), "experiment", flavor="vanishing_delay", levels=levels,
+                perturbation="none")
+    doc["initial"].update(delay=0.5)
+    return doc
+
+
 RANGE_ERRORS = {
+    # a tap outside [0, initial delay] is refused before any replica is solved
+    "delay_negative_tap": ("experiment", "levels", delay_doc([0.5, -0.25])),
+    "delay_tap_beyond_history": ("experiment", "levels", delay_doc([0.75, 0.5])),
     "ito_half_level": (
         "experiment", "levels",
         _with(geometric_doc(), "experiment", flavor="ito_limit", levels=[0.5, 4]),
@@ -647,6 +658,36 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
     assert errs[0].startswith(f"solver explosion: {named}: ")
 
 
+def test_stacked_level_explosion_names_the_first_level_in_schedule_order(tmp_path, capsys):
+    """A stiff linear drift: the solution scales with the initial value, so
+    the level shifted by 1/0.25 = 4 crosses the threshold at t=0.9375, before
+    the level shifted by 1/2 does (at t=1).  Replica 5 is the lowest that
+    explodes, the reference does not, and the error names its first level in
+    schedule order, with that level's time, at every worker count."""
+    doc = geometric_doc()
+    doc["experiment"].update(flavor="coeff_convergence", levels=[2, 0.25], replicas=60,
+                             n_steps=64, perturbation="initial_shift")
+    doc["coefficients"].update(
+        drift={"gain_now": 16.0}, diffusion={"gain_now": 0.0}, zdrive={"gain_now": 3.0}
+    )
+    doc["seed"] = {"master": 2}
+    errs = []
+    for levels, workers in (([2, 0.25], "1"), ([2, 0.25], "2"), ([0.25], "1")):
+        doc["experiment"]["levels"] = levels
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / workers
+        code = main(["experiment", "coeff", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers])
+        assert code == 4
+        assert not (out / "report.json").exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("solver explosion: replica 5, level 2: ")
+    assert errs[0].rstrip().endswith("at t=1")
+    assert errs[2].startswith("solver explosion: replica 5, level 0.25: ")
+    assert errs[2].rstrip().endswith("at t=0.9375")
+
+
 @pytest.mark.parametrize("flavor,levels,extra", [
     ("moments", [2.0, 4.0], {}),
     ("quasi_contract", [0.1, 0.05], {"m_trunc": 25.0}),
@@ -715,14 +756,38 @@ def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
     assert max_workers == min(cpus, len(sizes))
 
 
+def test_blocks_bound_the_stepper_rows_and_leave_the_report_unchanged(tmp_path,
+                                                                     monkeypatch):
+    """29 coeff levels make 30 row groups per replica, so a block holds at
+    most 450 // 30 = 15 replicas; with the row bound lifted, one block of all
+    40 replicas gives the same report bytes."""
+    doc = _with(typed_doc(), "experiment", levels=list(range(1, 30)), replicas=40)
+    doc["criteria"] = {"max_final_exceedance": 1.0}
+    cfg = write_config(tmp_path, doc)
+    sizes, run_block = [], experiments._run_block
+    monkeypatch.setattr(experiments, "_run_block",
+                        lambda task: sizes.append(len(task[1])) or run_block(task))
+    blobs = []
+    for rows in (experiments._BLOCK_ROWS, 10**6):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", rows)
+        out = tmp_path / str(rows)
+        assert main(["experiment", "coeff", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        blobs.append((out / "report.json").read_bytes())
+    assert sizes == [15, 15, 10, 40]
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
+    """No scipy module at all: ``scipy.special`` and ``scipy.signal`` are
+    imported by the few fraccalc functions that call them."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, sddelab.cli; print('scipy.signal' in sys.modules)"
+    probe = ("import sys, sddelab.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

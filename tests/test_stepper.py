@@ -8,6 +8,7 @@ specs within a stated tolerance.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,127 @@ def test_any_partition_of_the_replicas_gives_bitwise_equal_paths(name, ito, n, c
         parts = [_partition_solve(spec, eta, cfg, pairs[lo:hi], ito)
                  for lo, hi in zip(edges, edges[1:])]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _group_spec(spec, cfg, tap, gain, const, merged):
+    """A row-group variant of ``spec``: a drift gain shift, every constant set
+    to ``const`` (0 drops them), the delay gains folded away or a new tap."""
+    drift = replace(spec.drift, gain_now=spec.drift.gain_now + gain * np.eye(spec.dim))
+    blocks = {name: replace(block, const=np.full_like(block.const, const))
+              for name, block in (("drift", drift), ("diffusion", spec.diffusion),
+                                  ("zdrive", spec.zdrive))}
+    spec = replace(spec, **blocks)
+    if merged:
+        return spec.merge_delay()
+    return spec if spec.family == "distributed_delay" else spec.with_tau(tap * cfg.dt)
+
+
+GROUP_CASES = {  # name: (spec factory, psi(0))
+    "sin_pointwise_delay": (sin_delay_spec, np.array([0.7])),
+    "linear_dim2": (_vector_spec, np.array([1.0, -0.5])),
+    "distributed_delay": (_distributed_spec, np.array([1.0])),
+}
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: equal values and equal signs of zero."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(GROUP_CASES)),
+    ito=st.booleans(),
+    n=st.sampled_from([16, 32, 64]),
+    own_z=st.booleans(),
+    groups=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=16),  # tap, in steps
+        st.sampled_from([0.0, 0.5, -1.0]),  # drift gain shift
+        st.sampled_from([0.0, 0.1, -0.2]),  # every constant
+        st.booleans(),  # delay gains folded away
+        st.sampled_from([0.0, 1.0, -2.0]),  # history scale
+        st.sampled_from([1, 2, 4]),  # mollifier level
+    ), min_size=1, max_size=4),
+)
+def test_every_row_group_of_a_stacked_solve_equals_its_solve_alone(name, ito, n, own_z,
+                                                                   groups):
+    """One stacked call over row groups with their own taps, gains,
+    constants, histories and drivers Z (mixed scheme) or zdot tables (Ito
+    scheme) gives each group the bits of its own solve, signs of zero too."""
+    make_spec, x0 = GROUP_CASES[name]
+    delay = 0.25
+    base, cfg = make_spec(), SolverConfig(n_steps=n, horizon=1.0, delay=delay)
+    ramp = np.linspace(0.5, 1.0, cfg.delay_steps + 1)[:, None]
+    pairs = [drivers(cfg, base, r) for r in range(3)]
+    w, z = stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
+    etas, specs, zs, drifts = [], [], [], []
+    for g, (tap, gain, const, merged, scale, level) in enumerate(groups):
+        etas.append(InitialCondition(GridPath(-delay, cfg.dt, scale * ramp * x0), 0.45))
+        tap = min(tap, cfg.delay_steps)
+        specs.append(_group_spec(base, cfg, tap, gain, const, merged))
+        zs.append(GridPath(0.0, cfg.dt, z.values + 0.1 * g * z.times[:, None]) if own_z else z)
+        drifts.append(MollifiedDrift(base, zs[-1], level))
+    if ito:
+        b = coefficient_evaluator(base, "b")
+        stacked = euler_ito_sdde(drifts, b, etas, w, cfg)
+        alone = [euler_ito_sdde(f, b, eta, w, cfg) for f, eta in zip(drifts, etas)]
+    else:
+        stacked = euler_mixed_sdde(specs, etas, w, zs if own_z else z, cfg)
+        alone = [euler_mixed_sdde(*args, w, zg, cfg) for *args, zg in zip(specs, etas, zs)]
+    assert isinstance(stacked, tuple) and len(stacked) == len(groups)
+    for path, single in zip(stacked, alone):
+        assert np.array_equal(path.values, single.values)
+        assert _same_bits(path.values, single.values)
+
+
+def test_groups_without_a_delay_or_constant_term_skip_it():
+    """Zero drivers and a state of -0.0 make every increment -0.0, so the
+    path stays at -0.0 when solved alone; adding the +0.0 delay read (of a
+    positive history) or constant of another group's term would turn it
+    into +0.0."""
+    cfg = SolverConfig(n_steps=16, horizon=1.0, delay=0.25)
+    zero = GridPath(0.0, cfg.dt, np.zeros((cfg.n_steps + 1, 1)))
+    history = np.append(np.linspace(1.0, 0.5, cfg.delay_steps), -0.0)[:, None]
+    eta = InitialCondition(GridPath(-cfg.delay, cfg.dt, history), 0.45)
+    plain = pointwise_delay_spec(0.3, 0.0, 0.2, 0.0, 0.1, 0.0, tau=0.25)
+    with_delay = pointwise_delay_spec(0.3, 0.3, 0.2, 0.2, 0.1, 0.1, tau=0.125)
+    with_const = replace(plain, drift=replace(plain.drift, const=np.full((1, 1), 0.1)))
+    alone = euler_mixed_sdde(plain, eta, zero, zero, cfg)
+    assert np.signbit(alone.values[cfg.delay_steps:]).all()
+    for other in (with_delay, with_const):
+        stacked, _ = euler_mixed_sdde([plain, other], eta, zero, zero, cfg)
+        assert _same_bits(stacked.values, alone.values)
+
+
+def test_stacked_explosion_names_the_first_group_then_its_first_crossing():
+    """Group 1 crosses the threshold later than group 2 does, and only in
+    replica 1: the error names group 1, replica 1 and group 1's time."""
+    cfg = SolverConfig(n_steps=16, horizon=1.0, explosion_threshold=10.0)
+    n = cfg.n_steps + 1
+    w = GridPath(0.0, cfg.dt, np.zeros((2, n, 1)))
+    z = GridPath(0.0, cfg.dt, (np.array([0.0, 1.0])[:, None] * np.linspace(0.0, 1.0, n))[..., None])
+    eta = constant_initial(1.0, 0.0, cfg.dt)
+    specs = [geometric_spec(0.0, 0.0, c) for c in (0.0, 3.0, 20.0)]
+    with pytest.raises(SolverExplosionError) as err:
+        euler_mixed_sdde(specs, eta, w, z, cfg)
+    for spec in specs[1:]:
+        with pytest.raises(SolverExplosionError) as alone:
+            euler_mixed_sdde(spec, eta, w, z, cfg)
+        assert alone.value.replica == 1
+    late, early = (euler_mixed_sdde(s, eta, w, z, SolverConfig(n_steps=16, horizon=1.0))
+                   for s in specs[1:])
+    assert np.argmax(early.values[1, :, 0] > 10.0) < np.argmax(late.values[1, :, 0] > 10.0)
+    assert (err.value.group, err.value.replica) == (1, 1)
+    assert err.value.time == pytest.approx(np.argmax(late.values[1, :, 0] > 10.0) * cfg.dt)
+
+
+def test_row_groups_must_agree_in_size_and_structure():
+    spec, eta, cfg = _case("pointwise_delay")
+    w, z = drivers(cfg, spec, 0)
+    with pytest.raises(GridError):
+        euler_mixed_sdde([spec, spec], [eta], w, z, cfg)
+    with pytest.raises(GridError):  # a sin-modulated group with unmodulated ones
+        euler_mixed_sdde([spec, sin_delay_spec()], eta, w, z, cfg)
 
 
 def test_block_explosion_names_the_first_exploding_row():
