@@ -9,8 +9,9 @@ Exit codes: 0 success and all configured pass criteria hold; 1 criteria
 failed; 2 config parse error (unreadable file or invalid JSON); 3 constraint
 violation (a key, type, choice or range outside the config schema, a broken
 rule linking fields, a malformed input CSV, or a level schedule the experiment
-cannot run), with the offending field named on stderr; 4 solver explosion;
-5 I/O error.
+cannot run), with the offending field named on stderr, and also a driver
+covariance that cannot be factored or a run that does not fit in memory, with
+the size named; 4 solver explosion; 5 I/O error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .config import (
     load_config,
 )
 from .core import ParamError
-from .drivers import sample_fbm
+from .drivers import DriverNumericsError, sample_fbm
 from .experiments import ExperimentConfig, ExperimentError, _sample_drivers, run_experiment
 from .grid import GridError, GridPath, SeedSpec
 from .solver import (
@@ -293,8 +294,12 @@ def main(argv: list[str] | None = None) -> int:
         if loaded.kind != run.subcommand:
             raise ConfigError(f"subcommand {run.subcommand} got a {loaded.kind!r} config")
         return _COMMANDS[run.subcommand](loaded, run)
-    except (ConfigError, ParamError, GridError, ExperimentError) as exc:
+    except (ConfigError, ParamError, GridError, ExperimentError, DriverNumericsError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
+        return EXIT_CONSTRAINT
+    except MemoryError as exc:
+        print(f"constraint violation: the run does not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONSTRAINT
     except SolverExplosionError as exc:
         print(f"solver explosion: {exc}", file=sys.stderr)

@@ -191,7 +191,8 @@ SEED = (
     Field("master", "integer", "master seed, in [0, 2^64)"),
     Field("stream", "integer", "stream index, at least 0", 0),
 )
-_METHOD = Field("method", "string", "exact fBm sampler", "cholesky", _METHODS)
+_METHOD = Field("method", "string", "exact fBm sampler: Cholesky factor by the Schur "
+                "algorithm, or circulant embedding", "cholesky", _METHODS)
 _HORIZON = Field("horizon", "float", "time horizon T > 0")
 _N_STEPS = Field("n_steps", "integer", "Euler steps on the driver grid, at least 2 "
                  "(the meshes of euler_refinement are its levels)")

@@ -3,8 +3,11 @@
 fBm with Hurst index H > 1/2 is the canonical Holder-continuous driver of
 order gamma for any gamma < H.  Two samplers are provided:
 
-* ``cholesky`` -- exact sampling through a Cholesky factor of the fractional
-  Gaussian noise covariance (default for n <= 4096, used as the test oracle);
+* ``cholesky`` (the default) -- exact sampling through the Cholesky factor
+  of the fractional Gaussian noise covariance.  The covariance is Toeplitz,
+  so the generalized Schur algorithm gives the factor in O(n^2) elementwise
+  work; only its lower triangle is stored, in row panels.  LAPACK's dense
+  factorization is the test oracle;
 * ``davies_harte`` -- circulant embedding, O(n log n), for large grids.
 
 Sampling is a pure function of ``(params, seed)``; repeated calls give
@@ -84,14 +87,59 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
 
 
+# Rows of the Cholesky factor per stored panel.
+_PANEL = 512
+
+
+def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
+    """Lower Cholesky factor L of the Toeplitz matrix with first column ``cov``.
+
+    Generalized Schur algorithm (Kailath & Sayed, 1999): the generator pair
+    (a, b) starts at ``cov / sqrt(cov[0])`` with ``b[0] = 0``; column k of L
+    is a, and one hyperbolic rotation zeroes the head of the shifted b for
+    the next column.  The rotation is only weakly stable (Bojanczyk, Brent,
+    de Hoog & Sweet, 1995); the test against LAPACK states the tolerance.
+
+    Panel i holds ``L[e_i:e_{i+1}, :e_{i+1}]`` with ``e_i = i * _PANEL``, in
+    column order, so each Schur column is one contiguous write per panel and
+    the zero upper triangle is stored only inside the diagonal blocks.  All
+    panels are views of one buffer: a grid too large for memory fails at its
+    allocation, before any work.
+    """
+    n = cov.size
+    edges = [*range(0, n, _PANEL), n]
+    shapes = [(e1 - e0, e1) for e0, e1 in zip(edges, edges[1:])]
+    offsets = np.cumsum([0] + [rows * cols for rows, cols in shapes])
+    buf = np.zeros(offsets[-1])
+    panels = [buf[o : o + rows * cols].reshape((rows, cols), order="F")
+              for o, (rows, cols) in zip(offsets, shapes)]
+    a = cov / np.sqrt(cov[0])
+    b = a.copy()
+    b[0] = 0.0
+    for k in range(n):
+        if k:
+            a, b = a[:-1], b[1:]
+            rho = b[0] / a[0]
+            if not abs(rho) < 1.0:
+                raise DriverNumericsError(
+                    f"the covariance is not positive definite: Schur "
+                    f"reflection coefficient {rho} at column {k}"
+                )
+            s = 1.0 / np.sqrt((1.0 - rho) * (1.0 + rho))
+            a, b = s * (a - rho * b), s * (b - rho * a)
+        for i in range(k // _PANEL, len(panels)):
+            lo = max(k, edges[i])
+            panels[i][lo - edges[i] :, k] = a[lo - k : edges[i + 1] - k]
+    if not np.isfinite(buf).all():
+        raise DriverNumericsError("the Schur recursion produced non-finite entries")
+    return panels
+
+
 @lru_cache(maxsize=8)
-def _cholesky_factor(n: int, hurst: float) -> np.ndarray:
-    cov = _fgn_autocov(n, hurst)
-    idx = np.arange(n)
-    sigma = cov[np.abs(idx[:, None] - idx[None, :])]
+def _cholesky_factor(n: int, hurst: float) -> list[np.ndarray]:
     try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
+        return _schur_panels(_fgn_autocov(n, hurst))
+    except DriverNumericsError as exc:
         raise DriverNumericsError(
             f"Cholesky factorization of the fGn covariance failed for n={n}, "
             f"H={hurst}: {exc}"
@@ -131,8 +179,9 @@ def sample_fbm(params: FbmParams, seed: SeedSpec) -> GridPath:
     rng = seed.generator()
     n = params.n_steps
     if params.method == "cholesky":
-        factor = _cholesky_factor(n, params.hurst)
-        fgn = factor @ rng.standard_normal(n)
+        panels = _cholesky_factor(n, params.hurst)
+        g = rng.standard_normal(n)
+        fgn = np.concatenate([p @ g[: p.shape[1]] for p in panels])
     else:
         fgn = _fgn_davies_harte(n, params.hurst, rng)
     fgn = fgn * params.dt**params.hurst

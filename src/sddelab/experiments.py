@@ -569,6 +569,21 @@ def _monotone_violations(levels: tuple[LevelResult, ...]) -> list[str]:
     return reasons
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d float array, bit for bit, without its NaN check,
+    which imports ``numpy.ma``.  The same partition, then the middle value or
+    ``(lo + hi) / 2``, as ``np.mean`` computes them: its sum starts from +0.0,
+    so a median of -0.0 comes out as 0.0.  The partition puts any NaN last,
+    and then the median is that NaN."""
+    half = values.size // 2
+    kth = [half] if values.size % 2 else [half - 1, half]
+    part = np.partition(values, [*kth, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    mid = part[half] if values.size % 2 else (part[half - 1] + part[half]) / 2
+    return float(0.0 + mid)
+
+
 def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray) -> ConvergenceReport:
     level_results = []
     for i, level in enumerate(cfg.levels):
@@ -578,7 +593,7 @@ def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray) -> Convergence
                 level=float(level),
                 exceedance=estimate_exceedance(dist, cfg.epsilon),
                 mean_distance=float(dist.mean()),
-                median_distance=float(np.median(dist)),
+                median_distance=_median(dist),
                 distances=tuple(float(x) for x in dist) if cfg.emit_distances else (),
             )
         )

@@ -320,6 +320,36 @@ class TestCliFbmAndFrac:
             tmp_path / "b" / "fbm_path.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("method", ["cholesky", "davies_harte"])
+    def test_grid_too_large_for_memory_exits_three_without_traceback(self, tmp_path,
+                                                                     method):
+        """8 PiB of float64: more than the address space, so numpy refuses the
+        first array at once on any machine."""
+        doc = self.fbm_doc()
+        doc["fbm"].update(n_steps=10**15, method=method)
+        cfg = write_config(tmp_path, doc)
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "sddelab.cli", "fbm", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert "does not fit in memory" in out.stderr
+        assert "PiB" in out.stderr  # the size asked for
+
+    def test_factor_failure_exits_three_naming_n_and_hurst(self, tmp_path, capsys,
+                                                           monkeypatch):
+        from sddelab import drivers
+
+        monkeypatch.setattr(drivers, "_fgn_autocov", lambda n, h: np.ones(n))
+        monkeypatch.setattr(drivers, "_cholesky_factor",
+                            drivers._cholesky_factor.__wrapped__)
+        cfg = write_config(tmp_path, self.fbm_doc())
+        assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "n=64, H=0.75" in capsys.readouterr().err
+
     def test_frac_norms_on_csv(self, tmp_path, capsys):
         n = 256
         t = [k / n for k in range(n + 1)]
@@ -788,6 +818,23 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_delay_run_leaves_numpy_ma_unloaded(tmp_path):
+    """The level medians are taken without ``np.median``, whose NaN check
+    imports ``numpy.ma`` (~10 ms) in every convergence run."""
+    cfg = write_config(tmp_path, delay_doc([0.25, 0.125]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; from sddelab.cli import main; "
+             f"code = main(['experiment', 'delay', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'out')!r}]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.split()[-1] == "False"
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["report"]["levels"]
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from sddelab.experiments import (
     ExperimentConfig,
     ExperimentError,
     LevelResult,
+    _median,
     _monotone_violations,
     estimate_exceedance,
     lognormal_terminal_second_moment,
@@ -22,6 +23,24 @@ from sddelab.experiments import (
 )
 
 from helpers import standard_params
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=40))
+def test_median_is_numpy_median_bit_for_bit(values):
+    """Odd and even sizes, signed zeros, +-inf, overflow of lo + hi and NaN."""
+    arr = np.array(values, dtype=float)
+    assert _bits(_median(arr)) == _bits(np.median(arr))
 
 
 def zero_spec():
