@@ -9,15 +9,8 @@ convergence statements about these equations into falsifiable statistical
 checks.
 """
 
-from .drivers import (
-    FbmParams,
-    GridPath,
-    SeedSpec,
-    fbm_covariance,
-    holder_seminorm,
-    sample_fbm,
-    sample_wiener,
-)
+from .grid import GridPath, SeedSpec
+from .drivers import FbmParams, fbm_covariance, sample_fbm, sample_wiener
 from .fraccalc import (
     DelayNormBundle,
     NormBundle,
@@ -26,6 +19,7 @@ from .fraccalc import (
     forward_rl_derivative,
     fractional_norms,
     gls_integral,
+    holder_seminorm,
     riemann_stieltjes_integral,
     young_love_bound,
 )

@@ -1,17 +1,18 @@
 """Command-line entry point.
 
-One config file describes one run; flags only override the master seed, the
-output directory and the worker count.  Subcommands: ``fbm`` (sample a driver
-path), ``frac`` (fractional-calculus operations on a CSV path), ``solve``
-(one SDDE solve), ``experiment`` (Monte Carlo studies).
+One config file describes one run; flags only override the master seed
+(``--seed`` replaces ``seed.master`` and is validated like it), the output
+directory and the worker count.  Subcommands: ``fbm`` (sample a driver path),
+``frac`` (fractional-calculus operations on a CSV path), ``solve`` (one SDDE
+solve), ``experiment`` (Monte Carlo studies).
 
 Exit codes: 0 success and all configured pass criteria hold; 1 criteria
 failed; 2 config parse error (unreadable file or invalid JSON); 3 constraint
-violation (a key, type, choice or range outside the config schema, a broken
-rule linking fields, a malformed input CSV, or a level schedule the experiment
-cannot run), with the offending field named on stderr, and also a driver
-covariance that cannot be factored or a run that does not fit in memory, with
-the size named; 4 solver explosion; 5 I/O error.
+violation (a key, type, choice or range outside the config schema, ``--seed``
+included, a broken rule linking fields, a malformed input CSV, or a level
+schedule the experiment cannot run), with the offending field named on stderr,
+and also a driver covariance that cannot be factored or a run that does not
+fit in memory, with the size named; 4 solver explosion; 5 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .config import (
 from .core import ParamError
 from .drivers import DriverNumericsError, sample_fbm
 from .experiments import ExperimentConfig, ExperimentError, _sample_drivers, run_experiment
-from .grid import GridError, GridPath, SeedSpec
+from .grid import GridError, GridPath
 from .solver import (
     MollifiedDrift,
     SolverExplosionError,
@@ -59,12 +60,11 @@ OUTPUT_DIR_ENV = "SDDELAB_OUT"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation: subcommand, config path and the flag overrides."""
+    """Resolved invocation: subcommand, config path, output and worker flags."""
 
     subcommand: str
     config_path: Path
     output_dir: Path
-    seed_override: int | None
     workers: int | None
     verbose: bool
     flavor: str | None = None  # the experiment subcommand's flavor alias
@@ -116,11 +116,7 @@ def _resolve_out(flag: str | None) -> Path:
 
 
 def _cmd_fbm(loaded: LoadedConfig, run: RunConfig) -> int:
-    params, seed = loaded.payload
-    if run.seed_override is not None:
-        seed = SeedSpec(run.seed_override, seed.stream_index)
-        loaded.resolved["seed"]["master"] = run.seed_override
-    path = sample_fbm(params, seed)
+    path = sample_fbm(*loaded.payload)
     out = run.output_dir
     _write_csv(out / "fbm_path.csv", path, "time,value")
     _dump_json(
@@ -169,9 +165,6 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
 
 def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
     scfg, spec, initial, seed, fbm, mollifier = loaded.payload
-    if run.seed_override is not None:
-        seed = SeedSpec(run.seed_override, seed.stream_index)
-        loaded.resolved["seed"]["master"] = run.seed_override
     started = time.perf_counter()
     w, z = _sample_drivers(spec, fbm, seed)
     if scfg.scheme == "euler_mixed":
@@ -206,14 +199,8 @@ def _cmd_experiment(loaded: LoadedConfig, run: RunConfig) -> int:
             f"experiment subcommand {run.flavor!r} does not match config flavor "
             f"{cfg.kind!r}"
         )
-    overrides = {}
-    if run.seed_override is not None:
-        overrides["seed"] = run.seed_override
-        loaded.resolved["seed"]["master"] = run.seed_override
     if run.workers is not None:
-        overrides["workers"] = run.workers
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, workers=run.workers)
     started = time.perf_counter()
     report = run_experiment(cfg)
     runtime = time.perf_counter() - started
@@ -275,13 +262,12 @@ def main(argv: list[str] | None = None) -> int:
         subcommand=args.subcommand,
         config_path=Path(args.config),
         output_dir=_resolve_out(args.out),
-        seed_override=args.seed,
         workers=args.workers,
         verbose=args.verbose,
         flavor=getattr(args, "flavor", None),
     )
     try:
-        loaded = load_config(run.config_path)
+        loaded = load_config(run.config_path, args.seed)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -21,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (_MODULATIONS, FAMILIES, CoeffBlock, CoefficientSpec, HolderParams,
-                   InitialCondition, ParamError, constant_initial)
+from .core import (_MODULATIONS, DELAY_READS, FAMILIES, CoeffBlock, CoefficientSpec,
+                   HolderParams, InitialCondition, ParamError, constant_initial)
 from .drivers import _METHODS, FbmParams
 from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
                           ExperimentError)
 from .fraccalc import RS_RULES
-from .grid import GridPath, SeedSpec
+from .grid import GridPath, SeedSpec, same_time
 from .solver import SCHEMES, MollifierParams, SolverConfig
 
 __all__ = [
@@ -84,7 +84,7 @@ _UNIT_OPEN, _UNIT_HALF_OPEN = ("(", 0, 1, ")"), ("(", 0, 1, "]")
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v  # not NaN
 
 
 def _as_array(v):
@@ -92,7 +92,7 @@ def _as_array(v):
         arr = np.asarray(v)
     except ValueError:  # ragged nesting
         return None
-    return arr if arr.dtype.kind in "iuf" else None
+    return arr if arr.dtype.kind in "iuf" and np.isfinite(arr).all() else None
 
 
 # type: (what it accepts, read), where read gives the value or None if v does not fit
@@ -104,7 +104,7 @@ _TYPES = {
     "string": ("a string", lambda v: v if isinstance(v, str) else None),
     "numbers": ("a list of numbers",
                 lambda v: v if isinstance(v, list) and all(map(_is_number, v)) else None),
-    "array": ("a number or a nested list of numbers", _as_array),
+    "array": ("a finite number or a nested list of finite numbers", _as_array),
 }
 
 
@@ -293,10 +293,9 @@ def _build(section: str, make, *args, **kwargs):
 
 def _spec(c: dict, raw: dict, blocks: dict) -> CoefficientSpec:
     family = c["family"]
-    if family in ("linear", "pointwise_delay") and "tau" not in raw:
-        raise ConfigError(f"family {family!r} requires an explicit tau")
-    if family == "distributed_delay" and "delay_span" not in raw:
-        raise ConfigError("distributed_delay requires an explicit delay_span")
+    key = {"tap": "tau", "window": "delay_span"}.get(DELAY_READS[family])
+    if key is not None and key not in raw:
+        raise ConfigError(f"family {family!r} requires an explicit {key}")
     spec = CoefficientSpec(family, c["dim"], c["n_wiener"], c["n_holder"], **blocks,
                            tau=c["tau"], delay_span=c["delay_span"])
     k, k_r, tol = c["constants"]["K"], c["constants"]["K_R"], 1e-9
@@ -392,7 +391,7 @@ def _parse_solve(v: dict, doc: dict) -> LoadedConfig:
     delay = initial.r if s["delay"] is None else s["delay"]
     scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], delay, s["scheme"],
                   s["explosion_threshold"])
-    if abs(scfg.delay - initial.r) > 1e-9 * max(1.0, scfg.delay):
+    if not same_time(initial.r, scfg.delay):
         raise ConfigError(f"solve.delay={scfg.delay} does not match the initial-condition "
                           f"window [-{initial.r}, 0]")
     level = s["mollifier_level"]
@@ -439,6 +438,11 @@ def parse_config(doc: dict) -> LoadedConfig:
     return _PARSERS[kind](_read(DOCUMENTS[kind], doc), doc)
 
 
-def load_config(path: str | Path) -> LoadedConfig:
-    """Read and validate a JSON config file."""
-    return parse_config(json.loads(Path(path).read_text()))
+def load_config(path: str | Path, seed: int | None = None) -> LoadedConfig:
+    """Read and validate a JSON config file; a ``seed`` then replaces the
+    ``seed.master`` of a document that has one and is validated like it."""
+    doc = json.loads(Path(path).read_text())
+    loaded = parse_config(doc)
+    if seed is None or "seed" not in loaded.resolved:
+        return loaded
+    return parse_config({**doc, "seed": {**doc["seed"], "master": seed}})

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridError, GridPath
+from .grid import GridError, GridPath, grid_steps, same_time
 from .fraccalc import _mags, holder_seminorm_values
 
 __all__ = [
@@ -42,7 +42,10 @@ __all__ = [
     "constant_initial",
 ]
 
-FAMILIES = ("constant", "no_delay", "linear", "pointwise_delay", "distributed_delay")
+# each family's delay read: none, the tap psi(-tau), or the window integral over [-r, 0]
+DELAY_READS = {"constant": "none", "no_delay": "none", "linear": "tap",
+               "pointwise_delay": "tap", "distributed_delay": "window"}
+FAMILIES = tuple(DELAY_READS)
 _MODULATIONS = ("none", "sin")
 
 
@@ -193,16 +196,17 @@ class CoefficientSpec:
         uses_delay = any(
             np.any(b.gain_delay != 0.0) for b in (self.drift, self.diffusion, self.zdrive)
         )
-        if self.family in ("constant", "no_delay") and uses_delay:
+        read = DELAY_READS[self.family]
+        if read == "none" and uses_delay:
             raise ParamError(f"family {self.family!r} must not carry delay gains")
-        if self.family in ("linear", "pointwise_delay") and self.tau < 0:
+        if read == "tap" and self.tau < 0:
             raise ParamError("tau must be non-negative")
-        if self.family == "distributed_delay" and not self.delay_span > 0:
+        if read == "window" and not self.delay_span > 0:
             raise ParamError("distributed_delay requires a positive delay_span")
 
     @property
     def _delay_scale(self) -> float:
-        return self.delay_span if self.family == "distributed_delay" else 1.0
+        return self.delay_span if DELAY_READS[self.family] == "window" else 1.0
 
     def growth_constant(self) -> float:
         """Closed-form K for the linear-growth bound on |a| + |b| + |c|."""
@@ -267,11 +271,9 @@ class Segment:
         return self.path.values[self.anchor - self.lookback : self.anchor + 1]
 
     def value_at(self, u: float) -> np.ndarray:
-        k = round(u / self.path.dt)
+        k = grid_steps(u, self.path.dt, what="segment argument")
         if not -self.lookback <= k <= 0:
             raise GridError(f"segment argument {u} outside [-{self.r}, 0]")
-        if abs(k * self.path.dt - u) > 1e-9 * max(1.0, abs(u)):
-            raise GridError(f"segment argument {u} does not land on the grid")
         return self.path.values[self.anchor + k]
 
     def sup_norm(self) -> float:
@@ -281,18 +283,17 @@ class Segment:
 def segment_at(path: GridPath, t: float, r: float) -> Segment:
     """Extract the segment anchored at grid time t with grid-aligned delay r."""
     anchor = path.index_of(t)
-    q = round(r / path.dt)
-    if abs(q * path.dt - r) > 1e-9 * max(1.0, r):
-        raise GridError(f"delay horizon {r} is not a multiple of the grid step {path.dt}")
+    q = grid_steps(r, path.dt, what="delay horizon")
     if q < 0 or anchor - q < 0:
         raise GridError(f"path does not cover [{t - r}, {t}]")
     return Segment(path=path, anchor=anchor, lookback=q)
 
 
 def _delay_read(spec: CoefficientSpec, psi: Segment) -> np.ndarray:
-    if spec.family in ("constant", "no_delay"):
+    read = DELAY_READS[spec.family]
+    if read == "none":
         return np.zeros(spec.dim)
-    if spec.family == "distributed_delay":
+    if read == "window":
         if psi.lookback == 0:
             raise GridError("distributed_delay needs a non-trivial segment window")
         return np.trapezoid(psi.values, dx=psi.dt, axis=0)
@@ -348,7 +349,7 @@ class InitialCondition:
     holder_theta: float
 
     def __post_init__(self) -> None:
-        if abs(self.eta.end_time) > 1e-9:
+        if not same_time(self.eta.end_time, 0.0):
             raise ParamError(f"initial condition must end at time 0, ends at {self.eta.end_time}")
         if not 0.0 < self.holder_theta < 1.0:
             raise ParamError("holder_theta must lie in (0, 1)")
@@ -371,9 +372,9 @@ def constant_initial(value, r: float, dt: float) -> InitialCondition:
     vec = np.atleast_1d(np.asarray(value, dtype=float))
     if r == 0.0:
         return InitialCondition(GridPath(0.0, dt, vec[None, :]), 0.45)
-    q = round(r / dt)
-    if q < 1 or abs(q * dt - r) > 1e-9 * max(1.0, r):
-        raise ParamError(f"delay horizon {r} is not a multiple of dt={dt}")
+    q = grid_steps(r, dt, what="delay horizon")
+    if q < 1:
+        raise GridError(f"delay horizon {r} is not a positive multiple of dt={dt}")
     return InitialCondition(GridPath(-r, dt, np.tile(vec, (q + 1, 1))), 0.45)
 
 

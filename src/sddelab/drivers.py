@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fraccalc import holder_seminorm_values
-from .grid import GridError, GridPath, SeedSpec
+from .grid import GridPath, SeedSpec
 
 __all__ = [
     "FbmParams",
@@ -30,9 +29,6 @@ __all__ = [
     "fbm_covariance",
     "sample_fbm",
     "sample_wiener",
-    "holder_seminorm",
-    "GridPath",
-    "SeedSpec",
 ]
 
 _METHODS = ("cholesky", "davies_harte")
@@ -202,17 +198,3 @@ def sample_wiener(n_steps: int, horizon: float, dim: int, seed: SeedSpec) -> Gri
     increments = rng.standard_normal((n_steps, dim)) * np.sqrt(dt)
     values = np.vstack([np.zeros((1, dim)), np.cumsum(increments, axis=0)])
     return GridPath(0.0, dt, values)
-
-
-def holder_seminorm(
-    path: GridPath, lam: float, window: tuple[float, float] | None = None
-) -> float:
-    """Grid Holder seminorm: ``max over x < y of |f(y)-f(x)| / (y-x)^lam``.
-
-    Vector paths use the Euclidean norm of the difference.  The supremum runs
-    over grid pairs only; refinement studies quantify the proxy error.
-    """
-    p = path.window(*window) if window is not None else path
-    if p.n_points < 2:
-        raise GridError("need at least two grid points in the window")
-    return holder_seminorm_values(p.values, p.dt, lam)

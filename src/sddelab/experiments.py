@@ -44,6 +44,7 @@ from .solver import (
     MollifiedDrift,
     SolverConfig,
     SolverExplosionError,
+    _tap_steps,
     coefficient_evaluator,
     euler_ito_sdde,
     euler_mixed_sdde,
@@ -121,7 +122,7 @@ class ExperimentConfig:
             raise ExperimentError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.kind != "euler_refinement":  # n_steps sets the driver and solver grids
             FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
-            SolverConfig(self.n_steps, self.horizon, self.initial.r)
+            self.solver_config
         if len(self.levels) < 1:
             raise ExperimentError("need at least one level")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
@@ -501,15 +502,15 @@ def _check_coeff(cfg: ExperimentConfig) -> None:
 def _check_delay(cfg: ExperimentConfig) -> None:
     if cfg.spec.family != "pointwise_delay":
         raise ExperimentError("vanishing delay needs a pointwise_delay spec")
-    dt, r = cfg.horizon / cfg.n_steps, cfg.initial.r
+    scfg = cfg.solver_config
     for tau in cfg.levels:
-        if not 0.0 <= tau or round(tau / dt) > round(r / dt):
+        try:
+            _tap_steps(cfg.spec.with_tau(tau), scfg)
+        except ValueError as exc:
             raise ExperimentError(
-                f"levels of vanishing_delay are taps in [0, {r:g}], the initial delay; "
-                f"got {list(cfg.levels)}"
-            )
-        if abs(round(tau / dt) * dt - tau) > 1e-9 * max(1.0, tau):
-            raise ExperimentError(f"tap {tau} is not aligned with the mesh (dt={dt})")
+                f"levels of vanishing_delay are taps on the mesh in [0, {scfg.delay:g}], "
+                f"the initial delay; got {list(cfg.levels)}: {exc}"
+            ) from exc
 
 
 def _check_euler(cfg: ExperimentConfig) -> None:

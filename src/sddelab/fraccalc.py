@@ -46,6 +46,7 @@ __all__ = [
     "young_love_bound",
     "fractional_norms",
     "delay_norms",
+    "holder_seminorm",
     "holder_seminorm_values",
 ]
 
@@ -405,6 +406,18 @@ def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
     # inner(t) vanishes at a like (t-a)^(1-alpha): cusp-matched first cell.
     term_b = float(np.trapezoid(inner[1:], dx=dt)) + inner[1] * dt / (2.0 - alpha)
     return term_a + term_b
+
+
+def holder_seminorm(
+    path: GridPath, lam: float, window: tuple[float, float] | None = None
+) -> float:
+    """Grid Holder seminorm: ``max over x < y of |f(y)-f(x)| / (y-x)^lam``.
+
+    Vector paths use the Euclidean norm of the difference.  The supremum runs
+    over grid pairs only; refinement studies quantify the proxy error.
+    """
+    p = _scalar_grid(path, window)
+    return holder_seminorm_values(p.values, p.dt, lam)
 
 
 def fractional_norms(

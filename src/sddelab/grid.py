@@ -3,15 +3,19 @@
 A :class:`GridPath` holds a d-dimensional path sampled on the uniform grid
 ``t0 + k*dt`` for ``k = 0..n-1``.  Times are never stored; they are always
 recomputed from ``(t0, dt, k)`` so that grid alignment checks are exact.
+It also owns the alignment rule every module asks: :func:`same_time`,
+:func:`grid_steps` and :func:`refinement`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridPath", "SeedSpec", "GridError", "stack_paths", "stack_replicas"]
+__all__ = ["GridPath", "SeedSpec", "GridError", "grid_steps", "refinement", "same_time",
+           "stack_paths", "stack_replicas"]
 
 # Relative slack for "does this time land on a grid node" checks.
 _ALIGN_RTOL = 1e-9
@@ -19,6 +23,32 @@ _ALIGN_RTOL = 1e-9
 
 class GridError(ValueError):
     """Raised for misaligned times, mismatched grids or malformed paths."""
+
+
+def same_time(s: float, t: float) -> bool:
+    """Whether the time ``s`` agrees with the time ``t``, to within
+    ``1e-9 * max(1, |t|)``.  A NaN agrees with nothing."""
+    return abs(s - t) <= _ALIGN_RTOL * max(1.0, abs(t))
+
+
+def grid_steps(t: float, dt: float, t0: float = 0.0, what: str = "time") -> int:
+    """The k with ``t0 + k*dt`` agreeing with ``t`` (:func:`same_time`);
+    k may be zero or negative.  A time off the grid raises :class:`GridError`
+    naming it as ``what``."""
+    pos = (t - t0) / dt
+    k = round(pos) if math.isfinite(pos) else None
+    if k is None or not same_time(t0 + k * dt, t):
+        raise GridError(f"{what} {t} does not land on the grid (dt={dt})")
+    return k
+
+
+def refinement(coarse: float, fine: float, what: str = "grid") -> int:
+    """The ratio r >= 1 with ``r * fine`` equal to the step ``coarse`` to
+    within ``1e-9 * coarse``; otherwise :class:`GridError` naming ``what``."""
+    r = round(coarse / fine)
+    if r < 1 or not abs(r * fine - coarse) <= _ALIGN_RTOL * coarse:
+        raise GridError(f"{what} (dt={fine}) is not a refinement of the step {coarse}")
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +108,9 @@ class GridPath:
 
     def index_of(self, t: float) -> int:
         """Exact grid index of time ``t``; rejects off-grid times."""
-        k = round((t - self.t0) / self.dt)
+        k = grid_steps(t, self.dt, self.t0)
         if k < 0 or k >= self.n_points:
             raise GridError(f"time {t} outside [{self.t0}, {self.end_time}]")
-        node = self.t0 + k * self.dt
-        if abs(t - node) > _ALIGN_RTOL * max(1.0, abs(t)):
-            raise GridError(f"time {t} does not land on the grid (nearest node {node})")
         return k
 
     def value_at(self, t: float) -> np.ndarray:
@@ -107,7 +134,7 @@ class GridPath:
     def same_grid(self, other: "GridPath") -> bool:
         return (
             self.n_points == other.n_points
-            and abs(self.t0 - other.t0) <= _ALIGN_RTOL * max(1.0, abs(self.t0))
+            and same_time(other.t0, self.t0)
             and abs(self.dt - other.dt) <= _ALIGN_RTOL * self.dt
         )
 

@@ -36,8 +36,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import CoefficientSpec, InitialCondition, Segment, eval_coefficient
-from .grid import GridError, GridPath
+from .core import DELAY_READS, CoefficientSpec, InitialCondition, Segment, eval_coefficient
+from .grid import GridError, GridPath, grid_steps, refinement, same_time
 
 __all__ = [
     "SolverConfig",
@@ -105,11 +105,7 @@ class SolverConfig:
             raise ValueError(
                 f"explosion_threshold must be positive, got {self.explosion_threshold}"
             )
-        q = round(self.delay / self.dt)
-        if abs(q * self.dt - self.delay) > 1e-9 * max(1.0, self.delay):
-            raise ValueError(
-                f"delay {self.delay} is not a multiple of the step {self.dt}"
-            )
+        self.delay_steps  # the delay must land on the grid
 
     @property
     def dt(self) -> float:
@@ -117,7 +113,7 @@ class SolverConfig:
 
     @property
     def delay_steps(self) -> int:
-        return round(self.delay / self.dt)
+        return grid_steps(self.delay, self.dt, what="delay")
 
 
 @dataclass(frozen=True)
@@ -141,20 +137,15 @@ class MollifierParams:
 
 
 def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
-    if abs(path.t0) > 1e-9:
+    if not same_time(path.t0, 0.0):
         raise GridError(f"{name} must start at time 0, starts at {path.t0}")
     if path.dim != dim:
         raise GridError(f"{name} has dimension {path.dim}, expected {dim}")
-    if abs(path.end_time - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
+    if not same_time(path.end_time, cfg.horizon):
         raise GridError(
             f"{name} covers [0, {path.end_time}], expected [0, {cfg.horizon}]"
         )
-    step = round(cfg.dt / path.dt)
-    if step < 1 or abs(step * path.dt - cfg.dt) > 1e-9 * cfg.dt:
-        raise GridError(
-            f"{name} grid (dt={path.dt}) is not a refinement of the solver grid "
-            f"(dt={cfg.dt})"
-        )
+    step = refinement(cfg.dt, path.dt, f"{name} grid")
     return path if step == 1 else path.restrict(step)
 
 
@@ -163,24 +154,26 @@ def _history_values(eta: InitialCondition, cfg: SolverConfig) -> np.ndarray:
     if q == 0:
         return eta.eta.values[-1:].copy()
     path = eta.eta
-    if abs(path.t0 + cfg.delay) > 1e-9 * max(1.0, cfg.delay):
+    if not same_time(path.t0, -cfg.delay):
         raise GridError(
             f"initial condition covers [{path.t0}, 0], solver needs [-{cfg.delay}, 0]"
         )
-    ratio = round(cfg.dt / path.dt)
-    if ratio > 1:
-        path = path.restrict(ratio)
-    if path.n_points != q + 1 or abs(path.dt - cfg.dt) > 1e-9 * cfg.dt:
+    ratio = refinement(cfg.dt, path.dt, "initial condition grid")
+    path = path if ratio == 1 else path.restrict(ratio)
+    if path.n_points != q + 1:
         raise GridError("initial condition grid does not match the solver grid")
     return path.values.copy()
 
 
-def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int:
-    if spec.family not in ("linear", "pointwise_delay"):
-        return 0
-    q_tau = round(spec.tau / cfg.dt)
-    if abs(q_tau * cfg.dt - spec.tau) > 1e-9 * max(1.0, spec.tau):
-        raise GridError(f"tap {spec.tau} does not land on the grid (dt={cfg.dt})")
+def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int | None:
+    """The steps back of the spec's delay read on the solver grid: 0 for a
+    family without one, None for the distributed window."""
+    read = DELAY_READS[spec.family]
+    if read == "window" and cfg.delay_steps == 0:
+        raise GridError("distributed_delay needs a non-trivial segment window")
+    if read != "tap":
+        return None if read == "window" else 0
+    q_tau = grid_steps(spec.tau, cfg.dt, what="tap")
     if q_tau > cfg.delay_steps:
         raise GridError(
             f"tap {spec.tau} exceeds the delay horizon {cfg.delay} of the solve"
@@ -234,10 +227,7 @@ def _compile(specs: list, cfg: SolverConfig):
         consts.append(const if const.any() else None)
         sines.append(np.concatenate([np.full(b.channels, b.time_modulation == "sin")
                                      for b in blocks]))
-        tap = None if spec.family == "distributed_delay" else _tap_steps(spec, cfg)
-        if tap is None and cfg.delay_steps == 0:
-            raise GridError("distributed_delay needs a non-trivial segment window")
-        taps.append(tap)
+        taps.append(_tap_steps(spec, cfg))
     sin_cols = sines[0]
     if any(not np.array_equal(s, sin_cols) for s in sines):
         raise GridError("row groups must share the time modulation")
@@ -544,7 +534,7 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
     converges to Z uniformly as the level grows.
     """
     params = MollifierParams(level)
-    if abs(Z.t0) > 1e-9:
+    if not same_time(Z.t0, 0.0):
         raise GridError("driver must start at time 0")
     if Z.dt > params.window / 4.0:
         raise GridError(

@@ -597,6 +597,25 @@ RANGE_ERRORS = {
     "euler_half_mesh": (
         "experiment", "levels", _with(geometric_doc(), "experiment", levels=[16.5, 64]),
     ),
+    # JSON's NaN compares false to every bound, so it would pass any criterion
+    "quasi_nan_ratio_bound": (
+        "experiment", "ratio_bound",
+        {**_with(geometric_doc(), "experiment", flavor="quasi_contract", levels=[0.1, 0.05],
+                 n_steps=32), "criteria": {"ratio_bound": float("nan")}},
+    ),
+    "coeff_nan_max_final_exceedance": (
+        "experiment", "max_final_exceedance",
+        _with(typed_doc(), "criteria", max_final_exceedance=float("nan")),
+    ),
+    "nan_gain": (
+        "experiment", "gain_now",
+        _with(typed_doc(), "coefficients", drift={"gain_now": float("nan")}),
+    ),
+    # an infinite gain is refused before it explodes the solve
+    "infinite_gain": (
+        "solve", "gain_now",
+        _with(TestCliSolve().solve_doc(), "coefficients", drift={"gain_now": float("inf")}),
+    ),
 }
 
 
@@ -607,6 +626,53 @@ def test_range_errors_exit_three_naming_the_field(tmp_path, capsys, case):
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert named in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def _small_experiment_doc():
+    return _with(geometric_doc(), "experiment", replicas=30, levels=[16, 64], n_steps=64)
+
+
+SEED_DOCS = {
+    "fbm": lambda: TestCliFbmAndFrac().fbm_doc(),
+    "solve": lambda: TestCliSolve().solve_doc(),
+    "experiment": _small_experiment_doc,
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("subcommand", sorted(SEED_DOCS))
+def test_seed_flag_outside_the_seed_range_exits_three_naming_seed(tmp_path, subcommand,
+                                                                  seed):
+    cfg = write_config(tmp_path, SEED_DOCS[subcommand]())
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "sddelab.cli", subcommand, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--seed", seed],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 3
+    assert "seed" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("subcommand, outputs", [
+    ("fbm", ["fbm_path.csv", "fbm_path.json"]),
+    ("solve", ["solution.csv"]),
+    ("experiment", ["report.json"]),
+])
+def test_seed_flag_writes_the_bytes_of_a_config_with_that_master(tmp_path, subcommand,
+                                                                 outputs):
+    flagged, written = SEED_DOCS[subcommand](), SEED_DOCS[subcommand]()
+    flagged["seed"]["master"] = 77
+    written["seed"]["master"] = 5
+    runs = {"flag": (flagged, ["--seed", "5"]), "config": (written, [])}
+    for name, (doc, extra) in runs.items():
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        args = [subcommand, "--config", str(cfg), "--out", str(tmp_path / name), *extra]
+        assert main(args) == 0
+    for output in outputs:
+        assert (tmp_path / "flag" / output).read_bytes() == (
+            tmp_path / "config" / output).read_bytes()
 
 
 def test_integral_float_meshes_run_as_integers(tmp_path):
