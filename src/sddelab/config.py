@@ -193,7 +193,7 @@ SEED = (
 )
 _METHOD = Field("method", "string", "exact fBm sampler: Cholesky factor by the Schur "
                 "algorithm, or circulant embedding", "cholesky", _METHODS)
-_HORIZON = Field("horizon", "float", "time horizon T > 0")
+_HORIZON = Field("horizon", "float", "time horizon T", range=_POSITIVE)
 _N_STEPS = Field("n_steps", "integer", "Euler steps on the driver grid, at least 2 "
                  "(the meshes of euler_refinement are its levels)")
 DRIVER = (_METHOD,)
@@ -392,8 +392,9 @@ def _parse_solve(v: dict, doc: dict) -> LoadedConfig:
     scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], delay, s["scheme"],
                   s["explosion_threshold"])
     if not same_time(initial.r, scfg.delay):
+        # a zero-length history has r = -0.0; its window prints as [0, 0]
         raise ConfigError(f"solve.delay={scfg.delay} does not match the initial-condition "
-                          f"window [-{initial.r}, 0]")
+                          f"window [{-initial.r or 0}, 0]")
     level = s["mollifier_level"]
     if scfg.scheme == "euler_ito" and level is None:
         raise ConfigError("solve: scheme euler_ito requires mollifier_level")

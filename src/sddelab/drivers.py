@@ -7,16 +7,20 @@ order gamma for any gamma < H.  Two samplers are provided:
   of the fractional Gaussian noise covariance.  The covariance is Toeplitz,
   so the generalized Schur algorithm gives the factor in O(n^2) elementwise
   work; only its lower triangle is stored, in row panels.  LAPACK's dense
-  factorization is the test oracle;
+  factorization is the test oracle.  Replicas are drawn in fixed-width
+  chunks of stream indices: one matrix product per panel and chunk reads
+  the factor once for up to ``_CHUNK`` replicas;
 * ``davies_harte`` -- circulant embedding, O(n log n), for large grids.
 
-Sampling is a pure function of ``(params, seed)``; repeated calls give
-bit-identical paths.
+``sample_fbm`` takes one seed (a path) or a list of seeds (a replica block,
+in list order).  Sampling is a pure function of ``(params, seed)``: a path
+has the same bits alone and in any block, and at 1, 2 and 4 OpenBLAS
+threads (tested).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -83,8 +87,12 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
 
 
-# Rows of the Cholesky factor per stored panel.
+# Rows of the Cholesky factor per stored panel; rows of normals per product
+# (stream index i is row i % _CHUNK of chunk i // _CHUNK); and the unit the
+# factor's size is rounded up to for sampling.
 _PANEL = 512
+_CHUNK = 25
+_PAD = 64
 
 
 def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
@@ -133,8 +141,11 @@ def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _cholesky_factor(n: int, hurst: float) -> list[np.ndarray]:
+    """Panels of the factor for n steps rounded up to ``_PAD``; its leading
+    n x n block is the factor for n, bit for bit (the recursion is
+    elementwise)."""
     try:
-        return _schur_panels(_fgn_autocov(n, hurst))
+        return _schur_panels(_fgn_autocov(-(-n // _PAD) * _PAD, hurst))
     except DriverNumericsError as exc:
         raise DriverNumericsError(
             f"Cholesky factorization of the fGn covariance failed for n={n}, "
@@ -170,19 +181,50 @@ def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndar
     return np.sqrt(m) * np.fft.ifft(sq * v).real[:n]
 
 
-def sample_fbm(params: FbmParams, seed: SeedSpec) -> GridPath:
-    """One scalar fBm path on ``{0, dt, ..., horizon}`` starting at 0."""
-    rng = seed.generator()
+def _cholesky_fgn(n: int, hurst: float, seeds: list[SeedSpec]) -> np.ndarray:
+    """Unit-step fGn ``L g``, one row per seed, by products of fixed shapes.
+
+    Each seed draws its ``standard_normal(n)`` into row ``stream_index %
+    _CHUNK`` of its chunk: the seeds of one master seed and sub-stream whose
+    stream indices share ``stream_index // _CHUNK``.  Rows with no seed stay
+    zero, and every product is ``(_CHUNK, e) @ panel.T``: BLAS rounds a
+    product of a few rows differently from a wide one, so a fixed shape and
+    row keep a row's bits independent of the other seeds of the call.  The
+    factor is padded to a multiple of ``_PAD`` steps, and the zero tail of
+    ``g`` adds exact zeros: OpenBLAS splits a product over threads in a way
+    that changes its bits unless both sizes of every panel are multiples of
+    32 (measured with OpenBLAS 0.3.31, Haswell kernels, at 1, 2 and 4
+    threads).
+    """
+    panels = _cholesky_factor(n, hurst)
+    width = panels[-1].shape[1]
+    chunks: dict[SeedSpec, np.ndarray] = {}  # keyed by the seed of row 0
+    slots = []
+    for seed in seeds:
+        row = seed.stream_index % _CHUNK
+        key = replace(seed, stream_index=seed.stream_index - row)
+        g = chunks.setdefault(key, np.zeros((_CHUNK, width)))
+        g[row, :n] = seed.generator().standard_normal(n)
+        slots.append((key, row))
+    fgn = {key: np.concatenate([g[:, : p.shape[1]] @ p.T for p in panels], axis=1)
+           for key, g in chunks.items()}
+    return np.stack([fgn[key][row, :n] for key, row in slots])
+
+
+def sample_fbm(params: FbmParams, seed: SeedSpec | list[SeedSpec]) -> GridPath:
+    """Scalar fBm on ``{0, dt, ..., horizon}`` starting at 0: one path for a
+    seed, a replica block in list order for a list of seeds."""
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
     n = params.n_steps
     if params.method == "cholesky":
-        panels = _cholesky_factor(n, params.hurst)
-        g = rng.standard_normal(n)
-        fgn = np.concatenate([p @ g[: p.shape[1]] for p in panels])
+        fgn = _cholesky_fgn(n, params.hurst, seeds)
     else:
-        fgn = _fgn_davies_harte(n, params.hurst, rng)
-    fgn = fgn * params.dt**params.hurst
-    values = np.concatenate([[0.0], np.cumsum(fgn)])
-    return GridPath(0.0, params.dt, values)
+        fgn = np.stack([_fgn_davies_harte(n, params.hurst, s.generator()) for s in seeds])
+    values = np.zeros((len(seeds), n + 1))
+    np.cumsum(fgn * params.dt**params.hurst, axis=1, out=values[:, 1:])
+    return GridPath(0.0, params.dt, values[0] if isinstance(seed, SeedSpec) else values[..., None])
 
 
 def sample_wiener(n_steps: int, horizon: float, dim: int, seed: SeedSpec) -> GridPath:

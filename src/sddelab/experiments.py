@@ -42,6 +42,7 @@ from .drivers import FbmParams, sample_fbm, sample_wiener
 from .grid import GridPath, SeedSpec, stack_paths, stack_replicas
 from .solver import (
     MollifiedDrift,
+    MollifierParams,
     SolverConfig,
     SolverExplosionError,
     _tap_steps,
@@ -261,18 +262,26 @@ class QuasiReport:
 # driver sampling and spec perturbations
 
 
-def _sample_drivers(spec: CoefficientSpec, fbm: FbmParams, seed: SeedSpec):
-    """Wiener and fBm drivers of one solve on the grid of ``fbm``.
+def _sample_drivers(spec: CoefficientSpec, fbm: FbmParams, seeds: SeedSpec | list[SeedSpec]):
+    """Wiener and fBm drivers on the grid of ``fbm``: one path each for a
+    seed, replica blocks for a list of replica seeds.
 
     A single fBm channel draws from ``seed.child(1)``, channel j of several
-    from ``seed.child(1).child(j)``.  Experiment replicas and ``sddelab
-    solve`` both sample here.
+    from ``seed.child(1).child(j)``; each channel is one ``sample_fbm`` call
+    for all seeds.  Experiment blocks and ``sddelab solve`` both sample here.
     """
-    w = sample_wiener(fbm.n_steps, fbm.horizon, spec.n_wiener, seed.child(0))
+    each = [seeds] if isinstance(seeds, SeedSpec) else list(seeds)
+    w = stack_replicas([sample_wiener(fbm.n_steps, fbm.horizon, spec.n_wiener, s.child(0))
+                        for s in each])
+    zs = [s.child(1) for s in each]
     if spec.n_holder == 1:
-        return w, sample_fbm(fbm, seed.child(1))
-    channels = [sample_fbm(fbm, seed.child(1).child(j)) for j in range(spec.n_holder)]
-    return w, stack_paths(channels)
+        z = sample_fbm(fbm, zs)
+    else:
+        z = stack_paths([sample_fbm(fbm, [s.child(j) for s in zs])
+                         for j in range(spec.n_holder)])
+    if isinstance(seeds, SeedSpec):
+        return tuple(GridPath(p.t0, p.dt, p.values[0]) for p in (w, z))
+    return w, z
 
 
 def _perturbed_spec(spec: CoefficientSpec, perturbation: str, n: float) -> CoefficientSpec:
@@ -310,8 +319,7 @@ def _at_levels(*labels):
 
 def _block_drivers(cfg: ExperimentConfig, replicas: range, n_steps: int):
     fbm = FbmParams(cfg.params.hurst, n_steps, cfg.horizon, cfg.driver_method)
-    pairs = [_sample_drivers(cfg.spec, fbm, SeedSpec(cfg.seed, r)) for r in replicas]
-    return stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
+    return _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
 
 
 def _level_distances(reference: GridPath, levels) -> np.ndarray:
@@ -531,7 +539,7 @@ def _check_euler(cfg: ExperimentConfig) -> None:
 def _check_ito(cfg: ExperimentConfig) -> None:
     _require_counts(cfg, "mollifier levels")
     dt = cfg.horizon / cfg.n_steps
-    if dt > 1.0 / (4.0 * max(cfg.levels)):
+    if not MollifierParams(int(max(cfg.levels))).resolves(dt):
         raise ExperimentError(
             f"mesh dt={dt} too coarse for mollifier level {max(cfg.levels)}"
         )

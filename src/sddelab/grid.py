@@ -150,9 +150,10 @@ def _common_grid(paths: list[GridPath]) -> GridPath:
 
 
 def stack_paths(paths: list[GridPath]) -> GridPath:
-    """Stack scalar paths on a common grid into one vector-valued path."""
+    """Stack scalar paths (or replica blocks) on a common grid into one
+    vector-valued path (or block), one coordinate per path."""
     head = _common_grid(paths)
-    return GridPath(head.t0, head.dt, np.column_stack([p.scalar_values() for p in paths]))
+    return GridPath(head.t0, head.dt, np.stack([p.scalar_values() for p in paths], axis=-1))
 
 
 def stack_replicas(paths: list[GridPath]) -> GridPath:

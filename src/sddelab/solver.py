@@ -135,6 +135,14 @@ class MollifierParams:
     def window(self) -> float:
         return 1.0 / self.level
 
+    @property
+    def max_dt(self) -> float:
+        """The coarsest grid step the window average resolves: a quarter window."""
+        return self.window / 4.0
+
+    def resolves(self, dt: float) -> bool:
+        return dt <= self.max_dt
+
 
 def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
     if not same_time(path.t0, 0.0):
@@ -536,10 +544,10 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
     params = MollifierParams(level)
     if not same_time(Z.t0, 0.0):
         raise GridError("driver must start at time 0")
-    if Z.dt > params.window / 4.0:
+    if not params.resolves(Z.dt):
         raise GridError(
             f"grid step {Z.dt} too coarse for mollifier level {level}: "
-            f"need dt <= {params.window / 4.0}"
+            f"need dt <= {params.max_dt}"
         )
     n = Z.n_points - 1
     dt = Z.dt

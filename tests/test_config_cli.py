@@ -574,6 +574,16 @@ RANGE_ERRORS = {
     "negative_horizon": (
         "experiment", "horizon", _with(geometric_doc(), "experiment", horizon=-1),
     ),
+    # JSON's Infinity: euler_refinement would divide the horizon into no finite grid
+    "experiment_infinite_horizon": (
+        "experiment", "horizon", _with(geometric_doc(), "experiment", horizon=float("inf")),
+    ),
+    "solve_infinite_horizon": (
+        "solve", "horizon", _with(TestCliSolve().solve_doc(), "solve", horizon=float("inf")),
+    ),
+    "fbm_infinite_horizon": (
+        "fbm", "horizon", _with(TestCliFbmAndFrac().fbm_doc(), "fbm", horizon=float("inf")),
+    ),
     "moments_negative_order": (
         "experiment", "levels",
         _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0, -4.0]),
@@ -617,6 +627,15 @@ RANGE_ERRORS = {
         _with(TestCliSolve().solve_doc(), "coefficients", drift={"gain_now": float("inf")}),
     ),
 }
+
+
+def test_solve_delay_against_a_zero_length_history_prints_the_window(tmp_path, capsys):
+    """A zero-length history starts at -0.0; its window reads [0, 0]."""
+    cfg = write_config(tmp_path, _with(TestCliSolve().solve_doc(), "solve", delay=0.25))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "solve.delay=0.25 does not match the initial-condition window [0, 0]" in err
+    assert "--0.0" not in err
 
 
 @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
@@ -806,6 +825,29 @@ def test_reports_byte_identical_across_workers_over_several_blocks(
                      "--workers", workers])
         assert code in (0, 1)
         blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("levels", [[100, 400], [250, 1000]])
+def test_reports_byte_identical_across_blas_thread_counts(tmp_path, levels):
+    """Cholesky drivers on one panel (n=400) and on two (n=1000), neither a
+    multiple of the panel: ``report.json`` and ``distances.csv`` have the
+    same bytes under one and two OpenBLAS threads, in separate processes."""
+    doc = geometric_doc()
+    doc["experiment"].update(levels=levels, n_steps=levels[-1], emit_distances=True)
+    doc["criteria"] = {"max_final_exceedance": 1.0}
+    cfg = write_config(tmp_path, doc)
+    src = Path(__file__).resolve().parents[1] / "src"
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "sddelab.cli", "experiment", "euler", "--config",
+             str(cfg), "--out", str(out)],
+            check=True, env={**os.environ, "PYTHONPATH": str(src),
+                             "OPENBLAS_NUM_THREADS": threads},
+        )
+        blobs.append([(out / name).read_bytes() for name in ("report.json", "distances.csv")])
     assert blobs[0] == blobs[1]
 
 

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sddelab import (
@@ -140,6 +144,80 @@ def test_schur_factor_matches_lapack(n, hurst):
     fgn = oracle @ seed.generator().standard_normal(n) * params.dt**hurst
     expected = np.concatenate([[0.0], np.cumsum(fgn)])
     assert np.abs(path - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@lru_cache(maxsize=4)
+def unpadded_panels(n, hurst):
+    return drivers._schur_panels(drivers._fgn_autocov(n, hurst))
+
+
+def matvec_oracle(params, seed):
+    """The per-replica sampler the chunk products replaced: the Schur panels
+    of n steps times one replica's normals, one matvec per panel."""
+    g = seed.generator().standard_normal(params.n_steps)
+    panels = unpadded_panels(params.n_steps, params.hurst)
+    fgn = np.concatenate([p @ g[: p.shape[1]] for p in panels]) * params.dt**params.hurst
+    return np.concatenate([[0.0], np.cumsum(fgn)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 37, 300, 512, 700, 1100]),
+    streams=st.lists(st.integers(0, 3 * drivers._CHUNK), min_size=1, max_size=10,
+                     unique=True),
+    cuts=st.lists(st.integers(1, 9), max_size=4),
+)
+# blocks of 1, 2 and 3 that straddle chunk edges, on one panel and on three
+@example(n=300, streams=[24, 3, 25, 49, 50, 75], cuts=[1, 3])
+@example(n=1100, streams=[24, 3, 25, 49, 50, 75], cuts=[1, 3])
+def test_any_partition_of_replicas_gives_each_replica_alone(n, streams, cuts):
+    """A replica's fBm has the same bits in every block it is drawn in, and
+    agrees with the per-replica matvec within 1e-12 of its sup norm."""
+    params = FbmParams(0.75, n, 1.0)
+    seeds = [SeedSpec(29, s).child(1) for s in streams]
+    alone = [sample_fbm(params, s).values for s in seeds]
+    edges = [0, *sorted({c for c in cuts if c < len(seeds)}), len(seeds)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = sample_fbm(params, seeds[lo:hi])
+        assert block.replicas == hi - lo and block.dt == params.dt
+        for row, path in zip(block.values, alone[lo:hi]):
+            assert np.array_equal(row, path)
+    for seed, path in zip(seeds, alone):
+        expected = matvec_oracle(params, seed)
+        assert np.abs(path[:, 0] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_seeds_that_share_a_stream_index_keep_their_own_rows():
+    """Master seed and sub-stream key a chunk too: equal stream indices of
+    different seeds in one call do not share a row."""
+    params = FbmParams(0.75, 96, 1.0)
+    seeds = [SeedSpec(1, 5), SeedSpec(2, 5), SeedSpec(1, 5).child(3), SeedSpec(1, 5)]
+    block = sample_fbm(params, seeds)
+    for row, seed in zip(block.values, seeds):
+        assert np.array_equal(row, sample_fbm(params, seed).values)
+    assert not np.array_equal(block.values[0], block.values[1])
+
+
+def test_padded_factor_leads_with_the_factor_of_n():
+    """The factor is stored for n rounded up to ``_PAD`` steps; its leading
+    n x n block is the factor of n, bit for bit."""
+    n = 300
+    padded = dense_from_panels(drivers._cholesky_factor(n, 0.75), 320)
+    np.testing.assert_array_equal(padded[:n, :n],
+                                  dense_from_panels(unpadded_panels(n, 0.75), n))
+
+
+def test_davies_harte_block_stacks_the_single_paths():
+    params = FbmParams(0.75, 64, 1.0, "davies_harte")
+    seeds = [SeedSpec(4, r) for r in (9, 2, 30)]
+    block = sample_fbm(params, seeds)
+    for row, seed in zip(block.values, seeds):
+        assert np.array_equal(row, sample_fbm(params, seed).values)
+
+
+def test_empty_seed_list_is_refused():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_fbm(FbmParams(0.75, 16, 1.0), [])
 
 
 @pytest.mark.parametrize("cov", [[1.0, 1.0, 1.0], [1.0, 2.0], [1.0, np.nan],

@@ -9,6 +9,7 @@ from sddelab.core import (
     geometric_spec,
     pointwise_delay_spec,
 )
+from sddelab import experiments
 from sddelab.experiments import (
     ExceedanceEstimate,
     ExperimentConfig,
@@ -252,8 +253,11 @@ class TestItoLimit:
 
     def test_mesh_compatibility_guard(self):
         cfg = make_config("ito_limit", levels=(4, 64), n_steps=64)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError,
+                           match=r"^mesh dt=0\.015625 too coarse for mollifier level 64$"):
             run_experiment(cfg)
+        # a quarter window of the finest level is the coarsest mesh admitted
+        experiments._check_ito(make_config("ito_limit", levels=(4, 64), n_steps=256))
 
     def test_distance_decreases_in_level(self):
         cfg = make_config("ito_limit", levels=(4, 16, 64), n_steps=512, replicas=30)

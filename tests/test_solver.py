@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sddelab import FbmParams, GridPath, SeedSpec, sample_fbm, sample_wiener
 from sddelab.core import (
@@ -14,6 +15,7 @@ from sddelab.solver import (
     AdaptednessError,
     GuardedDriver,
     MollifiedDrift,
+    MollifierParams,
     SolverConfig,
     SolverExplosionError,
     coefficient_evaluator,
@@ -222,8 +224,17 @@ class TestMollifier:
 
     def test_grid_too_coarse_rejected(self):
         z = GridPath(0.0, 1 / 8, np.zeros(9))
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match=r"grid step 0\.125 too coarse for mollifier "
+                                            r"level 16: need dt <= 0\.015625$"):
             mollify_driver(z, 16)
+        # a quarter window is the coarsest grid admitted
+        assert mollify_driver(GridPath(0.0, 1 / 64, np.zeros(65)), 16).n_points == 65
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.floats(1e-9, 1.0))
+    def test_mesh_rule_is_dt_at_most_one_over_four_n(self, level, dt):
+        """The rule both the solver and the experiment check ask."""
+        assert MollifierParams(level).resolves(dt) == (dt <= 1.0 / (4.0 * level))
 
     def test_output_lipschitz_constant_bound(self):
         # clamped values are bounded by N over a window of width 1/N
