@@ -37,7 +37,6 @@ from .core import (
     segment_at,
 )
 from .solver import (
-    GuardedDriver,
     MollifiedDrift,
     SolverConfig,
     euler_ito_sdde,
@@ -84,7 +83,6 @@ __all__ = [
     "geometric_spec",
     "pointwise_delay_spec",
     "segment_at",
-    "GuardedDriver",
     "MollifiedDrift",
     "SolverConfig",
     "euler_ito_sdde",

@@ -38,13 +38,7 @@ from .core import ParamError
 from .drivers import DriverNumericsError, sample_fbm
 from .experiments import ExperimentConfig, ExperimentError, _sample_drivers, run_experiment
 from .grid import GridError, GridPath
-from .solver import (
-    MollifiedDrift,
-    SolverExplosionError,
-    coefficient_evaluator,
-    euler_ito_sdde,
-    euler_mixed_sdde,
-)
+from .solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 __all__ = ["main", "RunConfig"]
 
@@ -170,8 +164,7 @@ def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
     if scfg.scheme == "euler_mixed":
         path = euler_mixed_sdde(spec, initial, w, z, scfg)
     else:
-        drift = MollifiedDrift(spec, z, mollifier.level)
-        path = euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), initial, w, scfg)
+        path = euler_ito_sdde(spec, initial, w, z, scfg, mollifier.level)
     runtime = time.perf_counter() - started
     out = run.output_dir
     header = "time," + ",".join(f"v{i + 1}" for i in range(path.dim))

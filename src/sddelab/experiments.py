@@ -41,12 +41,10 @@ from .core import (
 from .drivers import FbmParams, sample_fbm, sample_wiener
 from .grid import GridPath, SeedSpec, stack_paths, stack_replicas
 from .solver import (
-    MollifiedDrift,
     MollifierParams,
     SolverConfig,
     SolverExplosionError,
     _tap_steps,
-    coefficient_evaluator,
     euler_ito_sdde,
     euler_mixed_sdde,
     geometric_closed_form,
@@ -355,10 +353,9 @@ def _block_ito(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     scfg = cfg.solver_config
     with _at_levels("reference"):
         reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
-    drifts = [MollifiedDrift(cfg.spec, z, int(level)) for level in cfg.levels]
     with _at_levels(*cfg.levels):
         levels = euler_ito_sdde(
-            drifts, coefficient_evaluator(cfg.spec, "b"), cfg.initial, w, scfg
+            cfg.spec, cfg.initial, w, z, scfg, [int(level) for level in cfg.levels]
         )
     return _level_distances(reference, levels)
 

@@ -7,18 +7,18 @@ raw increment of Z is used directly; the mollified driver Z^N exists only to
 re-express the equation as an Ito equation with random drift, which
 ``euler_ito_sdde`` integrates.
 
-Both schemes run on one stepper.  A :class:`CoefficientSpec` is compiled
-once into arrays (gain matrices, constants, the delay tap, the time
-modulation), and each step advances a ``(groups, replicas, d)`` state block
-with one affine update.  Drivers given as a replica block (a
-:class:`GridPath` with values ``(replicas, n, d)``) are solved together; a
-single path is a block of one.  Row groups, given as lists of specs,
-initial conditions and rough drivers (or mollified drifts), are solved in
-the same pass on a shared Wiener block, each group with its own gains,
-constants, tap and history.  The mixed step adds ``a dt + b dW + c dZ``;
-the mollified Ito step adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt
-tabulated on the step times from driver values at or before each step time.
-``euler_ito_sdde`` given other callables runs the general per-step loop.
+Both schemes take the same inputs (the Ito scheme also the mollifier level)
+and run on one stepper.  A :class:`CoefficientSpec` is compiled once into
+arrays (gain matrices, constants, the delay tap, the time modulation), and
+each step advances a ``(groups, replicas, d)`` state block with one affine
+update.  Drivers given as a replica block (a :class:`GridPath` with values
+``(replicas, n, d)``) are solved together; a single path is a block of one.
+Row groups, given as lists of specs, initial conditions, rough drivers or
+mollifier levels, are solved in the same pass on a shared Wiener block, each
+group with its own gains, constants, tap and history.  The mixed step adds
+``a dt + b dW + c dZ``; the mollified Ito step adds
+``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step times from
+driver values at or before each step time.
 
 All solves are pure functions of their inputs: identical arguments give
 bit-identical output paths.  Each row's path is independent of its block:
@@ -32,25 +32,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .core import DELAY_READS, CoefficientSpec, InitialCondition, Segment, eval_coefficient
+from .core import DELAY_READS, CoefficientSpec, InitialCondition, eval_coefficient
 from .grid import GridError, GridPath, grid_steps, refinement, same_time
 
 __all__ = [
     "SolverConfig",
     "MollifierParams",
     "SolverExplosionError",
-    "AdaptednessError",
     "euler_mixed_sdde",
     "euler_ito_sdde",
     "geometric_closed_form",
     "mollify_driver",
-    "GuardedDriver",
     "MollifiedDrift",
-    "coefficient_evaluator",
 ]
 
 SCHEMES = ("euler_mixed", "euler_ito")
@@ -76,10 +72,6 @@ class SolverExplosionError(RuntimeError):
             f"{where}solution magnitude {self.magnitude:.3e} exceeded the explosion "
             f"threshold {self.threshold:.3e} at t={self.time:.6g}"
         )
-
-
-class AdaptednessError(RuntimeError):
-    """A random coefficient tried to read driver values from the future."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ class MollifierParams:
         return dt <= self.max_dt
 
 
-def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
+def _check_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> None:
     if not same_time(path.t0, 0.0):
         raise GridError(f"{name} must start at time 0, starts at {path.t0}")
     if path.dim != dim:
@@ -153,6 +145,10 @@ def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> Gri
         raise GridError(
             f"{name} covers [0, {path.end_time}], expected [0, {cfg.horizon}]"
         )
+
+
+def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
+    _check_driver(path, cfg, dim, name)
     step = refinement(cfg.dt, path.dt, f"{name} grid")
     return path if step == 1 else path.restrict(step)
 
@@ -377,6 +373,43 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
             for g in range(groups)]
 
 
+def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tuple:
+    """Both schemes from their inputs: the row groups, the drivers checked
+    against the solver grid, the third increment column, one :func:`_solve`.
+
+    ``level`` None selects the mixed scheme, whose third column is dZ on the
+    solver grid.  Otherwise it is the mollifier level of the Ito scheme,
+    whose third column is dZ^N/dt at the step times, tabulated from Z on its
+    own grid.  A list of ``Z`` or of ``level`` gives each group its own
+    column; otherwise the groups share one.
+    """
+    (specs, etas, zs, levels), grouped = _row_groups(spec, eta, Z, level)
+    ito = level is not None
+    if ito:
+        for lvl in levels:
+            if not MollifierParams(lvl).resolves(cfg.dt):
+                raise GridError(f"mesh dt={cfg.dt} too coarse for mollifier level {lvl}")
+    head = specs[0]
+    w = _align_driver(W, cfg, head.n_wiener, "W")
+    own = any(isinstance(a, (list, tuple)) for a in (Z, level))
+    times = cfg.dt * np.arange(cfg.n_steps)
+    thirds = []
+    for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
+        if ito:
+            _check_driver(z, cfg, head.n_holder, "Z")
+        else:
+            z = _align_driver(z, cfg, head.n_holder, "Z")
+        if w.replicas != z.replicas:
+            raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
+        if ito:
+            zdot = _zdot(z, MollifierParams(lvl), times)
+            thirds.append(zdot[None] if z.replicas is None else zdot)
+        else:
+            thirds.append(np.diff(_block(z), axis=1))
+    paths = _solve(specs, etas, cfg, w, 1.0 if ito else cfg.dt, thirds, ito)
+    return tuple(paths) if grouped else paths[0]
+
+
 def euler_mixed_sdde(
     spec: CoefficientSpec,
     eta: InitialCondition,
@@ -397,104 +430,29 @@ def euler_mixed_sdde(
     each bit-identical to its group solved alone.  The specs must share the
     dimensions, the time modulation and the kind of delay read.
     """
-    (specs, etas, zs), grouped = _row_groups(spec, eta, Z)
-    w = _align_driver(W, cfg, specs[0].n_wiener, "W")
-    thirds = []
-    for z in (zs if isinstance(Z, (list, tuple)) else [Z]):
-        z = _align_driver(z, cfg, specs[0].n_holder, "Z")
-        if w.replicas != z.replicas:
-            raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
-        thirds.append(np.diff(_block(z), axis=1))
-    paths = _solve(specs, etas, cfg, w, cfg.dt, thirds, False)
-    return tuple(paths) if grouped else paths[0]
-
-
-@dataclass(frozen=True, eq=False)
-class _Coefficient:
-    """One coefficient of a spec as a ``(t, psi) -> array`` callable."""
-
-    spec: CoefficientSpec
-    which: str
-
-    def __call__(self, t: float, psi):
-        return eval_coefficient(self.spec, self.which, t, psi)
-
-
-def coefficient_evaluator(spec: CoefficientSpec, which: str):
-    """Bind one coefficient of a spec as a plain ``(t, psi) -> array`` callable."""
-    return _Coefficient(spec, which)
+    return _front(spec, eta, W, Z, cfg, None)
 
 
 def euler_ito_sdde(
-    drift,
-    diffusion,
-    theta: InitialCondition,
+    spec: CoefficientSpec,
+    eta: InitialCondition,
     W: GridPath,
+    Z: GridPath,
     cfg: SolverConfig,
-    guarded: tuple = (),
+    level: int,
 ) -> GridPath | tuple[GridPath, ...]:
-    """Euler-Maruyama path of an Ito delay equation with (possibly random)
-    coefficients ``drift(t, psi)`` and ``diffusion(t, psi)``.
+    """Euler-Maruyama path of the mollified Ito delay equation on
+    [-delay, horizon]: the mixed equation with ``c dZ`` replaced by the random
+    drift ``c dZ^N/dt dt`` of :class:`MollifiedDrift`.
 
-    Random coefficients must be adapted: any :class:`GuardedDriver` listed in
-    ``guarded`` is advanced to the current step time before evaluation, so an
-    evaluator that asks for future driver values raises
-    :class:`AdaptednessError`.
-
-    A :class:`MollifiedDrift` with the ``coefficient_evaluator(spec, "b")``
-    of its own spec is solved by the compiled stepper (``W`` and the drift's
-    driver may then be replica blocks of one size); it reads the driver only
-    at nodes at or before each step time, so no guard is needed.  There,
-    ``drift`` and ``theta`` may each be a list, one entry per row group, as
-    in :func:`euler_mixed_sdde`: mollified drifts of that spec at any levels,
-    solved in one pass, with a tuple of paths returned.
+    Each step advances ``X += (a + c dZ^N/dt) dt + b dW`` with the
+    coefficients frozen at the left node; dZ^N/dt at a step time reads Z at
+    nodes at or before it only.  ``Z`` must cover [0, horizon] on any grid,
+    and the solver grid must resolve every level (``dt <= 1 / (4 level)``).
+    Inputs as in :func:`euler_mixed_sdde`, with ``level`` one more argument
+    that may be a list, one entry per row group.
     """
-    (drifts, thetas), grouped = _row_groups(drift, theta)
-    if (
-        all(isinstance(f, MollifiedDrift) for f in drifts)
-        and isinstance(diffusion, _Coefficient)
-        and diffusion.which == "b"
-        and all(f.spec is diffusion.spec for f in drifts)
-    ):
-        spec = diffusion.spec
-        w = _align_driver(W, cfg, spec.n_wiener, "W")
-        thirds = []
-        for f in drifts:
-            if w.replicas != f.driver.replicas:
-                raise GridError(f"W has {w.replicas} replicas, Z has {f.driver.replicas}")
-            if f.driver.dim != spec.n_holder:
-                raise GridError(f"Z has dimension {f.driver.dim}, expected {spec.n_holder}")
-            zdot = f.zdot_table(cfg.dt * np.arange(cfg.n_steps))
-            thirds.append(zdot[None] if w.replicas is None else zdot)
-        paths = _solve([spec] * len(drifts), thetas, cfg, w, 1.0, thirds, True)
-        return tuple(paths) if grouped else paths[0]
-    if grouped:
-        raise GridError("row groups need MollifiedDrifts and their spec's diffusion")
-    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
-    hist = _history_values(theta, cfg)
-    dim = hist.shape[1]
-    w = _align_driver(W, cfg, W.dim, "W")
-    if w.replicas is not None:
-        raise GridError("replica blocks need a MollifiedDrift and its spec's diffusion")
-    dw = np.diff(w.values, axis=0)
-    buf = np.empty((q + n + 1, dim))
-    buf[: q + 1] = hist
-    live = SimpleNamespace(values=buf, dt=dt)  # segments view the buffer, no copies
-    threshold = cfg.explosion_threshold
-    for k in range(n):
-        i = q + k
-        t = k * dt
-        for guard in guarded:
-            guard.advance(t)
-        psi = Segment(live, i, q)
-        f = np.asarray(drift(t, psi), dtype=float).reshape(dim)
-        g = np.asarray(diffusion(t, psi), dtype=float).reshape(dim, w.dim)
-        x_new = buf[i] + f * dt + (g * dw[k]).sum(axis=-1)
-        mag = float(np.linalg.norm(x_new))
-        if mag > threshold:
-            raise SolverExplosionError((k + 1) * dt, mag, threshold)
-        buf[i + 1] = x_new
-    return GridPath(-cfg.delay, dt, buf)
+    return _front(spec, eta, W, Z, cfg, level)
 
 
 def geometric_closed_form(
@@ -570,22 +528,12 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
     return GridPath(0.0, dt, float(level) * out)
 
 
-class GuardedDriver:
-    """Clock-gated, interpolating, read-only view of a driver path."""
-
-    def __init__(self, path: GridPath):
-        self._path = path
-        self._clock = -np.inf
-
-    def advance(self, t: float) -> None:
-        self._clock = t
-
-    def value(self, s: float) -> np.ndarray:
-        if s > self._clock + 1e-12:
-            raise AdaptednessError(
-                f"driver value at s={s} requested while the clock is at {self._clock}"
-            )
-        return _interpolate(self._path, s)
+def _zdot(Z: GridPath, params: MollifierParams, t):
+    """``N (clamp_N Z(t) - clamp_N Z(max(t - 1/N, 0)))`` at the time(s) ``t``."""
+    lvl = float(params.level)
+    now = _interpolate(Z, t)
+    past = _interpolate(Z, np.maximum(t - params.window, 0.0))
+    return lvl * (_clamp(now, lvl) - _clamp(past, lvl))
 
 
 class MollifiedDrift:
@@ -600,25 +548,12 @@ class MollifiedDrift:
         self.spec = spec
         self.level = MollifierParams(level)
         self.driver = Z
-        self.guard = GuardedDriver(Z)
 
-    def _derivative(self, now: np.ndarray, past: np.ndarray) -> np.ndarray:
-        lvl = float(self.level.level)
-        return lvl * (_clamp(now, lvl) - _clamp(past, lvl))
-
-    def zdot(self, t: float) -> np.ndarray:
-        now = self.guard.value(t)
-        past = self.guard.value(max(t - self.level.window, 0.0))
-        return self._derivative(now, past)
-
-    def zdot_table(self, times: np.ndarray) -> np.ndarray:
-        """``zdot`` at every time in ``times`` at once: (len(times), l), or
-        (replicas, len(times), l) for a replica block.  The entry at time t
-        reads the driver at nodes at or before t only."""
-        past = np.maximum(times - self.level.window, 0.0)
-        return self._derivative(
-            _interpolate(self.driver, times), _interpolate(self.driver, past)
-        )
+    def zdot(self, t) -> np.ndarray:
+        """dZ^N/dt at one time, ``(l,)``, or at an array of times,
+        ``(len(t), l)``; a replica block adds a leading replica axis.  The
+        value at time t reads the driver at nodes at or before t only."""
+        return _zdot(self.driver, self.level, t)
 
     def __call__(self, t: float, psi) -> np.ndarray:
         a = eval_coefficient(self.spec, "a", t, psi)

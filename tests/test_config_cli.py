@@ -16,9 +16,7 @@ from sddelab.cli import main
 from sddelab import FbmParams, config, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
 from sddelab.grid import stack_paths
-from sddelab.solver import (
-    MollifiedDrift, coefficient_evaluator, euler_ito_sdde, euler_mixed_sdde,
-)
+from sddelab.solver import euler_ito_sdde, euler_mixed_sdde
 
 DATA = Path(__file__).parent / "data"
 
@@ -270,8 +268,7 @@ class TestCliSolve:
         if scheme == "euler_mixed":
             path = euler_mixed_sdde(spec, initial, w, z, scfg)
         else:
-            drift = MollifiedDrift(spec, z, mollifier.level)
-            path = euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), initial, w, scfg)
+            path = euler_ito_sdde(spec, initial, w, z, scfg, mollifier.level)
         np.testing.assert_array_equal(solved, path.values[:, 0])
 
     def test_explosion_exits_four(self, tmp_path):
@@ -551,6 +548,11 @@ RANGE_ERRORS = {
     "mollifier_level_zero": (
         "solve", "mollifier",
         _with(TestCliSolve().solve_doc("euler_ito"), "solve", mollifier_level=0),
+    ),
+    # dt = 1/16 is coarser than a quarter window of level 64, as in `experiment ito`
+    "solve_ito_mesh_too_coarse": (
+        "solve", "mesh dt=0.0625 too coarse for mollifier level 64",
+        _with(TestCliSolve().solve_doc("euler_ito"), "solve", n_steps=16, mollifier_level=64),
     ),
     "young_love_lambda_above_one": (
         "frac", "frac.lambda", _frac_doc(operation="young_love", **{"lambda": 2.0, "mu": 0.5}),

@@ -7,22 +7,29 @@ from sddelab.core import (
     CoeffBlock,
     CoefficientSpec,
     constant_initial,
+    eval_coefficient,
     geometric_spec,
     pointwise_delay_spec,
+    segment_at,
 )
 from sddelab.grid import GridError
 from sddelab.solver import (
-    AdaptednessError,
-    GuardedDriver,
     MollifiedDrift,
     MollifierParams,
     SolverConfig,
     SolverExplosionError,
-    coefficient_evaluator,
     euler_ito_sdde,
     euler_mixed_sdde,
     geometric_closed_form,
     mollify_driver,
+)
+
+from helpers import (
+    AdaptednessError,
+    GuardedDriver,
+    GuardedMollifiedDrift,
+    callable_ito,
+    coefficient,
 )
 
 
@@ -161,13 +168,46 @@ def test_off_grid_tap_is_rejected_by_every_stepper(stepper):
     cfg = SolverConfig(n_steps=64, horizon=1.0, delay=0.5)
     eta = constant_initial(1.0, 0.5, cfg.dt)
     w, z = drivers(64)
-    drift = {"mixed": None, "compiled_ito": MollifiedDrift(spec, z, 8),
-             "callable_ito": coefficient_evaluator(spec, "a")}[stepper]
     with pytest.raises(GridError, match="0.3 does not land on the grid"):
-        if drift is None:
+        if stepper == "mixed":
             euler_mixed_sdde(spec, eta, w, z, cfg)
+        elif stepper == "compiled_ito":
+            euler_ito_sdde(spec, eta, w, z, cfg, 8)
+        else:  # the oracle loop reads the tap through eval_coefficient
+            callable_ito(coefficient(spec, "a"), coefficient(spec, "b"), eta, w, cfg)
+
+
+def _short_z(z):
+    return GridPath(0.0, z.dt, z.values[: z.n_points // 2 + 1])
+
+
+def _shifted_z(z):
+    return GridPath(0.5, z.dt, z.values[: z.n_points // 2 + 1])
+
+
+def _wide_z(z):
+    return GridPath(0.0, z.dt, np.hstack([z.values, z.values]))
+
+
+@pytest.mark.parametrize("scheme", ["mixed", "ito"])
+@pytest.mark.parametrize("make_z, message", [
+    pytest.param(_short_z, r"Z covers \[0, 0\.5\], expected \[0, 1\.0\]", id="short"),
+    pytest.param(_shifted_z, r"Z must start at time 0, starts at 0\.5", id="shifted"),
+    pytest.param(_wide_z, r"Z has dimension 2, expected 1", id="wide"),
+])
+def test_rough_driver_must_cover_the_horizon_in_every_scheme(scheme, make_z, message):
+    """Both schemes refuse a Z that ends early, starts late or has the wrong
+    dimension, with the same message; read past its end, Z would be taken
+    as constant."""
+    spec = geometric_spec(0.5, 0.4, 0.3)
+    cfg = SolverConfig(n_steps=64, horizon=1.0)
+    eta = constant_initial(1.0, 0.0, cfg.dt)
+    w, z = drivers(64)
+    with pytest.raises(GridError, match=message):
+        if scheme == "mixed":
+            euler_mixed_sdde(spec, eta, w, make_z(z), cfg)
         else:
-            euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), eta, w, cfg)
+            euler_ito_sdde(spec, eta, w, make_z(z), cfg, 4)
 
 
 class TestGeometricClosedForm:
@@ -264,7 +304,7 @@ class TestEulerIto:
     def test_zero_coefficients(self):
         cfg = SolverConfig(n_steps=16, horizon=1.0)
         w, _ = drivers(16)
-        y = euler_ito_sdde(
+        y = callable_ito(
             lambda t, psi: np.zeros(1), lambda t, psi: np.zeros((1, 1)),
             constant_initial(3.0, 0.0, cfg.dt), w, cfg,
         )
@@ -273,7 +313,7 @@ class TestEulerIto:
     def test_unit_drift_is_time(self):
         cfg = SolverConfig(n_steps=32, horizon=1.0)
         w, _ = drivers(32)
-        y = euler_ito_sdde(
+        y = callable_ito(
             lambda t, psi: np.ones(1), lambda t, psi: np.zeros((1, 1)),
             constant_initial(1.0, 0.0, cfg.dt), w, cfg,
         )
@@ -287,10 +327,7 @@ class TestEulerIto:
         eta = constant_initial(1.0, 0.0, cfg.dt)
         w, z = drivers(128, seed=6)
         mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
-        ito = euler_ito_sdde(
-            coefficient_evaluator(spec, "a"), coefficient_evaluator(spec, "b"),
-            eta, w, cfg,
-        )
+        ito = callable_ito(coefficient(spec, "a"), coefficient(spec, "b"), eta, w, cfg)
         np.testing.assert_array_equal(mixed.values, ito.values)
 
     def test_reduction_is_bit_identical_vector(self):
@@ -306,11 +343,67 @@ class TestEulerIto:
         w = sample_wiener(64, 1.0, 2, s.child(0))
         z = sample_fbm(FbmParams(0.75, 64, 1.0), s.child(1))
         mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
-        ito = euler_ito_sdde(
-            coefficient_evaluator(spec, "a"), coefficient_evaluator(spec, "b"),
-            eta, w, cfg,
-        )
+        ito = callable_ito(coefficient(spec, "a"), coefficient(spec, "b"), eta, w, cfg)
         np.testing.assert_array_equal(mixed.values, ito.values)
+
+    @pytest.mark.parametrize("level", [4, 32])
+    @pytest.mark.parametrize("case", ["scalar", "vector", "pointwise_delay"])
+    def test_compiled_reduction_is_bit_identical(self, case, level):
+        """With c = 0 the mollified Ito solve equals the mixed solve bit for
+        bit, at every level."""
+        delay = 0.5 if case == "pointwise_delay" else 0.0
+        cfg = SolverConfig(n_steps=128, horizon=1.0, delay=delay)
+        if case == "vector":
+            spec = CoefficientSpec(
+                "no_delay", 2, 2, 1,
+                CoeffBlock.build(1, 2, gain_now=0.3),
+                CoeffBlock.build(2, 2, gain_now=0.2),
+                CoeffBlock.build(1, 2),  # c = 0
+            )
+            eta = constant_initial(np.array([1.0, 2.0]), 0.0, cfg.dt)
+            w = sample_wiener(128, 1.0, 2, SeedSpec(7).child(0))
+            z = sample_fbm(FbmParams(0.75, 128, 1.0), SeedSpec(7).child(1))
+        else:
+            spec = (geometric_spec(0.5, 0.4, 0.0) if case == "scalar"
+                    else pointwise_delay_spec(0.3, 0.3, 0.1, 0.2, 0.0, 0.0, tau=0.25))
+            eta = constant_initial(1.0, cfg.delay, cfg.dt)
+            w, z = drivers(128, seed=6)
+        mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
+        ito = euler_ito_sdde(spec, eta, w, z, cfg, level)
+        assert np.array_equal(mixed.values, ito.values)
+
+    def test_mesh_rule_is_checked_for_every_level(self):
+        """The solver grid must resolve every level: dt <= 1 / (4 level)."""
+        spec = geometric_spec(0.5, 0.4, 0.3)
+        eta = constant_initial(1.0, 0.0, 1 / 256)
+        w, z = drivers(256)
+        coarse = SolverConfig(n_steps=128, horizon=1.0)
+        with pytest.raises(GridError, match=r"^mesh dt=0\.0078125 too coarse for "
+                                            r"mollifier level 64$"):
+            euler_ito_sdde(spec, eta, w, z, coarse, [4, 64])
+        fine = SolverConfig(n_steps=256, horizon=1.0)  # exactly a quarter window
+        assert len(euler_ito_sdde(spec, eta, w, z, fine, [4, 64])) == 2
+
+    def test_mollified_drift_is_a_plus_c_zdot_at_any_time(self):
+        """A fresh MollifiedDrift evaluates ``a + c dZ^N/dt`` at any (t, psi)
+        it is given, and its zdot agrees with the guarded oracle's."""
+        spec = pointwise_delay_spec(0.3, 0.3, 0.1, 0.2, 0.2, -0.1, tau=0.25)
+        _, z = drivers(64, seed=4)
+        x = GridPath(-0.5, z.dt, np.linspace(0.5, 2.0, 97))
+        oracle = GuardedMollifiedDrift(spec, z, 4)
+        for t in (0.0, 0.25, 0.5, 1.0):
+            psi = segment_at(x, t, 0.5)
+            drift = MollifiedDrift(spec, z, 4)
+            zdot = drift.zdot(t)
+            a, c = (eval_coefficient(spec, which, t, psi) for which in "ac")
+            np.testing.assert_array_equal(drift(t, psi), a + (c * zdot).sum(axis=-1))
+            oracle.guard.advance(t)
+            np.testing.assert_array_equal(zdot, oracle.zdot(t))
+        times = z.dt * np.arange(64)
+        table = MollifiedDrift(spec, z, 4).zdot(times)
+        assert table.shape == (64, 1)
+        for k in (0, 7, 63):
+            np.testing.assert_array_equal(table[k], MollifiedDrift(spec, z, 4).zdot(times[k]))
 
     def test_adaptedness_guard_trips_on_future_reads(self):
         cfg = SolverConfig(n_steps=16, horizon=1.0)
@@ -321,7 +414,7 @@ class TestEulerIto:
             return guard.value(t + 2 * cfg.dt)  # reads the future
 
         with pytest.raises(AdaptednessError):
-            euler_ito_sdde(
+            callable_ito(
                 leaky_drift, lambda t, psi: np.zeros((1, 1)),
                 constant_initial(1.0, 0.0, cfg.dt), w, cfg, guarded=(guard,),
             )
@@ -338,11 +431,7 @@ class TestEulerIto:
         z = GridPath(0.0, cfg.dt, np.linspace(0, 1, n + 1))
         mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
         for level in (8, 16, 32):
-            drift = MollifiedDrift(spec, z, level)
-            ito = euler_ito_sdde(
-                drift, coefficient_evaluator(spec, "b"), eta, w, cfg,
-                guarded=(drift.guard,),
-            )
+            ito = euler_ito_sdde(spec, eta, w, z, cfg, level)
             gap = np.max(np.abs(ito.values - mixed.values))
             exact = np.e * (1.0 - np.exp(-0.5 / level))
             assert gap == pytest.approx(exact, rel=0.02)
@@ -359,11 +448,7 @@ class TestEulerIto:
             w, z = drivers(cfg.n_steps, seed=77, stream=rep)
             mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
             for level in gaps:
-                drift = MollifiedDrift(spec, z, level)
-                ito = euler_ito_sdde(
-                    drift, coefficient_evaluator(spec, "b"), eta, w, cfg,
-                    guarded=(drift.guard,),
-                )
+                ito = euler_ito_sdde(spec, eta, w, z, cfg, level)
                 gaps[level].append(np.max(np.abs(ito.values - mixed.values)))
         means = [np.mean(gaps[level]) for level in (4, 16, 64)]
         assert means[0] > means[1] > means[2]

@@ -30,10 +30,11 @@ from sddelab.solver import (
     MollifiedDrift,
     SolverConfig,
     SolverExplosionError,
-    coefficient_evaluator,
     euler_ito_sdde,
     euler_mixed_sdde,
 )
+
+from helpers import callable_ito, coefficient, mollified_ito_oracle
 
 # Vector and distributed-delay specs sum several products per coefficient.
 # The stepper adds them in component order and keeps a running window sum;
@@ -212,8 +213,7 @@ PARTITION_CASES = {  # name: (spec factory, psi(0), delay of the solve)
 def _partition_solve(spec, eta, cfg, pairs, ito):
     w, z = stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
     if ito:
-        return euler_ito_sdde(MollifiedDrift(spec, z, 2), coefficient_evaluator(spec, "b"),
-                              eta, w, cfg).values
+        return euler_ito_sdde(spec, eta, w, z, cfg, 2).values
     return euler_mixed_sdde(spec, eta, w, z, cfg).values
 
 
@@ -294,17 +294,17 @@ def test_every_row_group_of_a_stacked_solve_equals_its_solve_alone(name, ito, n,
     ramp = np.linspace(0.5, 1.0, cfg.delay_steps + 1)[:, None]
     pairs = [drivers(cfg, base, r) for r in range(3)]
     w, z = stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
-    etas, specs, zs, drifts = [], [], [], []
+    etas, specs, zs, levels = [], [], [], []
     for g, (tap, gain, const, merged, scale, level) in enumerate(groups):
         etas.append(InitialCondition(GridPath(-delay, cfg.dt, scale * ramp * x0), 0.45))
         tap = min(tap, cfg.delay_steps)
         specs.append(_group_spec(base, cfg, tap, gain, const, merged))
         zs.append(GridPath(0.0, cfg.dt, z.values + 0.1 * g * z.times[:, None]) if own_z else z)
-        drifts.append(MollifiedDrift(base, zs[-1], level))
+        levels.append(level)
     if ito:
-        b = coefficient_evaluator(base, "b")
-        stacked = euler_ito_sdde(drifts, b, etas, w, cfg)
-        alone = [euler_ito_sdde(f, b, eta, w, cfg) for f, eta in zip(drifts, etas)]
+        stacked = euler_ito_sdde(base, etas, w, zs if own_z else z, cfg, levels)
+        alone = [euler_ito_sdde(base, eta, w, zg, cfg, level)
+                 for eta, zg, level in zip(etas, zs, levels)]
     else:
         stacked = euler_mixed_sdde(specs, etas, w, zs if own_z else z, cfg)
         alone = [euler_mixed_sdde(*args, w, zg, cfg) for *args, zg in zip(specs, etas, zs)]
@@ -388,37 +388,24 @@ def test_block_sizes_must_match():
 # the mollified Ito scheme
 
 
-def _callable_ito(spec, eta, w, z, cfg, level):
-    """The general per-step loop of euler_ito_sdde, fed the same objects."""
-    drift = MollifiedDrift(spec, z, level)
-    diffusion = coefficient_evaluator(spec, "b")
-    return euler_ito_sdde(
-        lambda t, psi: drift(t, psi), lambda t, psi: diffusion(t, psi),
-        eta, w, cfg, guarded=(drift.guard,),
-    )
-
-
 @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
 @pytest.mark.parametrize("level", [4, 16, 64])
 def test_compiled_ito_equals_callable_loop(name, level):
     spec, eta, cfg = _case(name)
     w, z = drivers(cfg, spec, 3)
-    drift = MollifiedDrift(spec, z, level)
-    compiled = euler_ito_sdde(drift, coefficient_evaluator(spec, "b"), eta, w, cfg)
-    np.testing.assert_array_equal(compiled.values, _callable_ito(spec, eta, w, z, cfg, level).values)
+    compiled = euler_ito_sdde(spec, eta, w, z, cfg, level)
+    oracle = mollified_ito_oracle(spec, eta, w, z, cfg, level)
+    np.testing.assert_array_equal(compiled.values, oracle.values)
 
 
 def test_compiled_ito_block_equals_per_replica_solves():
     spec, eta, cfg = _case("pointwise_delay")
     pairs = [drivers(cfg, spec, r) for r in range(5)]
     zb = stack_replicas([z for _, z in pairs])
-    block = euler_ito_sdde(
-        MollifiedDrift(spec, zb, 16), coefficient_evaluator(spec, "b"), eta,
-        stack_replicas([w for w, _ in pairs]), cfg,
-    )
+    block = euler_ito_sdde(spec, eta, stack_replicas([w for w, _ in pairs]), zb, cfg, 16)
     for r, (w, z) in enumerate(pairs):
         np.testing.assert_array_equal(
-            block.values[r], _callable_ito(spec, eta, w, z, cfg, 16).values
+            block.values[r], mollified_ito_oracle(spec, eta, w, z, cfg, 16).values
         )
 
 
@@ -427,9 +414,9 @@ def test_compiled_ito_vector_spec_matches_callable_loop():
     cfg = SolverConfig(n_steps=256, horizon=1.0, delay=0.25)
     eta = constant_initial(np.array([1.0, -0.5]), 0.25, cfg.dt)
     w, z = drivers(cfg, spec, 1)
-    compiled = euler_ito_sdde(MollifiedDrift(spec, z, 8), coefficient_evaluator(spec, "b"), eta, w, cfg)
+    compiled = euler_ito_sdde(spec, eta, w, z, cfg, 8)
     np.testing.assert_allclose(
-        compiled.values, _callable_ito(spec, eta, w, z, cfg, 8).values,
+        compiled.values, mollified_ito_oracle(spec, eta, w, z, cfg, 8).values,
         rtol=VECTOR_RTOL, atol=1e-14,
     )
 
@@ -441,8 +428,8 @@ def test_compiled_ito_vector_spec_matches_callable_loop():
     frac=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_zdot_table_reads_no_driver_value_after_its_time(n, level, frac, seed):
-    """Changing Z after node k leaves the tabulated dZ^N/dt at t_0..t_k unchanged."""
+def test_zdot_reads_no_driver_value_after_its_time(n, level, frac, seed):
+    """Changing Z after node k leaves dZ^N/dt at t_0..t_k unchanged."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / n
     vals = np.cumsum(rng.standard_normal(n + 1)) * 3.0
@@ -451,8 +438,8 @@ def test_zdot_table_reads_no_driver_value_after_its_time(n, level, frac, seed):
     changed[k + 1:] += rng.standard_normal(n - k) * 5.0
     times = dt * np.arange(n)
     spec = geometric_spec(0.0, 0.0, 1.0)
-    before = MollifiedDrift(spec, GridPath(0.0, dt, vals), level).zdot_table(times)
-    after = MollifiedDrift(spec, GridPath(0.0, dt, changed), level).zdot_table(times)
+    before = MollifiedDrift(spec, GridPath(0.0, dt, vals), level).zdot(times)
+    after = MollifiedDrift(spec, GridPath(0.0, dt, changed), level).zdot(times)
     np.testing.assert_array_equal(before[: k + 1], after[: k + 1])
 
 
@@ -460,10 +447,8 @@ def test_callable_ito_rejects_replica_blocks():
     spec, eta, cfg = _case("no_delay")
     w, _ = drivers(cfg, spec, 0)
     with pytest.raises(GridError):
-        euler_ito_sdde(
-            coefficient_evaluator(spec, "a"), coefficient_evaluator(spec, "b"),
-            eta, stack_replicas([w, w]), cfg,
-        )
+        callable_ito(coefficient(spec, "a"), coefficient(spec, "b"), eta,
+                     stack_replicas([w, w]), cfg)
 
 
 def test_history_window_is_copied_into_every_replica():
