@@ -160,8 +160,9 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
 def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
     scfg, spec, initial, seed, fbm, mollifier = loaded.payload
     started = time.perf_counter()
+    scheme = loaded.resolved["solve"]["scheme"]
     w, z = _sample_drivers(spec, fbm, seed)
-    if scfg.scheme == "euler_mixed":
+    if scheme == "euler_mixed":
         path = euler_mixed_sdde(spec, initial, w, z, scfg)
     else:
         path = euler_ito_sdde(spec, initial, w, z, scfg, mollifier.level)
@@ -175,7 +176,7 @@ def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
             "code_version": __version__,
             "config": loaded.resolved,
             "dims": {"d": spec.dim, "m": spec.n_wiener, "l": spec.n_holder},
-            "scheme": scfg.scheme,
+            "scheme": scheme,
             "seed": {"master": seed.master_seed, "stream": seed.stream_index},
             "runtime_seconds": runtime,
         },

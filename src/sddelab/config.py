@@ -8,9 +8,11 @@ domain object already enforces (``HolderParams``, ``FbmParams``,
 ``SolverConfig``, ``MollifierParams``, ``ExperimentConfig``) are left to it,
 and a domain error raised while loading becomes a :class:`ConfigError` that
 names the section.  The few rules linking fields are explicit lines after the
-read.  Nothing physically meaningful (Hurst index, exponents, mesh, taps,
-Monte Carlo size) has a silent default, and every parsed config serializes to
-a canonical dict that round-trips losslessly.
+read.  The history length r is a key of ``initial`` alone, and every solve
+takes its look-back window from it.  Nothing physically meaningful (Hurst
+index, exponents, mesh, taps, Monte Carlo size) has a silent default, and
+every parsed config serializes to a canonical dict that round-trips
+losslessly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .drivers import _METHODS, FbmParams
 from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
                           ExperimentError)
 from .fraccalc import RS_RULES
-from .grid import GridPath, SeedSpec, same_time
+from .grid import GridPath, SeedSpec
 from .solver import SCHEMES, MollifierParams, SolverConfig
 
 __all__ = [
@@ -222,8 +224,6 @@ SOLVE = (
     Field("scheme", "string", "euler_ito solves the mollified Itô equation", REQUIRED, SCHEMES),
     _HORIZON,
     _N_STEPS,
-    Field("delay", "float", "look-back window, equal to the history length r (default r)",
-          OPTIONAL),
     Field("explosion_threshold", "float", "state norm that counts as an explosion, > 0", 1e8),
     Field("mollifier_level", "integer", "mollifier level N >= 1; required by euler_ito", None),
 )
@@ -388,19 +388,14 @@ def _parse_frac(v: dict, doc: dict) -> LoadedConfig:
 def _parse_solve(v: dict, doc: dict) -> LoadedConfig:
     (holder, spec, initial, seed, method), resolved = _model(v, doc)
     s = v["solve"]
-    delay = initial.r if s["delay"] is None else s["delay"]
-    scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], delay, s["scheme"],
-                  s["explosion_threshold"])
-    if not same_time(initial.r, scfg.delay):
-        # a zero-length history has r = -0.0; its window prints as [0, 0]
-        raise ConfigError(f"solve.delay={scfg.delay} does not match the initial-condition "
-                          f"window [{-initial.r or 0}, 0]")
+    scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], s["explosion_threshold"])
+    _build("solve", initial.steps, scfg.dt)  # the history must land on the grid
     level = s["mollifier_level"]
-    if scfg.scheme == "euler_ito" and level is None:
+    if s["scheme"] == "euler_ito" and level is None:
         raise ConfigError("solve: scheme euler_ito requires mollifier_level")
     mollifier = None if level is None else _build("solve", MollifierParams, level)
     fbm = _build("solve", FbmParams, holder.hurst, scfg.n_steps, scfg.horizon, method)
-    resolved = {"kind": "solve", "solve": {**s, "delay": scfg.delay}, **resolved}
+    resolved = {"kind": "solve", "solve": s, **resolved}
     return LoadedConfig("solve", (scfg, spec, initial, seed, fbm, mollifier), resolved)
 
 

@@ -358,6 +358,10 @@ class InitialCondition:
     def r(self) -> float:
         return -self.eta.t0
 
+    def steps(self, dt: float) -> int:
+        """The history length r in steps of ``dt``; r must land on that grid."""
+        return grid_steps(self.r, dt, what="delay")
+
     def holder_constant(self) -> float:
         if self.eta.n_points < 2:
             return 0.0

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import fraccalc
 from .core import (
+    DELAY_READS,
     CoefficientSpec,
     HolderParams,
     InitialCondition,
@@ -121,7 +122,7 @@ class ExperimentConfig:
             raise ExperimentError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.kind != "euler_refinement":  # n_steps sets the driver and solver grids
             FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
-            self.solver_config
+            self.initial.steps(self.solver_config.dt)  # the history must land on it
         if len(self.levels) < 1:
             raise ExperimentError("need at least one level")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
@@ -140,9 +141,7 @@ class ExperimentConfig:
 
     @property
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            n_steps=self.n_steps, horizon=self.horizon, delay=self.initial.r
-        )
+        return SolverConfig(n_steps=self.n_steps, horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -376,19 +375,22 @@ def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     n_driver = finest if use_closed else 4 * finest
     w, z = _block_drivers(cfg, replicas, n_driver)
     x0 = float(cfg.initial.eta.values[-1, 0])
+    eta, read = cfg.initial, DELAY_READS[cfg.spec.family]
+    if read == "none" or (read == "tap" and cfg.spec.tau == 0):  # x depends on eta(0) alone
+        eta = replace(eta, eta=GridPath(0.0, eta.eta.dt, eta.eta.values[-1:]))
     if use_closed:
         reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
     else:
         fine_cfg = SolverConfig(n_steps=n_driver, horizon=cfg.horizon)
         with _at_levels("reference"):
-            reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, fine_cfg)
+            reference = euler_mixed_sdde(cfg.spec, eta, w, z, fine_cfg)
     out = np.empty((len(replicas), len(cfg.levels)))
     for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
         step = n_driver // int(level)
         scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
         with _at_levels(level):
             level_path = euler_mixed_sdde(
-                cfg.spec, cfg.initial, w.restrict(step), z.restrict(step), scfg
+                cfg.spec, eta, w.restrict(step), z.restrict(step), scfg
             )
         out[:, i] = _sup_distance(level_path, reference.restrict(step))
     return out
@@ -507,13 +509,13 @@ def _check_coeff(cfg: ExperimentConfig) -> None:
 def _check_delay(cfg: ExperimentConfig) -> None:
     if cfg.spec.family != "pointwise_delay":
         raise ExperimentError("vanishing delay needs a pointwise_delay spec")
-    scfg = cfg.solver_config
+    dt = cfg.solver_config.dt
     for tau in cfg.levels:
         try:
-            _tap_steps(cfg.spec.with_tau(tau), scfg)
+            _tap_steps(cfg.spec.with_tau(tau), dt, cfg.initial.steps(dt))
         except ValueError as exc:
             raise ExperimentError(
-                f"levels of vanishing_delay are taps on the mesh in [0, {scfg.delay:g}], "
+                f"levels of vanishing_delay are taps on the mesh in [0, {abs(cfg.initial.r):g}], "
                 f"the initial delay; got {list(cfg.levels)}: {exc}"
             ) from exc
 

@@ -8,15 +8,18 @@ re-express the equation as an Ito equation with random drift, which
 ``euler_ito_sdde`` integrates.
 
 Both schemes take the same inputs (the Ito scheme also the mollifier level)
-and run on one stepper.  A :class:`CoefficientSpec` is compiled once into
-arrays (gain matrices, constants, the delay tap, the time modulation), and
-each step advances a ``(groups, replicas, d)`` state block with one affine
-update.  Drivers given as a replica block (a :class:`GridPath` with values
-``(replicas, n, d)``) are solved together; a single path is a block of one.
-Row groups, given as lists of specs, initial conditions, rough drivers or
-mollifier levels, are solved in the same pass on a shared Wiener block, each
-group with its own gains, constants, tap and history.  The mixed step adds
-``a dt + b dW + c dZ``; the mollified Ito step adds
+and run on one stepper.  :class:`SolverConfig` holds only the grid and the
+trust region: the look-back window [-r, 0] is the span of the initial
+condition, and the scheme is the entry point called.  A
+:class:`CoefficientSpec` is compiled once into arrays (gain matrices,
+constants, the delay tap, the time modulation), and each step advances a
+``(groups, replicas, d)`` state block with one affine update.  Drivers given
+as a replica block (a :class:`GridPath` with values ``(replicas, n, d)``) are
+solved together; a single path is a block of one.  Row groups, given as lists
+of specs, initial conditions, rough drivers or mollifier levels, are solved in
+the same pass on a shared Wiener block, each group with its own gains,
+constants, tap and history (all histories of one length).  The mixed step
+adds ``a dt + b dW + c dZ``; the mollified Ito step adds
 ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step times from
 driver values at or before each step time.
 
@@ -76,12 +79,11 @@ class SolverExplosionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Uniform-grid solve on [0, horizon] with look-back window ``delay``."""
+    """Uniform-grid solve on [0, horizon]; the look-back window [-r, 0] is
+    the history's, and the scheme is the entry point's."""
 
     n_steps: int
     horizon: float
-    delay: float = 0.0
-    scheme: str = "euler_mixed"
     explosion_threshold: float = 1e8
 
     def __post_init__(self) -> None:
@@ -89,23 +91,14 @@ class SolverConfig:
             raise ValueError("n_steps must be positive")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.explosion_threshold > 0:  # also refuses NaN
             raise ValueError(
                 f"explosion_threshold must be positive, got {self.explosion_threshold}"
             )
-        self.delay_steps  # the delay must land on the grid
 
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
-
-    @property
-    def delay_steps(self) -> int:
-        return grid_steps(self.delay, self.dt, what="delay")
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,9 @@ class MollifierParams:
         return dt <= self.max_dt
 
 
-def _check_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> None:
+def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
+    """``path`` on the solver grid: it must start at 0, cover the horizon, have
+    ``dim`` components and a grid that refines the solver step."""
     if not same_time(path.t0, 0.0):
         raise GridError(f"{name} must start at time 0, starts at {path.t0}")
     if path.dim != dim:
@@ -145,43 +140,29 @@ def _check_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> Non
         raise GridError(
             f"{name} covers [0, {path.end_time}], expected [0, {cfg.horizon}]"
         )
-
-
-def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> GridPath:
-    _check_driver(path, cfg, dim, name)
     step = refinement(cfg.dt, path.dt, f"{name} grid")
     return path if step == 1 else path.restrict(step)
 
 
-def _history_values(eta: InitialCondition, cfg: SolverConfig) -> np.ndarray:
-    q = cfg.delay_steps
-    if q == 0:
-        return eta.eta.values[-1:].copy()
+def _history_values(eta: InitialCondition, dt: float, q: int) -> np.ndarray:
+    """The history on the solver grid, ``(q + 1, d)`` with q = r / dt."""
     path = eta.eta
-    if not same_time(path.t0, -cfg.delay):
-        raise GridError(
-            f"initial condition covers [{path.t0}, 0], solver needs [-{cfg.delay}, 0]"
-        )
-    ratio = refinement(cfg.dt, path.dt, "initial condition grid")
-    path = path if ratio == 1 else path.restrict(ratio)
-    if path.n_points != q + 1:
-        raise GridError("initial condition grid does not match the solver grid")
-    return path.values.copy()
+    if q:
+        path = path.restrict(refinement(dt, path.dt, "initial condition grid"))
+    return path.values[-q - 1:].copy()
 
 
-def _tap_steps(spec: CoefficientSpec, cfg: SolverConfig) -> int | None:
-    """The steps back of the spec's delay read on the solver grid: 0 for a
-    family without one, None for the distributed window."""
+def _tap_steps(spec: CoefficientSpec, dt: float, q: int) -> int | None:
+    """The steps back of the spec's delay read on a grid of step ``dt``, within
+    a history of q steps: 0 for a family without one, None for the window."""
     read = DELAY_READS[spec.family]
-    if read == "window" and cfg.delay_steps == 0:
+    if read == "window" and q == 0:
         raise GridError("distributed_delay needs a non-trivial segment window")
     if read != "tap":
         return None if read == "window" else 0
-    q_tau = grid_steps(spec.tau, cfg.dt, what="tap")
-    if q_tau > cfg.delay_steps:
-        raise GridError(
-            f"tap {spec.tau} exceeds the delay horizon {cfg.delay} of the solve"
-        )
+    q_tau = grid_steps(spec.tau, dt, what="tap")
+    if q_tau > q:
+        raise GridError(f"tap {spec.tau} exceeds the history length {q * dt:g}")
     return q_tau
 
 
@@ -197,9 +178,9 @@ def _stack(parts: list):
     return stacked, None if have.all() else have[:, None, None]
 
 
-def _compile(specs: list, cfg: SolverConfig):
-    """The specs of the row groups as arrays for one solver grid:
-    ``(now, delay, const, mods, taps)``.
+def _compile(specs: list, cfg: SolverConfig, q: int):
+    """The specs of the row groups as arrays for one solver grid and histories
+    of q steps: ``(now, delay, const, mods, taps)``.
 
     Columns are ``[a | b_1..b_m | c_1..c_l]``: in group g,
     ``x @ now[g] + y @ delay[g] + const[g]``, reshaped to
@@ -231,7 +212,7 @@ def _compile(specs: list, cfg: SolverConfig):
         consts.append(const if const.any() else None)
         sines.append(np.concatenate([np.full(b.channels, b.time_modulation == "sin")
                                      for b in blocks]))
-        taps.append(_tap_steps(spec, cfg))
+        taps.append(_tap_steps(spec, cfg.dt, q))
     sin_cols = sines[0]
     if any(not np.array_equal(s, sin_cols) for s in sines):
         raise GridError("row groups must share the time modulation")
@@ -283,9 +264,12 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
     one after the other would have stopped.  Returns one path per group.
     """
     groups, d, m = len(specs), specs[0].dim, specs[0].n_wiener
-    now, (delay, on_delay), (const, on_const), mods, taps = _compile(specs, cfg)
-    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
-    hist = [_history_values(eta, cfg) for eta in etas]
+    n, dt = cfg.n_steps, cfg.dt
+    q = etas[0].steps(dt)
+    if any(eta.steps(dt) != q for eta in etas[1:]):
+        raise GridError("row groups must share the history length")
+    now, (delay, on_delay), (const, on_const), mods, taps = _compile(specs, cfg, q)
+    hist = [_history_values(eta, dt, q) for eta in etas]
     for h in hist:
         if h.shape[1] != d:
             raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
@@ -369,7 +353,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
                 (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
             )
     single = w.replicas is None
-    return [GridPath(-cfg.delay, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))
+    return [GridPath(-etas[0].r, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))
             for g in range(groups)]
 
 
@@ -395,17 +379,12 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     times = cfg.dt * np.arange(cfg.n_steps)
     thirds = []
     for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
-        if ito:
-            _check_driver(z, cfg, head.n_holder, "Z")
-        else:
-            z = _align_driver(z, cfg, head.n_holder, "Z")
+        aligned = _align_driver(z, cfg, head.n_holder, "Z")
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
-        if ito:
-            zdot = _zdot(z, MollifierParams(lvl), times)
-            thirds.append(zdot[None] if z.replicas is None else zdot)
-        else:
-            thirds.append(np.diff(_block(z), axis=1))
+        # dZ^N/dt is tabulated from Z on its own grid
+        third = _zdot(z, MollifierParams(lvl), times) if ito else np.diff(aligned.values, axis=-2)
+        thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder))
     paths = _solve(specs, etas, cfg, w, 1.0 if ito else cfg.dt, thirds, ito)
     return tuple(paths) if grouped else paths[0]
 
@@ -417,18 +396,21 @@ def euler_mixed_sdde(
     Z: GridPath,
     cfg: SolverConfig,
 ) -> GridPath | tuple[GridPath, ...]:
-    """Explicit Euler path of the mixed delay equation on [-delay, horizon].
+    """Explicit Euler path of the mixed delay equation on [-r, horizon],
+    with r the length of the history ``eta``.
 
-    On [-delay, 0] the output equals the initial condition bitwise.  Each step
+    On [-r, 0] the output equals the initial condition bitwise.  Each step
     advances ``X += a dt + b dW + c dZ`` with all three coefficients frozen at
     the left node and the segment of the discrete solution there.  ``W`` and
-    ``Z`` may be replica blocks of one size; the output is then a block too.
+    ``Z`` must cover [0, horizon] on grids that refine the solver grid, and
+    may be replica blocks of one size; the output is then a block too.
 
     Row groups: ``spec``, ``eta`` and ``Z`` may each be a list, one entry per
     group (a single value serves every group).  All groups are solved in one
     pass on the shared ``W``, and a tuple of paths comes back, one per group,
     each bit-identical to its group solved alone.  The specs must share the
-    dimensions, the time modulation and the kind of delay read.
+    dimensions, the time modulation and the kind of delay read, and the
+    histories their length r.
     """
     return _front(spec, eta, W, Z, cfg, None)
 
@@ -442,15 +424,15 @@ def euler_ito_sdde(
     level: int,
 ) -> GridPath | tuple[GridPath, ...]:
     """Euler-Maruyama path of the mollified Ito delay equation on
-    [-delay, horizon]: the mixed equation with ``c dZ`` replaced by the random
+    [-r, horizon]: the mixed equation with ``c dZ`` replaced by the random
     drift ``c dZ^N/dt dt`` of :class:`MollifiedDrift`.
 
     Each step advances ``X += (a + c dZ^N/dt) dt + b dW`` with the
     coefficients frozen at the left node; dZ^N/dt at a step time reads Z at
-    nodes at or before it only.  ``Z`` must cover [0, horizon] on any grid,
-    and the solver grid must resolve every level (``dt <= 1 / (4 level)``).
-    Inputs as in :func:`euler_mixed_sdde`, with ``level`` one more argument
-    that may be a list, one entry per row group.
+    nodes at or before it only, interpolated on the grid of Z.  The solver
+    grid must resolve every level (``dt <= 1 / (4 level)``).  Inputs as in
+    :func:`euler_mixed_sdde`, with ``level`` one more argument that may be a
+    list, one entry per row group.
     """
     return _front(spec, eta, W, Z, cfg, level)
 

@@ -115,8 +115,8 @@ def callable_ito(drift, diffusion, theta, W: GridPath, cfg, guarded: tuple = ())
     evaluator that asks for future driver values raises
     :class:`AdaptednessError`.
     """
-    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
-    hist = _history_values(theta, cfg)
+    n, q, dt = cfg.n_steps, theta.steps(cfg.dt), cfg.dt
+    hist = _history_values(theta, dt, q)
     dim = hist.shape[1]
     w = _align_driver(W, cfg, W.dim, "W")
     if w.replicas is not None:
@@ -139,7 +139,7 @@ def callable_ito(drift, diffusion, theta, W: GridPath, cfg, guarded: tuple = ())
         if mag > threshold:
             raise SolverExplosionError((k + 1) * dt, mag, threshold)
         buf[i + 1] = x_new
-    return GridPath(-cfg.delay, dt, buf)
+    return GridPath(-theta.r, dt, buf)
 
 
 def mollified_ito_oracle(spec, eta, w: GridPath, z: GridPath, cfg, level: int) -> GridPath:

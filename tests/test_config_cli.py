@@ -220,7 +220,7 @@ class TestCliSolve:
     def solve_doc(self, scheme="euler_mixed"):
         return {
             "kind": "solve",
-            "solve": {"scheme": scheme, "horizon": 1.0, "n_steps": 128, "delay": 0.0,
+            "solve": {"scheme": scheme, "horizon": 1.0, "n_steps": 128,
                       "mollifier_level": 8 if scheme == "euler_ito" else None},
             "holder": {"gamma": 0.7, "alpha": 0.35, "beta": 1.0, "theta": 0.45,
                        "hurst": 0.75},
@@ -593,8 +593,13 @@ RANGE_ERRORS = {
     # 0.3 lies between the nodes 19/64 and 20/64; the stepper must not round it
     "solve_off_grid_tap": (
         "solve", "tap 0.3",
-        _with(_with(_with(TestCliSolve().solve_doc(), "solve", n_steps=64, delay=0.5),
+        _with(_with(_with(TestCliSolve().solve_doc(), "solve", n_steps=64),
                     "initial", delay=0.5), "coefficients", family="pointwise_delay", tau=0.3),
+    ),
+    "solve_tap_beyond_the_history": (
+        "solve", "tap 0.5 exceeds the history length 0.25",
+        _with(_with(TestCliSolve().solve_doc(), "initial", delay=0.25),
+              "coefficients", family="pointwise_delay", tau=0.5),
     ),
     "negative_explosion_threshold": (
         "solve", "explosion_threshold",
@@ -631,13 +636,87 @@ RANGE_ERRORS = {
 }
 
 
-def test_solve_delay_against_a_zero_length_history_prints_the_window(tmp_path, capsys):
-    """A zero-length history starts at -0.0; its window reads [0, 0]."""
-    cfg = write_config(tmp_path, _with(TestCliSolve().solve_doc(), "solve", delay=0.25))
+def test_solve_delay_is_an_unknown_key(tmp_path, capsys):
+    """The look-back window of a solve is the history's length r, set in
+    ``initial``; ``solve`` states it nowhere, not even as r."""
+    cfg = write_config(tmp_path, _with(TestCliSolve().solve_doc(), "solve", delay=0.0))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "solve: unknown keys ['delay']" in capsys.readouterr().err
+
+
+# one valid level schedule per flavor, on a pointwise-delay spec with tap 0.25
+DELAY_HISTORY_CASES = {
+    "coeff": [2, 4],
+    "delay": [0.25, 0.125],
+    "euler": [8, 32],
+    "ito": [4, 8],
+    "moments": [2.0, 4.0],
+    "quasi": [0.1, 0.05],
+}
+
+
+def _delay_history_doc(alias, levels, family="pointwise_delay", **experiment):
+    doc = geometric_doc()
+    doc["experiment"] = {"flavor": config.FLAVOR_ALIASES[alias], "levels": levels,
+                         "replicas": 30, "epsilon": 0.1, "horizon": 1.0, "n_steps": 32,
+                         **experiment}
+    doc["coefficients"] = {
+        "family": family, "dim": 1, "n_wiener": 1, "n_holder": 1,
+        "tau" if family == "pointwise_delay" else "delay_span": 0.25,
+        "drift": {"gain_now": 0.3, "gain_delay": 0.3},
+        "diffusion": {"gain_delay": 0.2},
+        "zdrive": {"gain_now": 0.2},
+    }
+    doc["initial"] = {"constant": 1.0, "delay": 0.25, "theta": 0.45}
+    return doc
+
+
+@pytest.mark.parametrize("alias, family", [
+    *((alias, "pointwise_delay") for alias in sorted(DELAY_HISTORY_CASES)),
+    ("euler", "distributed_delay"),
+])
+def test_every_flavor_runs_on_a_delay_history(tmp_path, capsys, alias, family):
+    """The history length r = 0.25 sets the look-back window of every solve,
+    the fine reference and each mesh of euler_refinement included."""
+    extra = {"reference": "fine_euler"} if alias == "euler" else {}
+    doc = _delay_history_doc(alias, DELAY_HISTORY_CASES[alias], family, **extra)
+    cfg = write_config(tmp_path, doc)
+    code = main(["experiment", alias, "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert "solve.delay=0.25 does not match the initial-condition window [0, 0]" in err
-    assert "--0.0" not in err
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+
+
+def test_the_history_must_land_on_every_mesh_of_a_delay_spec(tmp_path, capsys):
+    """r = 1/32 lands on the fine grids but not on the mesh of 16 steps."""
+    doc = _delay_history_doc("euler", [16, 64], reference="fine_euler")
+    doc["coefficients"]["tau"] = 1 / 32
+    doc["initial"] = {"constant": 1.0, "delay": 1 / 32, "theta": 0.45}
+    cfg = write_config(tmp_path, doc)
+    assert main(["experiment", "euler", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "delay 0.03125 does not land on the grid (dt=0.0625)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reference, levels", [
+    ("closed_form", [16, 64]),
+    ("closed_form", [64, 512]),
+    ("fine_euler", [16, 128]),
+])
+def test_no_delay_euler_reads_only_psi_0_of_the_history(tmp_path, reference, levels):
+    """With a no_delay spec only the history's last value enters the
+    solution, so any history gives the report of r = 0: r = 1/32 need not
+    land on a mesh of 16 steps, nor the grid r/64 of r = 0.25 refine the
+    solve grid 1/512."""
+    reports = []
+    for r in (0.0, 1 / 32, 0.25):
+        doc = _with(geometric_doc(), "experiment", levels=levels, replicas=30,
+                    reference=reference)
+        doc["initial"] = {"constant": 1.0, "delay": r, "theta": 0.45}
+        out = tmp_path / str(r)
+        assert main(["experiment", "euler", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) in (0, 1)
+        reports.append(json.loads((out / "report.json").read_text())["report"])
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
@@ -1008,3 +1087,13 @@ def test_readme_json_examples_parse():
     assert len(blocks) >= 2
     for block in blocks:
         parse_config(json.loads(block))
+
+
+def test_readme_python_examples_run():
+    """The library examples run in order, each block in the namespace the
+    blocks before it left."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"<README.md python example {i}>", "exec"), namespace)

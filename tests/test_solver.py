@@ -30,6 +30,7 @@ from helpers import (
     GuardedMollifiedDrift,
     callable_ito,
     coefficient,
+    mollified_ito_oracle,
 )
 
 
@@ -42,16 +43,19 @@ def drivers(n, horizon=1.0, seed=0, stream=0, hurst=0.75):
 
 class TestSolverConfig:
     def test_delay_must_be_grid_multiple(self):
-        with pytest.raises(ValueError):
-            SolverConfig(n_steps=10, horizon=1.0, delay=0.15)
-        cfg = SolverConfig(n_steps=10, horizon=1.0, delay=0.2)
-        assert cfg.delay_steps == 2
+        """The look-back window is the history's length, a whole number of steps."""
+        cfg = SolverConfig(n_steps=10, horizon=1.0)
+        assert constant_initial(1.0, 0.2, 0.05).steps(cfg.dt) == 2
+        w, z = drivers(10)
+        with pytest.raises(GridError, match=r"^delay 0\.15 does not land on the grid"):
+            euler_mixed_sdde(geometric_spec(0.5, 0.4, 0.3), constant_initial(1.0, 0.15, 0.05),
+                             w, z, cfg)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_steps=0, horizon=1.0),
         dict(n_steps=4, horizon=-1.0),
-        dict(n_steps=4, horizon=1.0, delay=-0.25),
-        dict(n_steps=4, horizon=1.0, scheme="milstein"),
+        dict(n_steps=4, horizon=0.0),
+        dict(n_steps=4, horizon=float("nan")),
         dict(n_steps=4, horizon=1.0, explosion_threshold=-1.0),
         dict(n_steps=4, horizon=1.0, explosion_threshold=float("nan")),
     ])
@@ -106,7 +110,7 @@ class TestEulerMixed:
 
         eta = InitialCondition(GridPath(-0.5, 1 / 32, vals), 0.45)
         spec = pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.5)
-        cfg = SolverConfig(n_steps=32, horizon=1.0, delay=0.5)
+        cfg = SolverConfig(n_steps=32, horizon=1.0)
         w, z = drivers(32)
         x = euler_mixed_sdde(spec, eta, w, z, cfg)
         np.testing.assert_array_equal(x.values[:17, 0], vals)
@@ -165,7 +169,7 @@ class TestEulerMixed:
 def test_off_grid_tap_is_rejected_by_every_stepper(stepper):
     # tau = 0.3 falls between the nodes 19/64 and 20/64; no stepper may round it
     spec = pointwise_delay_spec(0.1, 0.2, 0.1, 0.1, 0.1, 0.1, tau=0.3)
-    cfg = SolverConfig(n_steps=64, horizon=1.0, delay=0.5)
+    cfg = SolverConfig(n_steps=64, horizon=1.0)
     eta = constant_initial(1.0, 0.5, cfg.dt)
     w, z = drivers(64)
     with pytest.raises(GridError, match="0.3 does not land on the grid"):
@@ -189,16 +193,22 @@ def _wide_z(z):
     return GridPath(0.0, z.dt, np.hstack([z.values, z.values]))
 
 
+def _off_grid_z(z):
+    return drivers(100)[1]
+
+
 @pytest.mark.parametrize("scheme", ["mixed", "ito"])
 @pytest.mark.parametrize("make_z, message", [
     pytest.param(_short_z, r"Z covers \[0, 0\.5\], expected \[0, 1\.0\]", id="short"),
     pytest.param(_shifted_z, r"Z must start at time 0, starts at 0\.5", id="shifted"),
     pytest.param(_wide_z, r"Z has dimension 2, expected 1", id="wide"),
+    pytest.param(_off_grid_z, r"Z grid \(dt=0\.01\) is not a refinement of the step 0\.015625",
+                 id="off_grid"),
 ])
 def test_rough_driver_must_cover_the_horizon_in_every_scheme(scheme, make_z, message):
-    """Both schemes refuse a Z that ends early, starts late or has the wrong
-    dimension, with the same message; read past its end, Z would be taken
-    as constant."""
+    """Both schemes refuse a Z that ends early, starts late, has the wrong
+    dimension or a grid that does not refine the solver grid, with the same
+    message; read past its end, Z would be taken as constant."""
     spec = geometric_spec(0.5, 0.4, 0.3)
     cfg = SolverConfig(n_steps=64, horizon=1.0)
     eta = constant_initial(1.0, 0.0, cfg.dt)
@@ -352,7 +362,7 @@ class TestEulerIto:
         """With c = 0 the mollified Ito solve equals the mixed solve bit for
         bit, at every level."""
         delay = 0.5 if case == "pointwise_delay" else 0.0
-        cfg = SolverConfig(n_steps=128, horizon=1.0, delay=delay)
+        cfg = SolverConfig(n_steps=128, horizon=1.0)
         if case == "vector":
             spec = CoefficientSpec(
                 "no_delay", 2, 2, 1,
@@ -366,7 +376,7 @@ class TestEulerIto:
         else:
             spec = (geometric_spec(0.5, 0.4, 0.0) if case == "scalar"
                     else pointwise_delay_spec(0.3, 0.3, 0.1, 0.2, 0.0, 0.0, tau=0.25))
-            eta = constant_initial(1.0, cfg.delay, cfg.dt)
+            eta = constant_initial(1.0, delay, cfg.dt)
             w, z = drivers(128, seed=6)
         mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
         ito = euler_ito_sdde(spec, eta, w, z, cfg, level)
@@ -490,3 +500,23 @@ def test_refinement_stability_against_closed_form():
     means = table.mean(axis=0)
     drops = sum(1 for a, b in zip(means, means[1:]) if b <= a)
     assert drops >= 5
+
+
+def test_ito_tabulates_zdot_from_a_finer_driver_on_its_own_grid():
+    """A Z on a grid that refines the solver grid is not restricted first:
+    dZ^N/dt reads it on its own grid, as the guarded oracle does."""
+    spec = pointwise_delay_spec(0.3, 0.3, 0.1, 0.2, 0.0, 0.2, tau=0.25)
+    cfg = SolverConfig(n_steps=64, horizon=1.0)
+    eta = constant_initial(1.0, 0.25, cfg.dt)
+    w, z = drivers(128, seed=9)
+    x = euler_ito_sdde(spec, eta, w, z, cfg, 3)  # t - 1/3 falls between the nodes
+    np.testing.assert_array_equal(x.values, mollified_ito_oracle(spec, eta, w, z, cfg, 3).values)
+    assert not np.array_equal(x.values, euler_ito_sdde(spec, eta, w, z.restrict(2), cfg, 3).values)
+
+
+def test_row_groups_must_share_the_history_length():
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
+    w, z = drivers(16)
+    etas = [constant_initial(1.0, 0.0, cfg.dt), constant_initial(1.0, 0.25, cfg.dt)]
+    with pytest.raises(GridError, match="^row groups must share the history length$"):
+        euler_mixed_sdde(geometric_spec(0.5, 0.4, 0.3), etas, w, z, cfg)

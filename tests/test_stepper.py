@@ -57,14 +57,14 @@ class _View:
 
 
 def _arrays(spec, eta, w, z, cfg):
-    hist = eta.eta.values[-(cfg.delay_steps + 1):].copy()
+    hist = eta.eta.values[-(eta.steps(cfg.dt) + 1):].copy()
     q_tau = round(spec.tau / cfg.dt) if spec.family in ("linear", "pointwise_delay") else 0
     return hist, np.diff(w.values, axis=0), np.diff(z.values, axis=0), q_tau
 
 
 def old_scalar_path(spec, eta, w, z, cfg):
     hist, dw, dz, q_tau = _arrays(spec, eta, w, z, cfg)
-    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
+    n, q, dt = cfg.n_steps, eta.steps(cfg.dt), cfg.dt
     col = np.empty(q + n + 1)
     col[: q + 1] = hist[:, 0]
     gains = [
@@ -85,7 +85,7 @@ def old_scalar_path(spec, eta, w, z, cfg):
 
 def old_generic_path(spec, eta, w, z, cfg):
     hist, dw, dz, _ = _arrays(spec, eta, w, z, cfg)
-    n, q, dt = cfg.n_steps, cfg.delay_steps, cfg.dt
+    n, q, dt = cfg.n_steps, eta.steps(cfg.dt), cfg.dt
     buf = np.empty((q + n + 1, spec.dim))
     buf[: q + 1] = hist
     for k in range(n):
@@ -118,18 +118,17 @@ def sin_delay_spec():
 
 
 SCALAR_CASES = {
-    "no_delay": (geometric_spec(0.5, 0.4, 0.3), constant_initial(1.0, 0.0, 1 / 256), 0.0),
+    "no_delay": (geometric_spec(0.5, 0.4, 0.3), constant_initial(1.0, 0.0, 1 / 256)),
     "pointwise_delay": (
         pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.25),
-        constant_initial(1.0, 0.5, 1 / 256), 0.5,
+        constant_initial(1.0, 0.5, 1 / 256),
     ),
-    "sin": (sin_delay_spec(), constant_initial(0.7, 0.25, 1 / 256), 0.25),
+    "sin": (sin_delay_spec(), constant_initial(0.7, 0.25, 1 / 256)),
 }
 
 
 def _case(name):
-    spec, eta, delay = SCALAR_CASES[name]
-    return spec, eta, SolverConfig(n_steps=256, horizon=1.0, delay=delay)
+    return (*SCALAR_CASES[name], SolverConfig(n_steps=256, horizon=1.0))
 
 
 def test_old_scalar_and_generic_paths_agree_bitwise_with_sin_modulation():
@@ -190,7 +189,7 @@ def _distributed_spec():
 ])
 def test_vector_and_distributed_blocks_match_old_generic_path(make_spec, x0):
     spec = make_spec()
-    cfg = SolverConfig(n_steps=256, horizon=1.0, delay=0.25)
+    cfg = SolverConfig(n_steps=256, horizon=1.0)
     eta = constant_initial(x0, 0.25, cfg.dt)
     pairs = [drivers(cfg, spec, r) for r in range(4)]
     block = euler_mixed_sdde(
@@ -202,7 +201,7 @@ def test_vector_and_distributed_blocks_match_old_generic_path(make_spec, x0):
 
 
 PARTITION_REPLICAS = 9
-PARTITION_CASES = {  # name: (spec factory, psi(0), delay of the solve)
+PARTITION_CASES = {  # name: (spec factory, psi(0), history length r)
     "no_delay": (lambda: geometric_spec(0.5, 0.4, 0.3), np.array([1.0]), 0.0),
     "sin_pointwise_delay": (sin_delay_spec, np.array([0.7]), 0.25),
     "linear_dim2": (_vector_spec, np.array([1.0, -0.5]), 0.25),
@@ -229,10 +228,10 @@ def test_any_partition_of_the_replicas_gives_bitwise_equal_paths(name, ito, n, c
     block of all replicas, blocks of one and the drawn partition agree bit
     for bit, under both schemes."""
     make_spec, x0, delay = PARTITION_CASES[name]
-    spec, cfg = make_spec(), SolverConfig(n_steps=n, horizon=1.0, delay=delay)
+    spec, cfg = make_spec(), SolverConfig(n_steps=n, horizon=1.0)
     eta = constant_initial(x0, delay, cfg.dt)
     if delay:  # a sloped history, so the delay read differs from psi(0)
-        ramp = np.linspace(0.5, 1.0, cfg.delay_steps + 1)[:, None]
+        ramp = np.linspace(0.5, 1.0, eta.steps(cfg.dt) + 1)[:, None]
         eta = InitialCondition(GridPath(-delay, cfg.dt, ramp * x0), 0.45)
     pairs = [drivers(cfg, spec, r) for r in range(PARTITION_REPLICAS)]
     whole = _partition_solve(spec, eta, cfg, pairs, ito)
@@ -290,14 +289,15 @@ def test_every_row_group_of_a_stacked_solve_equals_its_solve_alone(name, ito, n,
     scheme) gives each group the bits of its own solve, signs of zero too."""
     make_spec, x0 = GROUP_CASES[name]
     delay = 0.25
-    base, cfg = make_spec(), SolverConfig(n_steps=n, horizon=1.0, delay=delay)
-    ramp = np.linspace(0.5, 1.0, cfg.delay_steps + 1)[:, None]
+    base, cfg = make_spec(), SolverConfig(n_steps=n, horizon=1.0)
+    q = round(delay / cfg.dt)  # the history length in steps
+    ramp = np.linspace(0.5, 1.0, q + 1)[:, None]
     pairs = [drivers(cfg, base, r) for r in range(3)]
     w, z = stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
     etas, specs, zs, levels = [], [], [], []
     for g, (tap, gain, const, merged, scale, level) in enumerate(groups):
         etas.append(InitialCondition(GridPath(-delay, cfg.dt, scale * ramp * x0), 0.45))
-        tap = min(tap, cfg.delay_steps)
+        tap = min(tap, q)
         specs.append(_group_spec(base, cfg, tap, gain, const, merged))
         zs.append(GridPath(0.0, cfg.dt, z.values + 0.1 * g * z.times[:, None]) if own_z else z)
         levels.append(level)
@@ -319,15 +319,16 @@ def test_groups_without_a_delay_or_constant_term_skip_it():
     path stays at -0.0 when solved alone; adding the +0.0 delay read (of a
     positive history) or constant of another group's term would turn it
     into +0.0."""
-    cfg = SolverConfig(n_steps=16, horizon=1.0, delay=0.25)
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
     zero = GridPath(0.0, cfg.dt, np.zeros((cfg.n_steps + 1, 1)))
-    history = np.append(np.linspace(1.0, 0.5, cfg.delay_steps), -0.0)[:, None]
-    eta = InitialCondition(GridPath(-cfg.delay, cfg.dt, history), 0.45)
+    q = 4  # a history of length 0.25
+    history = np.append(np.linspace(1.0, 0.5, q), -0.0)[:, None]
+    eta = InitialCondition(GridPath(-q * cfg.dt, cfg.dt, history), 0.45)
     plain = pointwise_delay_spec(0.3, 0.0, 0.2, 0.0, 0.1, 0.0, tau=0.25)
     with_delay = pointwise_delay_spec(0.3, 0.3, 0.2, 0.2, 0.1, 0.1, tau=0.125)
     with_const = replace(plain, drift=replace(plain.drift, const=np.full((1, 1), 0.1)))
     alone = euler_mixed_sdde(plain, eta, zero, zero, cfg)
-    assert np.signbit(alone.values[cfg.delay_steps:]).all()
+    assert np.signbit(alone.values[q:]).all()
     for other in (with_delay, with_const):
         stacked, _ = euler_mixed_sdde([plain, other], eta, zero, zero, cfg)
         assert _same_bits(stacked.values, alone.values)
@@ -411,7 +412,7 @@ def test_compiled_ito_block_equals_per_replica_solves():
 
 def test_compiled_ito_vector_spec_matches_callable_loop():
     spec = _vector_spec()
-    cfg = SolverConfig(n_steps=256, horizon=1.0, delay=0.25)
+    cfg = SolverConfig(n_steps=256, horizon=1.0)
     eta = constant_initial(np.array([1.0, -0.5]), 0.25, cfg.dt)
     w, z = drivers(cfg, spec, 1)
     compiled = euler_ito_sdde(spec, eta, w, z, cfg, 8)
@@ -452,11 +453,12 @@ def test_callable_ito_rejects_replica_blocks():
 
 
 def test_history_window_is_copied_into_every_replica():
-    spec, _, cfg = _case("pointwise_delay")
-    vals = np.linspace(0.5, 1.0, cfg.delay_steps + 1)
-    eta = InitialCondition(GridPath(-cfg.delay, cfg.dt, vals), 0.45)
+    spec, case_eta, cfg = _case("pointwise_delay")
+    q = case_eta.steps(cfg.dt)
+    vals = np.linspace(0.5, 1.0, q + 1)
+    eta = InitialCondition(GridPath(-case_eta.r, cfg.dt, vals), 0.45)
     pairs = [drivers(cfg, spec, r) for r in range(3)]
     x = euler_mixed_sdde(
         spec, eta, stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs]), cfg
     )
-    np.testing.assert_array_equal(x.values[:, : cfg.delay_steps + 1, 0], np.tile(vals, (3, 1)))
+    np.testing.assert_array_equal(x.values[:, : q + 1, 0], np.tile(vals, (3, 1)))
