@@ -130,19 +130,18 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
     grid = _read_csv(csv_path)
     op = f["operation"]
     alpha = f["alpha"]
-    interval = tuple(f["interval"]) if f["interval"] is not None else None
     if op in ("gls", "rs", "young_love") and grid.dim != 2:
         raise ConfigError(f"operation {op!r} needs a two-column CSV (f and g)")
+    if f["interval"] is not None:
+        grid = grid.window(*f["interval"])
     if op == "norms":
-        result = asdict(fraccalc.fractional_norms(grid, alpha, interval, f["lambda"]))
+        result = asdict(fraccalc.fractional_norms(grid, alpha, f["lambda"]))
     elif op == "delay_norms":
         bundle = fraccalc.delay_norms(grid, alpha, f["delay"], f["t"])
         result = {**asdict(bundle), "norm_t": bundle.norm_t}
     else:
         fp = GridPath(grid.t0, grid.dt, grid.values[:, 0])
         gp = GridPath(grid.t0, grid.dt, grid.values[:, 1])
-        if interval is not None:
-            fp, gp = fp.window(*interval), gp.window(*interval)
         if op == "gls":
             result = {"value": fraccalc.gls_integral(fp, gp, alpha)}
         elif op == "rs":

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (_MODULATIONS, DELAY_READS, FAMILIES, CoeffBlock, CoefficientSpec,
+from .core import (_MODULATIONS, DELAY_READS, FAMILIES, REACH, CoeffBlock, CoefficientSpec,
                    HolderParams, InitialCondition, ParamError, constant_initial)
 from .drivers import _METHODS, FbmParams
 from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
@@ -184,8 +184,8 @@ INITIAL = (
     Field("theta", "float", "claimed Hölder order of the history, in (0, 1)"),
     Field("constant", "array", "constant history value; selects the constant form", OPTIONAL),
     Field("delay", "float", "history length r (constant form)", OPTIONAL, range=_NON_NEGATIVE),
-    Field("dt", "float", "history step (path form; constant form default r/64, or 1 if r = 0)",
-          OPTIONAL, range=_POSITIVE),
+    Field("dt", "float", "history step (path form; constant form default r/64, or 1 if r = 0); "
+          "a finer solver grid interpolates the history linearly", OPTIONAL, range=_POSITIVE),
     Field("t0", "float", "first history time -r (path form)", OPTIONAL),
     Field("values", "array", "history values on [t0, 0] (path form)", OPTIONAL),
 )
@@ -293,7 +293,7 @@ def _build(section: str, make, *args, **kwargs):
 
 def _spec(c: dict, raw: dict, blocks: dict) -> CoefficientSpec:
     family = c["family"]
-    key = {"tap": "tau", "window": "delay_span"}.get(DELAY_READS[family])
+    key = REACH.get(DELAY_READS[family])
     if key is not None and key not in raw:
         raise ConfigError(f"family {family!r} requires an explicit {key}")
     spec = CoefficientSpec(family, c["dim"], c["n_wiener"], c["n_holder"], **blocks,

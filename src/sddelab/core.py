@@ -7,13 +7,13 @@ closed form and the standing assumptions can be validated numerically.
 Families (all affine in the segment reads, which is what makes the constants
 computable):
 
-* ``constant``          -- value independent of (t, psi);
+* ``constant``          -- value independent of psi;
 * ``no_delay``          -- reads psi(0) only;
 * ``linear``            -- reads psi(0) and psi(-tau);
 * ``pointwise_delay``   -- same reads, tagged as the vanishing-delay family
                            f(t, x, y) with x = psi(0), y = psi(-tau);
 * ``distributed_delay`` -- reads psi(0) and the uniform-kernel integral of
-                           psi over [-r, 0].
+                           psi over [-delay_span, 0].
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ __all__ = [
     "constant_initial",
 ]
 
-# each family's delay read: none, the tap psi(-tau), or the window integral over [-r, 0]
+# each family's delay read: none, the tap psi(-tau), or the window integral over [-reach, 0]
 DELAY_READS = {"constant": "none", "no_delay": "none", "linear": "tap",
                "pointwise_delay": "tap", "distributed_delay": "window"}
+REACH = {"tap": "tau", "window": "delay_span"}  # the spec field that sets a read's reach
 FAMILIES = tuple(DELAY_READS)
 _MODULATIONS = ("none", "sin")
 
@@ -166,7 +167,8 @@ class CoefficientSpec:
     ``dim`` is the state dimension, ``n_wiener``/``n_holder`` the number of
     Wiener / rough driver channels, ``tau`` the delay tap (0 means the
     coefficients never look back), ``delay_span`` the kernel support of the
-    distributed family.
+    distributed family.  :attr:`reach` is how far back the delay read looks:
+    ``tau`` for a tap, ``delay_span`` for a window, 0 without a delay read.
     """
 
     family: str
@@ -193,16 +195,22 @@ class CoefficientSpec:
                     f"{name} block has {block.gain_now.shape[0]} channels, "
                     f"expected {channels}"
                 )
-        uses_delay = any(
-            np.any(b.gain_delay != 0.0) for b in (self.drift, self.diffusion, self.zdrive)
-        )
+        blocks = (self.drift, self.diffusion, self.zdrive)
         read = DELAY_READS[self.family]
-        if read == "none" and uses_delay:
+        if read == "none" and any(np.any(b.gain_delay != 0.0) for b in blocks):
             raise ParamError(f"family {self.family!r} must not carry delay gains")
+        if self.family == "constant" and any(np.any(b.gain_now != 0.0) for b in blocks):
+            raise ParamError("family 'constant' must not carry gains")
         if read == "tap" and self.tau < 0:
             raise ParamError("tau must be non-negative")
         if read == "window" and not self.delay_span > 0:
             raise ParamError("distributed_delay requires a positive delay_span")
+
+    @property
+    def reach(self) -> float:
+        """How far back the delay read looks: the read [-reach, 0] of the segment."""
+        key = REACH.get(DELAY_READS[self.family])
+        return 0.0 if key is None else getattr(self, key)
 
     @property
     def _delay_scale(self) -> float:
@@ -293,11 +301,12 @@ def _delay_read(spec: CoefficientSpec, psi: Segment) -> np.ndarray:
     read = DELAY_READS[spec.family]
     if read == "none":
         return np.zeros(spec.dim)
-    if read == "window":
-        if psi.lookback == 0:
-            raise GridError("distributed_delay needs a non-trivial segment window")
-        return np.trapezoid(psi.values, dx=psi.dt, axis=0)
-    return psi.value_at(-spec.tau)
+    if read == "tap":
+        return psi.value_at(-spec.reach)
+    span = grid_steps(spec.reach, psi.dt, what="window")
+    if not 0 < span <= psi.lookback:
+        raise GridError(f"window {spec.reach} does not fit a segment of {psi.lookback} steps")
+    return np.trapezoid(psi.values[-span - 1:], dx=psi.dt, axis=0)
 
 
 def eval_coefficient(spec: CoefficientSpec, which: str, t: float, psi: Segment):
@@ -419,7 +428,7 @@ def _total_magnitude(spec: CoefficientSpec, t: float, psi: Segment) -> float:
 
 def _probe_segments(spec: CoefficientSpec, rng, budget: int, n_seg: int):
     """Deterministic scale rays first, then random rough segments."""
-    r = max(spec.tau, spec.delay_span, 0.25)
+    r = spec.reach or 0.25  # so that every delay read lands on the probe grid
     dt = r / n_seg
 
     def seg_from(values: np.ndarray) -> Segment:

@@ -33,19 +33,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fraccalc
-from .core import (
-    DELAY_READS,
-    CoefficientSpec,
-    HolderParams,
-    InitialCondition,
-)
+from .core import CoefficientSpec, HolderParams, InitialCondition
 from .drivers import FbmParams, sample_fbm, sample_wiener
 from .grid import GridPath, SeedSpec, stack_paths, stack_replicas
 from .solver import (
     MollifierParams,
     SolverConfig,
     SolverExplosionError,
-    _tap_steps,
+    _reach_steps,
     euler_ito_sdde,
     euler_mixed_sdde,
     geometric_closed_form,
@@ -375,8 +370,8 @@ def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     n_driver = finest if use_closed else 4 * finest
     w, z = _block_drivers(cfg, replicas, n_driver)
     x0 = float(cfg.initial.eta.values[-1, 0])
-    eta, read = cfg.initial, DELAY_READS[cfg.spec.family]
-    if read == "none" or (read == "tap" and cfg.spec.tau == 0):  # x depends on eta(0) alone
+    eta = cfg.initial
+    if cfg.spec.reach == 0:  # x depends on eta(0) alone
         eta = replace(eta, eta=GridPath(0.0, eta.eta.dt, eta.eta.values[-1:]))
     if use_closed:
         reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
@@ -512,7 +507,7 @@ def _check_delay(cfg: ExperimentConfig) -> None:
     dt = cfg.solver_config.dt
     for tau in cfg.levels:
         try:
-            _tap_steps(cfg.spec.with_tau(tau), dt, cfg.initial.steps(dt))
+            _reach_steps(cfg.spec.with_tau(tau), dt, cfg.initial.steps(dt))
         except ValueError as exc:
             raise ExperimentError(
                 f"levels of vanishing_delay are taps on the mesh in [0, {abs(cfg.initial.r):g}], "

@@ -83,11 +83,10 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _scalar_grid(path: GridPath, interval: tuple[float, float] | None) -> GridPath:
-    p = path.window(*interval) if interval is not None else path
-    if p.n_points < 2:
+def _scalar_grid(path: GridPath) -> GridPath:
+    if path.n_points < 2:
         raise GridError("need at least two grid points")
-    return p
+    return path
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,10 +158,8 @@ def _forward_tail(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     return tail * dt ** (-alpha)
 
 
-def forward_rl_derivative(
-    f: GridPath, alpha: float, interval: tuple[float, float] | None = None
-) -> GridPath:
-    """Forward Riemann-Liouville derivative of order alpha on (a, b].
+def forward_rl_derivative(f: GridPath, alpha: float) -> GridPath:
+    """Forward Riemann-Liouville derivative of order alpha on (a, b], the grid of f.
 
     Returned on the grid nodes ``a + dt, ..., b``; the kernel is singular at
     ``x = a`` so no value is produced there.
@@ -170,7 +167,7 @@ def forward_rl_derivative(
     from scipy import special  # heavy import, needed only by the RL and GLS quadratures
 
     _check_alpha(alpha)
-    p = _scalar_grid(f, interval)
+    p = _scalar_grid(f)
     vals = p.scalar_values()
     n = p.n_points - 1
     x_minus_a = p.dt * np.arange(1, n + 1)
@@ -179,10 +176,9 @@ def forward_rl_derivative(
     return GridPath(p.t0 + p.dt, p.dt, deriv)
 
 
-def backward_rl_derivative(
-    g: GridPath, alpha: float, interval: tuple[float, float] | None = None
-) -> GridPath:
-    """Backward Riemann-Liouville derivative of order ``1 - alpha`` on [a, b).
+def backward_rl_derivative(g: GridPath, alpha: float) -> GridPath:
+    """Backward Riemann-Liouville derivative of order ``1 - alpha`` on [a, b),
+    the grid of g.
 
     Acts on ``g_{b-}(x) = g(x) - g(b)`` and uses the real-valued convention:
     the complex phase of the textbook definition is dropped here and accounted
@@ -191,7 +187,7 @@ def backward_rl_derivative(
     read backwards.
     """
     _check_alpha(alpha)
-    p = _scalar_grid(g, interval)
+    p = _scalar_grid(g)
     vals = p.scalar_values()
     reflected = GridPath(p.t0, p.dt, vals[::-1] - vals[-1])  # s -> a + b - s
     deriv = forward_rl_derivative(reflected, 1.0 - alpha).values[::-1]
@@ -220,8 +216,8 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     from scipy import special
 
     _check_alpha(alpha)
-    pf = _scalar_grid(f, None)
-    pg = _scalar_grid(g, None)
+    pf = _scalar_grid(f)
+    pg = _scalar_grid(g)
     if not pf.same_grid(pg):
         raise GridError("f and g must live on a common grid")
     fv = pf.scalar_values()
@@ -270,8 +266,8 @@ def riemann_stieltjes_integral(f: GridPath, g: GridPath, rule: str = "left") -> 
     """
     if rule not in RS_RULES:
         raise ValueError(f"rule must be 'left' or 'midpoint', got {rule!r}")
-    pf = _scalar_grid(f, None)
-    pg = _scalar_grid(g, None)
+    pf = _scalar_grid(f)
+    pg = _scalar_grid(g)
     if not pf.same_grid(pg):
         raise GridError("f and g must live on a common grid")
     fv = pf.scalar_values()
@@ -281,32 +277,26 @@ def riemann_stieltjes_integral(f: GridPath, g: GridPath, rule: str = "left") -> 
 
 
 def holder_seminorm_values(values: np.ndarray, dt: float, lam: float) -> float:
-    """Grid Holder seminorm of a (n,) or (n, d) value array."""
+    """Grid Holder seminorm of an (n, d) value array."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    vals = values if values.ndim == 2 else values[:, None]
-    n = vals.shape[0] - 1
+    n = values.shape[0] - 1
     # Python-scalar weights: a vectorized numpy power rounds some of them differently.
     weights = np.array([(gap * dt) ** lam for gap in range(1, n + 1)])
-    return float(np.max(_shift_sups(vals[None], n)[0] / weights, initial=0.0))
+    return float(np.max(_shift_sups(values[None], n)[0] / weights, initial=0.0))
 
 
-def young_love_bound(
-    f: GridPath,
-    g: GridPath,
-    lam: float,
-    mu: float,
-    interval: tuple[float, float] | None = None,
-) -> float:
-    """Right-hand side of the Young-Love inequality for ``|int f dg|``.
+def young_love_bound(f: GridPath, g: GridPath, lam: float, mu: float) -> float:
+    """Right-hand side of the Young-Love inequality for ``|int f dg|`` over the
+    common grid of f and g.
 
     The constant is fixed to the classical sewing value
     ``(1 - 2^(1-lam-mu))^-1``, admissible whenever ``lam + mu > 1``.
     """
     if lam + mu <= 1.0:
         raise ValueError(f"need lambda + mu > 1, got {lam} + {mu}")
-    pf = _scalar_grid(f, interval)
-    pg = _scalar_grid(g, interval)
+    pf = _scalar_grid(f)
+    pg = _scalar_grid(g)
     if not pf.same_grid(pg):
         raise GridError("f and g must live on a common grid")
     length = (pf.n_points - 1) * pf.dt
@@ -408,31 +398,24 @@ def _norm_1_alpha(values: np.ndarray, dt: float, alpha: float) -> float:
     return term_a + term_b
 
 
-def holder_seminorm(
-    path: GridPath, lam: float, window: tuple[float, float] | None = None
-) -> float:
+def holder_seminorm(path: GridPath, lam: float) -> float:
     """Grid Holder seminorm: ``max over x < y of |f(y)-f(x)| / (y-x)^lam``.
 
     Vector paths use the Euclidean norm of the difference.  The supremum runs
     over grid pairs only; refinement studies quantify the proxy error.
     """
-    p = _scalar_grid(path, window)
+    p = _scalar_grid(path)
     return holder_seminorm_values(p.values, p.dt, lam)
 
 
-def fractional_norms(
-    f: GridPath,
-    alpha: float,
-    interval: tuple[float, float] | None = None,
-    lam: float | None = None,
-) -> NormBundle:
-    """All four norms of one path over the (grid-aligned) interval.
+def fractional_norms(f: GridPath, alpha: float, lam: float | None = None) -> NormBundle:
+    """All four norms of one path over its grid.
 
     ``lam`` selects the Holder exponent of the reported seminorm; it defaults
     to ``1 - alpha``, the pairing exponent of the Young regime.
     """
     _check_alpha(alpha)
-    p = _scalar_grid(f, interval)
+    p = _scalar_grid(f)
     lam = 1.0 - alpha if lam is None else lam
     return NormBundle(
         norm_1_alpha=_norm_1_alpha(p.values, p.dt, alpha),

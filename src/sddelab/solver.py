@@ -12,16 +12,16 @@ and run on one stepper.  :class:`SolverConfig` holds only the grid and the
 trust region: the look-back window [-r, 0] is the span of the initial
 condition, and the scheme is the entry point called.  A
 :class:`CoefficientSpec` is compiled once into arrays (gain matrices,
-constants, the delay tap, the time modulation), and each step advances a
-``(groups, replicas, d)`` state block with one affine update.  Drivers given
-as a replica block (a :class:`GridPath` with values ``(replicas, n, d)``) are
-solved together; a single path is a block of one.  Row groups, given as lists
-of specs, initial conditions, rough drivers or mollifier levels, are solved in
-the same pass on a shared Wiener block, each group with its own gains,
-constants, tap and history (all histories of one length).  The mixed step
-adds ``a dt + b dW + c dZ``; the mollified Ito step adds
-``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step times from
-driver values at or before each step time.
+constants, the delay tap or window span, the time modulation), and each step
+advances a ``(groups, replicas, d)`` state block with one affine update.
+Drivers given as a replica block (a :class:`GridPath` with values
+``(replicas, n, d)``) are solved together; a single path is a block of one.
+Row groups, given as lists of specs, initial conditions, rough drivers or
+mollifier levels, are solved in the same pass on a shared Wiener block, each
+group with its own gains, constants, delay read and history (all histories of
+one length).  The mixed step adds ``a dt + b dW + c dZ``; the mollified Ito
+step adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step
+times from driver values at or before each step time.
 
 All solves are pure functions of their inputs: identical arguments give
 bit-identical output paths.  Each row's path is independent of its block:
@@ -145,25 +145,31 @@ def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> Gri
 
 
 def _history_values(eta: InitialCondition, dt: float, q: int) -> np.ndarray:
-    """The history on the solver grid, ``(q + 1, d)`` with q = r / dt."""
+    """The history on the solver grid, ``(q + 1, d)`` with q = r / dt: every
+    m-th node of a finer history, or a coarser one laid on the grid by linear
+    interpolation between its nodes, each of which keeps its value."""
     path = eta.eta
+    if q > path.n_points - 1:  # the solver grid refines the history's
+        m = refinement(path.dt, dt, "solver grid")
+        j, k = np.divmod(np.arange(q + 1), m)
+        lo, hi = path.values[j], path.values[np.minimum(j + 1, path.n_points - 1)]
+        return np.where((k == 0)[:, None], lo, lo + (k / m)[:, None] * (hi - lo))
     if q:
         path = path.restrict(refinement(dt, path.dt, "initial condition grid"))
     return path.values[-q - 1:].copy()
 
 
-def _tap_steps(spec: CoefficientSpec, dt: float, q: int) -> int | None:
-    """The steps back of the spec's delay read on a grid of step ``dt``, within
-    a history of q steps: 0 for a family without one, None for the window."""
+def _reach_steps(spec: CoefficientSpec, dt: float, q: int) -> int:
+    """The steps back of the spec's delay read (:attr:`CoefficientSpec.reach`)
+    on a grid of step ``dt``, within a history of q steps; a window spans one
+    step at least."""
     read = DELAY_READS[spec.family]
-    if read == "window" and q == 0:
-        raise GridError("distributed_delay needs a non-trivial segment window")
-    if read != "tap":
-        return None if read == "window" else 0
-    q_tau = grid_steps(spec.tau, dt, what="tap")
-    if q_tau > q:
-        raise GridError(f"tap {spec.tau} exceeds the history length {q * dt:g}")
-    return q_tau
+    steps = grid_steps(spec.reach, dt, what=read)
+    if steps > q:
+        raise GridError(f"{read} {spec.reach} exceeds the history length {q * dt:g}")
+    if read == "window" and steps == 0:
+        raise GridError(f"window {spec.reach} is shorter than the step {dt}")
+    return steps
 
 
 def _stack(parts: list):
@@ -180,22 +186,22 @@ def _stack(parts: list):
 
 def _compile(specs: list, cfg: SolverConfig, q: int):
     """The specs of the row groups as arrays for one solver grid and histories
-    of q steps: ``(now, delay, const, mods, taps)``.
+    of q steps: ``(now, delay, const, mods, steps, span)``.
 
     Columns are ``[a | b_1..b_m | c_1..c_l]``: in group g,
     ``x @ now[g] + y @ delay[g] + const[g]``, reshaped to
     ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``, holds every
     coefficient at state ``x`` and delay read ``y`` at step k.  The delay read
-    is the state ``taps[g]`` steps back, or for the distributed family
-    (``taps`` None) the trapezoid integral over the segment window.  ``delay``
+    is the state ``steps[g]`` steps back, or for the distributed family (``span``
+    not None) the trapezoid integral over the last ``span`` steps.  ``delay``
     and ``const`` are ``(stacked, where)`` pairs as :func:`_stack` gives them:
     a group whose part is zero skips its term, as it does when solved alone.
-    The groups must share the dimensions, the time modulation and the kind of
-    delay read.
+    The groups must share the dimensions and the time modulation, and those
+    with delay gains the kind of delay read and the span of a window.
     """
     head = specs[0]
     d, cols = head.dim, 1 + head.n_wiener + head.n_holder
-    nows, delays, consts, sines, taps = [], [], [], [], []
+    nows, delays, consts, sines, steps = [], [], [], [], []
     for spec in specs:
         if (spec.dim, spec.n_wiener, spec.n_holder) != (d, head.n_wiener, head.n_holder):
             raise GridError("row groups must share the state and driver dimensions")
@@ -212,20 +218,22 @@ def _compile(specs: list, cfg: SolverConfig, q: int):
         consts.append(const if const.any() else None)
         sines.append(np.concatenate([np.full(b.channels, b.time_modulation == "sin")
                                      for b in blocks]))
-        taps.append(_tap_steps(spec, cfg.dt, q))
+        steps.append(_reach_steps(spec, cfg.dt, q))
     sin_cols = sines[0]
     if any(not np.array_equal(s, sin_cols) for s in sines):
         raise GridError("row groups must share the time modulation")
-    read = {tap is None for tap, delay in zip(taps, delays) if delay is not None}
-    if len(read) > 1:
+    reads = {(DELAY_READS[spec.family], k)
+             for spec, k, delay in zip(specs, steps, delays) if delay is not None}
+    if len({read for read, _ in reads}) > 1:
         raise GridError("row groups must share the kind of delay read")
+    spans = {k for read, k in reads if read == "window"}
+    if len(spans) > 1:
+        raise GridError("row groups that read a window must share its span")
     mods = None
     if sin_cols.any():
         sines = np.array([math.sin(k * cfg.dt) for k in range(cfg.n_steps)])
         mods = np.where(sin_cols, sines[:, None], 1.0)
-    window = read == {True}
-    return (np.stack(nows), _stack(delays), _stack(consts), mods,
-            None if window else [tap or 0 for tap in taps])
+    return np.stack(nows), _stack(delays), _stack(consts), mods, steps, min(spans, default=None)
 
 
 def _block(path: GridPath) -> np.ndarray:
@@ -268,7 +276,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
     q = etas[0].steps(dt)
     if any(eta.steps(dt) != q for eta in etas[1:]):
         raise GridError("row groups must share the history length")
-    now, (delay, on_delay), (const, on_const), mods, taps = _compile(specs, cfg, q)
+    now, (delay, on_delay), (const, on_const), mods, steps, span = _compile(specs, cfg, q)
     hist = [_history_values(eta, dt, q) for eta in etas]
     for h in hist:
         if h.shape[1] != d:
@@ -292,19 +300,19 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
         view = p[..., lo:hi]
         return (lambda: view[..., 0]) if hi == lo + 1 else (lambda: view.sum(axis=-1))
 
-    window = delay is not None and taps is None
+    window = span is not None
     gather = None  # the taps: step k reads flat row gather[k, g] into y
     reads = [(0, buf, now, None)]  # (steps back, source, gains, where) of the terms
-    if window:  # win[k]: the trapezoid integral over the segment at step k
+    if window:  # win[k]: the trapezoid integral over the last span steps at step k
         half = 0.5 * dt
         cells, win = np.empty((q + n, groups, reps, d)), np.empty((n + 1, groups, reps, d))
         hist_cells = (hist[:, :-1] + hist[:, 1:]) * half
         cells[:q] = hist_cells.transpose(1, 0, 2)[:, :, None, :]
-        win[0] = np.cumsum(hist_cells, axis=1)[:, -1, None, :]  # in cell order
+        win[0] = np.cumsum(hist_cells[:, q - span:], axis=1)[:, -1, None, :]  # in cell order
         reads.append((q, win, delay, on_delay))
     elif delay is not None:
         flat = buf.reshape(-1, reps, d)
-        gather = (q + np.arange(n)[:, None] - taps) * groups + np.arange(groups)
+        gather = (q + np.arange(n)[:, None] - steps) * groups + np.arange(groups)
         y = np.empty((1, groups, reps, d))
         reads.append((None, y, delay, on_delay))
     terms = [(back, src[..., j : j + 1], gains[:, None, j], where)
@@ -342,7 +350,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
                 np.add(x, nxt, out=cells[i])
                 cells[i] *= half
                 np.add(win[k], cells[i], out=win[k + 1])
-                win[k + 1] -= cells[k]
+                win[k + 1] -= cells[i - span]
     mags = np.linalg.norm(buf[q + 1 :], axis=-1)
     over = ~(mags <= cfg.explosion_threshold)
     if over.any():
@@ -399,7 +407,8 @@ def euler_mixed_sdde(
     """Explicit Euler path of the mixed delay equation on [-r, horizon],
     with r the length of the history ``eta``.
 
-    On [-r, 0] the output equals the initial condition bitwise.  Each step
+    On [-r, 0] the output equals the initial condition bitwise at its nodes,
+    and is linear between them where the solver grid is finer.  Each step
     advances ``X += a dt + b dW + c dZ`` with all three coefficients frozen at
     the left node and the segment of the discrete solution there.  ``W`` and
     ``Z`` must cover [0, horizon] on grids that refine the solver grid, and
@@ -409,8 +418,8 @@ def euler_mixed_sdde(
     group (a single value serves every group).  All groups are solved in one
     pass on the shared ``W``, and a tuple of paths comes back, one per group,
     each bit-identical to its group solved alone.  The specs must share the
-    dimensions, the time modulation and the kind of delay read, and the
-    histories their length r.
+    dimensions and the time modulation, those with delay gains the kind of
+    delay read and a window's span, and the histories their length r.
     """
     return _front(spec, eta, W, Z, cfg, None)
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from sddelab import GridPath, HolderParams
-from sddelab.core import Segment, eval_coefficient
+from sddelab.core import CoeffBlock, CoefficientSpec, Segment, eval_coefficient
 from sddelab.grid import GridError
 from sddelab.solver import (
     MollifierParams,
@@ -26,6 +26,15 @@ def grid_fn(fn, a: float, b: float, n: int) -> GridPath:
 def standard_params(alpha: float = 0.35) -> HolderParams:
     """Exponent bundle used throughout the suite (fBm with H = 3/4)."""
     return HolderParams(gamma=0.7, alpha=alpha, theta=0.45, hurst=0.75, beta=1.0)
+
+
+def window_spec(span: float, gain_delay: float = 1.0) -> CoefficientSpec:
+    """Drift = ``gain_delay`` times the window integral of psi over [-span, 0];
+    no other term."""
+    zero = CoeffBlock.build(1, 1)
+    return CoefficientSpec("distributed_delay", 1, 1, 1,
+                           CoeffBlock.build(1, 1, gain_delay=gain_delay), zero, zero,
+                           delay_span=span)
 
 
 def trig_pair(rng: np.random.Generator, n: int = 512, degree: int = 5):

@@ -1,12 +1,17 @@
-"""The module boundaries that ``perfbench/tracer.py`` wraps must keep resolving.
+"""The benchmark's contract with the program.
 
+The module boundaries that ``perfbench/tracer.py`` wraps must keep resolving.
 The tracer reports a boundary it cannot find, or whose work counter no
 longer fits the call arguments, under ``missing``; its per-layer numbers
 then vanish from the benchmark.  Each case runs the tracer in a subprocess
-on a small config and expects an empty ``missing`` list.  Nothing under
-``perfbench/`` is written.
+on a small config and expects an empty ``missing`` list.
+
+Each workload's report must match the reference the benchmark checks it
+against: the correctness gate of ``perfbench/run.py``, replayed in-process at
+seed 0.  Nothing under ``perfbench/`` is written.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ("delay_scalar", "ito_mollified", "moments_norms", "refine_pool")
 
 GEOMETRIC = {
     "family": "no_delay", "dim": 1, "n_wiener": 1, "n_holder": 1,
@@ -71,3 +77,36 @@ def test_traced_boundaries_all_resolve(tmp_path, alias):
     summary = json.loads(summary_path.read_text())
     assert summary["missing"] == []
     assert summary["exit_code"] == proc.returncode
+
+
+def _perfbench_module(name, monkeypatch):
+    """``perfbench/<name>.py`` loaded without writing its bytecode cache there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not (ROOT / "perfbench" / "check.py").exists(),
+                    reason="benchmark references not present")
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_each_workload_reproduces_its_recorded_reference_at_seed_0(tmp_path, monkeypatch,
+                                                                    name):
+    """The benchmark rejects a report that ``check.check_report`` finds
+    different from the recorded one, or a different exit code; moments_norms
+    exits 1 (criteria) at seed 0, as recorded."""
+    from sddelab.cli import main
+
+    check = _perfbench_module("check", monkeypatch)
+    workload = _perfbench_module("workloads", monkeypatch).WORKLOADS[name]
+    seed = workload.master_seed(0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload.config(seed)))
+    out = tmp_path / "out"
+    code = main(workload.cli_args(config, out, 1))
+    reference = check.load_reference(name, seed)
+    assert code == reference["exit_code"]
+    assert check.check_report((out / "report.json").read_bytes(), reference) == []

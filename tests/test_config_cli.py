@@ -601,6 +601,24 @@ RANGE_ERRORS = {
         _with(_with(TestCliSolve().solve_doc(), "initial", delay=0.25),
               "coefficients", family="pointwise_delay", tau=0.5),
     ),
+    # the window integrates over [-delay_span, 0], which must lie in the history
+    "solve_window_beyond_the_history": (
+        "solve", "window 0.3 exceeds the history length 0.25",
+        _with(_with(_with(TestCliSolve().solve_doc(), "solve", n_steps=20),
+                    "initial", delay=0.25, dt=0.05),
+              "coefficients", family="distributed_delay", delay_span=0.3),
+    ),
+    # 0.1 lies between the nodes 12/128 and 13/128; the stepper must not round it
+    "solve_off_grid_window": (
+        "solve", "window 0.1 does not land on the grid",
+        _with(_with(TestCliSolve().solve_doc(), "initial", delay=0.25),
+              "coefficients", family="distributed_delay", delay_span=0.1),
+    ),
+    # a constant coefficient reads no state: gain_now 0.5 would solve as no_delay
+    "constant_family_gain": (
+        "solve", "coefficients: family 'constant' must not carry gains",
+        _with(TestCliSolve().solve_doc(), "coefficients", family="constant"),
+    ),
     "negative_explosion_threshold": (
         "solve", "explosion_threshold",
         _with(TestCliSolve().solve_doc(), "solve", explosion_threshold=-1.0),
@@ -717,6 +735,31 @@ def test_no_delay_euler_reads_only_psi_0_of_the_history(tmp_path, reference, lev
                      "--out", str(out)]) in (0, 1)
         reports.append(json.loads((out / "report.json").read_text())["report"])
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_constant_history_is_laid_on_a_solve_grid_finer_than_its_default_step(tmp_path):
+    """The constant form's default step r/64 = 1/128 is coarser than the
+    solve grid 1/1024: the history is laid on the solve grid, every node 1.0."""
+    doc = _with(_with(TestCliSolve().solve_doc(), "solve", n_steps=1024), "initial", delay=0.5)
+    doc["coefficients"].update(family="pointwise_delay", tau=0.5,
+                               drift={"gain_now": 0.3, "gain_delay": 0.3})
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == -0.5 and float(rows[512][0]) == 0.0
+    assert [float(row[1]) for row in rows[:513]] == [1.0] * 513
+
+
+def test_a_moments_run_finer_than_the_default_history_step_runs(tmp_path, capsys):
+    """r = 0.25 has the default history step 1/256; the solve grid is 1/512."""
+    doc = _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0, 4.0],
+                n_steps=512, replicas=30)
+    doc["initial"] = {"constant": 1.0, "delay": 0.25, "theta": 0.45}
+    cfg = write_config(tmp_path, doc)
+    code = main(["experiment", "moments", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    assert (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))

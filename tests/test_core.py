@@ -17,7 +17,7 @@ from sddelab.core import (
 )
 from sddelab.grid import GridError
 
-from helpers import standard_params
+from helpers import standard_params, window_spec
 
 
 class TestHolderParams:
@@ -181,6 +181,15 @@ class TestFamilyValidation:
                 CoeffBlock.build(1, 1), CoeffBlock.build(1, 1), CoeffBlock.build(1, 1),
             )
 
+    def test_constant_family_refuses_gains(self):
+        with pytest.raises(ParamError, match="family 'constant' must not carry gains"):
+            CoefficientSpec(
+                "constant", 1, 1, 1,
+                CoeffBlock.build(1, 1, gain_now=0.5),
+                CoeffBlock.build(1, 1),
+                CoeffBlock.build(1, 1),
+            )
+
     def test_distributed_needs_span(self):
         with pytest.raises(ParamError):
             CoefficientSpec(
@@ -219,6 +228,41 @@ def test_recorded_growth_constant_never_violated():
             np.linalg.norm(eval_coefficient(spec, w, t, seg)) for w in "abc"
         )
         assert total <= k * (1.0 + seg.sup_norm()) * (1 + 1e-12)
+
+
+class TestReach:
+    def test_reach_is_the_tap_the_window_span_or_zero(self):
+        assert geometric_spec(0.5, 0.4, 0.3).reach == 0.0
+        assert pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.3).reach == 0.3
+        assert window_spec(0.1).reach == 0.1
+
+    def test_window_integrates_over_delay_span_only(self):
+        # psi(u) = 1 + u on [-1, 0]: over [-1/2, 0] the integral is 3/8, and
+        # the trapezoid rule is exact on a linear psi
+        p = GridPath(-1.0, 1 / 8, np.linspace(0.0, 1.0, 9))
+        seg = segment_at(p, 0.0, 1.0)
+        assert eval_coefficient(window_spec(0.5), "a", 0.0, seg)[0] == pytest.approx(0.375)
+        assert eval_coefficient(window_spec(1.0), "a", 0.0, seg)[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("span, message", [
+        (1.5, "window 1.5 does not fit a segment of 8 steps"),
+        (0.3, "window 0.3 does not land on the grid"),
+    ])
+    def test_window_must_land_inside_the_segment(self, span, message):
+        seg = segment_at(GridPath(-1.0, 1 / 8, np.ones(9)), 0.0, 1.0)
+        with pytest.raises(GridError, match=message):
+            eval_coefficient(window_spec(span), "a", 0.0, seg)
+
+    @pytest.mark.parametrize("spec", [
+        window_spec(0.1),
+        window_spec(0.01),
+        pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.1),
+    ], ids=["window_0.1", "window_0.01", "tap_0.1"])
+    def test_assumptions_hold_for_a_reach_shorter_than_the_default_probe(self, spec):
+        """The probes span [-reach, 0], so the window's closed-form K (its
+        span) holds and a tap of 0.1 lands on the probe grid."""
+        report = check_assumptions(spec, standard_params(), 100)
+        assert report.all_passed, report.checks
 
 
 class TestCheckAssumptions:

@@ -314,7 +314,7 @@ class TestHolderSeminorm:
     def test_window_restriction(self):
         p = grid_fn(lambda t: np.where(t < 0.5, 0.0, 1.0), 0, 1, 64)
         full = holder_seminorm(p, 0.5)
-        tail = holder_seminorm(p, 0.5, window=(0.5, 1.0))
+        tail = holder_seminorm(p.window(0.5, 1.0), 0.5)
         assert tail < full
 
     def test_bad_lambda_and_empty_window(self):

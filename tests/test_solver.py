@@ -6,6 +6,7 @@ from sddelab import FbmParams, GridPath, SeedSpec, sample_fbm, sample_wiener
 from sddelab.core import (
     CoeffBlock,
     CoefficientSpec,
+    InitialCondition,
     constant_initial,
     eval_coefficient,
     geometric_spec,
@@ -31,6 +32,7 @@ from helpers import (
     callable_ito,
     coefficient,
     mollified_ito_oracle,
+    window_spec,
 )
 
 
@@ -520,3 +522,57 @@ def test_row_groups_must_share_the_history_length():
     etas = [constant_initial(1.0, 0.0, cfg.dt), constant_initial(1.0, 0.25, cfg.dt)]
     with pytest.raises(GridError, match="^row groups must share the history length$"):
         euler_mixed_sdde(geometric_spec(0.5, 0.4, 0.3), etas, w, z, cfg)
+
+
+@pytest.mark.parametrize("scheme", ["mixed", "ito"])
+def test_first_step_reads_the_window_over_delay_span(scheme):
+    """History 1.0 on [-0.5, 0] and a window of 0.25: the first step adds
+    dt * 0.25 = 0.03125, dt times the closed-form growth constant, not dt
+    times the integral over the whole history."""
+    cfg = SolverConfig(n_steps=8, horizon=1.0)
+    eta = constant_initial(1.0, 0.5, cfg.dt)
+    zero = GridPath(0.0, cfg.dt, np.zeros(9))
+    spec = window_spec(0.25)
+    if scheme == "mixed":
+        x = euler_mixed_sdde(spec, eta, zero, zero, cfg)
+    else:
+        x = euler_ito_sdde(spec, eta, zero, zero, cfg, 2)
+    assert x.values[5, 0] == 1.03125 == 1.0 + cfg.dt * spec.growth_constant()
+
+
+def test_row_groups_that_read_a_window_must_share_its_span():
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
+    w, z = drivers(16)
+    eta = constant_initial(1.0, 0.5, cfg.dt)
+    with pytest.raises(GridError, match="^row groups that read a window must share its span$"):
+        euler_mixed_sdde([window_spec(0.25), window_spec(0.5)], eta, w, z, cfg)
+    # a group without delay gains reads no window, whatever its span
+    alone = euler_mixed_sdde(window_spec(0.25), eta, w, z, cfg)
+    grouped, _ = euler_mixed_sdde([window_spec(0.25), window_spec(0.5, 0.0)], eta, w, z, cfg)
+    assert np.array_equal(grouped.values, alone.values)
+
+
+@pytest.mark.parametrize("span, message", [
+    (0.75, "window 0.75 exceeds the history length 0.5"),
+    (0.1, "window 0.1 does not land on the grid"),
+])
+def test_window_must_land_inside_the_history(span, message):
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
+    w, z = drivers(16)
+    with pytest.raises(GridError, match=message):
+        euler_mixed_sdde(window_spec(span), constant_initial(1.0, 0.5, cfg.dt), w, z, cfg)
+
+
+def test_a_coarse_history_is_laid_on_the_solver_grid_between_its_nodes():
+    """History step 1/8, solver step 1/32: every history node keeps its value
+    and the solver nodes between them interpolate linearly."""
+    eta = InitialCondition(GridPath(-0.5, 0.125, np.array([0.0, 1.0, 3.0, 2.0, -1.0])), 0.45)
+    cfg = SolverConfig(n_steps=32, horizon=1.0)
+    w, z = drivers(32)
+    spec = pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.5)
+    x = euler_mixed_sdde(spec, eta, w, z, cfg)
+    history = x.values[:17, 0]
+    assert x.t0 == -0.5 and x.dt == cfg.dt
+    assert np.array_equal(history[::4], eta.eta.values[:, 0])
+    assert np.array_equal(history[2::4], [0.5, 2.0, 2.5, 0.5])
+    assert np.array_equal(history[1:4], [0.25, 0.5, 0.75])

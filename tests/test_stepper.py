@@ -200,6 +200,27 @@ def test_vector_and_distributed_blocks_match_old_generic_path(make_spec, x0):
         np.testing.assert_allclose(block.values[r], oracle, rtol=VECTOR_RTOL, atol=1e-14)
 
 
+def test_a_window_of_half_the_history_matches_the_oracles_of_both_schemes():
+    """delay_span = r/2 on a sloped history: the running window sum over the
+    last span steps matches the per-step evaluator under both schemes, and
+    differs from the window over the whole history."""
+    spec = replace(_distributed_spec(), delay_span=0.125)
+    cfg = SolverConfig(n_steps=256, horizon=1.0)
+    eta = InitialCondition(GridPath(-0.25, cfg.dt, np.linspace(0.5, 1.0, 65)), 0.45)
+    pairs = [drivers(cfg, spec, r) for r in range(3)]
+    w, z = stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs])
+    mixed = euler_mixed_sdde(spec, eta, w, z, cfg)
+    ito = euler_ito_sdde(spec, eta, w, z, cfg, 4)
+    for r, (wr, zr) in enumerate(pairs):
+        np.testing.assert_allclose(mixed.values[r], old_generic_path(spec, eta, wr, zr, cfg),
+                                   rtol=VECTOR_RTOL, atol=1e-14)
+        np.testing.assert_allclose(ito.values[r],
+                                   mollified_ito_oracle(spec, eta, wr, zr, cfg, 4).values,
+                                   rtol=VECTOR_RTOL, atol=1e-14)
+    whole = euler_mixed_sdde(_distributed_spec(), eta, w, z, cfg)
+    assert np.abs(mixed.values[:, -1] - whole.values[:, -1]).min() > 1e-3
+
+
 PARTITION_REPLICAS = 9
 PARTITION_CASES = {  # name: (spec factory, psi(0), history length r)
     "no_delay": (lambda: geometric_spec(0.5, 0.4, 0.3), np.array([1.0]), 0.0),
