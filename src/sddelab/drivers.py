@@ -7,9 +7,11 @@ order gamma for any gamma < H.  Two samplers are provided:
   of the fractional Gaussian noise covariance.  The covariance is Toeplitz,
   so the generalized Schur algorithm gives the factor in O(n^2) elementwise
   work; only its lower triangle is stored, in row panels.  LAPACK's dense
-  factorization is the test oracle.  Replicas are drawn in fixed-width
-  chunks of stream indices: one matrix product per panel and chunk reads
-  the factor once for up to ``_CHUNK`` replicas;
+  factorization is the test oracle.  The factor is cached per process; an
+  experiment draws every block in one process, so it builds the factor
+  once per run.  Replicas are drawn in fixed-width chunks of stream
+  indices: one matrix product per panel and chunk reads the factor once for
+  up to ``_CHUNK`` replicas;
 * ``davies_harte`` -- circulant embedding, O(n log n), for large grids.
 
 ``sample_fbm`` takes one seed (a path) or a list of seeds (a replica block,
@@ -20,6 +22,7 @@ threads (tested).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -117,20 +120,30 @@ def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
     buf = np.zeros(offsets[-1])
     panels = [buf[o : o + rows * cols].reshape((rows, cols), order="F")
               for o, (rows, cols) in zip(offsets, shapes)]
-    a = cov / np.sqrt(cov[0])
-    b = a.copy()
-    b[0] = 0.0
+    # At column k the generator is a = head[:n-k], b = tail[k:]: dropping
+    # the last entry of a and the first of b moves no data, and the rotation
+    # writes both in place through one scratch buffer.
+    head = cov / np.sqrt(cov[0])
+    tail = head.copy()
+    tail[0] = 0.0
+    scratch = np.empty(n)
     for k in range(n):
+        a = head[: n - k]
         if k:
-            a, b = a[:-1], b[1:]
-            rho = b[0] / a[0]
+            b, t = tail[k:], scratch[: n - k]
+            rho = float(b[0]) / float(a[0])
             if not abs(rho) < 1.0:
                 raise DriverNumericsError(
                     f"the covariance is not positive definite: Schur "
                     f"reflection coefficient {rho} at column {k}"
                 )
-            s = 1.0 / np.sqrt((1.0 - rho) * (1.0 + rho))
-            a, b = s * (a - rho * b), s * (b - rho * a)
+            s = 1.0 / math.sqrt((1.0 - rho) * (1.0 + rho))
+            np.multiply(b, rho, out=t)
+            np.subtract(a, t, out=t)  # a - rho b
+            np.multiply(a, rho, out=a)
+            np.subtract(b, a, out=b)  # b - rho a
+            np.multiply(b, s, out=b)
+            np.multiply(t, s, out=a)
         for i in range(k // _PANEL, len(panels)):
             lo = max(k, edges[i])
             panels[i][lo - edges[i] :, k] = a[lo - k : edges[i + 1] - k]

@@ -11,21 +11,25 @@ One table, ``_FLAVORS``, maps each experiment kind to its code: a ``check``
 of the level schedule, a ``block`` function that computes one row per
 replica, and a ``reduce`` that turns the rows of all replicas into a report.
 :func:`run_experiment` runs the three in turn.  Replicas are independent,
-and a replica's rows do not depend on the block it is solved in, so blocks
-follow the pool size (one pool task each) and the rows are reduced in
-replica order: the same configuration produces identical reports for any
-worker count.  A level study solves the reference and all levels of a block
-as row groups of one stepper call where one grid and one scheme allow it.
-A solver explosion names the lowest exploding replica and, of that
-replica, the first exploding level in schedule order (the reference first):
-the block is solved again replica by replica, and the stepper names the
-first exploding row group.  Reports hold no timing; the CLI times the run
-and writes it to a sidecar.
+and a replica's drivers and rows do not depend on the block they are drawn
+and solved in, so blocks follow the number of processes and the rows are
+reduced in replica order: the same configuration produces identical reports
+for any worker count.  The parent process draws the drivers of every block,
+so the fBm factor is built once per run; P - 1 forked workers and the
+parent solve the blocks.  A level study solves the reference and all levels
+of a block as row groups of one stepper call where one grid and one scheme
+allow it.  A solver explosion names the lowest exploding replica and, of
+that replica, the first exploding level in schedule order (the reference
+first): the block is solved again replica by replica from its drawn
+drivers, and the stepper names the first exploding row group.  Reports hold
+no timing; the CLI times the run and writes it to a sidecar.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -304,14 +308,18 @@ def _at_levels(*labels):
 
 
 # --------------------------------------------------------------------------
-# per-block work, one function per experiment kind (module level so the
-# process pool can pickle them).  Drivers are sampled per replica, stacked
-# into a replica block and solved together; each returns one row per replica.
+# per-block work, one function per experiment kind.  Each takes the drawn
+# drivers of a replica block, W and Z on the grid of ``_driver_steps``, solves
+# the block together and returns one row per replica.
 
 
-def _block_drivers(cfg: ExperimentConfig, replicas: range, n_steps: int):
-    fbm = FbmParams(cfg.params.hurst, n_steps, cfg.horizon, cfg.driver_method)
-    return _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
+def _driver_steps(cfg: ExperimentConfig) -> int:
+    """The steps of the driver grid: the solver grid, or for a mesh study the
+    finest mesh (4x it under a fine-Euler reference)."""
+    if cfg.kind != "euler_refinement":
+        return cfg.n_steps
+    finest = int(max(cfg.levels))
+    return finest if cfg.reference == "closed_form" else 4 * finest
 
 
 def _level_distances(reference: GridPath, levels) -> np.ndarray:
@@ -319,9 +327,8 @@ def _level_distances(reference: GridPath, levels) -> np.ndarray:
     return np.column_stack([_sup_distance(x, reference) for x in levels])
 
 
-def _block_coeff(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+def _block_coeff(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Solutions under level-n coefficient perturbations versus the base equation."""
-    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     shifted = cfg.perturbation == "initial_shift"
     specs = [_perturbed_spec(cfg.spec, cfg.perturbation, n) for n in cfg.levels]
     etas = [cfg.initial.shifted(1.0 / n) if shifted else cfg.initial for n in cfg.levels]
@@ -332,18 +339,16 @@ def _block_coeff(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     return _level_distances(reference, levels)
 
 
-def _block_delay(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+def _block_delay(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Pointwise-delay solutions as the tap shrinks versus the no-delay equation."""
-    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     specs = [cfg.spec.merge_delay(), *(cfg.spec.with_tau(tau) for tau in cfg.levels)]
     with _at_levels("reference", *cfg.levels):
         reference, *levels = euler_mixed_sdde(specs, cfg.initial, w, z, cfg.solver_config)
     return _level_distances(reference, levels)
 
 
-def _block_ito(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+def _block_ito(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Mollified-drift Ito solutions versus the mixed solution as the level grows."""
-    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     scfg = cfg.solver_config
     with _at_levels("reference"):
         reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
@@ -363,12 +368,10 @@ def _geometric_triple(cfg: ExperimentConfig):
     return tuple(float(b.gain_now[0, 0, 0]) for b in blocks) if ok else None
 
 
-def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+def _block_euler(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Euler paths across dyadic meshes versus the closed form (or a 4x-finer solve)."""
-    finest = int(max(cfg.levels))
     use_closed = cfg.reference == "closed_form"
-    n_driver = finest if use_closed else 4 * finest
-    w, z = _block_drivers(cfg, replicas, n_driver)
+    n_driver = _driver_steps(cfg)
     x0 = float(cfg.initial.eta.values[-1, 0])
     eta = cfg.initial
     if cfg.spec.reach == 0:  # x depends on eta(0) alone
@@ -379,7 +382,7 @@ def _block_euler(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
         fine_cfg = SolverConfig(n_steps=n_driver, horizon=cfg.horizon)
         with _at_levels("reference"):
             reference = euler_mixed_sdde(cfg.spec, eta, w, z, fine_cfg)
-    out = np.empty((len(replicas), len(cfg.levels)))
+    out = np.empty((w.replicas, len(cfg.levels)))
     for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
         step = n_driver // int(level)
         scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
@@ -397,9 +400,8 @@ def _delay_norm_t(cfg: ExperimentConfig, x: GridPath) -> np.ndarray:
     return norm_inf + norm_1
 
 
-def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+def _block_moments(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Per replica: the sup norm, the delay norm of the solution and the driver seminorm."""
-    w, z = _block_drivers(cfg, replicas, cfg.n_steps)
     with _at_levels("reference"):
         x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, cfg.solver_config)
     return np.column_stack((
@@ -409,9 +411,8 @@ def _block_moments(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     ))
 
 
-def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+def _block_quasi(cfg: ExperimentConfig, w: GridPath, z1: GridPath) -> np.ndarray:
     """Per replica and perturbation size: p-th power distances on the truncation event."""
-    w, z1 = _block_drivers(cfg, replicas, cfg.n_steps)
     scfg = cfg.solver_config
     p = _quasi_p(cfg)
 
@@ -423,7 +424,7 @@ def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
     with _at_levels("reference", *cfg.levels):
         y1, *y2s = euler_mixed_sdde(cfg.spec, cfg.initial, w, [z1, *z2s], scfg)
     inside_1 = (semi(z1.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y1) <= cfg.r_trunc)
-    out = np.zeros((len(replicas), len(cfg.levels), 3))
+    out = np.zeros((w.replicas, len(cfg.levels), 3))
     for i, (z2, y2) in enumerate(zip(z2s, y2s)):
         indicator = (
             inside_1 & (semi(z2.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y2) <= cfg.r_trunc)
@@ -438,7 +439,7 @@ def _block_quasi(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 
 # Replicas per block, and stepper rows (replicas x (levels + 1)) per block, at
-# most: together they bound the memory of one pool task.
+# most: together they bound the memory of one block's solve.
 _BLOCK_REPLICAS = 50
 _BLOCK_ROWS = 450
 
@@ -450,16 +451,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_block(args) -> np.ndarray:
-    cfg, replicas = args
+def _replica(path: GridPath, i: int) -> GridPath:
+    """Row i of a replica block, as a block of one."""
+    return GridPath(path.t0, path.dt, path.values[i : i + 1])
+
+
+def _run_block(cfg: ExperimentConfig, replicas: range, w: GridPath, z: GridPath) -> np.ndarray:
+    """The rows of one block from its drawn drivers.  An explosion names the
+    lowest exploding replica: the block is solved again replica by replica,
+    each from its rows of the drawn drivers."""
     _, fn, _ = _FLAVORS[cfg.kind]
     try:
-        return fn(cfg, replicas)
+        return fn(cfg, w, z)
     except SolverExplosionError as exc:
-        # name the lowest exploding replica: solve the block's replicas alone
-        for r in replicas:
+        for i, r in enumerate(replicas):
             try:
-                fn(cfg, range(r, r + 1))
+                fn(cfg, _replica(w, i), _replica(z, i))
             except SolverExplosionError as single:
                 single.replica = r
                 raise single from None
@@ -467,18 +474,69 @@ def _run_block(args) -> np.ndarray:
         raise
 
 
+@contextmanager
+def _forked_pool(workers: int):
+    """``workers`` processes forked now, before the parent draws its first
+    block and builds the fBm factor, so that none of them maps it; None for
+    no workers.  A forked worker starts with the parent's imports, and the
+    executor forks every worker before it starts its own thread."""
+    if not workers:
+        yield None
+        return
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        pool.submit(int)  # a fork pool starts every process at its first task
+        yield pool
+
+
 def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
-    """Rows of all replicas in replica order.  The replicas are split evenly
-    over the usable workers, at most ``_BLOCK_REPLICAS`` and
-    ``_BLOCK_ROWS`` stepper rows per block."""
+    """Rows of all replicas in replica order.
+
+    The replicas are split evenly over P usable processes, at most
+    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block.  The
+    parent draws the drivers of every block in replica order, so the fBm
+    factor is built once per run; of each round of P blocks it hands the
+    first P - 1 to forked workers and solves the last itself.  It waits for
+    a round's workers before it draws its own block of the next round, so at
+    most 2(P - 1) drawn blocks are not yet solved.  After a block fails no
+    further block is drawn, and the error of the lowest failing block is
+    raised.
+    """
     workers = min(cfg.workers, _usable_cpus())
     size = min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // (len(cfg.levels) + 1)),
                -(-cfg.replicas // workers))
-    tasks = [(cfg, range(lo, min(lo + size, cfg.replicas))) for lo in range(0, cfg.replicas, size)]
-    if workers == 1:
-        return np.concatenate([_run_block(t) for t in tasks])
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return np.concatenate(list(pool.map(_run_block, tasks)))
+    blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
+    procs = min(workers, len(blocks))
+    fbm = FbmParams(cfg.params.hurst, _driver_steps(cfg), cfg.horizon, cfg.driver_method)
+    rows, failed = [None] * len(blocks), {}  # failed: block -> its exception
+    pending = deque()  # (block, future) handed to the workers, in order
+
+    def record(i: int, call, *args) -> None:
+        try:
+            rows[i] = call(*args)
+        except Exception as exc:  # raised below, if no lower block failed
+            failed[i] = exc
+
+    def settle(keep: int) -> None:
+        while len(pending) > keep:
+            i, future = pending.popleft()
+            record(i, future.result)
+
+    with _forked_pool(procs - 1) as pool:
+        for i, replicas in enumerate(blocks):
+            if failed:
+                break
+            own = (i + 1) % procs == 0
+            if own:
+                settle(procs - 1)
+            w, z = _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
+            if own:
+                record(i, _run_block, cfg, replicas, w, z)
+            else:
+                pending.append((i, pool.submit(_run_block, cfg, replicas, w, z)))
+        settle(0)
+    if failed:
+        raise failed[min(failed)]
+    return np.concatenate(rows)
 
 
 # --------------------------------------------------------------------------

@@ -147,16 +147,25 @@ def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> Gri
 def _history_values(eta: InitialCondition, dt: float, q: int) -> np.ndarray:
     """The history on the solver grid, ``(q + 1, d)`` with q = r / dt: every
     m-th node of a finer history, or a coarser one laid on the grid by linear
-    interpolation between its nodes, each of which keeps its value."""
+    interpolation between its nodes, each of which keeps its value.  A
+    constant history is the same on any grid, so it is also laid on a grid
+    that does not nest with its own."""
     path = eta.eta
-    if q > path.n_points - 1:  # the solver grid refines the history's
-        m = refinement(path.dt, dt, "solver grid")
+    if not q:
+        return path.values[-1:].copy()
+    fine = q > path.n_points - 1  # the solver grid refines the history's
+    try:
+        m = (refinement(path.dt, dt, "solver grid") if fine
+             else refinement(dt, path.dt, "initial condition grid"))
+    except GridError:
+        if (path.values != path.values[-1]).any():
+            raise
+        return np.repeat(path.values[-1:], q + 1, axis=0)
+    if fine:
         j, k = np.divmod(np.arange(q + 1), m)
         lo, hi = path.values[j], path.values[np.minimum(j + 1, path.n_points - 1)]
         return np.where((k == 0)[:, None], lo, lo + (k / m)[:, None] * (hi - lo))
-    if q:
-        path = path.restrict(refinement(dt, path.dt, "initial condition grid"))
-    return path.values[-q - 1:].copy()
+    return path.restrict(m).values[-q - 1:].copy()
 
 
 def _reach_steps(spec: CoefficientSpec, dt: float, q: int) -> int:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab.cli import main
-from sddelab import FbmParams, config, experiments, sample_fbm, sample_wiener
+from sddelab import FbmParams, config, drivers, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
-from sddelab.grid import stack_paths
-from sddelab.solver import euler_ito_sdde, euler_mixed_sdde
+from sddelab.grid import SeedSpec, stack_paths
+from sddelab.solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 DATA = Path(__file__).parent / "data"
 
@@ -750,6 +751,31 @@ def test_a_constant_history_is_laid_on_a_solve_grid_finer_than_its_default_step(
     assert [float(row[1]) for row in rows[:513]] == [1.0] * 513
 
 
+@pytest.mark.parametrize("n_steps", [20, 400])
+def test_a_constant_history_is_laid_on_a_grid_that_does_not_nest_with_its_step(
+    tmp_path, capsys, n_steps
+):
+    """r = 0.25 is 5 steps of 0.05 and 100 steps of 0.0025, and neither grid
+    nests with the default history step r/64: the constant history is laid
+    on the solve grid, every node 1.0.  A history that is not constant still
+    needs nesting grids."""
+    doc = _with(_with(TestCliSolve().solve_doc(), "solve", n_steps=n_steps), "initial",
+                delay=0.25)
+    doc["coefficients"].update(family="pointwise_delay", tau=0.25,
+                               drift={"gain_now": 0.3, "gain_delay": 0.3})
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    q = n_steps // 4
+    rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == -0.25 and float(rows[q][0]) == 0.0
+    assert [float(row[1]) for row in rows[: q + 1]] == [1.0] * (q + 1)
+
+    doc["initial"] = {"t0": -0.25, "dt": 0.25 / 64, "values": [1.0] * 64 + [2.0], "theta": 0.45}
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "is not a refinement of the step" in capsys.readouterr().err
+
+
 def test_a_moments_run_finer_than_the_default_history_step_runs(tmp_path, capsys):
     """r = 0.25 has the default history step 1/256; the solve grid is 1/512."""
     doc = _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0, 4.0],
@@ -927,6 +953,35 @@ def test_stacked_level_explosion_names_the_first_level_in_schedule_order(tmp_pat
     assert errs[2].rstrip().endswith("at t=0.9375")
 
 
+def test_a_worker_block_explosion_outranks_the_parents_own(tmp_path, capsys, monkeypatch):
+    """At 2 processes a forked worker solves replicas 0-29 and the parent
+    30-59.  Both blocks explode, replica 5 in the worker's and replica 41 in
+    the parent's, and the run names replica 5 at every worker count."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    doc = geometric_doc()
+    doc["experiment"].update(flavor="coeff_convergence", levels=[2, 0.25], replicas=60,
+                             n_steps=64, perturbation="initial_shift")
+    doc["coefficients"].update(
+        drift={"gain_now": 16.0}, diffusion={"gain_now": 0.0}, zdrive={"gain_now": 3.0}
+    )
+    doc["seed"] = {"master": 2}
+    cfg = write_config(tmp_path, doc)
+    run = load_config(cfg).payload
+    fbm = FbmParams(run.params.hurst, run.n_steps, run.horizon)
+    parents = range(30, 60)
+    drawn = experiments._sample_drivers(run.spec, fbm, [SeedSpec(2, r) for r in parents])
+    with pytest.raises(SolverExplosionError, match="^replica 41, level 0.25: "):
+        experiments._run_block(run, parents, *drawn)
+    errs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["experiment", "coeff", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 4
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("solver explosion: replica 5, level 2: ")
+
+
 @pytest.mark.parametrize("flavor,levels,extra", [
     ("moments", [2.0, 4.0], {}),
     ("quasi_contract", [0.1, 0.05], {"m_trunc": 25.0}),
@@ -975,16 +1030,15 @@ def test_reports_byte_identical_across_blas_thread_counts(tmp_path, levels):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("cpus", [1, 3, 64])
-def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
-    """``--workers 10000`` starts at most min(CPUs, tasks) processes, each
-    task at most ``_BLOCK_REPLICAS`` replicas, and reports the bytes of one
-    worker.  The pool is a stand-in that runs the tasks in this process."""
-    started = []
+def _in_process_pool(monkeypatch):
+    """Replace the fork pool by a stand-in that runs each task in this
+    process when its result is asked for; return the sizes of the pools made."""
+    made = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "fork"
+            made.append(max_workers)
 
         def __enter__(self):
             return self
@@ -992,12 +1046,32 @@ def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            started.append((self.max_workers, [len(r) for _, r in tasks]))
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            return types.SimpleNamespace(result=lambda: fn(*args))
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    return made
+
+
+def _count_blocks(monkeypatch):
+    """Patch the block runner to list the size of every block it solves."""
+    sizes, run_block = [], experiments._run_block
+    monkeypatch.setattr(
+        experiments, "_run_block",
+        lambda cfg, replicas, *drivers: sizes.append(len(replicas)) or run_block(
+            cfg, replicas, *drivers),
+    )
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 64])
+def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
+    """``--workers 10000`` keeps at most min(CPUs, blocks) processes at work,
+    the parent and a pool of one fewer, each block at most
+    ``_BLOCK_REPLICAS`` replicas, and reports the bytes of one worker.  The
+    pool is a stand-in that runs the tasks in this process."""
+    made = _in_process_pool(monkeypatch)
+    sizes = _count_blocks(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     doc = geometric_doc()
     doc["experiment"].update(flavor="moments", levels=[2.0], replicas=130, n_steps=16)
@@ -1006,16 +1080,78 @@ def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
     blobs = []
     for workers in ("1", "10000"):
         out = tmp_path / workers
+        sizes.clear()
         assert main(["experiment", "--config", str(cfg), "--out", str(out),
                      "--workers", workers]) in (0, 1)
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
-    if cpus == 1:
-        assert started == []
-        return
-    [(max_workers, sizes)] = started
     assert sum(sizes) == 130 and max(sizes) <= experiments._BLOCK_REPLICAS
-    assert max_workers == min(cpus, len(sizes))
+    assert made == ([] if cpus == 1 else [min(cpus, len(sizes)) - 1])
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_parent_holds_at_most_two_rounds_of_worker_blocks(tmp_path, monkeypatch, cpus):
+    """With P processes the parent has at most 2(P - 1) blocks drawn and not
+    yet solved: it waits for a round's workers before it draws its own block
+    of the next round.  300 replicas make 6 blocks of 50, so two rounds run
+    and the bound is reached; the report has the bytes of one worker."""
+    _in_process_pool(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    held, peak = [0], [0]
+    sample, run_block = experiments._sample_drivers, experiments._run_block
+
+    def draw(*args):
+        held[0] += 1
+        peak[0] = max(peak[0], held[0])
+        return sample(*args)
+
+    def solve(*args):
+        rows = run_block(*args)
+        held[0] -= 1
+        return rows
+
+    monkeypatch.setattr(experiments, "_sample_drivers", draw)
+    monkeypatch.setattr(experiments, "_run_block", solve)
+    doc = geometric_doc()
+    doc["experiment"].update(flavor="moments", levels=[2.0], replicas=300, n_steps=16)
+    doc["criteria"] = {"max_final_exceedance": 1.0}
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for workers in ("1", str(cpus)):
+        out = tmp_path / workers
+        peak[0] = 0
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) in (0, 1)
+        blobs.append((out / "report.json").read_bytes())
+        assert held[0] == 0
+    assert peak[0] == 2 * (cpus - 1)
+    assert blobs[0] == blobs[1]
+
+
+def test_no_forked_worker_builds_the_fbm_factor(tmp_path, monkeypatch):
+    """The parent draws every block, so the Cholesky factor is built in this
+    process only: a forked worker inherits a factor that raises, and the run
+    at 2 workers still exits 0 with the bytes of 1 worker."""
+    factor, parent = drivers._cholesky_factor, os.getpid()
+
+    def parent_only(n, hurst):
+        if os.getpid() != parent:
+            raise RuntimeError("a forked worker built the fBm factor")
+        return factor(n, hurst)
+
+    monkeypatch.setattr(drivers, "_cholesky_factor", parent_only)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    doc = geometric_doc()
+    doc["experiment"]["emit_distances"] = True
+    doc["criteria"] = {"max_final_exceedance": 1.0, "min_decreasing_steps": 0}
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        blobs.append([(out / name).read_bytes() for name in ("report.json", "distances.csv")])
+    assert blobs[0] == blobs[1]
 
 
 def test_blocks_bound_the_stepper_rows_and_leave_the_report_unchanged(tmp_path,
@@ -1026,9 +1162,7 @@ def test_blocks_bound_the_stepper_rows_and_leave_the_report_unchanged(tmp_path,
     doc = _with(typed_doc(), "experiment", levels=list(range(1, 30)), replicas=40)
     doc["criteria"] = {"max_final_exceedance": 1.0}
     cfg = write_config(tmp_path, doc)
-    sizes, run_block = [], experiments._run_block
-    monkeypatch.setattr(experiments, "_run_block",
-                        lambda task: sizes.append(len(task[1])) or run_block(task))
+    sizes = _count_blocks(monkeypatch)
     blobs = []
     for rows in (experiments._BLOCK_ROWS, 10**6):
         monkeypatch.setattr(experiments, "_BLOCK_ROWS", rows)

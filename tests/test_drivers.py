@@ -106,6 +106,21 @@ def lapack_factor(n, hurst):
     return np.linalg.cholesky(cov[np.abs(idx[:, None] - idx[None, :])])
 
 
+def schur_columns(cov):
+    """The Schur recursion as first written, one column of L at a time: a
+    new (a, b) pair per rotation, rho and s as numpy scalars."""
+    a = cov / np.sqrt(cov[0])
+    b = a.copy()
+    b[0] = 0.0
+    for k in range(cov.size):
+        if k:
+            a, b = a[:-1], b[1:]
+            rho = b[0] / a[0]
+            s = 1.0 / np.sqrt((1.0 - rho) * (1.0 + rho))
+            a, b = s * (a - rho * b), s * (b - rho * a)
+        yield a
+
+
 def dense_from_panels(panels, n):
     """Reassemble the stored row panels into L, checking that they tile its
     rows exactly once and that panel i spans the columns up to its last row."""
@@ -132,11 +147,15 @@ def test_schur_factor_matches_lapack(n, hurst):
     only weakly stable, so the agreement is a tolerance, not bits: factor
     entries (all <= 1) within 1e-12 absolute, paths within 1e-12 of their
     sup norm (measured: at most 1.4e-13 over these cases, and 3.4e-13 at
-    n=4096, H=0.5001)."""
+    n=4096, H=0.5001).  The in-place rotation writes the bits of the
+    recursion that allocates a new generator pair per column."""
     oracle = lapack_factor(n, hurst)
-    dense = dense_from_panels(drivers._schur_panels(drivers._fgn_autocov(n, hurst)), n)
+    cov = drivers._fgn_autocov(n, hurst)
+    dense = dense_from_panels(drivers._schur_panels(cov), n)
     np.testing.assert_array_equal(np.triu(dense, 1), 0.0)
     assert np.abs(dense - oracle).max() <= 1e-12
+    for k, column in enumerate(schur_columns(cov)):
+        assert np.array_equal(dense[k:, k], column), f"column {k}"
 
     params = FbmParams(hurst, n, 1.0, "cholesky")
     seed = SeedSpec(13, 7)
