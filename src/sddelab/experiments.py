@@ -634,15 +634,17 @@ def _median(values: np.ndarray) -> float:
     """``np.median`` of a 1-d float array, bit for bit, without its NaN check,
     which imports ``numpy.ma``.  The same partition, then the middle value or
     ``(lo + hi) / 2``, as ``np.mean`` computes them: its sum starts from +0.0,
-    so a median of -0.0 comes out as 0.0.  The partition puts any NaN last,
-    and then the median is that NaN."""
+    so a median of -0.0 comes out as 0.0, and the sum of -5e-324 and 0.0
+    halves to -0.0.  The partition puts any NaN last, and then the median is
+    that NaN."""
     half = values.size // 2
     kth = [half] if values.size % 2 else [half - 1, half]
     part = np.partition(values, [*kth, -1])
     if np.isnan(part[-1]):
         return float(part[-1])
-    mid = part[half] if values.size % 2 else (part[half - 1] + part[half]) / 2
-    return float(0.0 + mid)
+    if values.size % 2:
+        return float(0.0 + part[half])
+    return float((0.0 + part[half - 1] + part[half]) / 2)
 
 
 def _reduce_convergence(cfg: ExperimentConfig, table: np.ndarray) -> ConvergenceReport:

@@ -197,7 +197,8 @@ def _compile(specs: list, cfg: SolverConfig, q: int):
     """The specs of the row groups as arrays for one solver grid and histories
     of q steps: ``(now, delay, const, mods, steps, span)``.
 
-    Columns are ``[a | b_1..b_m | c_1..c_l]``: in group g,
+    Each spec gives its columns ``[a | b_1..b_m | c_1..c_l]``
+    (:meth:`CoefficientSpec.columns`): in group g,
     ``x @ now[g] + y @ delay[g] + const[g]``, reshaped to
     ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``, holds every
     coefficient at state ``x`` and delay read ``y`` at step k.  The delay read
@@ -208,25 +209,16 @@ def _compile(specs: list, cfg: SolverConfig, q: int):
     The groups must share the dimensions and the time modulation, and those
     with delay gains the kind of delay read and the span of a window.
     """
-    head = specs[0]
-    d, cols = head.dim, 1 + head.n_wiener + head.n_holder
+    dims = {(spec.dim, spec.n_wiener, spec.n_holder) for spec in specs}
+    if len(dims) > 1:
+        raise GridError("row groups must share the state and driver dimensions")
     nows, delays, consts, sines, steps = [], [], [], [], []
     for spec in specs:
-        if (spec.dim, spec.n_wiener, spec.n_holder) != (d, head.n_wiener, head.n_holder):
-            raise GridError("row groups must share the state and driver dimensions")
-        blocks = (spec.drift, spec.diffusion, spec.zdrive)
-
-        def matrix(name: str) -> np.ndarray:  # (cols, d, d) gains -> (d, d * cols)
-            gains = np.concatenate([getattr(b, name) for b in blocks])
-            return gains.transpose(2, 1, 0).reshape(d, d * cols)
-
-        delay = matrix("gain_delay")
-        const = np.concatenate([b.const for b in blocks]).T.reshape(1, d * cols)
-        nows.append(matrix("gain_now"))
+        now, delay, const, sin_cols = spec.columns()
+        nows.append(now)
         delays.append(delay if delay.any() else None)
         consts.append(const if const.any() else None)
-        sines.append(np.concatenate([np.full(b.channels, b.time_modulation == "sin")
-                                     for b in blocks]))
+        sines.append(sin_cols)
         steps.append(_reach_steps(spec, cfg.dt, q))
     sin_cols = sines[0]
     if any(not np.array_equal(s, sin_cols) for s in sines):

@@ -4,8 +4,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sddelab import GridPath, HolderParams
-from sddelab.core import CoeffBlock, CoefficientSpec, Segment, eval_coefficient
+from sddelab import GridPath
+from sddelab.core import (
+    AssumptionReport,
+    CheckResult,
+    CoeffBlock,
+    CoefficientSpec,
+    HolderParams,
+    InitialCondition,
+    Segment,
+    eval_coefficient,
+    segment_at,
+)
 from sddelab.grid import GridError
 from sddelab.solver import (
     MollifierParams,
@@ -156,3 +166,149 @@ def mollified_ito_oracle(spec, eta, w: GridPath, z: GridPath, cfg, level: int) -
     :func:`callable_ito` with the driver guarded."""
     drift = GuardedMollifiedDrift(spec, z, level)
     return callable_ito(drift, coefficient(spec, "b"), eta, w, cfg, guarded=(drift.guard,))
+
+
+# --------------------------------------------------------------------------
+# Oracle of the assumption sweep: the per-probe loops that ``check_assumptions``
+# ran before it evaluated every probe at once through the compiled columns.
+# One ``eval_coefficient`` call per coefficient and probe, one worst/witness
+# loop per check; the batched sweep must reproduce its pass flags, and every
+# field for scalar specs.
+
+
+def _total_magnitude(spec: CoefficientSpec, t: float, psi: Segment) -> float:
+    a = eval_coefficient(spec, "a", t, psi)
+    b = eval_coefficient(spec, "b", t, psi)
+    c = eval_coefficient(spec, "c", t, psi)
+    return float(np.linalg.norm(a) + np.linalg.norm(b) + np.linalg.norm(c))
+
+
+def _probe_segments(spec: CoefficientSpec, rng, budget: int, n_seg: int):
+    """Deterministic scale rays first, then random rough segments."""
+    r = spec.reach or 0.25  # so that every delay read lands on the probe grid
+    dt = r / n_seg
+
+    def seg_from(values: np.ndarray) -> Segment:
+        return segment_at(GridPath(-r, dt, values), 0.0, r)
+
+    probes = []
+    for scale in (1.0, 10.0, 100.0, 1000.0):
+        for axis in range(spec.dim):
+            vals = np.zeros((n_seg + 1, spec.dim))
+            vals[:, axis] = scale
+            probes.append(seg_from(vals))
+    for _ in range(budget):
+        scale = 10.0 ** rng.uniform(-1, 1)
+        rough = np.cumsum(rng.standard_normal((n_seg + 1, spec.dim)), axis=0)
+        probes.append(seg_from(scale * rough / max(1.0, np.abs(rough).max())))
+    return probes
+
+
+def loop_check_assumptions(
+    spec: CoefficientSpec,
+    params: HolderParams,
+    sample_budget: int = 200,
+    claimed: dict[str, float] | None = None,
+    eta: InitialCondition | None = None,
+    seed: int = 0,
+) -> AssumptionReport:
+    """The per-probe sweep of :func:`sddelab.core.check_assumptions`.
+
+    Checks linear growth, the bound on the segment derivative of the
+    z-coefficient, local Lipschitz continuity of drift and diffusion,
+    time-Holder continuity of the z-coefficient, and Holder continuity of
+    the initial condition.  Closed-form constants of the family are used as
+    the claimed values unless overridden through ``claimed``.  A pass means
+    no violation was found within the budget; it is evidence, not proof.
+    """
+    rng = np.random.default_rng(seed)
+    claimed = claimed or {}
+    k1 = claimed.get("K", spec.growth_constant())
+    k2 = claimed.get("K2", spec.zderivative_bound())
+    k3 = claimed.get("K_R", spec.lipschitz_constant())
+    k4 = claimed.get("K_time", spec.time_holder_constant())
+    beta = claimed.get("beta", params.beta)
+    slack = 1.0 + 1e-9
+
+    segs = _probe_segments(spec, rng, sample_budget, n_seg=32)
+    times = rng.uniform(0.0, 1.0, size=len(segs))
+
+    # linear growth in the segment sup norm
+    worst1, wit1 = 0.0, ""
+    for t, psi in zip(times, segs):
+        ratio = _total_magnitude(spec, t, psi) / (1.0 + psi.sup_norm())
+        if ratio > worst1:
+            worst1, wit1 = ratio, f"||psi||={psi.sup_norm():.3g}, t={t:.3g}"
+    res1 = CheckResult("linear_growth", worst1 <= k1 * slack, k1, worst1, wit1)
+
+    # bounded segment derivative of c, via directional difference quotients
+    worst2, wit2 = 0.0, ""
+    eps = 1e-6
+    for t, psi in zip(times[: sample_budget // 2 + 1], segs):
+        direction = rng.standard_normal(psi.values.shape)
+        direction /= np.abs(direction).max()
+        bumped = Segment(
+            GridPath(psi.path.t0, psi.path.dt, psi.path.values + eps * direction),
+            psi.anchor, psi.lookback,
+        )
+        quot = (
+            np.linalg.norm(
+                eval_coefficient(spec, "c", t, bumped) - eval_coefficient(spec, "c", t, psi)
+            )
+            / eps
+        )
+        if quot > worst2:
+            worst2, wit2 = float(quot), f"t={t:.3g}"
+    res2 = CheckResult("derivative_bound", worst2 <= k2 * slack + 1e-6, k2, worst2, wit2)
+
+    # local Lipschitz continuity of (a, b) in the segment
+    worst3, wit3 = 0.0, ""
+    for t, psi in zip(times, segs):
+        shift = rng.standard_normal(psi.values.shape)
+        shift *= rng.uniform(0.01, 1.0) / max(1.0, np.abs(shift).max())
+        other = Segment(
+            GridPath(psi.path.t0, psi.path.dt, psi.path.values + shift),
+            psi.anchor, psi.lookback,
+        )
+        dist = float(np.linalg.norm(shift, axis=1).max() if spec.dim > 1 else np.abs(shift).max())
+        gap = np.linalg.norm(
+            eval_coefficient(spec, "a", t, other) - eval_coefficient(spec, "a", t, psi)
+        ) + np.linalg.norm(
+            eval_coefficient(spec, "b", t, other) - eval_coefficient(spec, "b", t, psi)
+        )
+        ratio = float(gap) / dist
+        if ratio > worst3:
+            worst3, wit3 = ratio, f"||psi1-psi2||={dist:.3g}"
+    res3 = CheckResult("local_lipschitz", worst3 <= k3 * slack, k3, worst3, wit3)
+
+    # time-Holder continuity of c
+    worst4, wit4 = 0.0, ""
+    for psi in segs:
+        t1, t2 = rng.uniform(0.0, 1.0, size=2)
+        if abs(t1 - t2) < 1e-9:
+            continue
+        gap = np.linalg.norm(
+            eval_coefficient(spec, "c", t1, psi) - eval_coefficient(spec, "c", t2, psi)
+        )
+        ratio = float(gap) / (abs(t1 - t2) ** beta * (1.0 + psi.sup_norm()))
+        if ratio > worst4:
+            worst4, wit4 = ratio, f"t1={t1:.3g}, t2={t2:.3g}"
+    res4 = CheckResult("time_holder", worst4 <= k4 * slack + 1e-12, k4, worst4, wit4)
+
+    checks = [res1, res2, res3, res4]
+
+    # Holder continuity of the initial condition
+    if eta is not None:
+        observed = eta.holder_constant()
+        claimed5 = claimed.get("K_eta", max(k1, observed))
+        checks.append(
+            CheckResult(
+                "initial_holder",
+                observed <= claimed5 * slack,
+                claimed5,
+                observed,
+                f"theta={eta.holder_theta}",
+            )
+        )
+
+    return AssumptionReport(tuple(checks))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sddelab.core import (
     CoeffBlock,
@@ -38,6 +38,7 @@ _MEDIAN_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=40))
+@example([0.0, 0.0, 0.0, 0.0, -1.0, -1.0, -1.0, -5e-324])  # the middle pair halves to -0.0
 def test_median_is_numpy_median_bit_for_bit(values):
     """Odd and even sizes, signed zeros, +-inf, overflow of lo + hi and NaN."""
     arr = np.array(values, dtype=float)
