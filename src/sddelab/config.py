@@ -185,7 +185,8 @@ INITIAL = (
     Field("constant", "array", "constant history value; selects the constant form", OPTIONAL),
     Field("delay", "float", "history length r (constant form)", OPTIONAL, range=_NON_NEGATIVE),
     Field("dt", "float", "history step (path form; constant form default r/64, or 1 if r = 0); "
-          "a finer solver grid interpolates the history linearly", OPTIONAL, range=_POSITIVE),
+          "the solver reads the history's linear interpolant on any grid on which r lands",
+          OPTIONAL, range=_POSITIVE),
     Field("t0", "float", "first history time -r (path form)", OPTIONAL),
     Field("values", "array", "history values on [t0, 0] (path form)", OPTIONAL),
 )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridError, GridPath, grid_steps, same_time
-from .fraccalc import _mags, holder_seminorm_values
+from .fraccalc import _mags, holder_seminorm
 
 __all__ = [
     "HolderParams",
@@ -395,7 +395,7 @@ class InitialCondition:
     def holder_constant(self) -> float:
         if self.eta.n_points < 2:
             return 0.0
-        return holder_seminorm_values(self.eta.values, self.eta.dt, self.holder_theta)
+        return holder_seminorm(self.eta, self.holder_theta)
 
     def shifted(self, offset: float) -> "InitialCondition":
         return replace(self, eta=replace(self.eta, values=self.eta.values + offset))

@@ -47,7 +47,6 @@ __all__ = [
     "fractional_norms",
     "delay_norms",
     "holder_seminorm",
-    "holder_seminorm_values",
 ]
 
 RS_RULES = ("left", "midpoint")  # Riemann-Stieltjes sum rules
@@ -276,16 +275,6 @@ def riemann_stieltjes_integral(f: GridPath, g: GridPath, rule: str = "left") -> 
     return float(np.sum(weights * dg))
 
 
-def holder_seminorm_values(values: np.ndarray, dt: float, lam: float) -> float:
-    """Grid Holder seminorm of an (n, d) value array."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    n = values.shape[0] - 1
-    # Python-scalar weights: a vectorized numpy power rounds some of them differently.
-    weights = np.array([(gap * dt) ** lam for gap in range(1, n + 1)])
-    return float(np.max(_shift_sups(values[None], n)[0] / weights, initial=0.0))
-
-
 def young_love_bound(f: GridPath, g: GridPath, lam: float, mu: float) -> float:
     """Right-hand side of the Young-Love inequality for ``|int f dg|`` over the
     common grid of f and g.
@@ -302,8 +291,8 @@ def young_love_bound(f: GridPath, g: GridPath, lam: float, mu: float) -> float:
     length = (pf.n_points - 1) * pf.dt
     c = 1.0 / (1.0 - 2.0 ** (1.0 - lam - mu))
     sup_f = float(np.max(np.abs(pf.scalar_values())))
-    sem_f = holder_seminorm_values(pf.values, pf.dt, lam)
-    sem_g = holder_seminorm_values(pg.values, pg.dt, mu)
+    sem_f = holder_seminorm(pf, lam)
+    sem_g = holder_seminorm(pg, mu)
     return c * sem_g * (sup_f + sem_f * length**lam) * length**mu
 
 
@@ -405,7 +394,12 @@ def holder_seminorm(path: GridPath, lam: float) -> float:
     over grid pairs only; refinement studies quantify the proxy error.
     """
     p = _scalar_grid(path)
-    return holder_seminorm_values(p.values, p.dt, lam)
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    n = p.n_points - 1
+    # Python-scalar weights: a vectorized numpy power rounds some of them differently.
+    weights = np.array([(gap * p.dt) ** lam for gap in range(1, n + 1)])
+    return float(np.max(_shift_sups(p.values[None], n)[0] / weights, initial=0.0))
 
 
 def fractional_norms(f: GridPath, alpha: float, lam: float | None = None) -> NormBundle:
@@ -421,7 +415,7 @@ def fractional_norms(f: GridPath, alpha: float, lam: float | None = None) -> Nor
         norm_1_alpha=_norm_1_alpha(p.values, p.dt, alpha),
         seminorm_0_alpha=_seminorm_0_alpha(p.values, p.dt, alpha),
         sup_norm=float(_mags(p.values).max()),
-        holder=holder_seminorm_values(p.values, p.dt, lam),
+        holder=holder_seminorm(p, lam),
     )
 
 

@@ -144,28 +144,18 @@ def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> Gri
     return path if step == 1 else path.restrict(step)
 
 
-def _history_values(eta: InitialCondition, dt: float, q: int) -> np.ndarray:
-    """The history on the solver grid, ``(q + 1, d)`` with q = r / dt: every
-    m-th node of a finer history, or a coarser one laid on the grid by linear
-    interpolation between its nodes, each of which keeps its value.  A
-    constant history is the same on any grid, so it is also laid on a grid
-    that does not nest with its own."""
+def _history_values(eta: InitialCondition, q: int) -> np.ndarray:
+    """The history read on a solver grid of q steps over [-r, 0], ``(q + 1, d)``:
+    its linear interpolant, with solver node i at ``i * N / q`` history steps
+    (N the history's steps), so every history node that lands on the grid
+    keeps its value."""
     path = eta.eta
     if not q:
         return path.values[-1:].copy()
-    fine = q > path.n_points - 1  # the solver grid refines the history's
-    try:
-        m = (refinement(path.dt, dt, "solver grid") if fine
-             else refinement(dt, path.dt, "initial condition grid"))
-    except GridError:
-        if (path.values != path.values[-1]).any():
-            raise
-        return np.repeat(path.values[-1:], q + 1, axis=0)
-    if fine:
-        j, k = np.divmod(np.arange(q + 1), m)
-        lo, hi = path.values[j], path.values[np.minimum(j + 1, path.n_points - 1)]
-        return np.where((k == 0)[:, None], lo, lo + (k / m)[:, None] * (hi - lo))
-    return path.restrict(m).values[-q - 1:].copy()
+    n = path.n_points - 1
+    j, k = np.divmod(np.arange(q + 1) * n, q)
+    lo, hi = path.values[j], path.values[np.minimum(j + 1, n)]
+    return np.where((k == 0)[:, None], lo, lo + (k / q)[:, None] * (hi - lo))
 
 
 def _reach_steps(spec: CoefficientSpec, dt: float, q: int) -> int:
@@ -267,10 +257,11 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
     distributed window is a running sum of trapezoid cells.  So a row's path
     depends neither on the block it is solved in nor on the other groups.
 
-    The trust region is checked once the paths are complete.  The first group
-    with a node outside it is named, and in it the first such node (earliest
-    step, then lowest row): where a step-by-step check of the groups solved
-    one after the other would have stopped.  Returns one path per group.
+    The trust region is checked once the paths are complete, and a NaN node
+    is outside it.  The first group with a node outside it is named, and in
+    it the first such node (earliest step, then lowest row): where a
+    step-by-step check of the groups solved one after the other would have
+    stopped.  Returns one path per group.
     """
     groups, d, m = len(specs), specs[0].dim, specs[0].n_wiener
     n, dt = cfg.n_steps, cfg.dt
@@ -278,7 +269,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
     if any(eta.steps(dt) != q for eta in etas[1:]):
         raise GridError("row groups must share the history length")
     now, (delay, on_delay), (const, on_const), mods, steps, span = _compile(specs, cfg, q)
-    hist = [_history_values(eta, dt, q) for eta in etas]
+    hist = [_history_values(eta, q) for eta in etas]
     for h in hist:
         if h.shape[1] != d:
             raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
@@ -357,10 +348,9 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float
     if over.any():
         g = int(over.any(axis=(0, 2)).argmax())
         k, row = np.argwhere(over[:, g])[0]
-        if mags[k, g, row] > cfg.explosion_threshold:  # else non-finite: GridPath rejects it
-            raise SolverExplosionError(
-                (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
-            )
+        raise SolverExplosionError(
+            (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
+        )
     single = w.replicas is None
     return [GridPath(-etas[0].r, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))
             for g in range(groups)]
@@ -408,12 +398,12 @@ def euler_mixed_sdde(
     """Explicit Euler path of the mixed delay equation on [-r, horizon],
     with r the length of the history ``eta``.
 
-    On [-r, 0] the output equals the initial condition bitwise at its nodes,
-    and is linear between them where the solver grid is finer.  Each step
-    advances ``X += a dt + b dW + c dZ`` with all three coefficients frozen at
-    the left node and the segment of the discrete solution there.  ``W`` and
-    ``Z`` must cover [0, horizon] on grids that refine the solver grid, and
-    may be replica blocks of one size; the output is then a block too.
+    On [-r, 0] the output is the linear interpolant of the initial condition
+    (:func:`_history_values`).  Each step advances ``X += a dt + b dW + c dZ``
+    with all three coefficients frozen at the left node and the segment of
+    the discrete solution there.  ``W`` and ``Z`` must cover [0, horizon] on
+    grids that refine the solver grid, and may be replica blocks of one size;
+    the output is then a block too.
 
     Row groups: ``spec``, ``eta`` and ``Z`` may each be a list, one entry per
     group (a single value serves every group).  All groups are solved in one
@@ -438,11 +428,11 @@ def euler_ito_sdde(
     drift ``c dZ^N/dt dt`` of :class:`MollifiedDrift`.
 
     Each step advances ``X += (a + c dZ^N/dt) dt + b dW`` with the
-    coefficients frozen at the left node; dZ^N/dt at a step time reads Z at
-    nodes at or before it only, interpolated on the grid of Z.  The solver
-    grid must resolve every level (``dt <= 1 / (4 level)``).  Inputs as in
-    :func:`euler_mixed_sdde`, with ``level`` one more argument that may be a
-    list, one entry per row group.
+    coefficients frozen at the left node; dZ^N/dt at a step time reads the
+    clamped nodes of Z at or before it only, interpolated on the grid of Z.
+    The solver grid must resolve every level (``dt <= 1 / (4 level)``).
+    Inputs as in :func:`euler_mixed_sdde`, with ``level`` one more argument
+    that may be a list, one entry per row group.
     """
     return _front(spec, eta, W, Z, cfg, level)
 
@@ -486,10 +476,11 @@ def _interpolate(path: GridPath, s):
 def mollify_driver(Z: GridPath, level: int) -> GridPath:
     """Moving window average of the norm-clamped driver.
 
-    ``Z^N(t) = N * integral over [max(t - 1/N, 0), t] of clamp_N(Z(s)) ds``
-    on the grid of Z, with the window boundary handled by an exact fractional
-    first cell.  The output is absolutely continuous (Lipschitz) and
-    converges to Z uniformly as the level grows.
+    ``Z^N(t) = N * integral over [max(t - 1/N, 0), t] of h(s) ds`` on the grid
+    of Z, with h the linear interpolant of the clamped nodes ``clamp_N Z(t_k)``
+    and the window boundary handled by an exact fractional first cell.  The
+    output is absolutely continuous (Lipschitz) and converges to Z uniformly
+    as the level grows.
     """
     params = MollifierParams(level)
     if not same_time(Z.t0, 0.0):
@@ -521,11 +512,11 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
 
 
 def _zdot(Z: GridPath, params: MollifierParams, t):
-    """``N (clamp_N Z(t) - clamp_N Z(max(t - 1/N, 0)))`` at the time(s) ``t``."""
+    """dZ^N/dt of :func:`mollify_driver` at the time(s) ``t``: ``N (h(t) -
+    h(max(t - 1/N, 0)))``, h the linear interpolant of ``clamp_N Z(t_k)``."""
     lvl = float(params.level)
-    now = _interpolate(Z, t)
-    past = _interpolate(Z, np.maximum(t - params.window, 0.0))
-    return lvl * (_clamp(now, lvl) - _clamp(past, lvl))
+    h = GridPath(Z.t0, Z.dt, _clamp(Z.values, lvl))
+    return lvl * (_interpolate(h, t) - _interpolate(h, np.maximum(t - params.window, 0.0)))
 
 
 class MollifiedDrift:
@@ -533,7 +524,8 @@ class MollifiedDrift:
 
     This is the coefficient that turns the mixed equation into an Ito delay
     equation: the derivative of the mollified driver is
-    ``N (clamp_N Z(t) - clamp_N Z(max(t - 1/N, 0)))``.
+    ``N (h(t) - h(max(t - 1/N, 0)))``, with h the linear interpolant of the
+    clamped nodes ``clamp_N Z(t_k)``.
     """
 
     def __init__(self, spec: CoefficientSpec, Z: GridPath, level: int):

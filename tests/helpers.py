@@ -16,7 +16,7 @@ from sddelab.core import (
     eval_coefficient,
     segment_at,
 )
-from sddelab.grid import GridError
+from sddelab.grid import GridError, refinement
 from sddelab.solver import (
     MollifierParams,
     SolverExplosionError,
@@ -62,6 +62,36 @@ def trig_pair(rng: np.random.Generator, n: int = 512, degree: int = 5):
 
 
 # --------------------------------------------------------------------------
+# Oracle of the history read: the three-branch rule the solver used before it
+# read every history through its linear interpolant.  It only accepted grids
+# that nest with the history's step, or a constant history on any grid.
+
+
+def nesting_history_values(eta: InitialCondition, dt: float, q: int) -> np.ndarray:
+    """The history on the solver grid, ``(q + 1, d)`` with q = r / dt: every
+    m-th node of a finer history, or a coarser one laid on the grid by linear
+    interpolation between its nodes, each of which keeps its value.  A
+    constant history is the same on any grid, so it is also laid on a grid
+    that does not nest with its own."""
+    path = eta.eta
+    if not q:
+        return path.values[-1:].copy()
+    fine = q > path.n_points - 1  # the solver grid refines the history's
+    try:
+        m = (refinement(path.dt, dt, "solver grid") if fine
+             else refinement(dt, path.dt, "initial condition grid"))
+    except GridError:
+        if (path.values != path.values[-1]).any():
+            raise
+        return np.repeat(path.values[-1:], q + 1, axis=0)
+    if fine:
+        j, k = np.divmod(np.arange(q + 1), m)
+        lo, hi = path.values[j], path.values[np.minimum(j + 1, path.n_points - 1)]
+        return np.where((k == 0)[:, None], lo, lo + (k / m)[:, None] * (hi - lo))
+    return path.restrict(m).values[-q - 1:].copy()
+
+
+# --------------------------------------------------------------------------
 # Oracle of the mollified Ito scheme: the general per-step loop, which
 # evaluates arbitrary ``(t, psi)`` callables on a segment view at every step
 # and advances a clock on the drivers they may read, so that a read of the
@@ -94,24 +124,21 @@ class GuardedMollifiedDrift:
     """Random drift ``f(t, psi) = a(t, psi) + c(t, psi) @ dZ^N/dt (t)`` that
     reads its driver through a :class:`GuardedDriver`.
 
-    The derivative of the mollified driver is
-    ``N (clamp_N Z(t) - clamp_N Z(max(t - 1/N, 0)))``.
+    The derivative of the mollified driver is ``N (h(t) - h(max(t - 1/N, 0)))``
+    with h the linear interpolant of the clamped nodes ``clamp_N Z(t_k)``: the
+    guard views the clamped node path.
     """
 
     def __init__(self, spec, Z: GridPath, level: int):
         self.spec = spec
         self.level = MollifierParams(level)
         self.driver = Z
-        self.guard = GuardedDriver(Z)
-
-    def _derivative(self, now: np.ndarray, past: np.ndarray) -> np.ndarray:
-        lvl = float(self.level.level)
-        return lvl * (_clamp(now, lvl) - _clamp(past, lvl))
+        self.guard = GuardedDriver(GridPath(Z.t0, Z.dt, _clamp(Z.values, float(level))))
 
     def zdot(self, t: float) -> np.ndarray:
         now = self.guard.value(t)
         past = self.guard.value(max(t - self.level.window, 0.0))
-        return self._derivative(now, past)
+        return float(self.level.level) * (now - past)
 
     def __call__(self, t: float, psi) -> np.ndarray:
         a = eval_coefficient(self.spec, "a", t, psi)
@@ -135,7 +162,7 @@ def callable_ito(drift, diffusion, theta, W: GridPath, cfg, guarded: tuple = ())
     :class:`AdaptednessError`.
     """
     n, q, dt = cfg.n_steps, theta.steps(cfg.dt), cfg.dt
-    hist = _history_values(theta, dt, q)
+    hist = _history_values(theta, q)
     dim = hist.shape[1]
     w = _align_driver(W, cfg, W.dim, "W")
     if w.replicas is not None:

@@ -752,13 +752,13 @@ def test_a_constant_history_is_laid_on_a_solve_grid_finer_than_its_default_step(
 
 
 @pytest.mark.parametrize("n_steps", [20, 400])
-def test_a_constant_history_is_laid_on_a_grid_that_does_not_nest_with_its_step(
+def test_a_history_is_read_through_its_interpolant_on_a_grid_that_does_not_nest_with_its_step(
     tmp_path, capsys, n_steps
 ):
     """r = 0.25 is 5 steps of 0.05 and 100 steps of 0.0025, and neither grid
     nests with the default history step r/64: the constant history is laid
-    on the solve grid, every node 1.0.  A history that is not constant still
-    needs nesting grids."""
+    on the solve grid, every node 1.0.  A history that is not constant is read
+    through its linear interpolant: solver node i at 64 i / q history steps."""
     doc = _with(_with(TestCliSolve().solve_doc(), "solve", n_steps=n_steps), "initial",
                 delay=0.25)
     doc["coefficients"].update(family="pointwise_delay", tau=0.25,
@@ -772,8 +772,13 @@ def test_a_constant_history_is_laid_on_a_grid_that_does_not_nest_with_its_step(
 
     doc["initial"] = {"t0": -0.25, "dt": 0.25 / 64, "values": [1.0] * 64 + [2.0], "theta": 0.45}
     cfg = write_config(tmp_path, doc)
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "is not a refinement of the step" in capsys.readouterr().err
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0, \
+        capsys.readouterr().err
+    rows = [line.split(",") for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+    interpolant = [1.0 + max(0, 64 * i - 63 * q) / q for i in range(q)] + [2.0]
+    assert [float(row[1]) for row in rows[: q + 1]] == interpolant
+    if n_steps == 20:
+        assert interpolant == [1.0] * 5 + [2.0]
 
 
 def test_a_moments_run_finer_than_the_default_history_step_runs(tmp_path, capsys):
@@ -921,6 +926,35 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert errs[0].startswith(f"solver explosion: {named}: ")
+
+
+def test_a_state_that_turns_nan_exits_four_naming_where(tmp_path, capsys):
+    """Drift +inf and rough term -inf: at seed 2 the first step gives a NaN
+    state, which is an explosion like an infinite one, for a solve and for a
+    moments run at every worker count."""
+    coefficients = {"family": "no_delay", "dim": 1, "n_wiener": 1, "n_holder": 1,
+                    "drift": {"gain_now": 1e305}, "diffusion": {"gain_now": 0.0},
+                    "zdrive": {"gain_now": -1e306}}
+    initial = {"constant": 1e8, "delay": 0.0, "theta": 0.45}
+    solve = _with(TestCliSolve().solve_doc(), "solve", n_steps=16)
+    solve.update(coefficients=coefficients, initial=initial, seed={"master": 2})
+    cfg = write_config(tmp_path, solve)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "solver explosion: solution magnitude nan exceeded the explosion threshold "
+    )
+    moments = _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0, 4.0],
+                    replicas=30, n_steps=16)
+    moments.update(coefficients=coefficients, initial=initial, seed={"master": 2})
+    cfg = write_config(tmp_path, moments)
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["experiment", "moments", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 4
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err.startswith(
+            "solver explosion: replica 0, level reference: solution magnitude nan "
+        )
 
 
 def test_stacked_level_explosion_names_the_first_level_in_schedule_order(tmp_path, capsys):

@@ -376,14 +376,12 @@ def test_block_kernels_equal_the_per_path_loops_bitwise(n, replicas, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_holder_seminorm_equals_the_per_gap_loop_bitwise(dim, lam):
     values = fbm_block(64, 1, dim, seed=1300)[0]
-    assert fraccalc.holder_seminorm_values(values, 1 / 64, lam) == loop_holder_seminorm(
-        values, 1 / 64, lam
-    )
+    path = GridPath(0.0, 1 / 64, values)
+    assert fraccalc.holder_seminorm(path, lam) == loop_holder_seminorm(values, 1 / 64, lam)
     if dim == 1:
         flat = values[:, 0]
-        assert fraccalc.holder_seminorm_values(flat, 1 / 64, lam) == loop_holder_seminorm(
-            flat, 1 / 64, lam
-        )
+        path = GridPath(0.0, 1 / 64, flat)
+        assert fraccalc.holder_seminorm(path, lam) == loop_holder_seminorm(flat, 1 / 64, lam)
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,6 +22,7 @@ from sddelab.solver import (
     euler_ito_sdde,
     euler_mixed_sdde,
     geometric_closed_form,
+    _history_values,
     mollify_driver,
 )
 
@@ -32,6 +33,7 @@ from helpers import (
     callable_ito,
     coefficient,
     mollified_ito_oracle,
+    nesting_history_values,
     window_spec,
 )
 
@@ -296,6 +298,22 @@ class TestMollifier:
         for level in (2, 8):
             zn = mollify_driver(GridPath(0.0, z.dt, 4.0 * z.values), level)
             assert holder_seminorm(zn, 1.0) <= 2.0 * level**2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [64, 100, 128, 200])
+    @pytest.mark.parametrize("level", [3, 5, 6, 7])
+    def test_zdot_is_the_derivative_of_the_mollified_driver(self, n, level):
+        """Each cell increment of Z^N is the integral of dZ^N/dt over the cell,
+        also where the clamp binds between nodes: a random walk from 0 that
+        reaches 3N, read through windows 1/N that mostly fall off the grid."""
+        rng = np.random.default_rng(700 + 10 * n + level)
+        walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))])
+        z = GridPath(0.0, 1.0 / n, walk * (3.0 * level / np.abs(walk).max()))
+        increments = np.diff(mollify_driver(z, level).values[:, 0])
+        points = 400  # midpoint rule in every cell
+        times = z.dt * (np.arange(n * points) + 0.5) / points
+        zdot = MollifiedDrift(geometric_spec(0.0, 0.0, 1.0), z, level).zdot(times)
+        integrals = zdot[:, 0].reshape(n, points).sum(axis=1) * (z.dt / points)
+        np.testing.assert_allclose(integrals, increments, rtol=0, atol=1e-5)
 
     def test_contraction_in_level_on_sampled_paths(self):
         """sup |Z^N - Z| beyond the warm-up window decreases in N for every
@@ -576,3 +594,54 @@ def test_a_coarse_history_is_laid_on_the_solver_grid_between_its_nodes():
     assert np.array_equal(history[::4], eta.eta.values[:, 0])
     assert np.array_equal(history[2::4], [0.5, 2.0, 2.5, 0.5])
     assert np.array_equal(history[1:4], [0.25, 0.5, 0.75])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]),
+    n=st.integers(1, 100),
+    q=st.integers(1, 400),
+    d=st.integers(1, 3),
+    constant=st.sampled_from([None, 0.0, -0.0, 1.0, -2.5]),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_any_history_is_read_through_its_linear_interpolant(r, n, q, d, constant, m, seed):
+    """The history of n steps on a solver grid of q steps over [-r, 0].
+
+    Where the nesting rule it replaced reads the history, the interpolant
+    gives the same bits.  On any other grid every history node that lands on
+    the grid keeps its value, and the nodes between read ``np.interp``.  A
+    grid and its m-fold refinement read the same values at their shared nodes.
+    """
+    rng = np.random.default_rng(seed)
+    if constant is None:
+        values = rng.standard_normal((n + 1, d))
+        values[rng.random((n + 1, d)) < 0.2] = -0.0
+    else:
+        values = np.full((n + 1, d), constant)
+    eta = InitialCondition(GridPath(-r, r / n, values), 0.45)
+    assert eta.steps(r / q) == q
+    new = _history_values(eta, q)
+    assert new.shape == (q + 1, d)
+    try:
+        old = nesting_history_values(eta, r / q, q)
+    except GridError:
+        old = None
+    if old is not None:
+        assert np.array_equal(new, old)
+        signs = np.signbit(new) == np.signbit(old)
+        # The one change: the old rule laid a constant history on a grid that
+        # does not nest with its step as copies of its last node, so a -0.0
+        # there stayed -0.0; the interpolant's arithmetic reads +0.0 between
+        # nodes (as it always did on nesting grids).
+        assert signs.all() or (q % n and n % q and not old.any())
+    else:
+        j, k = np.divmod(np.arange(q + 1) * n, q)
+        assert np.array_equal(new[k == 0], values[j[k == 0]])
+        x = np.arange(q + 1) * n / q
+        for c in range(d):
+            np.testing.assert_allclose(new[:, c], np.interp(x, np.arange(n + 1), values[:, c]),
+                                       rtol=0, atol=1e-12)
+    fine = _history_values(eta, m * q)[::m]
+    assert np.array_equal(fine, new) and np.array_equal(np.signbit(fine), np.signbit(new))

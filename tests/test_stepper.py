@@ -398,6 +398,19 @@ def test_block_explosion_names_the_first_exploding_row():
     assert err.value.replica == 2
 
 
+def test_a_state_that_turns_nan_is_an_explosion():
+    """Drift +inf and rough term -inf in the first step: the node is NaN, and
+    the solver names it as an explosion at its time."""
+    spec = geometric_spec(1e305, 0.0, -1e306)
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
+    n = cfg.n_steps + 1
+    w = GridPath(0.0, cfg.dt, np.zeros(n))
+    z = GridPath(0.0, cfg.dt, np.linspace(0.0, 1.0, n))
+    with pytest.raises(SolverExplosionError) as err:
+        euler_mixed_sdde(spec, constant_initial(1e8, 0.0, cfg.dt), w, z, cfg)
+    assert err.value.time == cfg.dt and math.isnan(err.value.magnitude)
+
+
 def test_block_sizes_must_match():
     spec = geometric_spec(0.5, 0.4, 0.3)
     cfg = SolverConfig(n_steps=16, horizon=1.0)
