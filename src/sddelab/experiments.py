@@ -15,21 +15,22 @@ and a replica's drivers and rows do not depend on the block they are drawn
 and solved in, so blocks follow the number of processes and the rows are
 reduced in replica order: the same configuration produces identical reports
 for any worker count.  The parent process draws the drivers of every block,
-so the fBm factor is built once per run; P - 1 forked workers and the
-parent solve the blocks.  A level study solves the reference and all levels
-of a block as row groups of one stepper call where one grid and one scheme
-allow it.  A solver explosion names the lowest exploding replica and, of
-that replica, the first exploding level in schedule order (the reference
-first): the block is solved again replica by replica from its drawn
-drivers, and the stepper names the first exploding row group.  Reports hold
-no timing; the CLI times the run and writes it to a sidecar.
+so the fBm factor is built once per run.  The blocks run in rounds of P
+processes, P - 1 forked workers and the parent solving one each, so at most
+P drawn blocks are unsolved, and the error of the lowest failing block is
+raised, from its draw or its solve.  A level study solves the reference and
+all levels of a block as row groups of one stepper call where one grid and
+one scheme allow it.  A solver explosion names the lowest exploding replica
+and, of that replica, the first exploding level in schedule order (the
+reference first): the block is solved again replica by replica from its
+drawn drivers, and the stepper names the first exploding row group.  Reports
+hold no timing; the CLI times the run and writes it to a sidecar.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -492,14 +493,13 @@ def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     """Rows of all replicas in replica order.
 
     The replicas are split evenly over P usable processes, at most
-    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block.  The
-    parent draws the drivers of every block in replica order, so the fBm
-    factor is built once per run; of each round of P blocks it hands the
-    first P - 1 to forked workers and solves the last itself.  It waits for
-    a round's workers before it draws its own block of the next round, so at
-    most 2(P - 1) drawn blocks are not yet solved.  After a block fails no
-    further block is drawn, and the error of the lowest failing block is
-    raised.
+    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block, and run
+    in rounds of P blocks.  The parent draws every block in replica order, so
+    the fBm factor is built once per run; of each round it hands the first
+    P - 1 blocks to forked workers, solves the last itself and collects the
+    rest, so at most P drawn blocks are unsolved.  The error of the lowest
+    failing block is raised, from its draw or its solve; no later round is
+    drawn.
     """
     workers = min(cfg.workers, _usable_cpus())
     size = min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // (len(cfg.levels) + 1)),
@@ -507,35 +507,23 @@ def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
     procs = min(workers, len(blocks))
     fbm = FbmParams(cfg.params.hurst, _driver_steps(cfg), cfg.horizon, cfg.driver_method)
-    rows, failed = [None] * len(blocks), {}  # failed: block -> its exception
-    pending = deque()  # (block, future) handed to the workers, in order
 
-    def record(i: int, call, *args) -> None:
-        try:
-            rows[i] = call(*args)
-        except Exception as exc:  # raised below, if no lower block failed
-            failed[i] = exc
+    def drawn(replicas: range):
+        w, z = _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
+        return cfg, replicas, w, z
 
-    def settle(keep: int) -> None:
-        while len(pending) > keep:
-            i, future = pending.popleft()
-            record(i, future.result)
-
+    rows = []
     with _forked_pool(procs - 1) as pool:
-        for i, replicas in enumerate(blocks):
-            if failed:
-                break
-            own = (i + 1) % procs == 0
-            if own:
-                settle(procs - 1)
-            w, z = _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
-            if own:
-                record(i, _run_block, cfg, replicas, w, z)
-            else:
-                pending.append((i, pool.submit(_run_block, cfg, replicas, w, z)))
-        settle(0)
-    if failed:
-        raise failed[min(failed)]
+        for lo in range(0, len(blocks), procs):
+            *theirs, own = blocks[lo : lo + procs]
+            futures = []
+            try:
+                for replicas in theirs:
+                    futures.append(pool.submit(_run_block, *drawn(replicas)))
+                mine = _run_block(*drawn(own))
+            finally:  # the error of a lower block outranks a later one
+                rows += [future.result() for future in futures]
+            rows.append(mine)
     return np.concatenate(rows)
 
 

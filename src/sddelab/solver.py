@@ -476,11 +476,11 @@ def _interpolate(path: GridPath, s):
 def mollify_driver(Z: GridPath, level: int) -> GridPath:
     """Moving window average of the norm-clamped driver.
 
-    ``Z^N(t) = N * integral over [max(t - 1/N, 0), t] of h(s) ds`` on the grid
-    of Z, with h the linear interpolant of the clamped nodes ``clamp_N Z(t_k)``
-    and the window boundary handled by an exact fractional first cell.  The
-    output is absolutely continuous (Lipschitz) and converges to Z uniformly
-    as the level grows.
+    ``Z^N(t) = N * integral over [t - 1/N, t] of h(s) ds`` on the grid of Z,
+    with h the linear interpolant of the clamped nodes ``clamp_N Z(t_k)`` and
+    ``h(s) = h(0)`` for s < 0, so ``Z^N(0) = clamp_N Z(0)``; the window
+    boundary is an exact fractional first cell.  The output is absolutely
+    continuous (Lipschitz) and converges to Z uniformly as the level grows.
     """
     params = MollifierParams(level)
     if not same_time(Z.t0, 0.0):
@@ -500,7 +500,7 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
     s0 = k * dt - params.window
     out = np.empty_like(h)
     inside = s0 <= 0.0
-    out[inside] = cum[k[inside]]
+    out[inside] = cum[k[inside]] - s0[inside, None] * h[0]
     if np.any(~inside):
         kk = k[~inside]
         j0 = np.floor(s0[~inside] / dt).astype(int)

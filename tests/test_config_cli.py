@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from sddelab.cli import main
 from sddelab import FbmParams, config, drivers, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
+from sddelab.drivers import DriverNumericsError
 from sddelab.grid import SeedSpec, stack_paths
 from sddelab.solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
@@ -1124,11 +1126,11 @@ def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_parent_holds_at_most_two_rounds_of_worker_blocks(tmp_path, monkeypatch, cpus):
-    """With P processes the parent has at most 2(P - 1) blocks drawn and not
-    yet solved: it waits for a round's workers before it draws its own block
-    of the next round.  300 replicas make 6 blocks of 50, so two rounds run
-    and the bound is reached; the report has the bytes of one worker."""
+def test_parent_holds_at_most_one_round_of_blocks(tmp_path, monkeypatch, cpus):
+    """With P processes the parent has at most P blocks drawn and not yet
+    solved: it collects a round's worker blocks before it draws the next
+    round.  300 replicas make 6 blocks of 50, so every round is full and the
+    bound is reached; the report has the bytes of one worker."""
     _in_process_pool(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     held, peak = [0], [0]
@@ -1158,8 +1160,83 @@ def test_parent_holds_at_most_two_rounds_of_worker_blocks(tmp_path, monkeypatch,
                      "--workers", workers]) in (0, 1)
         blobs.append((out / "report.json").read_bytes())
         assert held[0] == 0
-    assert peak[0] == 2 * (cpus - 1)
+    assert peak[0] == cpus
     assert blobs[0] == blobs[1]
+
+
+def _log_blocks(monkeypatch, fail_solve=(), fail_draw=()):
+    """Run the pool in this process and log, by block number, each draw,
+    hand-over to the pool, solve and collection of a 50-replica block.  The
+    blocks in ``fail_solve`` explode at their first replica, those in
+    ``fail_draw`` fail in their draw."""
+    _in_process_pool(monkeypatch)
+    log, sample, run_block = [], experiments._sample_drivers, experiments._run_block
+    size = experiments._BLOCK_REPLICAS
+
+    class LoggedPool(experiments.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            if not args:  # the task that starts the workers
+                return future
+            block = args[1].start // size
+            log.append(("submit", block))
+            return types.SimpleNamespace(
+                result=lambda: log.append(("collect", block)) or future.result())
+
+    def draw(spec, fbm, seeds):
+        block = seeds[0].stream_index // size
+        log.append(("draw", block))
+        if block in fail_draw:
+            raise DriverNumericsError(f"the draw of block {block} failed")
+        return sample(spec, fbm, seeds)
+
+    def solve(cfg, replicas, w, z):
+        block = replicas.start // size
+        log.append(("solve", block))
+        if block in fail_solve:
+            raise SolverExplosionError(0.5, 1e9, 1e8, replica=replicas[0])
+        return run_block(cfg, replicas, w, z)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", LoggedPool)
+    monkeypatch.setattr(experiments, "_sample_drivers", draw)
+    monkeypatch.setattr(experiments, "_run_block", solve)
+    return log
+
+
+def _moments_run(tmp_path, replicas, workers):
+    doc = _with(geometric_doc(), "experiment", flavor="moments", levels=[2.0],
+                replicas=replicas, n_steps=16)
+    return replace(load_config(write_config(tmp_path, doc)).payload, workers=workers)
+
+
+@pytest.mark.parametrize("parent_fails_in", ["solve", "draw"])
+def test_a_lower_worker_block_error_outranks_the_parents_draw_or_solve(
+    tmp_path, monkeypatch, parent_fails_in
+):
+    """At 3 processes 300 replicas make 6 blocks of 50 in two rounds.  Worker
+    block 1 explodes at replica 50, and the parent's own block 2 fails too,
+    in its solve or in its draw.  The run raises block 1's error and draws no
+    block of the second round."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    if parent_fails_in == "solve":
+        log = _log_blocks(monkeypatch, fail_solve={1, 2})
+    else:
+        log = _log_blocks(monkeypatch, fail_solve={1}, fail_draw={2})
+    with pytest.raises(SolverExplosionError) as raised:
+        experiments.run_experiment(_moments_run(tmp_path, 300, 3))
+    assert raised.value.replica == 50
+    assert [block for call, block in log if call == "draw"] == [0, 1, 2]
+
+
+def test_two_blocks_at_two_processes_run_as_one_round(tmp_path, monkeypatch):
+    """100 replicas at 2 processes make blocks 0 and 1: the parent draws
+    block 0 and hands it to the worker, draws and solves block 1, then
+    collects block 0, which the in-process pool solves when collected."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    log = _log_blocks(monkeypatch)
+    experiments.run_experiment(_moments_run(tmp_path, 100, 2))
+    assert log == [("draw", 0), ("submit", 0), ("draw", 1), ("solve", 1),
+                   ("collect", 0), ("solve", 0)]
 
 
 def test_no_forked_worker_builds_the_fbm_factor(tmp_path, monkeypatch):

@@ -299,16 +299,24 @@ class TestMollifier:
             zn = mollify_driver(GridPath(0.0, z.dt, 4.0 * z.values), level)
             assert holder_seminorm(zn, 1.0) <= 2.0 * level**2 * (1 + 1e-9)
 
-    @pytest.mark.parametrize("n", [64, 100, 128, 200])
+    @pytest.mark.parametrize("n, start", [
+        *(pytest.param(n, 0.0, id=str(n)) for n in (64, 100, 128, 200)),
+        pytest.param(128, 2.0, id="128-from2"),
+        pytest.param(100, 10.0, id="100-from10"),
+    ])
     @pytest.mark.parametrize("level", [3, 5, 6, 7])
-    def test_zdot_is_the_derivative_of_the_mollified_driver(self, n, level):
+    def test_zdot_is_the_derivative_of_the_mollified_driver(self, n, level, start):
         """Each cell increment of Z^N is the integral of dZ^N/dt over the cell,
-        also where the clamp binds between nodes: a random walk from 0 that
-        reaches 3N, read through windows 1/N that mostly fall off the grid."""
+        also where the clamp binds between nodes: a random walk from ``start``
+        that moves up to 3N away from it, read through windows 1/N that mostly
+        fall off the grid.  Before time 0 the window reads h(0), so Z^N(0) is
+        the clamped start, which the clamp cuts to N from 10."""
         rng = np.random.default_rng(700 + 10 * n + level)
         walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))])
-        z = GridPath(0.0, 1.0 / n, walk * (3.0 * level / np.abs(walk).max()))
-        increments = np.diff(mollify_driver(z, level).values[:, 0])
+        z = GridPath(0.0, 1.0 / n, start + walk * (3.0 * level / np.abs(walk).max()))
+        zn = mollify_driver(z, level).values[:, 0]
+        assert zn[0] == pytest.approx(min(start, level), abs=1e-12)
+        increments = np.diff(zn)
         points = 400  # midpoint rule in every cell
         times = z.dt * (np.arange(n * points) + 0.5) / points
         zdot = MollifiedDrift(geometric_spec(0.0, 0.0, 1.0), z, level).zdot(times)
