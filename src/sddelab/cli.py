@@ -11,8 +11,9 @@ failed; 2 config parse error (unreadable file or invalid JSON); 3 constraint
 violation (a key, type, choice or range outside the config schema, ``--seed``
 included, a broken rule linking fields, a malformed input CSV, or a level
 schedule the experiment cannot run), with the offending field named on stderr,
-and also a driver covariance that cannot be factored or a run that does not
-fit in memory, with the size named; 4 solver explosion; 5 I/O error.
+and also a driver covariance that cannot be factored or a size too large to
+allocate, at load (the section named) or at run; 4 solver explosion; 5 I/O
+error.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .config import (
 )
 from .core import ParamError
 from .drivers import DriverNumericsError, sample_fbm
-from .experiments import ExperimentConfig, ExperimentError, _sample_drivers, run_experiment
-from .grid import GridError, GridPath
+from .experiments import ExperimentConfig, _sample_drivers, run_experiment
+from .grid import GridPath
 from .solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 __all__ = ["main", "RunConfig"]
@@ -273,10 +274,10 @@ def main(argv: list[str] | None = None) -> int:
         if loaded.kind != run.subcommand:
             raise ConfigError(f"subcommand {run.subcommand} got a {loaded.kind!r} config")
         return _COMMANDS[run.subcommand](loaded, run)
-    except (ConfigError, ParamError, GridError, ExperimentError, DriverNumericsError) as exc:
+    except (ValueError, DriverNumericsError) as exc:  # ConfigError, GridError and the like
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         print(f"constraint violation: the run does not fit in memory: {exc}",
               file=sys.stderr)
         return EXIT_CONSTRAINT

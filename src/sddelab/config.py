@@ -6,13 +6,13 @@ one-line doc), and one generic reader derives from it the unknown-key,
 missing-key, type, choice and range checks and the defaults.  Ranges that a
 domain object already enforces (``HolderParams``, ``FbmParams``,
 ``SolverConfig``, ``MollifierParams``, ``ExperimentConfig``) are left to it,
-and a domain error raised while loading becomes a :class:`ConfigError` that
-names the section.  The few rules linking fields are explicit lines after the
-read.  The history length r is a key of ``initial`` alone, and every solve
-takes its look-back window from it.  Nothing physically meaningful (Hurst
-index, exponents, mesh, taps, Monte Carlo size) has a silent default, and
-every parsed config serializes to a canonical dict that round-trips
-losslessly.
+and a domain error or a size too large to allocate, raised while loading,
+becomes a :class:`ConfigError` that names the section.  The few rules linking
+fields are explicit lines after the read.  The history length r is a key of
+``initial`` alone, and every solve takes its look-back window from it.
+Nothing physically meaningful (Hurst index, exponents, mesh, taps, Monte
+Carlo size) has a silent default, and every parsed config serializes to a
+canonical dict that round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (_MODULATIONS, DELAY_READS, FAMILIES, REACH, CoeffBlock, CoefficientSpec,
-                   HolderParams, InitialCondition, ParamError, constant_initial)
+                   HolderParams, InitialCondition, constant_initial)
 from .drivers import _METHODS, FbmParams
-from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
-                          ExperimentError)
+from .experiments import EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig
 from .fraccalc import RS_RULES
 from .grid import GridPath, SeedSpec
 from .solver import SCHEMES, MollifierParams, SolverConfig
@@ -192,7 +191,8 @@ INITIAL = (
 )
 SEED = (
     Field("master", "integer", "master seed, in [0, 2^64)"),
-    Field("stream", "integer", "stream index, at least 0", 0),
+    Field("stream", "integer", "stream index, at least 0; an experiment takes 0 only, as "
+          "its replica r draws from stream r", 0),
 )
 _METHOD = Field("method", "string", "exact fBm sampler: Cholesky factor by the Schur "
                 "algorithm, or circulant embedding", "cholesky", _METHODS)
@@ -285,10 +285,11 @@ class LoadedConfig:
 
 
 def _build(section: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a domain error becomes a ConfigError naming the section."""
+    """``make(*args, **kwargs)``; a domain error, or a size too large to
+    allocate, becomes a ConfigError naming the section."""
     try:
         return make(*args, **kwargs)
-    except (ParamError, ExperimentError, ValueError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -402,6 +403,9 @@ def _parse_solve(v: dict, doc: dict) -> LoadedConfig:
 
 def _parse_experiment(v: dict, doc: dict) -> LoadedConfig:
     (holder, spec, initial, seed, method), resolved = _model(v, doc)
+    if seed.stream_index != 0:
+        raise ConfigError(f"seed.stream: an experiment's replica r draws from stream r, "
+                          f"so it takes stream 0, got {seed.stream_index}")
     e = dict(v["experiment"])
     # worker count is run machinery, not experiment identity: flag-only, so
     # that reports are byte-identical across worker counts

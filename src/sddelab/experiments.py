@@ -29,9 +29,7 @@ hold no timing; the CLI times the run and writes it to a sidecar.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -186,12 +184,11 @@ class LevelResult:
     median_distance: float
     distances: tuple = ()
 
-    def to_dict(self, include_distances: bool = False) -> dict:
+    def to_dict(self) -> dict:
         ex = self.exceedance
         d = _report_fields(self, exceedance=ex.estimate, ci_low=ex.ci_low,
                            ci_high=ex.ci_high, n_samples=ex.n_samples)
-        if not include_distances:
-            del d["distances"]
+        del d["distances"]  # per replica: distances.csv, not the report
         return d
 
 
@@ -206,10 +203,8 @@ class ConvergenceReport:
     reasons: tuple[str, ...]
     reference: str = ""
 
-    def to_dict(self, include_distances: bool = False) -> dict:
-        return _report_fields(
-            self, levels=[lv.to_dict(include_distances) for lv in self.levels]
-        )
+    def to_dict(self) -> dict:
+        return _report_fields(self, levels=[lv.to_dict() for lv in self.levels])
 
 
 @dataclass(frozen=True)
@@ -484,6 +479,9 @@ def _forked_pool(workers: int):
     if not workers:
         yield None
         return
+    import multiprocessing  # only a run that forks pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         pool.submit(int)  # a fork pool starts every process at its first task
         yield pool

@@ -18,14 +18,15 @@ Only the two-sided weight of the GLS integral has its own cell moments
 Each singular integral has one one-sided kernel: the reflection
 ``s -> a + b - s`` turns a right-sided operator into its left-sided twin.  The
 backward RL derivative is the forward one of order ``1 - alpha`` read
-backwards, and both fractional norms run on one lag-major loop
-(:func:`_running_integrals`) that advances every start of every replica of a
-``(replicas, n+1, d)`` block at once: the driver seminorm takes the sup of its
-running integrals, ``||f||_{1,alpha}`` reads the completed ones of the
-reflected path.  The delay norm and the Holder seminorm share the shift sups
-``max_k |v[k+lag] - v[k]|`` (:func:`_shift_sups`).  Each replica's value is
-bit-identical to the same kernel run on its path alone, so
-:func:`_seminorm_0_alpha` and :func:`delay_norms` are blocks of one.
+backwards.  Every gap-based norm reads its gaps ``|v[s+m] - v[s]|`` from one
+lag loop, :func:`_gaps`, which advances every start of every replica of a
+``(replicas, n, d)`` block at once.  Both fractional norms accumulate them into
+running integrals (:func:`_running_integrals`): the driver seminorm takes their
+sup, ``||f||_{1,alpha}`` reads the completed ones of the reflected path.  The
+delay norm and the Holder seminorm take their per-lag max, the shift sups
+(:func:`_shift_sups`).  Each replica's value is bit-identical to the same
+kernel run on its path alone, so :func:`_seminorm_0_alpha` and
+:func:`delay_norms` are blocks of one.
 """
 
 from __future__ import annotations
@@ -301,26 +302,20 @@ def _mags(values: np.ndarray) -> np.ndarray:
     return np.abs(values[..., 0]) if values.shape[-1] == 1 else np.linalg.norm(values, axis=-1)
 
 
-def _start_major(values: np.ndarray) -> np.ndarray:
-    """A ``(replicas, n, d)`` block as a contiguous ``(n, replicas, d)`` array.
-
-    The lag-major kernels slice a prefix of the start axis at every lag; with
-    that axis leading, the slices are contiguous.
-    """
-    return np.ascontiguousarray(np.moveaxis(values, 1, 0))
+def _gaps(values: np.ndarray, max_lag: int):
+    """``|v[s+m] - v[s]|`` at lag m = 1..max_lag, an ``(n-m, replicas)`` array
+    over the starts s of a ``(replicas, n, d)`` block.  The block is copied
+    start-major once, so the prefix slices of every lag are contiguous."""
+    vals = np.ascontiguousarray(np.moveaxis(values, 1, 0))
+    for m in range(1, max_lag + 1):
+        yield _mags(vals[m:] - vals[:-m])
 
 
 def _shift_sups(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """``max_k |v[k+lag] - v[k]|`` for lag = 1..max_lag, per replica of a block.
-
-    ``values`` is a ``(replicas, n, d)`` block; the result has shape
-    ``(replicas, max_lag)``, column ``lag - 1`` for each lag.
-    """
-    vals = _start_major(values)
-    sups = np.empty((max_lag, values.shape[0]))
-    for lag in range(1, max_lag + 1):
-        sups[lag - 1] = _mags(vals[lag:] - vals[:-lag]).max(axis=0)
-    return sups.T
+    """``max_k |v[k+lag] - v[k]|``, the max of :func:`_gaps`, per replica of a
+    block: shape ``(replicas, max_lag)``, column ``lag - 1`` for each lag."""
+    sups = [gap.max(axis=0) for gap in _gaps(values, max_lag)]
+    return np.array(sups).reshape(max_lag, len(values)).T
 
 
 def _running_integrals(values: np.ndarray, dt: float, beta: float):
@@ -328,7 +323,7 @@ def _running_integrals(values: np.ndarray, dt: float, beta: float):
 
     ``values`` is a ``(replicas, n+1, d)`` block.  At lag m = 1..n this yields
     ``(m, h, integ)``, arrays of shape ``(n+1-m, replicas)`` over the starts
-    s = 0..n-m of all replicas: ``h`` is ``|v(s + m dt) - v(s)|`` and
+    s = 0..n-m of all replicas: ``h`` is the gap of :func:`_gaps` and
     ``integ`` the integral up to ``u = s + m dt``, accumulated cell by cell in
     the order of a cumulative sum over u.  So each replica's values are
     bit-identical to a start-by-start loop over its path, and the last start,
@@ -337,16 +332,13 @@ def _running_integrals(values: np.ndarray, dt: float, beta: float):
     n = values.shape[1] - 1
     m0, m1 = _power_cells(beta, n, dt)
     cell_lo = dt * np.arange(n)  # left end of cell m-1, as u - s
-    vals = _start_major(values)
-    h = np.zeros(vals.shape[:2])  # lag 0
-    integ = None
-    for m in range(1, n + 1):
-        h_lo = h[: n + 1 - m]
-        h = _mags(vals[m:] - vals[:-m])
-        e = (h - h_lo) / dt
-        cell = (h_lo - e * cell_lo[m - 1]) * m0[m - 1] + e * m1[m - 1]
-        integ = cell if integ is None else integ[: n + 1 - m] + cell
+    h_lo = integ = np.zeros((n + 1, len(values)))  # lag 0; no cell is -0.0, so 0.0 + cell == cell
+    for m, h in enumerate(_gaps(values, n), start=1):
+        e = (h - h_lo[:-1]) / dt
+        cell = (h_lo[:-1] - e * cell_lo[m - 1]) * m0[m - 1] + e * m1[m - 1]
+        integ = integ[:-1] + cell
         yield m, h, integ
+        h_lo = h
 
 
 def _seminorm_block(values: np.ndarray, dt: float, alpha: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -804,6 +805,52 @@ def test_range_errors_exit_three_naming_the_field(tmp_path, capsys, case):
     assert not (tmp_path / "report.json").exists()
 
 
+def _moments_doc(**experiment):
+    return _with(geometric_doc(), "experiment", **{
+        "flavor": "moments", "levels": [2.0], "replicas": 30, "n_steps": 16, **experiment})
+
+
+OVERSIZED = {  # case: (the section named at load or None, the section edited, its values)
+    # r / dt overflows a C long in np.tile
+    "history_steps_overflow": ("initial", "initial", {"delay": 1.0, "dt": 1e-300}),
+    # 2.5e11 history nodes: a 1.82 TiB request, refused at once
+    "history_beyond_memory": ("initial", "initial", {"delay": 0.25, "dt": 1e-12}),
+    # driver arrays past numpy's largest array size, at run time
+    "n_steps": (None, "experiment", {"n_steps": 2**62}),
+    "refinement_level": (None, "experiment", {"flavor": "euler_refinement", "levels": [2**62]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_sizes_exit_three_without_traceback(tmp_path, case):
+    """Sizes beyond the address space fail before anything is allocated: at
+    load, with the config section named, or at run."""
+    named, section, values = OVERSIZED[case]
+    cfg = write_config(tmp_path, _with(_moments_doc(), section, **values))
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "sddelab.cli", "experiment", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    if named is not None:
+        assert f"config constraint violation: {named}:" in out.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_an_experiment_rejects_a_stream_other_than_zero(tmp_path, capsys):
+    """Replica r of an experiment draws from stream r, so ``seed.stream``
+    would change nothing but the echoed config."""
+    doc = _moments_doc()
+    doc["seed"]["stream"] = 3
+    cfg = write_config(tmp_path, doc)
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "seed.stream" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def _small_experiment_doc():
     return _with(geometric_doc(), "experiment", replicas=30, levels=[16, 64], n_steps=64)
 
@@ -1085,7 +1132,7 @@ def _in_process_pool(monkeypatch):
         def submit(self, fn, *args):
             return types.SimpleNamespace(result=lambda: fn(*args))
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return made
 
 
@@ -1173,7 +1220,7 @@ def _log_blocks(monkeypatch, fail_solve=(), fail_draw=()):
     log, sample, run_block = [], experiments._sample_drivers, experiments._run_block
     size = experiments._BLOCK_REPLICAS
 
-    class LoggedPool(experiments.ProcessPoolExecutor):
+    class LoggedPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
             future = super().submit(fn, *args)
             if not args:  # the task that starts the workers
@@ -1197,7 +1244,7 @@ def _log_blocks(monkeypatch, fail_solve=(), fail_draw=()):
             raise SolverExplosionError(0.5, 1e9, 1e8, replica=replicas[0])
         return run_block(cfg, replicas, w, z)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", LoggedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LoggedPool)
     monkeypatch.setattr(experiments, "_sample_drivers", draw)
     monkeypatch.setattr(experiments, "_run_block", solve)
     return log
@@ -1290,6 +1337,19 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, sddelab.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """``multiprocessing`` and ``concurrent.futures`` are imported by a run
+    that forks workers, not by every run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, sddelab.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},

@@ -371,10 +371,9 @@ class TestAggregation:
         base.update(extra)
         r1 = run_experiment(make_config(kind, **base, workers=1))
         r2 = run_experiment(make_config(kind, **base, workers=2))
-        if kind in ("moments", "quasi_contract"):
-            assert r1.to_dict() == r2.to_dict()
-        else:
-            assert r1.to_dict(True) == r2.to_dict(True)
+        assert r1.to_dict() == r2.to_dict()
+        if kind not in ("moments", "quasi_contract"):
+            assert [lv.distances for lv in r1.levels] == [lv.distances for lv in r2.levels]
 
     def test_monotone_violation_detection(self):
         def lv(level, est, lo, hi):
