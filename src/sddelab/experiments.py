@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fraccalc
 from .core import CoefficientSpec, HolderParams, InitialCondition
-from .drivers import FbmParams, sample_fbm, sample_wiener
+from .drivers import _PAD, FbmParams, sample_fbm, sample_wiener
 from .grid import GridPath, SeedSpec, stack_paths, stack_replicas
 from .solver import (
     MollifierParams,
@@ -470,6 +470,13 @@ def _run_block(cfg: ExperimentConfig, replicas: range, w: GridPath, z: GridPath)
         raise
 
 
+def _block_size(cfg: ExperimentConfig, workers: int) -> int:
+    """Replicas per block: the replicas split evenly over ``workers``
+    processes, at most ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows."""
+    return min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // (len(cfg.levels) + 1)),
+               -(-cfg.replicas // workers))
+
+
 @contextmanager
 def _forked_pool(workers: int):
     """``workers`` processes forked now, before the parent draws its first
@@ -500,8 +507,7 @@ def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     drawn.
     """
     workers = min(cfg.workers, _usable_cpus())
-    size = min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // (len(cfg.levels) + 1)),
-               -(-cfg.replicas // workers))
+    size = _block_size(cfg, workers)
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
     procs = min(workers, len(blocks))
     fbm = FbmParams(cfg.params.hurst, _driver_steps(cfg), cfg.horizon, cfg.driver_method)
@@ -536,6 +542,29 @@ def _require_counts(cfg: ExperimentConfig, what: str) -> None:
         raise ExperimentError(
             f"levels of {cfg.kind} are {what}, integers >= 1; got {list(cfg.levels)}"
         )
+
+
+def _check_sizes(cfg: ExperimentConfig) -> None:
+    """Refuse a grid whose arrays numpy cannot allocate, naming the field that
+    sets it.  Counted from the config alone: a block's drivers, the padded
+    Cholesky factor (~n^2/2) and the stepper buffer, ``(q + n + 1)`` nodes of
+    every row, on the driver grid of n steps.  Numpy refuses any array of more
+    than ``intp`` max / 8 float64 values on every machine."""
+    n, spec = _driver_steps(cfg), cfg.spec
+    replicas, pad = _block_size(cfg, 1), -(-n // _PAD) * _PAD
+    sizes = {
+        "a block's driver grid": replicas * (n + 1) * max(spec.n_wiener, spec.n_holder),
+        "the Cholesky factor": pad * pad // 2 if cfg.driver_method == "cholesky" else 0,
+        "the stepper buffer": (round(cfg.initial.r * n / cfg.horizon) + n + 1)
+        * replicas * (len(cfg.levels) + 1) * spec.dim,
+    }
+    for what, values in sizes.items():
+        if values > np.iinfo(np.intp).max // 8:
+            field = "levels" if cfg.kind == "euler_refinement" else "n_steps"
+            raise ExperimentError(
+                f"experiment.{field}: a driver grid of {n} steps needs {what} of {values:.3g} "
+                "values, more than numpy can allocate"
+            )
 
 
 def _check_coeff(cfg: ExperimentConfig) -> None:
@@ -823,8 +852,9 @@ EXPERIMENT_KINDS = tuple(_FLAVORS)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Check the level schedule, compute the rows of all replicas, reduce them
-    to the kind's report."""
+    """Check the level schedule and the array sizes, compute the rows of all
+    replicas, reduce them to the kind's report."""
     check, _, reduce = _FLAVORS[cfg.kind]
     check(cfg)
+    _check_sizes(cfg)
     return reduce(cfg, _map_replicas(cfg))

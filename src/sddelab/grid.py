@@ -57,8 +57,11 @@ class GridPath:
 
     ``values`` has shape ``(n, d)``; scalar paths are stored with ``d = 1``.
     A replica block stacks paths on one grid as ``(replicas, n, d)``; the
-    grid operations act on the time axis of every replica alike.  The array
-    is made read-only so paths can be shared between workers.
+    grid operations act on the time axis of every replica alike.  The values
+    are read-only, so paths can share memory: a writable float array (one the
+    caller may still write) is copied, a read-only one is kept as given.  So
+    :meth:`restrict` and :meth:`window` return views, and the solver's paths
+    are views of its buffer, which the caller then keeps alive whole.
     """
 
     t0: float
@@ -75,8 +78,9 @@ class GridPath:
             raise GridError("path values must be finite")
         if not self.dt > 0:
             raise GridError(f"dt must be positive, got {self.dt}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property

@@ -13,9 +13,10 @@ trust region: the look-back window [-r, 0] is the span of the initial
 condition, and the scheme is the entry point called.  A
 :class:`CoefficientSpec` is compiled once into arrays (gain matrices,
 constants, the delay tap or window span, the time modulation), and each step
-advances a ``(groups, replicas, d)`` state block with one affine update.
-Drivers given as a replica block (a :class:`GridPath` with values
-``(replicas, n, d)``) are solved together; a single path is a block of one.
+advances a channel-major ``(d, groups, replicas)`` state block with one affine
+update; the returned paths are read-only views of one buffer.  Drivers given
+as a replica block (a :class:`GridPath` with values ``(replicas, n, d)``) are
+solved together; a single path is a block of one.
 Row groups, given as lists of specs, initial conditions, rough drivers or
 mollifier levels, are solved in the same pass on a shared Wiener block, each
 group with its own gains, constants, delay read and history (all histories of
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 SCHEMES = ("euler_mixed", "euler_ito")
+_SLICE = 1 << 13  # values per slice of the increments and of the trust-region check
 
 
 class SolverExplosionError(RuntimeError):
@@ -172,15 +174,15 @@ def _reach_steps(spec: CoefficientSpec, dt: float, q: int) -> int:
 
 
 def _stack(parts: list):
-    """Per-group arrays (None where zero) as ``(stacked, where)``: ``stacked``
-    is None if no group has a part; ``where`` marks the groups that have one,
-    or is None if all do."""
-    have = np.array([part is not None for part in parts])
-    if not have.any():
-        return None, None
-    zero = np.zeros_like(parts[int(have.argmax())])
-    stacked = np.stack([zero if part is None else part for part in parts])
-    return stacked, None if have.all() else have[:, None, None]
+    """Per-group arrays (None where zero) as ``(stacked, runs)``: ``stacked``
+    is None if no group has a part, else the parts as ``(rows, d * cols,
+    groups, 1)``; ``runs`` are the slices of consecutive groups that have one."""
+    have = [part is not None for part in parts]
+    if not any(have):
+        return None, []
+    zero, edges = np.zeros_like(parts[have.index(True)]), np.flatnonzero(np.diff([0, *have, 0]))
+    stacked = np.stack([zero if part is None else part for part in parts], axis=-1)[..., None]
+    return stacked, [slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def _compile(specs: list, cfg: SolverConfig, q: int):
@@ -188,16 +190,17 @@ def _compile(specs: list, cfg: SolverConfig, q: int):
     of q steps: ``(now, delay, const, mods, steps, span)``.
 
     Each spec gives its columns ``[a | b_1..b_m | c_1..c_l]``
-    (:meth:`CoefficientSpec.columns`): in group g,
-    ``x @ now[g] + y @ delay[g] + const[g]``, reshaped to
-    ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``, holds every
-    coefficient at state ``x`` and delay read ``y`` at step k.  The delay read
-    is the state ``steps[g]`` steps back, or for the distributed family (``span``
-    not None) the trapezoid integral over the last ``span`` steps.  ``delay``
-    and ``const`` are ``(stacked, where)`` pairs as :func:`_stack` gives them:
-    a group whose part is zero skips its term, as it does when solved alone.
-    The groups must share the dimensions and the time modulation, and those
-    with delay gains the kind of delay read and the span of a window.
+    (:meth:`CoefficientSpec.columns`), channel-major: in group g, the sum over
+    the components j of ``x_j now[j, :, g]`` and ``y_j delay[j, :, g]``, plus
+    ``const[0, :, g]``, laid out as ``(d, 1 + m + l)`` and multiplied by
+    ``mods[k]``, holds every coefficient at state ``x`` and delay read ``y``
+    at step k.  The delay read is the state ``steps[g]`` steps back, or for
+    the distributed family (``span`` not None) the trapezoid integral over the
+    last ``span`` steps.  ``delay`` and ``const`` are ``(stacked, runs)`` pairs
+    as :func:`_stack` gives them: a group whose part is zero skips its term,
+    as it does when solved alone.  The groups must share the dimensions and
+    the time modulation, and those with delay gains the kind of delay read and
+    the span of a window.
     """
     dims = {(spec.dim, spec.n_wiener, spec.n_holder) for spec in specs}
     if len(dims) > 1:
@@ -223,12 +226,8 @@ def _compile(specs: list, cfg: SolverConfig, q: int):
     mods = None
     if sin_cols.any():
         sines = np.array([math.sin(k * cfg.dt) for k in range(cfg.n_steps)])
-        mods = np.where(sin_cols, sines[:, None], 1.0)
-    return np.stack(nows), _stack(delays), _stack(consts), mods, steps, min(spans, default=None)
-
-
-def _block(path: GridPath) -> np.ndarray:
-    return path.values if path.replicas is not None else path.values[None]
+        mods = np.where(sin_cols[:, None, None], sines[:, None, None, None], 1.0)
+    return _stack(nows)[0], _stack(delays), _stack(consts), mods, steps, min(spans, default=None)
 
 
 def _row_groups(*args):
@@ -241,119 +240,129 @@ def _row_groups(*args):
     return [a if isinstance(a, (list, tuple)) else [a] * n for a in args], bool(sizes)
 
 
-def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float,
-           thirds: list, ito: bool) -> list:
-    """Euler steps of a ``(groups, replicas, d)`` state block, for both schemes.
+def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list,
+           ito: bool) -> list:
+    """Euler steps of a ``(d, groups, replicas)`` state block, for both schemes.
 
-    Row group g solves ``specs[g]`` from history ``etas[g]``; all groups share
-    the Wiener increments, and ``thirds`` holds the third increment column
-    block, ``(replicas, n, l)``, once for all groups or once per group.  The
-    step-k increments ``[first | dW | third]`` multiply the coefficient
-    columns.  Mixed scheme: ``[dt | dW | dZ]``, added column by column.  Ito
-    scheme: ``[1 | dW | dZ^N/dt]``, with ``a + c dZ^N/dt`` multiplied by dt.
-    Every operation reads one row only, in an order fixed by the spec:
-    ``x @ now`` and ``y @ delay`` are one-component products added in
-    component order, a group skips the terms its spec does not have, and the
-    distributed window is a running sum of trapezoid cells.  So a row's path
-    depends neither on the block it is solved in nor on the other groups.
+    Row group g solves ``specs[g]`` from history ``etas[g]`` on the shared
+    Wiener increments; ``thirds`` holds the third column, once or per group,
+    step-major ``(steps, l, replicas)``: the nodes of Z (mixed scheme) or
+    dZ^N/dt (Ito scheme).  The increments ``[dt | dW | dZ]`` or ``[1 | dW |
+    dZ^N/dt]`` multiply the coefficient columns; the mixed step adds ``((x +
+    a dt) + b dW) + c dZ``, the Ito step ``((a + c dZ^N/dt) dt + x) + b dW``,
+    with channels summed as numpy's contiguous reduce sums them.  Every
+    operation runs along the replica axis of one buffer ``(q + n + 1, d,
+    groups, replicas)``, a column block ``(d * cols, groups, replicas)`` and
+    increments ``(steps, 1, cols, thirds, replicas)``, and reads one row only,
+    in an order fixed by the spec (products added in component order, terms a
+    group lacks skipped, the window a running sum of trapezoid cells): a
+    row's path depends neither on its block nor on the other groups.
 
-    The trust region is checked once the paths are complete, and a NaN node
-    is outside it.  The first group with a node outside it is named, and in
-    it the first such node (earliest step, then lowest row): where a
-    step-by-step check of the groups solved one after the other would have
-    stopped.  Returns one path per group.
+    Once the paths are complete the trust region is checked a slice of steps
+    at a time; a NaN node is outside it.  The first group with a node outside
+    it is named, then its first such node (earliest step, lowest row), where
+    a step-by-step check of the groups solved one by one would have stopped.
+    Returns one path per group, read-only views of the buffer.
     """
-    groups, d, m = len(specs), specs[0].dim, specs[0].n_wiener
-    n, dt = cfg.n_steps, cfg.dt
+    groups, d, m, n, dt = len(specs), specs[0].dim, specs[0].n_wiener, cfg.n_steps, cfg.dt
     q = etas[0].steps(dt)
     if any(eta.steps(dt) != q for eta in etas[1:]):
         raise GridError("row groups must share the history length")
-    now, (delay, on_delay), (const, on_const), mods, steps, span = _compile(specs, cfg, q)
+    now, (delay, delay_runs), (const, const_runs), mods, steps, span = _compile(specs, cfg, q)
     hist = [_history_values(eta, q) for eta in etas]
     for h in hist:
         if h.shape[1] != d:
             raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
-    hist = np.stack(hist)  # (groups, q + 1, d)
-    dw = np.diff(_block(w), axis=1)
-    reps = dw.shape[0]
-    cols = now.shape[-1] // d
-    inc = np.empty((n, len(thirds), reps, 1, cols))  # built once, in stepping order
-    inc[..., 0] = first
-    inc[:, :, :, 0, 1 : 1 + m] = dw.transpose(1, 0, 2)[:, None]
-    for g, third in enumerate(thirds):
-        inc[:, g, :, 0, 1 + m :] = third.transpose(1, 0, 2)
-    buf = np.empty((q + n + 1, groups, reps, d))
-    buf[: q + 1] = hist.transpose(1, 0, 2)[:, :, None, :]
-    shape = (groups, reps, d * cols)
-    v, tmp, f = np.empty(shape), np.empty(shape), np.empty((groups, reps, d))
-    p = v.reshape(groups, reps, d, cols)  # a view: the coefficient columns of the step
+    wiener = w.values.reshape(-1, n + 1, m).transpose(1, 2, 0)[:, :, None]  # (n + 1, m, 1, reps)
+    reps, cols = wiener.shape[-1], now.shape[1] // d
+    inc = np.empty((min(n, max(1, _SLICE // (cols * len(thirds) * reps))), 1, cols, len(thirds),
+                    reps))  # filled one slice of steps at a time
+    inc[:, 0, 0] = 1.0 if ito else dt
+    buf = np.empty((q + n + 1, d, groups, reps))
+    buf[: q + 1] = np.stack(hist, axis=-1)[..., None]
+    row = buf.shape[1:]
+    v, tmp = np.empty((d * cols, groups, reps)), np.empty((d * cols, groups, reps))
+    p = v.reshape(d, cols, groups, reps)  # a view: the coefficient columns of the step
 
-    def channels(lo: int, hi: int):  # the increment terms of columns lo..hi-1
-        view = p[..., lo:hi]
-        return (lambda: view[..., 0]) if hi == lo + 1 else (lambda: view.sum(axis=-1))
+    def channels(lo: int, hi: int):  # columns lo..hi-1 summed as numpy's contiguous reduce does
+        view, total = p[:, lo:hi], np.empty(row)
+        if hi == lo + 1:
+            return view[:, 0], None
+        if hi - lo < 8:  # below its pairwise blocks, so a reduce along the channels adds alike
+            return total, lambda: np.add.reduce(view, 1, None, total)
+        return total, lambda: np.add.reduce(np.moveaxis(view, 1, -1).copy(), -1, None, total)
 
-    window = span is not None
-    gather = None  # the taps: step k reads flat row gather[k, g] into y
-    reads = [(0, buf, now, None)]  # (steps back, source, gains, where) of the terms
-    if window:  # win[k]: the trapezoid integral over the last span steps at step k
-        half = 0.5 * dt
-        cells, win = np.empty((q + n, groups, reps, d)), np.empty((n + 1, groups, reps, d))
-        hist_cells = (hist[:, :-1] + hist[:, 1:]) * half
-        cells[:q] = hist_cells.transpose(1, 0, 2)[:, :, None, :]
-        win[0] = np.cumsum(hist_cells[:, q - span:], axis=1)[:, -1, None, :]  # in cell order
-        reads.append((q, win, delay, on_delay))
+    gather = None  # the taps: step k reads flat rows gather[k] into y
+    reads = [(None, now, [slice(None)])]  # (fixed source or None for x, gains, runs) of the terms
+    if span is not None:  # win: the trapezoid integral over the last span steps, from a ring
+        half, win, ring = 0.5 * dt, np.full(row, -0.0), np.empty((span + 1,) + row)
+
+        def cell(j: int) -> np.ndarray:  # (x_j + x_{j+1}) dt / 2, in its slot of the ring
+            out = ring[j % (span + 1)]
+            return np.multiply(np.add(buf[j], buf[j + 1], out), half, out)
+
+        for j in range(q - span, q):  # the history's cells, in cell order
+            np.add(win, cell(j), win)
+        reads.append((win, delay, delay_runs))
     elif delay is not None:
-        flat = buf.reshape(-1, reps, d)
-        gather = (q + np.arange(n)[:, None] - steps) * groups + np.arange(groups)
-        y = np.empty((1, groups, reps, d))
-        reads.append((None, y, delay, on_delay))
-    terms = [(back, src[..., j : j + 1], gains[:, None, j], where)
-             for back, src, gains, where in reads for j in range(d)]
-    (_, col0, gains0, _), rest = terms[0], terms[1:]
-    a, b_terms, c_terms = p[..., 0], channels(1, 1 + m), channels(1 + m, cols)
+        flat, y = buf.reshape(-1, reps), np.empty(row)
+        taps = (q + np.arange(n)[:, None, None] - np.array(steps)) * d + np.arange(d)[:, None]
+        gather, into = (taps * groups + np.arange(groups)).reshape(n, -1), y.reshape(-1, reps)
+        reads.append((y, delay, delay_runs))
+    terms = [(j, run, None if src is None else src[j, run], gains[j][:, run], v[:, run],
+              tmp[:, run]) for src, gains, runs in reads for j in range(d) for run in runs]
+    gains0, rest = terms[0][3], terms[1:]
+    consts = [(v[:, run], const[0][:, run]) for run in const_runs]
+    (b, sum_b), (c, sum_c) = channels(1, 1 + m), channels(1 + m, cols)
+    a, sums = p[:, 0], [total for total in (sum_b, sum_c) if total is not None]
+    add, multiply = np.add, np.multiply  # outputs passed positionally: no keyword parsing per call
     with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
-        for k in range(n):
-            i = q + k
-            x, nxt = buf[i], buf[i + 1]
-            if gather is not None:
-                np.take(flat, gather[k], axis=0, out=y[0])
-            np.multiply(col0[i], gains0, out=v)
-            for back, col, gains, where in rest:
-                np.multiply(col[0 if back is None else i - back], gains, out=tmp)
-                if where is None:
-                    v += tmp
+        for lo in range(0, n, len(inc)):
+            part = inc[: n - lo]
+            hi = lo + len(part)
+            np.subtract(wiener[lo + 1 : hi + 1], wiener[lo:hi], part[:, 0, 1 : 1 + m])
+            for g, third in enumerate(thirds):
+                if ito:
+                    part[:, 0, 1 + m :, g] = third[lo:hi]
                 else:
-                    np.add(v, tmp, out=v, where=where)
-            if const is not None:
-                np.add(v, const, out=v, where=True if on_const is None else on_const)
-            if mods is not None:
-                p *= mods[k]
-            p *= inc[k]
-            if ito:
-                np.add(a, c_terms(), out=f)
-                f *= dt
-                np.add(x, f, out=nxt)
-                nxt += b_terms()
-            else:
-                np.add(x, a, out=nxt)
-                nxt += b_terms()
-                nxt += c_terms()
-            if window:
-                np.add(x, nxt, out=cells[i])
-                cells[i] *= half
-                np.add(win[k], cells[i], out=win[k + 1])
-                win[k + 1] -= cells[i - span]
-    mags = np.linalg.norm(buf[q + 1 :], axis=-1)
-    over = ~(mags <= cfg.explosion_threshold)
-    if over.any():
-        g = int(over.any(axis=(0, 2)).argmax())
-        k, row = np.argwhere(over[:, g])[0]
-        raise SolverExplosionError(
-            (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
-        )
-    single = w.replicas is None
-    return [GridPath(-etas[0].r, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))
-            for g in range(groups)]
+                    np.subtract(third[lo + 1 : hi + 1], third[lo:hi], part[:, 0, 1 + m :, g])
+            rows = zip(buf[q + lo :], buf[q + lo + 1 :], buf[q + lo :, 0], part)
+            for k, (x, nxt, x0, step) in enumerate(rows, lo):
+                if gather is not None:
+                    np.take(flat, gather[k], 0, into)
+                multiply(x0, gains0, v)
+                for j, run, src, gains, out, scratch in rest:
+                    multiply(x[j, run] if src is None else src, gains, scratch)
+                    add(out, scratch, out)
+                for out, term in consts:
+                    add(out, term, out)
+                if mods is not None:
+                    multiply(p, mods[k], p)
+                multiply(p, step, p)
+                for total in sums:
+                    total()
+                if ito:  # nxt holds (a + c) dt before x is added to it
+                    multiply(add(a, c, nxt), dt, nxt)
+                    add(add(x, nxt, nxt), b, nxt)
+                else:
+                    add(add(add(x, a, nxt), b, nxt), c, nxt)
+                if span is not None:
+                    add(win, cell(q + k), win)
+                    np.subtract(win, ring[(q + k - span) % (span + 1)], win)
+    hit, size = (groups,), max(1, _SLICE // buf[0].size)  # hit: (group, step, row, magnitude)
+    for lo in range(q + 1, q + n + 1, size):  # node-major slices, as norm(axis=-1) reads them
+        nodes = np.ascontiguousarray(np.moveaxis(buf[lo : lo + size], 1, -1))
+        mags = np.linalg.norm(nodes, axis=-1)
+        over = ~(mags <= cfg.explosion_threshold)
+        g = int(over.any(axis=(0, 2)).argmax()) if over.any() else groups
+        if g < hit[0]:  # a later slice can only name a lower group
+            k, r = np.argwhere(over[:, g])[0]
+            hit = g, lo - q + k, int(r), float(mags[k, g, r])
+    if hit[0] < groups:
+        raise SolverExplosionError(hit[1] * dt, hit[3], cfg.explosion_threshold, hit[2], hit[0])
+    buf.flags.writeable = False
+    return [GridPath(-etas[0].r, dt, path if w.replicas else path[0])
+            for path in buf.transpose(2, 3, 0, 1)]  # (replicas, n, d) per group
 
 
 def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tuple:
@@ -361,10 +370,11 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     against the solver grid, the third increment column, one :func:`_solve`.
 
     ``level`` None selects the mixed scheme, whose third column is dZ on the
-    solver grid.  Otherwise it is the mollifier level of the Ito scheme,
-    whose third column is dZ^N/dt at the step times, tabulated from Z on its
-    own grid.  A list of ``Z`` or of ``level`` gives each group its own
-    column; otherwise the groups share one.
+    solver grid, differenced by the stepper from the nodes of Z.  Otherwise
+    it is the mollifier level of the Ito scheme, whose third column is
+    dZ^N/dt at the step times, tabulated from Z on its own grid.  A list of
+    ``Z`` or of ``level`` gives each group its own column; otherwise the
+    groups share one.
     """
     (specs, etas, zs, levels), grouped = _row_groups(spec, eta, Z, level)
     ito = level is not None
@@ -375,16 +385,16 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     head = specs[0]
     w = _align_driver(W, cfg, head.n_wiener, "W")
     own = any(isinstance(a, (list, tuple)) for a in (Z, level))
-    times = cfg.dt * np.arange(cfg.n_steps)
     thirds = []
     for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
         aligned = _align_driver(z, cfg, head.n_holder, "Z")
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
         # dZ^N/dt is tabulated from Z on its own grid
-        third = _zdot(z, MollifierParams(lvl), times) if ito else np.diff(aligned.values, axis=-2)
-        thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder))
-    paths = _solve(specs, etas, cfg, w, 1.0 if ito else cfg.dt, thirds, ito)
+        third = (_zdot(z, MollifierParams(lvl), cfg.dt * np.arange(cfg.n_steps)) if ito
+                 else aligned.values)
+        thirds.append(third.reshape(-1, third.shape[-2], head.n_holder).transpose(1, 2, 0))
+    paths = _solve(specs, etas, cfg, w, thirds, ito)
     return tuple(paths) if grouped else paths[0]
 
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from sddelab.core import (
     AssumptionReport,
     CheckResult,
     CoeffBlock,
+    DELAY_READS,
     CoefficientSpec,
     HolderParams,
     InitialCondition,
@@ -19,11 +21,15 @@ from sddelab.core import (
 from sddelab.grid import GridError, refinement
 from sddelab.solver import (
     MollifierParams,
+    _row_groups,
+    _zdot,
+    SolverConfig,
     SolverExplosionError,
     _align_driver,
     _clamp,
     _history_values,
     _interpolate,
+    _reach_steps,
 )
 
 
@@ -339,3 +345,221 @@ def loop_check_assumptions(
         )
 
     return AssumptionReport(tuple(checks))
+
+
+# --------------------------------------------------------------------------
+# Oracle of the block stepper: ``solver._solve`` as it was with a
+# ``(groups, replicas, d)`` state block and ``(groups, replicas, d * cols)``
+# coefficient columns, with the compile step of that layout.  The
+# channel-major stepper must give the same paths, signs of zero included.
+# ``oracle_front`` stands in for ``solver._front``, the common entry of both
+# schemes.
+
+
+def _block(path: GridPath) -> np.ndarray:
+    return path.values if path.replicas is not None else path.values[None]
+
+
+def _oracle_stack(parts: list):
+    """Per-group arrays (None where zero) as ``(stacked, where)``: ``stacked``
+    is None if no group has a part; ``where`` marks the groups that have one,
+    or is None if all do."""
+    have = np.array([part is not None for part in parts])
+    if not have.any():
+        return None, None
+    zero = np.zeros_like(parts[int(have.argmax())])
+    stacked = np.stack([zero if part is None else part for part in parts])
+    return stacked, None if have.all() else have[:, None, None]
+
+
+def _oracle_compile(specs: list, cfg: SolverConfig, q: int):
+    """The specs of the row groups as arrays for one solver grid and histories
+    of q steps: ``(now, delay, const, mods, steps, span)``.
+
+    Each spec gives its columns ``[a | b_1..b_m | c_1..c_l]``
+    (:meth:`CoefficientSpec.columns`): in group g,
+    ``x @ now[g] + y @ delay[g] + const[g]``, reshaped to
+    ``(replicas, d, 1 + m + l)`` and multiplied by ``mods[k]``, holds every
+    coefficient at state ``x`` and delay read ``y`` at step k.  The delay read
+    is the state ``steps[g]`` steps back, or for the distributed family (``span``
+    not None) the trapezoid integral over the last ``span`` steps.  ``delay``
+    and ``const`` are ``(stacked, where)`` pairs as :func:`_oracle_stack` gives them:
+    a group whose part is zero skips its term, as it does when solved alone.
+    The groups must share the dimensions and the time modulation, and those
+    with delay gains the kind of delay read and the span of a window.
+    """
+    dims = {(spec.dim, spec.n_wiener, spec.n_holder) for spec in specs}
+    if len(dims) > 1:
+        raise GridError("row groups must share the state and driver dimensions")
+    nows, delays, consts, sines, steps = [], [], [], [], []
+    for spec in specs:
+        now, delay, const, sin_cols = spec.columns()
+        nows.append(now)
+        delays.append(delay if delay.any() else None)
+        consts.append(const if const.any() else None)
+        sines.append(sin_cols)
+        steps.append(_reach_steps(spec, cfg.dt, q))
+    sin_cols = sines[0]
+    if any(not np.array_equal(s, sin_cols) for s in sines):
+        raise GridError("row groups must share the time modulation")
+    reads = {(DELAY_READS[spec.family], k)
+             for spec, k, delay in zip(specs, steps, delays) if delay is not None}
+    if len({read for read, _ in reads}) > 1:
+        raise GridError("row groups must share the kind of delay read")
+    spans = {k for read, k in reads if read == "window"}
+    if len(spans) > 1:
+        raise GridError("row groups that read a window must share its span")
+    mods = None
+    if sin_cols.any():
+        sines = np.array([math.sin(k * cfg.dt) for k in range(cfg.n_steps)])
+        mods = np.where(sin_cols, sines[:, None], 1.0)
+    return (np.stack(nows), _oracle_stack(delays), _oracle_stack(consts), mods, steps,
+            min(spans, default=None))
+
+
+def oracle_solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first: float,
+                 thirds: list, ito: bool) -> list:
+    """Euler steps of a ``(groups, replicas, d)`` state block, for both schemes.
+
+    Row group g solves ``specs[g]`` from history ``etas[g]``; all groups share
+    the Wiener increments, and ``thirds`` holds the third increment column
+    block, ``(replicas, n, l)``, once for all groups or once per group.  The
+    step-k increments ``[first | dW | third]`` multiply the coefficient
+    columns.  Mixed scheme: ``[dt | dW | dZ]``, added column by column.  Ito
+    scheme: ``[1 | dW | dZ^N/dt]``, with ``a + c dZ^N/dt`` multiplied by dt.
+    Every operation reads one row only, in an order fixed by the spec:
+    ``x @ now`` and ``y @ delay`` are one-component products added in
+    component order, a group skips the terms its spec does not have, and the
+    distributed window is a running sum of trapezoid cells.  So a row's path
+    depends neither on the block it is solved in nor on the other groups.
+
+    The trust region is checked once the paths are complete, and a NaN node
+    is outside it.  The first group with a node outside it is named, and in
+    it the first such node (earliest step, then lowest row): where a
+    step-by-step check of the groups solved one after the other would have
+    stopped.  Returns one path per group.
+    """
+    groups, d, m = len(specs), specs[0].dim, specs[0].n_wiener
+    n, dt = cfg.n_steps, cfg.dt
+    q = etas[0].steps(dt)
+    if any(eta.steps(dt) != q for eta in etas[1:]):
+        raise GridError("row groups must share the history length")
+    now, (delay, on_delay), (const, on_const), mods, steps, span = _oracle_compile(specs, cfg, q)
+    hist = [_history_values(eta, q) for eta in etas]
+    for h in hist:
+        if h.shape[1] != d:
+            raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
+    hist = np.stack(hist)  # (groups, q + 1, d)
+    dw = np.diff(_block(w), axis=1)
+    reps = dw.shape[0]
+    cols = now.shape[-1] // d
+    inc = np.empty((n, len(thirds), reps, 1, cols))  # built once, in stepping order
+    inc[..., 0] = first
+    inc[:, :, :, 0, 1 : 1 + m] = dw.transpose(1, 0, 2)[:, None]
+    for g, third in enumerate(thirds):
+        inc[:, g, :, 0, 1 + m :] = third.transpose(1, 0, 2)
+    buf = np.empty((q + n + 1, groups, reps, d))
+    buf[: q + 1] = hist.transpose(1, 0, 2)[:, :, None, :]
+    shape = (groups, reps, d * cols)
+    v, tmp, f = np.empty(shape), np.empty(shape), np.empty((groups, reps, d))
+    p = v.reshape(groups, reps, d, cols)  # a view: the coefficient columns of the step
+
+    def channels(lo: int, hi: int):  # the increment terms of columns lo..hi-1
+        view = p[..., lo:hi]
+        return (lambda: view[..., 0]) if hi == lo + 1 else (lambda: view.sum(axis=-1))
+
+    window = span is not None
+    gather = None  # the taps: step k reads flat row gather[k, g] into y
+    reads = [(0, buf, now, None)]  # (steps back, source, gains, where) of the terms
+    if window:  # win[k]: the trapezoid integral over the last span steps at step k
+        half = 0.5 * dt
+        cells, win = np.empty((q + n, groups, reps, d)), np.empty((n + 1, groups, reps, d))
+        hist_cells = (hist[:, :-1] + hist[:, 1:]) * half
+        cells[:q] = hist_cells.transpose(1, 0, 2)[:, :, None, :]
+        win[0] = np.cumsum(hist_cells[:, q - span:], axis=1)[:, -1, None, :]  # in cell order
+        reads.append((q, win, delay, on_delay))
+    elif delay is not None:
+        flat = buf.reshape(-1, reps, d)
+        gather = (q + np.arange(n)[:, None] - steps) * groups + np.arange(groups)
+        y = np.empty((1, groups, reps, d))
+        reads.append((None, y, delay, on_delay))
+    terms = [(back, src[..., j : j + 1], gains[:, None, j], where)
+             for back, src, gains, where in reads for j in range(d)]
+    (_, col0, gains0, _), rest = terms[0], terms[1:]
+    a, b_terms, c_terms = p[..., 0], channels(1, 1 + m), channels(1 + m, cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
+        for k in range(n):
+            i = q + k
+            x, nxt = buf[i], buf[i + 1]
+            if gather is not None:
+                np.take(flat, gather[k], axis=0, out=y[0])
+            np.multiply(col0[i], gains0, out=v)
+            for back, col, gains, where in rest:
+                np.multiply(col[0 if back is None else i - back], gains, out=tmp)
+                if where is None:
+                    v += tmp
+                else:
+                    np.add(v, tmp, out=v, where=where)
+            if const is not None:
+                np.add(v, const, out=v, where=True if on_const is None else on_const)
+            if mods is not None:
+                p *= mods[k]
+            p *= inc[k]
+            if ito:
+                np.add(a, c_terms(), out=f)
+                f *= dt
+                np.add(x, f, out=nxt)
+                nxt += b_terms()
+            else:
+                np.add(x, a, out=nxt)
+                nxt += b_terms()
+                nxt += c_terms()
+            if window:
+                np.add(x, nxt, out=cells[i])
+                cells[i] *= half
+                np.add(win[k], cells[i], out=win[k + 1])
+                win[k + 1] -= cells[i - span]
+    mags = np.linalg.norm(buf[q + 1 :], axis=-1)
+    over = ~(mags <= cfg.explosion_threshold)
+    if over.any():
+        g = int(over.any(axis=(0, 2)).argmax())
+        k, row = np.argwhere(over[:, g])[0]
+        raise SolverExplosionError(
+            (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
+        )
+    single = w.replicas is None
+    return [GridPath(-etas[0].r, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))
+            for g in range(groups)]
+
+
+def oracle_front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tuple:
+    """Both schemes from their inputs: the row groups, the drivers checked
+    against the solver grid, the third increment column, one
+    :func:`oracle_solve`.
+
+    ``level`` None selects the mixed scheme, whose third column is dZ on the
+    solver grid.  Otherwise it is the mollifier level of the Ito scheme,
+    whose third column is dZ^N/dt at the step times, tabulated from Z on its
+    own grid.  A list of ``Z`` or of ``level`` gives each group its own
+    column; otherwise the groups share one.
+    """
+    (specs, etas, zs, levels), grouped = _row_groups(spec, eta, Z, level)
+    ito = level is not None
+    if ito:
+        for lvl in levels:
+            if not MollifierParams(lvl).resolves(cfg.dt):
+                raise GridError(f"mesh dt={cfg.dt} too coarse for mollifier level {lvl}")
+    head = specs[0]
+    w = _align_driver(W, cfg, head.n_wiener, "W")
+    own = any(isinstance(a, (list, tuple)) for a in (Z, level))
+    times = cfg.dt * np.arange(cfg.n_steps)
+    thirds = []
+    for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
+        aligned = _align_driver(z, cfg, head.n_holder, "Z")
+        if w.replicas != z.replicas:
+            raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
+        # dZ^N/dt is tabulated from Z on its own grid
+        third = _zdot(z, MollifierParams(lvl), times) if ito else np.diff(aligned.values, axis=-2)
+        thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder))
+    paths = oracle_solve(specs, etas, cfg, w, 1.0 if ito else cfg.dt, thirds, ito)
+    return tuple(paths) if grouped else paths[0]

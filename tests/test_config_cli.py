@@ -840,6 +840,28 @@ def test_oversized_sizes_exit_three_without_traceback(tmp_path, case):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("field, values", [
+    ("experiment.n_steps", {"n_steps": 2**62}),
+    ("experiment.levels", {"flavor": "euler_refinement", "levels": [64, 2**62]}),
+])
+def test_a_size_past_numpys_largest_array_names_its_field(tmp_path, field, values):
+    """The arrays a run would allocate are counted from the config before any
+    replica is drawn: a grid past numpy's largest array exits 3 naming the
+    field that sets it, with nothing allocated."""
+    cfg = write_config(tmp_path, _with(_moments_doc(), "experiment", **values))
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "sddelab.cli", "experiment", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert f"constraint violation: {field}:" in out.stderr
+    assert "more than numpy can allocate" in out.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_an_experiment_rejects_a_stream_other_than_zero(tmp_path, capsys):
     """Replica r of an experiment draws from stream r, so ``seed.stream``
     would change nothing but the echoed config."""

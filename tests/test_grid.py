@@ -40,6 +40,33 @@ def test_values_are_read_only():
         p.values[0] = 99.0
 
 
+def test_a_writable_input_is_copied():
+    """The caller may still write its array: the path keeps its own copy."""
+    arr = np.arange(4.0)
+    p = GridPath(0.0, 1.0, arr)
+    arr[0] = 99.0
+    assert p.values[0, 0] == 0.0
+    assert not np.shares_memory(p.values, arr)
+
+
+def test_a_read_only_input_is_kept_as_given():
+    arr = np.arange(8.0).reshape(4, 2)
+    arr.flags.writeable = False
+    p = GridPath(0.0, 1.0, arr)
+    assert p.values is arr
+    bad = np.array([0.0, np.nan, 1.0])
+    bad.flags.writeable = False
+    with pytest.raises(GridError):
+        GridPath(0.0, 1.0, bad)
+
+
+def test_restrict_and_window_are_views():
+    p = GridPath(-1.0, 0.25, np.arange(9.0))
+    for sub in (p.restrict(2), p.window(-0.5, 0.5)):
+        assert np.shares_memory(sub.values, p.values)
+        assert not sub.values.flags.writeable
+
+
 def test_index_of_rejects_off_grid_and_out_of_range():
     p = GridPath(0.0, 0.25, np.zeros(5))
     assert p.index_of(0.75) == 3

@@ -8,15 +8,18 @@ specs within a stated tolerance.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sddelab import FbmParams, GridPath, SeedSpec, sample_fbm, sample_wiener
+from sddelab import FbmParams, GridPath, SeedSpec, sample_fbm, sample_wiener, solver
 from sddelab.core import (
+    DELAY_READS,
     CoeffBlock,
     CoefficientSpec,
     InitialCondition,
@@ -34,7 +37,7 @@ from sddelab.solver import (
     euler_mixed_sdde,
 )
 
-from helpers import callable_ito, coefficient, mollified_ito_oracle
+from helpers import callable_ito, coefficient, mollified_ito_oracle, oracle_front
 
 # Vector and distributed-delay specs sum several products per coefficient.
 # The stepper adds them in component order and keeps a running window sum;
@@ -496,3 +499,212 @@ def test_history_window_is_copied_into_every_replica():
         spec, eta, stack_replicas([w for w, _ in pairs]), stack_replicas([z for _, z in pairs]), cfg
     )
     np.testing.assert_array_equal(x.values[:, : q + 1, 0], np.tile(vals, (3, 1)))
+
+
+# --------------------------------------------------------------------------
+# the channel-major stepper against the stepper it replaced
+
+
+SIGNED_ZEROS = ([0.0, -0.0, 0.5, -1.5], [0.3, 0.4, 0.15, 0.15])  # values, odds
+
+
+def _oracle_block(rng, channels, d, family, sin, zeros, terms):
+    """A random coefficient block of ``family``: gains and constants drawn
+    from normals, or with ``zeros`` mostly from both signs of zero; the delay
+    gains and the constants only where ``terms`` (two flags) asks for them."""
+    def draw(on, *shape):
+        if not on:
+            return np.zeros(shape)
+        if zeros:
+            return rng.choice(SIGNED_ZEROS[0], size=shape, p=SIGNED_ZEROS[1])
+        return rng.normal(size=shape) * rng.choice([0.0, 0.5], size=shape)
+
+    return CoeffBlock.build(
+        channels, d,
+        gain_now=draw(family != "constant", channels, d, d),
+        gain_delay=draw(DELAY_READS[family] != "none" and terms[0], channels, d, d),
+        const=draw(terms[1], channels, d),
+        time_modulation="sin" if sin else "none",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(sorted(DELAY_READS)),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)),  # d, m, l
+    groups=st.integers(1, 4),
+    reps=st.integers(1, 7),
+    single=st.booleans(),
+    ito=st.booleans(),
+    n=st.sampled_from([8, 16, 32]),
+    q=st.sampled_from([0, 1, 3, 6]),
+    sins=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    zeros=st.booleans(),
+    own_z=st.booleans(),
+    threshold=st.sampled_from([1e8, 3.0]),
+    slice_values=st.sampled_from([1, 5, 64, solver._SLICE]),
+)
+def test_channel_major_stepper_gives_the_paths_of_the_oracle(
+        seed, family, dims, groups, reps, single, ito, n, q, sins, zeros, own_z, threshold,
+        slice_values):
+    """Every family (the tap and the window included), state and driver
+    dimensions, row groups and replica counts, both schemes, slices of steps
+    down to one: the stepper's paths carry the oracle's bits, signs of zero
+    included, and an explosion names the same group, replica, time and
+    magnitude."""
+    rng = np.random.default_rng(seed)
+    d, m, l = dims
+    read = DELAY_READS[family]
+    if read == "window":
+        q = max(q, 1)
+    cfg = SolverConfig(n_steps=n, horizon=1.0, explosion_threshold=threshold)
+    span = int(rng.integers(1, q + 1)) if q else 0
+    specs, etas, levels = [], [], []
+    for _ in range(groups):
+        terms = rng.random(2) < 0.5  # whether the group has delay gains, constants
+        blocks = [_oracle_block(rng, channels, d, family, sin, zeros, terms)
+                  for channels, sin in zip((1, m, l), sins)]
+        specs.append(CoefficientSpec(family, d, m, l, *blocks,
+                                     tau=int(rng.integers(0, q + 1)) * cfg.dt,
+                                     delay_span=span * cfg.dt if read == "window" else 0.0))
+        history = (rng.choice([0.0, -0.0, 1.0], size=(q + 1, d), p=[0.3, 0.5, 0.2]) if zeros
+                   else rng.normal(size=(q + 1, d)))
+        etas.append(InitialCondition(GridPath(-q * cfg.dt, cfg.dt, history), 0.45))
+        levels.append(int(rng.integers(1, n // 4 + 1)))
+    lead = () if single and reps == 1 else (reps,)
+
+    def path(channels):
+        shape = lead + (n + 1, channels)
+        if zeros:
+            return GridPath(0.0, cfg.dt, rng.choice([0.0, -0.0, 0.25], size=shape,
+                                                    p=[0.45, 0.45, 0.1]))
+        return GridPath(0.0, cfg.dt, np.cumsum(rng.normal(size=shape) * cfg.dt**0.5, axis=-2))
+
+    w = path(m)
+    zs = [path(l) for _ in range(groups)]
+    z = zs if own_z else zs[0]
+
+    def solve():
+        try:
+            if ito:
+                return euler_ito_sdde(specs, etas, w, z, cfg, levels if own_z else levels[0])
+            return euler_mixed_sdde(specs, etas, w, z, cfg)
+        except SolverExplosionError as exc:
+            return (exc.group, exc.replica, exc.time, exc.magnitude)
+
+    with mock.patch.object(solver, "_front", oracle_front):
+        expected = solve()
+    with mock.patch.object(solver, "_SLICE", slice_values):
+        got = solve()
+    if isinstance(expected, tuple) and not isinstance(expected[0], GridPath):
+        assert got == expected or (math.isnan(got[3]) and math.isnan(expected[3])
+                                   and got[:3] == expected[:3])
+        return
+    assert len(got) == len(expected) == groups
+    for path_got, path_expected in zip(got, expected):
+        assert path_got.values.shape == path_expected.values.shape
+        assert np.array_equal(path_got.values, path_expected.values)
+        assert _same_bits(path_got.values, path_expected.values)
+
+
+@pytest.mark.parametrize("family", ["no_delay", "pointwise_delay", "distributed_delay"])
+@pytest.mark.parametrize("ito", [False, True])
+@pytest.mark.parametrize("channels", [(1, 1), (2, 2), (3, 2)])
+def test_signed_zeros_follow_the_oracle(family, ito, channels):
+    """Zero drivers and a state of -0.0 make every increment a signed zero,
+    so each skipped term and each channel sum shows in the sign of the path:
+    a group without delay gains or constants next to groups with them, and
+    b or c summed over several channels (numpy's reduce reads +0.0 for a sum
+    of -0.0), give the oracle's bits."""
+    m, l = channels
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
+    q = 4
+    history = np.append(np.linspace(1.0, 0.5, q), -0.0)[:, None]
+    eta = InitialCondition(GridPath(-q * cfg.dt, cfg.dt, history), 0.45)
+    delay = 0.0 if family == "no_delay" else 0.3
+
+    def spec(gain_delay, const):
+        blocks = [CoeffBlock.build(k, 1, gain_now=0.5, gain_delay=gain_delay, const=const)
+                  for k in (1, m, l)]
+        return CoefficientSpec(family, 1, m, l, *blocks, tau=2 * cfg.dt if delay else 0.0,
+                               delay_span=2 * cfg.dt if family == "distributed_delay" else 0.0)
+
+    specs = [spec(0.0, 0.0), spec(delay, 0.0), spec(0.0, 0.1)]
+    w = GridPath(0.0, cfg.dt, np.zeros((2, cfg.n_steps + 1, m)))
+    z = GridPath(0.0, cfg.dt, np.zeros((2, cfg.n_steps + 1, l)))
+
+    def solve():
+        if ito:
+            return euler_ito_sdde(specs, eta, w, z, cfg, 4)
+        return euler_mixed_sdde(specs, eta, w, z, cfg)
+
+    with mock.patch.object(solver, "_front", oracle_front):
+        expected = solve()
+    for path, oracle in zip(solve(), expected):
+        assert _same_bits(path.values, oracle.values)
+    assert np.signbit(expected[0].values[:, q:]).any()
+
+
+def test_numpy_adds_a_contiguous_block_along_axis_0_row_by_row():
+    """``np.add.reduce(axis=0)`` over a C-contiguous ``(k, groups, replicas)``
+    block adds its rows in order: the values of ``((x + a) + b) + c``.  The
+    sign of zero differs, since the reduce starts from +0.0: a column of -0.0
+    reads +0.0 where the sequential adds keep -0.0.  So the step ends with
+    explicit adds; from -0.0 the reduce gives the sequential bits."""
+    rng = np.random.default_rng(7)
+    for k in (2, 3, 4):
+        for shape in ((9, 50), (1, 50), (4, 30), (1, 1)):
+            block = rng.normal(size=(k, *shape)) * 10.0 ** rng.integers(-8, 9, size=(k, *shape))
+            block[:, 0, 0] = [1e16, 1.0, -1e16, 1.0][:k]  # the order of the adds shows
+            block[:, -1, -1] = -0.0
+            rows = block[0].copy()
+            for other in block[1:]:
+                rows += other
+            reduced = np.add.reduce(block, axis=0)
+            assert np.array_equal(reduced, rows)
+            assert not np.signbit(reduced[-1, -1]) and np.signbit(rows[-1, -1])
+            assert _same_bits(np.add.reduce(block, axis=0, initial=-0.0), rows)
+
+
+@pytest.mark.parametrize("channels", [2, 3, 4, 7, 8, 9])
+def test_channel_sums_keep_the_bits_of_numpys_contiguous_reduce(channels):
+    """The stepper sums the b or c channels of a ``(d, cols, groups,
+    replicas)`` column block along axis 1: below 8 channels with one reduce
+    along that axis, from 8 on with the reduce of a channel-last copy.  Both
+    give the bits of the sum over a contiguous channel axis, the layout the
+    stepper had before, -0.0 and rounding-sensitive inputs included."""
+    rng = np.random.default_rng(channels)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 3.0, 1e-300])
+    block = rng.choice(pool, size=(2, channels + 2, 3, 5)) * rng.uniform(0.5, 2.0, (2, 1, 3, 5))
+    block[:, :, 0, 0] = -0.0  # every channel -0.0: the sum reads +0.0
+    view = block[:, 1 : 1 + channels]
+    contiguous = np.ascontiguousarray(block.transpose(2, 3, 0, 1))[..., 1 : 1 + channels]
+    expected = contiguous.sum(axis=-1).transpose(2, 0, 1)
+    got = (np.add.reduce(view, 1) if channels < 8
+           else np.add.reduce(np.moveaxis(view, 1, -1).copy(), -1))
+    assert _same_bits(got, expected)
+    assert not np.signbit(got[:, 0, 0]).any()
+
+
+def test_a_delay_block_solve_holds_one_copy_of_its_paths():
+    """One block of the vanishing-delay study (9 row groups x 50 replicas,
+    n = 1024, a history of 512 steps) peaks at most 1.5x the bytes of its
+    path buffer, and its paths are read-only views of that one buffer."""
+    cfg = SolverConfig(n_steps=1024, horizon=1.0)
+    base = pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.5)
+    specs = [base.merge_delay(), *(base.with_tau(2.0**-k) for k in range(1, 9))]
+    eta = constant_initial(1.0, 0.5, cfg.dt)
+    rng = np.random.default_rng(3)
+    w, z = (GridPath(0.0, cfg.dt, np.cumsum(rng.normal(size=(50, 1025, 1)) * 0.03, axis=1))
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        paths = euler_mixed_sdde(specs, eta, w, z, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer_bytes = (512 + 1024 + 1) * len(specs) * 50 * 8
+    assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
+    assert all(not path.values.flags.writeable for path in paths)
+    assert all(np.may_share_memory(paths[0].values, path.values) for path in paths[1:])
