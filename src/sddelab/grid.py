@@ -58,10 +58,11 @@ class GridPath:
     ``values`` has shape ``(n, d)``; scalar paths are stored with ``d = 1``.
     A replica block stacks paths on one grid as ``(replicas, n, d)``; the
     grid operations act on the time axis of every replica alike.  The values
-    are read-only, so paths can share memory: a writable float array (one the
-    caller may still write) is copied, a read-only one is kept as given.  So
-    :meth:`restrict` and :meth:`window` return views, and the solver's paths
-    are views of its buffer, which the caller then keeps alive whole.
+    are read-only, so paths can share memory: a float array is kept as given
+    when it and every array it views are read-only, and copied otherwise (a
+    read-only view of a writable array changes when that array is written).
+    So :meth:`restrict` and :meth:`window` return views, and the solver's
+    paths are views of its buffer, which the caller then keeps alive whole.
     """
 
     t0: float
@@ -78,7 +79,10 @@ class GridPath:
             raise GridError("path values must be finite")
         if not self.dt > 0:
             raise GridError(f"dt must be positive, got {self.dt}")
-        if arr.flags.writeable:
+        base = arr
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:  # a writable array, or memory that is not an array's, under arr
             arr = arr.copy()
             arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

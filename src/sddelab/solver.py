@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 SCHEMES = ("euler_mixed", "euler_ito")
-_SLICE = 1 << 13  # values per slice of the increments and of the trust-region check
+_SLICE = 1 << 13  # values per slice of the trust-region check
 
 
 class SolverExplosionError(RuntimeError):
@@ -246,8 +246,8 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
 
     Row group g solves ``specs[g]`` from history ``etas[g]`` on the shared
     Wiener increments; ``thirds`` holds the third column, once or per group,
-    step-major ``(steps, l, replicas)``: the nodes of Z (mixed scheme) or
-    dZ^N/dt (Ito scheme).  The increments ``[dt | dW | dZ]`` or ``[1 | dW |
+    step-major ``(steps, l, replicas)``: dZ (mixed scheme) or dZ^N/dt (Ito
+    scheme).  The increments ``[dt | dW | dZ]`` or ``[1 | dW |
     dZ^N/dt]`` multiply the coefficient columns; the mixed step adds ``((x +
     a dt) + b dW) + c dZ``, the Ito step ``((a + c dZ^N/dt) dt + x) + b dW``,
     with channels summed as numpy's contiguous reduce sums them.  Every
@@ -275,22 +275,22 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
             raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
     wiener = w.values.reshape(-1, n + 1, m).transpose(1, 2, 0)[:, :, None]  # (n + 1, m, 1, reps)
     reps, cols = wiener.shape[-1], now.shape[1] // d
-    inc = np.empty((min(n, max(1, _SLICE // (cols * len(thirds) * reps))), 1, cols, len(thirds),
-                    reps))  # filled one slice of steps at a time
+    inc = np.empty((n, 1, cols, len(thirds), reps))  # built once, in stepping order
     inc[:, 0, 0] = 1.0 if ito else dt
+    np.subtract(wiener[1:], wiener[:-1], inc[:, 0, 1 : 1 + m])
+    for g, third in enumerate(thirds):
+        inc[:, 0, 1 + m :, g] = third
     buf = np.empty((q + n + 1, d, groups, reps))
     buf[: q + 1] = np.stack(hist, axis=-1)[..., None]
     row = buf.shape[1:]
     v, tmp = np.empty((d * cols, groups, reps)), np.empty((d * cols, groups, reps))
     p = v.reshape(d, cols, groups, reps)  # a view: the coefficient columns of the step
 
-    def channels(lo: int, hi: int):  # columns lo..hi-1 summed as numpy's contiguous reduce does
+    def channels(lo: int, hi: int):  # columns lo..hi-1: their sum, None or (view, copy, sum)
         view, total = p[:, lo:hi], np.empty(row)
         if hi == lo + 1:
             return view[:, 0], None
-        if hi - lo < 8:  # below its pairwise blocks, so a reduce along the channels adds alike
-            return total, lambda: np.add.reduce(view, 1, None, total)
-        return total, lambda: np.add.reduce(np.moveaxis(view, 1, -1).copy(), -1, None, total)
+        return total, (np.moveaxis(view, 1, -1), np.empty(row + (hi - lo,)), total)
 
     gather = None  # the taps: step k reads flat rows gather[k] into y
     reads = [(None, now, [slice(None)])]  # (fixed source or None for x, gains, runs) of the terms
@@ -314,41 +314,32 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
     gains0, rest = terms[0][3], terms[1:]
     consts = [(v[:, run], const[0][:, run]) for run in const_runs]
     (b, sum_b), (c, sum_c) = channels(1, 1 + m), channels(1 + m, cols)
-    a, sums = p[:, 0], [total for total in (sum_b, sum_c) if total is not None]
+    a, sums = p[:, 0], [add_up for add_up in (sum_b, sum_c) if add_up is not None]
     add, multiply = np.add, np.multiply  # outputs passed positionally: no keyword parsing per call
     with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
-        for lo in range(0, n, len(inc)):
-            part = inc[: n - lo]
-            hi = lo + len(part)
-            np.subtract(wiener[lo + 1 : hi + 1], wiener[lo:hi], part[:, 0, 1 : 1 + m])
-            for g, third in enumerate(thirds):
-                if ito:
-                    part[:, 0, 1 + m :, g] = third[lo:hi]
-                else:
-                    np.subtract(third[lo + 1 : hi + 1], third[lo:hi], part[:, 0, 1 + m :, g])
-            rows = zip(buf[q + lo :], buf[q + lo + 1 :], buf[q + lo :, 0], part)
-            for k, (x, nxt, x0, step) in enumerate(rows, lo):
-                if gather is not None:
-                    np.take(flat, gather[k], 0, into)
-                multiply(x0, gains0, v)
-                for j, run, src, gains, out, scratch in rest:
-                    multiply(x[j, run] if src is None else src, gains, scratch)
-                    add(out, scratch, out)
-                for out, term in consts:
-                    add(out, term, out)
-                if mods is not None:
-                    multiply(p, mods[k], p)
-                multiply(p, step, p)
-                for total in sums:
-                    total()
-                if ito:  # nxt holds (a + c) dt before x is added to it
-                    multiply(add(a, c, nxt), dt, nxt)
-                    add(add(x, nxt, nxt), b, nxt)
-                else:
-                    add(add(add(x, a, nxt), b, nxt), c, nxt)
-                if span is not None:
-                    add(win, cell(q + k), win)
-                    np.subtract(win, ring[(q + k - span) % (span + 1)], win)
+        for k, (x, nxt, x0, step) in enumerate(zip(buf[q:], buf[q + 1 :], buf[q:, 0], inc)):
+            if gather is not None:
+                np.take(flat, gather[k], 0, into)
+            multiply(x0, gains0, v)
+            for j, run, src, gains, out, scratch in rest:
+                multiply(x[j, run] if src is None else src, gains, scratch)
+                add(out, scratch, out)
+            for out, term in consts:
+                add(out, term, out)
+            if mods is not None:
+                multiply(p, mods[k], p)
+            multiply(p, step, p)
+            for chans, last, total in sums:  # contiguous: in order below 8, pairwise from 8 on
+                np.copyto(last, chans)
+                np.add.reduce(last, -1, None, total)
+            if ito:  # nxt holds (a + c) dt before x is added to it
+                multiply(add(a, c, nxt), dt, nxt)
+                add(add(x, nxt, nxt), b, nxt)
+            else:
+                add(add(add(x, a, nxt), b, nxt), c, nxt)
+            if span is not None:
+                add(win, cell(q + k), win)
+                np.subtract(win, ring[(q + k - span) % (span + 1)], win)
     hit, size = (groups,), max(1, _SLICE // buf[0].size)  # hit: (group, step, row, magnitude)
     for lo in range(q + 1, q + n + 1, size):  # node-major slices, as norm(axis=-1) reads them
         nodes = np.ascontiguousarray(np.moveaxis(buf[lo : lo + size], 1, -1))
@@ -370,11 +361,10 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     against the solver grid, the third increment column, one :func:`_solve`.
 
     ``level`` None selects the mixed scheme, whose third column is dZ on the
-    solver grid, differenced by the stepper from the nodes of Z.  Otherwise
-    it is the mollifier level of the Ito scheme, whose third column is
-    dZ^N/dt at the step times, tabulated from Z on its own grid.  A list of
-    ``Z`` or of ``level`` gives each group its own column; otherwise the
-    groups share one.
+    solver grid.  Otherwise it is the mollifier level of the Ito scheme,
+    whose third column is dZ^N/dt at the step times, tabulated from Z on its
+    own grid.  A list of ``Z`` or of ``level`` gives each group its own
+    column; otherwise the groups share one.
     """
     (specs, etas, zs, levels), grouped = _row_groups(spec, eta, Z, level)
     ito = level is not None
@@ -385,15 +375,15 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     head = specs[0]
     w = _align_driver(W, cfg, head.n_wiener, "W")
     own = any(isinstance(a, (list, tuple)) for a in (Z, level))
+    times = cfg.dt * np.arange(cfg.n_steps)
     thirds = []
     for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
         aligned = _align_driver(z, cfg, head.n_holder, "Z")
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
         # dZ^N/dt is tabulated from Z on its own grid
-        third = (_zdot(z, MollifierParams(lvl), cfg.dt * np.arange(cfg.n_steps)) if ito
-                 else aligned.values)
-        thirds.append(third.reshape(-1, third.shape[-2], head.n_holder).transpose(1, 2, 0))
+        third = _zdot(z, MollifierParams(lvl), times) if ito else np.diff(aligned.values, axis=-2)
+        thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder).transpose(1, 2, 0))
     paths = _solve(specs, etas, cfg, w, thirds, ito)
     return tuple(paths) if grouped else paths[0]
 

@@ -40,20 +40,31 @@ def test_values_are_read_only():
         p.values[0] = 99.0
 
 
-def test_a_writable_input_is_copied():
-    """The caller may still write its array: the path keeps its own copy."""
+def _read_only_view(arr):
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize(
+    "wrap", [np.asarray, _read_only_view, lambda arr: np.broadcast_to(arr, (2, 4))])
+def test_a_writable_input_is_copied(wrap):
+    """The caller may still write its array, also under a read-only view of
+    it: the path keeps its own copy."""
     arr = np.arange(4.0)
-    p = GridPath(0.0, 1.0, arr)
+    p = GridPath(0.0, 1.0, wrap(arr))
     arr[0] = 99.0
     assert p.values[0, 0] == 0.0
     assert not np.shares_memory(p.values, arr)
 
 
 def test_a_read_only_input_is_kept_as_given():
-    arr = np.arange(8.0).reshape(4, 2)
+    arr = np.arange(8.0).reshape(4, 2).copy()  # owns its memory, unlike the reshape
     arr.flags.writeable = False
     p = GridPath(0.0, 1.0, arr)
     assert p.values is arr
+    view = arr[1:]
+    assert GridPath(0.0, 1.0, view).values is view
     bad = np.array([0.0, np.nan, 1.0])
     bad.flags.writeable = False
     with pytest.raises(GridError):

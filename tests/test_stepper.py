@@ -549,8 +549,8 @@ def test_channel_major_stepper_gives_the_paths_of_the_oracle(
         seed, family, dims, groups, reps, single, ito, n, q, sins, zeros, own_z, threshold,
         slice_values):
     """Every family (the tap and the window included), state and driver
-    dimensions, row groups and replica counts, both schemes, slices of steps
-    down to one: the stepper's paths carry the oracle's bits, signs of zero
+    dimensions, row groups and replica counts, both schemes, trust-region
+    slices down to one step: the stepper's paths carry the oracle's bits, signs of zero
     included, and an explosion names the same group, replica, time and
     magnitude."""
     rng = np.random.default_rng(seed)
@@ -667,24 +667,35 @@ def test_numpy_adds_a_contiguous_block_along_axis_0_row_by_row():
             assert _same_bits(np.add.reduce(block, axis=0, initial=-0.0), rows)
 
 
+@pytest.mark.parametrize("ito", [False, True])
 @pytest.mark.parametrize("channels", [2, 3, 4, 7, 8, 9])
-def test_channel_sums_keep_the_bits_of_numpys_contiguous_reduce(channels):
-    """The stepper sums the b or c channels of a ``(d, cols, groups,
-    replicas)`` column block along axis 1: below 8 channels with one reduce
-    along that axis, from 8 on with the reduce of a channel-last copy.  Both
-    give the bits of the sum over a contiguous channel axis, the layout the
-    stepper had before, -0.0 and rounding-sensitive inputs included."""
+def test_channel_sums_keep_the_bits_of_numpys_contiguous_reduce(channels, ito):
+    """The stepper sums b dW and c dZ over their channels with the bits of
+    the oracle's sum over a contiguous channel axis (numpy pairs partial sums
+    from 8 channels on): driver increments that round differently in another
+    order, and a first step whose every channel is -0.0, whose sum reads
+    +0.0 where sequential adds keep -0.0."""
+    cfg = SolverConfig(n_steps=16, horizon=1.0, explosion_threshold=1e300)
+    ones = [CoeffBlock.build(k, 1, gain_now=0.0, const=1.0) for k in (channels, channels)]
+    drift = CoeffBlock.build(1, 1, gain_now=0.0, const=-0.0)  # x + a stays -0.0: the sum shows
+    spec = CoefficientSpec("no_delay", 1, channels, channels, drift, *ones)
+    eta = constant_initial(-0.0, 0.0, cfg.dt)
     rng = np.random.default_rng(channels)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 3.0, 1e-300])
-    block = rng.choice(pool, size=(2, channels + 2, 3, 5)) * rng.uniform(0.5, 2.0, (2, 1, 3, 5))
-    block[:, :, 0, 0] = -0.0  # every channel -0.0: the sum reads +0.0
-    view = block[:, 1 : 1 + channels]
-    contiguous = np.ascontiguousarray(block.transpose(2, 3, 0, 1))[..., 1 : 1 + channels]
-    expected = contiguous.sum(axis=-1).transpose(2, 0, 1)
-    got = (np.add.reduce(view, 1) if channels < 8
-           else np.add.reduce(np.moveaxis(view, 1, -1).copy(), -1))
-    assert _same_bits(got, expected)
-    assert not np.signbit(got[:, 0, 0]).any()
+    w, z = (rng.choice(pool, size=(3, cfg.n_steps + 1, channels)) for _ in range(2))
+    w[:, :2] = z[:, :2] = np.array([0.0, -0.0])[:, None]  # step 0: every increment -0.0
+    w, z = (GridPath(0.0, cfg.dt, nodes) for nodes in (w, z))
+
+    def solve():
+        if ito:
+            return euler_ito_sdde(spec, eta, w, z, cfg, 4)
+        return euler_mixed_sdde(spec, eta, w, z, cfg)
+
+    with mock.patch.object(solver, "_front", oracle_front):
+        expected = solve()
+    assert _same_bits(solve().values, expected.values)
+    if not ito:
+        assert not np.signbit(expected.values[:, 1]).any()
 
 
 def test_a_delay_block_solve_holds_one_copy_of_its_paths():
