@@ -1,5 +1,7 @@
 import concurrent.futures
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -18,9 +20,11 @@ from hypothesis import strategies as st
 from sddelab.cli import main
 from sddelab import FbmParams, config, drivers, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
+from sddelab.core import CoeffBlock
 from sddelab.drivers import DriverNumericsError
+from sddelab.experiments import ExperimentConfig
 from sddelab.grid import SeedSpec, stack_paths
-from sddelab.solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
+from sddelab.solver import SolverConfig, SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 DATA = Path(__file__).parent / "data"
 
@@ -383,6 +387,52 @@ class TestCliFbmAndFrac:
     def test_subcommand_config_kind_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, self.fbm_doc())
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+_BLOCKS = {
+    name: {"gain_now": [[[gain]]], "gain_delay": [[[0.0]]], "const": [[0.0]],
+           "time_modulation": "none"}
+    for name, gain in (("drift", 0.5), ("diffusion", 0.4), ("zdrive", 0.3))
+}
+GOLDEN_BY_KIND = {  # kind: (document, its resolved record)
+    "solve": (TestCliSolve().solve_doc(), {
+        "kind": "solve",
+        "solve": {"scheme": "euler_mixed", "horizon": 1.0, "n_steps": 128,
+                  "explosion_threshold": 1e8, "mollifier_level": None},
+        "holder": {"gamma": 0.7, "alpha": 0.35, "beta": 1.0, "theta": 0.45, "hurst": 0.75},
+        "coefficients": {
+            "family": "no_delay", "dim": 1, "n_wiener": 1, "n_holder": 1,
+            "tau": 0.0, "delay_span": 0.0, **_BLOCKS,
+            "constants": {"K": 1.2, "K_R": 1.2, "beta": 1.0},
+        },
+        "initial": {"t0": 0.0, "dt": 1.0, "values": [[1.0]], "theta": 0.45},
+        "driver": {"method": "cholesky"},
+        "seed": {"master": 5, "stream": 0},
+    }),
+    "fbm": (TestCliFbmAndFrac().fbm_doc(), {
+        "kind": "fbm",
+        "fbm": {"hurst": 0.75, "n_steps": 64, "horizon": 1.0, "method": "cholesky"},
+        "seed": {"master": 3, "stream": 1},
+    }),
+    "frac": ({"kind": "frac", "frac": {"operation": "norms", "input_csv": "f.csv",
+                                       "alpha": 0.3, "interval": [0, 1]}}, {
+        "kind": "frac",
+        "frac": {"operation": "norms", "input_csv": "f.csv", "alpha": 0.3, "lambda": None,
+                 "mu": None, "interval": [0.0, 1.0], "rule": "left", "delay": None,
+                 "t": None},
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BY_KIND))
+def test_every_run_kind_resolves_to_its_golden_record(kind):
+    """The resolved record of each kind, compared as the JSON bytes a run
+    writes, so an integer where the record holds a float also fails."""
+    doc, golden = GOLDEN_BY_KIND[kind]
+    resolved = parse_config(doc).resolved
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(golden, sort_keys=True)
+    again = parse_config(json.loads(json.dumps(resolved))).resolved
+    assert json.dumps(again, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -860,6 +910,72 @@ def test_a_size_past_numpys_largest_array_names_its_field(tmp_path, field, value
     assert f"constraint violation: {field}:" in out.stderr
     assert "more than numpy can allocate" in out.stderr
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _solve_n_steps(n):
+    return _with(TestCliSolve().solve_doc(), "solve", n_steps=n)
+
+
+def _fbm_n_steps(n, method):
+    return _with(TestCliFbmAndFrac().fbm_doc(), "fbm", n_steps=n, method=method)
+
+
+@pytest.mark.parametrize("subcommand, field, doc", [
+    ("solve", "solve.n_steps", _solve_n_steps(2**62)),
+    ("fbm", "fbm.n_steps", _fbm_n_steps(2**62, "davies_harte")),
+    ("fbm", "fbm.n_steps", _fbm_n_steps(2**62, "cholesky")),
+])
+def test_a_solve_or_fbm_size_past_numpys_largest_array_names_its_field(tmp_path, subcommand,
+                                                                       field, doc):
+    """``solve`` and ``fbm`` count their arrays at load, as an experiment
+    does before its run: the field is named and nothing is allocated."""
+    cfg = write_config(tmp_path, doc)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "sddelab.cli", subcommand, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert f"config constraint violation: {field}:" in out.stderr
+    assert "more than numpy can allocate" in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_solver_explosion_prints_one_line(tmp_path):
+    """An explosion whose path passes 1.3e154 before the check is reported by
+    the program's own line alone, with no numpy overflow warning before it."""
+    doc = _solve_n_steps(128)
+    doc["coefficients"]["drift"]["gain_now"] = 1e5  # threshold: the default 1e8
+    cfg = write_config(tmp_path, doc)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "sddelab.cli", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 4, out.stderr
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert out.stderr.startswith("solver explosion: ")
+
+
+def test_field_tables_restate_the_defaults_of_the_fields_they_feed():
+    """A table default and the default of the domain field it feeds are
+    written twice; they must agree."""
+    experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    build = inspect.signature(CoeffBlock.build).parameters
+    method = config.DRIVER[0]
+    threshold, = [f for f in config.SOLVE if f.key == "explosion_threshold"]
+    stream, = [f for f in config.SEED if f.key == "stream"]
+    pairs = [(f, experiment[f.key]) for f in config.EXPERIMENT + config.CRITERIA
+             if f.default is not config.REQUIRED]
+    pairs += [(f, build[f.key].default) for f in config.BLOCK]
+    pairs += [(method, experiment["driver_method"]), (method, FbmParams.method),
+              (threshold, SolverConfig.explosion_threshold), (stream, SeedSpec.stream_index)]
+    assert len(pairs) == 18
+    for f, default in pairs:
+        assert (type(f.default), f.default) == (type(default), default), f.key
 
 
 def test_an_experiment_rejects_a_stream_other_than_zero(tmp_path, capsys):

@@ -22,6 +22,7 @@ from sddelab.solver import (
     euler_ito_sdde,
     euler_mixed_sdde,
     geometric_closed_form,
+    _clamp,
     _history_values,
     mollify_driver,
 )
@@ -135,6 +136,15 @@ class TestEulerMixed:
         with pytest.raises(SolverExplosionError) as err:
             euler_mixed_sdde(spec, constant_initial(1.0, 0.0, cfg.dt), w, z, cfg)
         assert err.value.magnitude > 100.0
+
+    def test_a_scalar_state_past_1e154_is_measured_as_its_magnitude(self):
+        """sqrt(x^2) overflows past 1.3e154; the trust region reads |x|, so a
+        path that peaks at (1 + 1e4/128)^128 ~ 9.64e242 is inside 1e300."""
+        cfg = SolverConfig(n_steps=128, horizon=1.0, explosion_threshold=1e300)
+        zero = GridPath(0.0, cfg.dt, np.zeros(129))
+        x = euler_mixed_sdde(geometric_spec(1e4, 0.0, 0.0), constant_initial(1.0, 0.0, 1.0),
+                             zero, zero, cfg)
+        assert x.values[-1, 0] == pytest.approx((1 + 1e4 / 128) ** 128, rel=1e-12)
 
     def test_driver_refinement_restriction(self):
         # drivers on a 4x finer grid restrict to the solver grid
@@ -275,6 +285,10 @@ class TestMollifier:
         z = GridPath(0.0, 1 / n, np.full(n + 1, 2.0))
         zn = mollify_driver(z, 1)
         assert zn.values[-1, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_clamp_saturates_a_scalar_past_1e154(self):
+        values = np.array([[1e200], [-1e200], [3.0]])
+        np.testing.assert_array_equal(_clamp(values, 4.0), [[4.0], [-4.0], [3.0]])
 
     def test_grid_too_coarse_rejected(self):
         z = GridPath(0.0, 1 / 8, np.zeros(9))
