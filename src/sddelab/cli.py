@@ -12,8 +12,13 @@ violation (a key, type, choice or range outside the config schema, ``--seed``
 included, a broken rule linking fields, a malformed input CSV, or a level
 schedule the experiment cannot run), with the offending field named on stderr,
 and also a driver covariance that cannot be factored or a size too large to
-allocate, at load (the section named) or at run; 4 solver explosion; 5 I/O
-error.
+allocate, at load (the section or the field named) or at run; 4 solver
+explosion; 5 I/O error.
+
+Every output record that carries the config (``report.json``,
+``solution_meta.json``, ``fbm_path.json``, ``frac_result.json``) is built by
+``_record``: the code version and the resolved config of
+:func:`~sddelab.config.load_config`, then the command's own fields.
 """
 
 from __future__ import annotations
@@ -23,25 +28,20 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, fraccalc
-from .config import (
-    FLAVOR_ALIASES,
-    ConfigError,
-    LoadedConfig,
-    load_config,
-)
+from .config import FLAVOR_ALIASES, ConfigError, LoadedConfig, load_config
 from .core import ParamError
 from .drivers import DriverNumericsError, sample_fbm
 from .experiments import ExperimentConfig, _sample_drivers, run_experiment
 from .grid import GridPath
 from .solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CRITERIA_FAILED = 1
@@ -53,20 +53,13 @@ EXIT_IO = 5
 OUTPUT_DIR_ENV = "SDDELAB_OUT"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand, config path, output and worker flags."""
-
-    subcommand: str
-    config_path: Path
-    output_dir: Path
-    workers: int | None
-    verbose: bool
-    flavor: str | None = None  # the experiment subcommand's flavor alias
-
-
 def _dump_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _record(loaded: LoadedConfig, **fields) -> dict:
+    """An output record: the code version, the resolved config and ``fields``."""
+    return {"code_version": __version__, "config": loaded.resolved, **fields}
 
 
 def _write_csv(path: Path, grid: GridPath, header: str) -> None:
@@ -103,32 +96,21 @@ def _read_csv(path: Path) -> GridPath:
     return GridPath(float(times[0]), float(steps.mean()), values)
 
 
-def _resolve_out(flag: str | None) -> Path:
-    if flag:
-        return Path(flag)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    return Path(env) if env else Path.cwd()
+# each command reads the parsed arguments; ``main`` makes ``config`` and ``out`` paths
 
 
-def _cmd_fbm(loaded: LoadedConfig, run: RunConfig) -> int:
+def _cmd_fbm(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     path = sample_fbm(*loaded.payload)
-    out = run.output_dir
-    _write_csv(out / "fbm_path.csv", path, "time,value")
-    _dump_json(
-        out / "fbm_path.json",
-        {"code_version": __version__, "config": loaded.resolved},
-    )
-    if run.verbose:
-        print(f"wrote {out / 'fbm_path.csv'} ({path.n_points} nodes)")
+    _write_csv(args.out / "fbm_path.csv", path, "time,value")
+    _dump_json(args.out / "fbm_path.json", _record(loaded))
+    if args.verbose:
+        print(f"wrote {args.out / 'fbm_path.csv'} ({path.n_points} nodes)")
     return EXIT_OK
 
 
-def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
+def _cmd_frac(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     f = loaded.payload
-    csv_path = Path(f["input_csv"])
-    if not csv_path.is_absolute():
-        csv_path = run.config_path.parent / csv_path
-    grid = _read_csv(csv_path)
+    grid = _read_csv(args.config.parent / f["input_csv"])  # an absolute path stays as it is
     op = f["operation"]
     alpha = f["alpha"]
     if op in ("gls", "rs", "young_love") and grid.dim != 2:
@@ -148,16 +130,13 @@ def _cmd_frac(loaded: LoadedConfig, run: RunConfig) -> int:
         elif op == "rs":
             result = {"value": fraccalc.riemann_stieltjes_integral(fp, gp, f["rule"])}
         else:
-            result = {
-                "bound": fraccalc.young_love_bound(fp, gp, f["lambda"], f["mu"])
-            }
-    payload = {"code_version": __version__, "config": loaded.resolved, "result": result}
-    _dump_json(run.output_dir / "frac_result.json", payload)
+            result = {"bound": fraccalc.young_love_bound(fp, gp, f["lambda"], f["mu"])}
+    _dump_json(args.out / "frac_result.json", _record(loaded, result=result))
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
+def _cmd_solve(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     scfg, spec, initial, seed, fbm, mollifier = loaded.payload
     started = time.perf_counter()
     scheme = loaded.resolved["solve"]["scheme"]
@@ -167,55 +146,39 @@ def _cmd_solve(loaded: LoadedConfig, run: RunConfig) -> int:
     else:
         path = euler_ito_sdde(spec, initial, w, z, scfg, mollifier.level)
     runtime = time.perf_counter() - started
-    out = run.output_dir
     header = "time," + ",".join(f"v{i + 1}" for i in range(path.dim))
-    _write_csv(out / "solution.csv", path, header)
-    _dump_json(
-        out / "solution_meta.json",
-        {
-            "code_version": __version__,
-            "config": loaded.resolved,
-            "dims": {"d": spec.dim, "m": spec.n_wiener, "l": spec.n_holder},
-            "scheme": scheme,
-            "seed": {"master": seed.master_seed, "stream": seed.stream_index},
-            "runtime_seconds": runtime,
-        },
-    )
-    if run.verbose:
-        print(f"wrote {out / 'solution.csv'} in {runtime:.2f}s")
+    _write_csv(args.out / "solution.csv", path, header)
+    _dump_json(args.out / "solution_meta.json", _record(
+        loaded,
+        dims={"d": spec.dim, "m": spec.n_wiener, "l": spec.n_holder},
+        scheme=scheme,
+        seed={"master": seed.master_seed, "stream": seed.stream_index},
+        runtime_seconds=runtime,
+    ))
+    if args.verbose:
+        print(f"wrote {args.out / 'solution.csv'} in {runtime:.2f}s")
     return EXIT_OK
 
 
-def _cmd_experiment(loaded: LoadedConfig, run: RunConfig) -> int:
+def _cmd_experiment(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     cfg: ExperimentConfig = loaded.payload
-    if run.flavor is not None and FLAVOR_ALIASES[run.flavor] != cfg.kind:
-        raise ConfigError(
-            f"experiment subcommand {run.flavor!r} does not match config flavor "
-            f"{cfg.kind!r}"
-        )
-    if run.workers is not None:
-        cfg = replace(cfg, workers=run.workers)
+    if args.flavor is not None and FLAVOR_ALIASES[args.flavor] != cfg.kind:
+        raise ConfigError(f"experiment subcommand {args.flavor!r} does not match config "
+                          f"flavor {cfg.kind!r}")
+    if args.workers is not None:
+        cfg = replace(cfg, workers=args.workers)
     started = time.perf_counter()
     report = run_experiment(cfg)
     runtime = time.perf_counter() - started
-    out = run.output_dir
-    report_dict = {
-        "code_version": __version__,
-        "config": loaded.resolved,
-        "report": report.to_dict(),
-    }
-    _dump_json(out / "report.json", report_dict)
-    _dump_json(
-        out / "run_meta.json",
-        {"runtime_seconds": runtime, "workers": cfg.workers},
-    )
+    _dump_json(args.out / "report.json", _record(loaded, report=report.to_dict()))
+    _dump_json(args.out / "run_meta.json", {"runtime_seconds": runtime, "workers": cfg.workers})
     if cfg.emit_distances and hasattr(report, "levels"):
         lines = ["level,replica,distance"]
         for lv in report.levels:
             for i, d in enumerate(lv.distances):
                 lines.append(f"{lv.level!r},{i},{d!r}")
-        (out / "distances.csv").write_text("\n".join(lines) + "\n")
-    if run.verbose or not report.passed:
+        (args.out / "distances.csv").write_text("\n".join(lines) + "\n")
+    if args.verbose or not report.passed:
         status = "PASS" if report.passed else "FAIL"
         print(f"{cfg.kind}: {status}")
         for reason in report.reasons:
@@ -252,16 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    run = RunConfig(
-        subcommand=args.subcommand,
-        config_path=Path(args.config),
-        output_dir=_resolve_out(args.out),
-        workers=args.workers,
-        verbose=args.verbose,
-        flavor=getattr(args, "flavor", None),
-    )
+    args.config = Path(args.config)
+    args.out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or Path.cwd())
     try:
-        loaded = load_config(run.config_path, args.seed)
+        loaded = load_config(args.config, args.seed)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -270,10 +227,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONSTRAINT
 
     try:
-        run.output_dir.mkdir(parents=True, exist_ok=True)
-        if loaded.kind != run.subcommand:
-            raise ConfigError(f"subcommand {run.subcommand} got a {loaded.kind!r} config")
-        return _COMMANDS[run.subcommand](loaded, run)
+        args.out.mkdir(parents=True, exist_ok=True)
+        if loaded.kind != args.subcommand:
+            raise ConfigError(f"subcommand {args.subcommand} got a {loaded.kind!r} config")
+        return _COMMANDS[args.subcommand](loaded, args)
     except (ValueError, DriverNumericsError) as exc:  # ConfigError, GridError and the like
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT

@@ -7,12 +7,15 @@ missing-key, type, choice and range checks and the defaults.  Ranges that a
 domain object already enforces (``HolderParams``, ``FbmParams``,
 ``SolverConfig``, ``MollifierParams``, ``ExperimentConfig``) are left to it,
 and a domain error or a size too large to allocate, raised while loading,
-becomes a :class:`ConfigError` that names the section.  The few rules linking
+becomes a :class:`ConfigError` that names the section; a ``solve`` or ``fbm``
+grid past numpy's largest array names ``n_steps``.  The few rules linking
 fields are explicit lines after the read.  The history length r is a key of
 ``initial`` alone, and every solve takes its look-back window from it.
 Nothing physically meaningful (Hurst index, exponents, mesh, taps, Monte
 Carlo size) has a silent default, and every parsed config serializes to a
-canonical dict that round-trips losslessly.
+canonical dict that round-trips losslessly: the resolved record is the values
+read, with the sections each kind builds put over them (the coefficients and
+the history as built, an experiment's levels as floats).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .core import (_MODULATIONS, DELAY_READS, FAMILIES, REACH, CoeffBlock, CoefficientSpec,
                    HolderParams, InitialCondition, constant_initial)
 from .drivers import _METHODS, FbmParams
-from .experiments import EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig
+from .experiments import EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig, _oversized
 from .fraccalc import RS_RULES
 from .grid import GridPath, SeedSpec
 from .solver import SCHEMES, MollifierParams, SolverConfig
@@ -272,7 +275,7 @@ DOCUMENTS = {
 
 
 # --------------------------------------------------------------------------
-# domain objects and the resolved dicts
+# domain objects and the resolved record
 
 
 @dataclass(frozen=True)
@@ -332,9 +335,13 @@ def _block_to_dict(block: CoeffBlock) -> dict:
     return {**arrays, "time_modulation": block.time_modulation}
 
 
+def _seed(v: dict) -> SeedSpec:
+    return _build("seed", SeedSpec, v["seed"]["master"], v["seed"]["stream"])
+
+
 def _model(v: dict, doc: dict) -> tuple:
-    """(holder, spec, initial, seed, method) and their resolved sections: the
-    values read, but the coefficients and the history as built."""
+    """(holder, spec, initial, method) and the sections built: the
+    coefficients with their blocks and closed-form constants, and the history."""
     holder = _build("holder", HolderParams, **v["holder"])
     c = v["coefficients"]
     channels = {"drift": 1, "diffusion": c["n_wiener"], "zdrive": c["n_holder"]}
@@ -342,34 +349,28 @@ def _model(v: dict, doc: dict) -> tuple:
               for name, n in channels.items()}
     spec = _build("coefficients", _spec, c, doc["coefficients"], blocks)
     initial = _build("initial", _initial, v["initial"], doc["initial"])
-    seed = _build("seed", SeedSpec, v["seed"]["master"], v["seed"]["stream"])
-    method = v["driver"]["method"]
     eta = initial.eta
-    resolved = {
-        "holder": v["holder"],
+    built = {
         "coefficients": {
-            **{key: c[key] for key in ("family", "dim", "n_wiener", "n_holder", "tau",
-                                       "delay_span")},
+            **c,
             **{name: _block_to_dict(block) for name, block in blocks.items()},
             "constants": {"K": spec.growth_constant(), "K_R": spec.lipschitz_constant(),
                           "beta": 1.0},
         },
         "initial": {"t0": eta.t0, "dt": eta.dt, "values": eta.values.tolist(),
                     "theta": initial.holder_theta},
-        "driver": v["driver"],
-        "seed": v["seed"],
     }
-    return (holder, spec, initial, seed, method), resolved
+    return (holder, spec, initial, v["driver"]["method"]), built
 
 
-def _parse_fbm(v: dict, doc: dict) -> LoadedConfig:
+def _parse_fbm(v: dict, doc: dict) -> tuple:
     params = _build("fbm", FbmParams, **v["fbm"])
-    seed = _build("seed", SeedSpec, v["seed"]["master"], v["seed"]["stream"])
-    resolved = {"kind": "fbm", "fbm": v["fbm"], "seed": v["seed"]}
-    return LoadedConfig("fbm", (params, seed), resolved)
+    if message := _oversized(params.n_steps, params.method, params.n_steps + 1):
+        raise ConfigError(f"fbm.n_steps: {message}")
+    return (params, _seed(v)), {}
 
 
-def _parse_frac(v: dict, doc: dict) -> LoadedConfig:
+def _parse_frac(v: dict, doc: dict) -> tuple:
     f = v["frac"]
     op = f["operation"]
     if op == "young_love" and (f["lambda"] is None or f["mu"] is None):
@@ -384,25 +385,30 @@ def _parse_frac(v: dict, doc: dict) -> LoadedConfig:
         if len(f["interval"]) != 2:
             raise ConfigError("frac.interval must be a [a, b] pair")
         f["interval"] = [float(x) for x in f["interval"]]
-    return LoadedConfig("frac", f, {"kind": "frac", "frac": f})
+    return f, {}
 
 
-def _parse_solve(v: dict, doc: dict) -> LoadedConfig:
-    (holder, spec, initial, seed, method), resolved = _model(v, doc)
+def _parse_solve(v: dict, doc: dict) -> tuple:
+    (holder, spec, initial, method), built = _model(v, doc)
+    seed = _seed(v)
     s = v["solve"]
     scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], s["explosion_threshold"])
-    _build("solve", initial.steps, scfg.dt)  # the history must land on the grid
+    q = _build("solve", initial.steps, scfg.dt)  # the history must land on the grid
     level = s["mollifier_level"]
     if s["scheme"] == "euler_ito" and level is None:
         raise ConfigError("solve: scheme euler_ito requires mollifier_level")
     mollifier = None if level is None else _build("solve", MollifierParams, level)
     fbm = _build("solve", FbmParams, holder.hurst, scfg.n_steps, scfg.horizon, method)
-    resolved = {"kind": "solve", "solve": s, **resolved}
-    return LoadedConfig("solve", (scfg, spec, initial, seed, fbm, mollifier), resolved)
+    n = scfg.n_steps
+    if message := _oversized(n, method, (n + 1) * max(spec.n_wiener, spec.n_holder),
+                             (q + n + 1) * spec.dim):
+        raise ConfigError(f"solve.n_steps: {message}")
+    return (scfg, spec, initial, seed, fbm, mollifier), built
 
 
-def _parse_experiment(v: dict, doc: dict) -> LoadedConfig:
-    (holder, spec, initial, seed, method), resolved = _model(v, doc)
+def _parse_experiment(v: dict, doc: dict) -> tuple:
+    (holder, spec, initial, method), built = _model(v, doc)
+    seed = _seed(v)
     if seed.stream_index != 0:
         raise ConfigError(f"seed.stream: an experiment's replica r draws from stream r, "
                           f"so it takes stream 0, got {seed.stream_index}")
@@ -412,16 +418,11 @@ def _parse_experiment(v: dict, doc: dict) -> LoadedConfig:
     cfg = _build("experiment", ExperimentConfig, kind=e.pop("flavor"),
                  levels=tuple(e.pop("levels")), spec=spec, params=holder, initial=initial,
                  seed=seed.master_seed, driver_method=method, **e, **v["criteria"])
-    resolved = {
-        "kind": "experiment",
-        "experiment": {"flavor": cfg.kind, "levels": [float(x) for x in cfg.levels], **e},
-        "criteria": v["criteria"],
-        **resolved,
-    }
-    return LoadedConfig("experiment", cfg, resolved)
+    built["experiment"] = {**v["experiment"], "levels": [float(x) for x in cfg.levels]}
+    return cfg, built
 
 
-_PARSERS = {
+_PARSERS = {  # kind: parse(values, doc) -> (payload, the sections built)
     "fbm": _parse_fbm,
     "frac": _parse_frac,
     "solve": _parse_solve,
@@ -436,7 +437,9 @@ def parse_config(doc: dict) -> LoadedConfig:
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _PARSERS:
         raise ConfigError(f"kind must be one of {sorted(_PARSERS)}, got {kind!r}")
-    return _PARSERS[kind](_read(DOCUMENTS[kind], doc), doc)
+    values = _read(DOCUMENTS[kind], doc)
+    payload, built = _PARSERS[kind](values, doc)
+    return LoadedConfig(kind, payload, {**values, **built})
 
 
 def load_config(path: str | Path, seed: int | None = None) -> LoadedConfig:

@@ -544,27 +544,36 @@ def _require_counts(cfg: ExperimentConfig, what: str) -> None:
         )
 
 
-def _check_sizes(cfg: ExperimentConfig) -> None:
-    """Refuse a grid whose arrays numpy cannot allocate, naming the field that
-    sets it.  Counted from the config alone: a block's drivers, the padded
-    Cholesky factor (~n^2/2) and the stepper buffer, ``(q + n + 1)`` nodes of
-    every row, on the driver grid of n steps.  Numpy refuses any array of more
+def _oversized(n: int, method: str, drivers: int, buffer: int = 0) -> str | None:
+    """Why a driver grid of n steps cannot be allocated, or None: counted
+    from ``drivers`` and ``buffer`` (stepper) values and the ``method``'s
+    sampler before anything is allocated.  Numpy refuses any array of more
     than ``intp`` max / 8 float64 values on every machine."""
-    n, spec = _driver_steps(cfg), cfg.spec
-    replicas, pad = _block_size(cfg, 1), -(-n // _PAD) * _PAD
+    pad = -(-n // _PAD) * _PAD
     sizes = {
-        "a block's driver grid": replicas * (n + 1) * max(spec.n_wiener, spec.n_holder),
-        "the Cholesky factor": pad * pad // 2 if cfg.driver_method == "cholesky" else 0,
-        "the stepper buffer": (round(cfg.initial.r * n / cfg.horizon) + n + 1)
-        * replicas * (len(cfg.levels) + 1) * spec.dim,
+        "the drivers": drivers,
+        "the Cholesky factor": pad * pad // 2 if method == "cholesky" else 0,
+        "the circulant embedding": 4 * n if method == "davies_harte" else 0,
+        "the stepper buffer": buffer,
     }
     for what, values in sizes.items():
         if values > np.iinfo(np.intp).max // 8:
-            field = "levels" if cfg.kind == "euler_refinement" else "n_steps"
-            raise ExperimentError(
-                f"experiment.{field}: a driver grid of {n} steps needs {what} of {values:.3g} "
-                "values, more than numpy can allocate"
-            )
+            return (f"a driver grid of {n} steps does not fit in memory: {what} would "
+                    f"take {values * 8 / 2**50:.3g} PiB, more than numpy can allocate")
+    return None
+
+
+def _check_sizes(cfg: ExperimentConfig) -> None:
+    """Refuse a grid whose arrays numpy cannot allocate, naming the field that
+    sets it: a block's drivers and its stepper buffer, ``(q + n + 1)`` nodes
+    of every row, on the driver grid of n steps."""
+    n, spec, replicas = _driver_steps(cfg), cfg.spec, _block_size(cfg, 1)
+    if message := _oversized(n, cfg.driver_method,
+                             replicas * (n + 1) * max(spec.n_wiener, spec.n_holder),
+                             (round(cfg.initial.r * n / cfg.horizon) + n + 1)
+                             * replicas * (len(cfg.levels) + 1) * spec.dim):
+        field = "levels" if cfg.kind == "euler_refinement" else "n_steps"
+        raise ExperimentError(f"experiment.{field}: {message}")
 
 
 def _check_coeff(cfg: ExperimentConfig) -> None:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DELAY_READS, CoefficientSpec, InitialCondition, eval_coefficient
+from .fraccalc import _mags
 from .grid import GridError, GridPath, grid_steps, refinement, same_time
 
 __all__ = [
@@ -343,7 +344,8 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
     hit, size = (groups,), max(1, _SLICE // buf[0].size)  # hit: (group, step, row, magnitude)
     for lo in range(q + 1, q + n + 1, size):  # node-major slices, as norm(axis=-1) reads them
         nodes = np.ascontiguousarray(np.moveaxis(buf[lo : lo + size], 1, -1))
-        mags = np.linalg.norm(nodes, axis=-1)
+        with np.errstate(over="ignore"):  # |x| at d = 1; a norm past 1.3e154 reads inf
+            mags = _mags(nodes)
         over = ~(mags <= cfg.explosion_threshold)
         g = int(over.any(axis=(0, 2)).argmax()) if over.any() else groups
         if g < hit[0]:  # a later slice can only name a lower group
@@ -455,8 +457,7 @@ def geometric_closed_form(
 
 
 def _clamp(values: np.ndarray, level: float) -> np.ndarray:
-    mags = np.linalg.norm(values, axis=-1, keepdims=True)
-    return values * (level / np.maximum(mags, level))
+    return values * (level / np.maximum(_mags(values)[..., None], level))
 
 
 def _interpolate(path: GridPath, s):

@@ -924,6 +924,8 @@ def _fbm_n_steps(n, method):
     ("solve", "solve.n_steps", _solve_n_steps(2**62)),
     ("fbm", "fbm.n_steps", _fbm_n_steps(2**62, "davies_harte")),
     ("fbm", "fbm.n_steps", _fbm_n_steps(2**62, "cholesky")),
+    # 2n complex values: past numpy's largest array while n + 1 values are not
+    ("fbm", "fbm.n_steps", _fbm_n_steps(2**59, "davies_harte")),
 ])
 def test_a_solve_or_fbm_size_past_numpys_largest_array_names_its_field(tmp_path, subcommand,
                                                                        field, doc):
