@@ -89,6 +89,13 @@ def _scalar_grid(path: GridPath) -> GridPath:
     return path
 
 
+def _pair(f: GridPath, g: GridPath) -> tuple[GridPath, GridPath]:
+    """f and g, each of two points at least, on one common grid."""
+    if not _scalar_grid(f).same_grid(_scalar_grid(g)):
+        raise GridError("f and g must live on a common grid")
+    return f, g
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) + len(b) > _FFT_THRESHOLD:
         from scipy import signal  # heavy import, needed only above the threshold
@@ -216,10 +223,7 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     from scipy import special
 
     _check_alpha(alpha)
-    pf = _scalar_grid(f)
-    pg = _scalar_grid(g)
-    if not pf.same_grid(pg):
-        raise GridError("f and g must live on a common grid")
+    pf, pg = _pair(f, g)
     fv = pf.scalar_values()
     gv = pg.scalar_values()
     n = pf.n_points - 1
@@ -266,10 +270,7 @@ def riemann_stieltjes_integral(f: GridPath, g: GridPath, rule: str = "left") -> 
     """
     if rule not in RS_RULES:
         raise ValueError(f"rule must be 'left' or 'midpoint', got {rule!r}")
-    pf = _scalar_grid(f)
-    pg = _scalar_grid(g)
-    if not pf.same_grid(pg):
-        raise GridError("f and g must live on a common grid")
+    pf, pg = _pair(f, g)
     fv = pf.scalar_values()
     dg = np.diff(pg.scalar_values())
     weights = fv[:-1] if rule == "left" else 0.5 * (fv[:-1] + fv[1:])
@@ -285,10 +286,7 @@ def young_love_bound(f: GridPath, g: GridPath, lam: float, mu: float) -> float:
     """
     if lam + mu <= 1.0:
         raise ValueError(f"need lambda + mu > 1, got {lam} + {mu}")
-    pf = _scalar_grid(f)
-    pg = _scalar_grid(g)
-    if not pf.same_grid(pg):
-        raise GridError("f and g must live on a common grid")
+    pf, pg = _pair(f, g)
     length = (pf.n_points - 1) * pf.dt
     c = 1.0 / (1.0 - 2.0 ** (1.0 - lam - mu))
     sup_f = float(np.max(np.abs(pf.scalar_values())))
@@ -298,8 +296,18 @@ def young_love_bound(f: GridPath, g: GridPath, lam: float, mu: float) -> float:
 
 
 def _mags(values: np.ndarray) -> np.ndarray:
-    """Pointwise magnitudes of an (..., n, d) value array: |.| or the Euclidean norm."""
-    return np.abs(values[..., 0]) if values.shape[-1] == 1 else np.linalg.norm(values, axis=-1)
+    """Pointwise magnitudes of an (..., n, d) value array: |.| or the Euclidean
+    norm.  Where the norm squares a finite node past the float range (from
+    about 1.3e154) it is taken again scaled by the largest component."""
+    if values.shape[-1] == 1:
+        return np.abs(values[..., 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.linalg.norm(values, axis=-1)
+        if np.isinf(mags).any():
+            top = np.abs(values).max(axis=-1)
+            scaled = top * np.linalg.norm(values / top[..., None], axis=-1)
+            mags = np.where(np.isinf(mags) & np.isfinite(top), scaled, mags)
+    return mags
 
 
 def _gaps(values: np.ndarray, max_lag: int):

@@ -121,9 +121,6 @@ class GridPath:
             raise GridError(f"time {t} outside [{self.t0}, {self.end_time}]")
         return k
 
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[..., self.index_of(t), :]
-
     def restrict(self, step: int) -> "GridPath":
         """Keep every ``step``-th node; the coupling device for dyadic grids."""
         if step < 1 or (self.n_points - 1) % step != 0:

@@ -5,7 +5,8 @@ coefficient evaluation for both noise terms: the Wiener increment enters in
 the Ito sense, the rough-driver increment as a left-point Young sum.  The
 raw increment of Z is used directly; the mollified driver Z^N exists only to
 re-express the equation as an Ito equation with random drift, which
-``euler_ito_sdde`` integrates.
+``euler_ito_sdde`` integrates.  Its dZ^N/dt is :meth:`MollifiedDrift.zdot`,
+and :func:`mollify_driver` integrates the same interpolant into Z^N.
 
 Both schemes take the same inputs (the Ito scheme also the mollifier level)
 and run on one stepper.  :class:`SolverConfig` holds only the grid and the
@@ -343,9 +344,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
                 np.subtract(win, ring[(q + k - span) % (span + 1)], win)
     hit, size = (groups,), max(1, _SLICE // buf[0].size)  # hit: (group, step, row, magnitude)
     for lo in range(q + 1, q + n + 1, size):  # node-major slices, as norm(axis=-1) reads them
-        nodes = np.ascontiguousarray(np.moveaxis(buf[lo : lo + size], 1, -1))
-        with np.errstate(over="ignore"):  # |x| at d = 1; a norm past 1.3e154 reads inf
-            mags = _mags(nodes)
+        mags = _mags(np.ascontiguousarray(np.moveaxis(buf[lo : lo + size], 1, -1)))
         over = ~(mags <= cfg.explosion_threshold)
         g = int(over.any(axis=(0, 2)).argmax()) if over.any() else groups
         if g < hit[0]:  # a later slice can only name a lower group
@@ -384,7 +383,8 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
         # dZ^N/dt is tabulated from Z on its own grid
-        third = _zdot(z, MollifierParams(lvl), times) if ito else np.diff(aligned.values, axis=-2)
+        third = (MollifiedDrift(head, z, lvl).zdot(times) if ito
+                 else np.diff(aligned.values, axis=-2))
         thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder).transpose(1, 2, 0))
     paths = _solve(specs, etas, cfg, w, thirds, ito)
     return tuple(paths) if grouped else paths[0]
@@ -477,11 +477,12 @@ def _interpolate(path: GridPath, s):
 def mollify_driver(Z: GridPath, level: int) -> GridPath:
     """Moving window average of the norm-clamped driver.
 
-    ``Z^N(t) = N * integral over [t - 1/N, t] of h(s) ds`` on the grid of Z,
-    with h the linear interpolant of the clamped nodes ``clamp_N Z(t_k)`` and
-    ``h(s) = h(0)`` for s < 0, so ``Z^N(0) = clamp_N Z(0)``; the window
-    boundary is an exact fractional first cell.  The output is absolutely
-    continuous (Lipschitz) and converges to Z uniformly as the level grows.
+    ``Z^N(t) = N (H(t) - H(t - 1/N))`` on the grid of Z, with H the integral
+    of h, the interpolant :meth:`MollifiedDrift.zdot` reads, and ``h(s) =
+    h(0)`` for s < 0, so ``Z^N(0) = clamp_N Z(0)``.  H(s) is the trapezoid sum
+    up to the node t_j at or before s plus ``(s - t_j) (h_j + h(s)) / 2``, and
+    ``s h(0)`` for s <= 0.  The output is Lipschitz and converges to Z
+    uniformly as the level grows.
     """
     params = MollifierParams(level)
     if not same_time(Z.t0, 0.0):
@@ -491,33 +492,14 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
             f"grid step {Z.dt} too coarse for mollifier level {level}: "
             f"need dt <= {params.max_dt}"
         )
-    n = Z.n_points - 1
-    dt = Z.dt
-    h = _clamp(Z.values, float(level))
-    cum = np.vstack(
-        [np.zeros((1, Z.dim)), np.cumsum(0.5 * (h[:-1] + h[1:]) * dt, axis=0)]
-    )
-    k = np.arange(n + 1)
-    s0 = k * dt - params.window
-    out = np.empty_like(h)
-    inside = s0 <= 0.0
-    out[inside] = cum[k[inside]] - s0[inside, None] * h[0]
-    if np.any(~inside):
-        kk = k[~inside]
-        j0 = np.floor(s0[~inside] / dt).astype(int)
-        theta = s0[~inside] / dt - j0
-        h_s0 = h[j0] + theta[:, None] * (h[j0 + 1] - h[j0])
-        partial = 0.5 * (h_s0 + h[j0 + 1]) * ((j0 + 1) * dt - s0[~inside])[:, None]
-        out[~inside] = partial + cum[kk] - cum[j0 + 1]
-    return GridPath(0.0, dt, float(level) * out)
-
-
-def _zdot(Z: GridPath, params: MollifierParams, t):
-    """dZ^N/dt of :func:`mollify_driver` at the time(s) ``t``: ``N (h(t) -
-    h(max(t - 1/N, 0)))``, h the linear interpolant of ``clamp_N Z(t_k)``."""
-    lvl = float(params.level)
-    h = GridPath(Z.t0, Z.dt, _clamp(Z.values, lvl))
-    return lvl * (_interpolate(h, t) - _interpolate(h, np.maximum(t - params.window, 0.0)))
+    h = GridPath(0.0, Z.dt, _clamp(Z.values, float(level)))
+    cells = np.vstack([np.zeros((1, Z.dim)), 0.5 * (h.values[:-1] + h.values[1:]) * Z.dt])
+    cum, s = np.cumsum(cells, axis=0), Z.times - params.window  # H at the nodes, t_k - 1/N
+    past = np.maximum(s, 0.0)
+    j = np.floor(past / Z.dt).astype(int)
+    start = (cum[j] + ((past - j * Z.dt) / 2)[:, None] * (h.values[j] + _interpolate(h, past))
+             + np.minimum(s, 0.0)[:, None] * h.values[0])  # H(t_k - 1/N)
+    return GridPath(0.0, Z.dt, float(level) * (cum - start))
 
 
 class MollifiedDrift:
@@ -526,7 +508,8 @@ class MollifiedDrift:
     This is the coefficient that turns the mixed equation into an Ito delay
     equation: the derivative of the mollified driver is
     ``N (h(t) - h(max(t - 1/N, 0)))``, with h the linear interpolant of the
-    clamped nodes ``clamp_N Z(t_k)``.
+    clamped nodes ``clamp_N Z(t_k)``; the Ito scheme tabulates :meth:`zdot`,
+    and :func:`mollify_driver` integrates the same h.
     """
 
     def __init__(self, spec: CoefficientSpec, Z: GridPath, level: int):
@@ -538,7 +521,9 @@ class MollifiedDrift:
         """dZ^N/dt at one time, ``(l,)``, or at an array of times,
         ``(len(t), l)``; a replica block adds a leading replica axis.  The
         value at time t reads the driver at nodes at or before t only."""
-        return _zdot(self.driver, self.level, t)
+        lvl = float(self.level.level)
+        h = GridPath(self.driver.t0, self.driver.dt, _clamp(self.driver.values, lvl))
+        return lvl * (_interpolate(h, t) - _interpolate(h, np.maximum(t - self.level.window, 0.0)))
 
     def __call__(self, t: float, psi) -> np.ndarray:
         a = eval_coefficient(self.spec, "a", t, psi)

@@ -18,11 +18,10 @@ from sddelab.core import (
     eval_coefficient,
     segment_at,
 )
-from sddelab.grid import GridError, refinement
+from sddelab.grid import GridError, refinement, same_time
 from sddelab.solver import (
     MollifierParams,
     _row_groups,
-    _zdot,
     SolverConfig,
     SolverExplosionError,
     _align_driver,
@@ -150,6 +149,58 @@ class GuardedMollifiedDrift:
         a = eval_coefficient(self.spec, "a", t, psi)
         c = eval_coefficient(self.spec, "c", t, psi)
         return a + (c * self.zdot(t)).sum(axis=-1)
+
+
+# --------------------------------------------------------------------------
+# Oracles of the mollified driver: dZ^N/dt as the Ito stepper tabulated it
+# before :meth:`MollifiedDrift.zdot` became its only definition, and Z^N with
+# its own interpolation of the window's first cell.
+
+
+def oracle_zdot(Z: GridPath, params: MollifierParams, t):
+    """dZ^N/dt of :func:`mollify_driver` at the time(s) ``t``: ``N (h(t) -
+    h(max(t - 1/N, 0)))``, h the linear interpolant of ``clamp_N Z(t_k)``."""
+    lvl = float(params.level)
+    h = GridPath(Z.t0, Z.dt, _clamp(Z.values, lvl))
+    return lvl * (_interpolate(h, t) - _interpolate(h, np.maximum(t - params.window, 0.0)))
+
+
+def oracle_mollify_driver(Z: GridPath, level: int) -> GridPath:
+    """Moving window average of the norm-clamped driver.
+
+    ``Z^N(t) = N * integral over [t - 1/N, t] of h(s) ds`` on the grid of Z,
+    with h the linear interpolant of the clamped nodes ``clamp_N Z(t_k)`` and
+    ``h(s) = h(0)`` for s < 0, so ``Z^N(0) = clamp_N Z(0)``; the window
+    boundary is an exact fractional first cell.  The output is absolutely
+    continuous (Lipschitz) and converges to Z uniformly as the level grows.
+    """
+    params = MollifierParams(level)
+    if not same_time(Z.t0, 0.0):
+        raise GridError("driver must start at time 0")
+    if not params.resolves(Z.dt):
+        raise GridError(
+            f"grid step {Z.dt} too coarse for mollifier level {level}: "
+            f"need dt <= {params.max_dt}"
+        )
+    n = Z.n_points - 1
+    dt = Z.dt
+    h = _clamp(Z.values, float(level))
+    cum = np.vstack(
+        [np.zeros((1, Z.dim)), np.cumsum(0.5 * (h[:-1] + h[1:]) * dt, axis=0)]
+    )
+    k = np.arange(n + 1)
+    s0 = k * dt - params.window
+    out = np.empty_like(h)
+    inside = s0 <= 0.0
+    out[inside] = cum[k[inside]] - s0[inside, None] * h[0]
+    if np.any(~inside):
+        kk = k[~inside]
+        j0 = np.floor(s0[~inside] / dt).astype(int)
+        theta = s0[~inside] / dt - j0
+        h_s0 = h[j0] + theta[:, None] * (h[j0 + 1] - h[j0])
+        partial = 0.5 * (h_s0 + h[j0 + 1]) * ((j0 + 1) * dt - s0[~inside])[:, None]
+        out[~inside] = partial + cum[kk] - cum[j0 + 1]
+    return GridPath(0.0, dt, float(level) * out)
 
 
 def coefficient(spec, which: str):
@@ -559,7 +610,8 @@ def oracle_front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPat
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
         # dZ^N/dt is tabulated from Z on its own grid
-        third = _zdot(z, MollifierParams(lvl), times) if ito else np.diff(aligned.values, axis=-2)
+        third = (oracle_zdot(z, MollifierParams(lvl), times) if ito
+                 else np.diff(aligned.values, axis=-2))
         thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder))
     paths = oracle_solve(specs, etas, cfg, w, 1.0 if ito else cfg.dt, thirds, ito)
     return tuple(paths) if grouped else paths[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,23 @@ class TestFamilyValidation:
                 CoeffBlock.build(1, 1, gain_delay=1.0),
                 CoeffBlock.build(1, 1),
                 CoeffBlock.build(1, 1),
+            )
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(gain_now=np.ones((2, 2, 2))), "gain must have shape (1, 2, 2), got (2, 2, 2)"),
+        (dict(gain_delay=np.ones((1, 3, 3))), "gain must have shape (1, 2, 2), got (1, 3, 3)"),
+        (dict(const=np.ones(3)), "const must have shape (1, 2), got (3,)"),
+        (dict(time_modulation="cos"), "time_modulation must be one of ('none', 'sin')"),
+    ])
+    def test_block_build_checks_its_shapes_and_modulation(self, kwargs, message):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            CoeffBlock.build(1, 2, **kwargs)
+
+    def test_spec_checks_the_channel_count_of_each_block(self):
+        with pytest.raises(ParamError, match="^diffusion block has 1 channels, expected 2$"):
+            CoefficientSpec(
+                "no_delay", 1, 2, 1,
+                CoeffBlock.build(1, 1), CoeffBlock.build(1, 1), CoeffBlock.build(1, 1),
             )
 
     def test_geometric_constants(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -124,6 +126,18 @@ class TestConfigInvariants:
     def test_unknown_kind(self):
         with pytest.raises(ExperimentError):
             make_config("bifurcation")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("horizon", 0.0, "horizon must be positive, got 0.0"),
+        ("horizon", -1.0, "horizon must be positive, got -1.0"),
+        ("levels", (), "need at least one level"),
+        ("perturbation", "shear", "unknown perturbation 'shear'"),
+        ("reference", "oracle", "unknown reference 'oracle'"),
+        ("workers", 0, "workers must be positive"),
+    ])
+    def test_fields_checked_when_built_directly(self, field, value, message):
+        with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+            make_config("euler_refinement", **{field: value})
 
 
 class TestCoefficientConvergence:

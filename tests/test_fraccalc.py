@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from sddelab import (
@@ -219,6 +222,50 @@ class TestYoungLove:
         f = grid_fn(lambda t: t, 0, 1, 8)
         with pytest.raises(ValueError):
             young_love_bound(f, f, 0.4, 0.5)
+
+
+PAIR_FUNCTIONS = {
+    "gls": lambda f, g: gls_integral(f, g, 0.3),
+    "rs": riemann_stieltjes_integral,
+    "young_love": lambda f, g: young_love_bound(f, g, 0.9, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS))
+def test_pair_functions_refuse_two_grids_and_a_single_point(name):
+    """Each function of a pair (f, g) asks two points at least and one grid."""
+    call = PAIR_FUNCTIONS[name]
+    f = grid_fn(lambda t: t, 0, 1, 8)
+    with pytest.raises(GridError, match="^f and g must live on a common grid$"):
+        call(f, grid_fn(lambda t: t, 0, 1, 16))
+    point = GridPath(0.0, 0.125, np.ones(1))
+    with pytest.raises(GridError, match="^need at least two grid points$"):
+        call(point, f)
+    with pytest.raises(GridError, match="^need at least two grid points$"):
+        call(f, point)
+
+
+_COMPONENTS = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0),
+) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda d: st.lists(st.lists(_COMPONENTS, min_size=d, max_size=d), min_size=1, max_size=6)))
+def test_vector_magnitudes_keep_the_norms_bits_and_scale_past_its_overflow(rows):
+    """d = 2, 3 with components from 1e-300 to 1e300: wherever
+    ``np.linalg.norm`` is finite, ``_mags`` has its bits; where it overflows,
+    ``_mags`` is the finite Euclidean length (``math.hypot``)."""
+    values = np.array(rows)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(values, axis=-1)
+    mags = fraccalc._mags(values)
+    finite = np.isfinite(norms)
+    assert np.array_equal(mags[finite], norms[finite])
+    for row, mag in zip(values[~finite], mags[~finite]):
+        assert mag == pytest.approx(math.hypot(*row), rel=1e-15)
 
 
 class TestFractionalNorms:

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sddelab import FbmParams, GridPath, SeedSpec, sample_fbm, sample_wiener
+from sddelab import FbmParams, GridPath, SeedSpec, sample_fbm, sample_wiener, solver
 from sddelab.core import (
     CoeffBlock,
     CoefficientSpec,
@@ -35,6 +37,8 @@ from helpers import (
     coefficient,
     mollified_ito_oracle,
     nesting_history_values,
+    oracle_mollify_driver,
+    oracle_zdot,
     window_spec,
 )
 
@@ -253,6 +257,12 @@ class TestGeometricClosedForm:
         se = ends.std(ddof=1) / np.sqrt(m)
         assert abs(ends.mean() - np.exp(a)) < 3 * se
 
+    def test_drivers_on_two_grids_rejected(self):
+        w, _ = drivers(32)
+        _, z = drivers(64)
+        with pytest.raises(GridError, match="^W and Z must live on a common grid$"):
+            geometric_closed_form(0.5, 0.4, 0.3, 1.0, w, z)
+
     def test_pure_rough_substitution(self):
         _, z = drivers(64, seed=3)
         w = GridPath(0.0, z.dt, np.zeros(z.n_points))
@@ -289,6 +299,17 @@ class TestMollifier:
     def test_clamp_saturates_a_scalar_past_1e154(self):
         values = np.array([[1e200], [-1e200], [3.0]])
         np.testing.assert_array_equal(_clamp(values, 4.0), [[4.0], [-4.0], [3.0]])
+
+    def test_clamp_saturates_a_vector_past_1e154(self):
+        """The norm of a d > 1 node past 1.3e154 squares past the float range;
+        the clamp still scales it to the level."""
+        values = np.array([[1e200, 0.0], [0.0, -3e250], [3e-200, 4e-200]])
+        np.testing.assert_array_equal(_clamp(values, 4.0), [[4.0, 0.0], [0.0, -4.0],
+                                                            [3e-200, 4e-200]])
+
+    def test_driver_must_start_at_time_0(self):
+        with pytest.raises(GridError, match="^driver must start at time 0$"):
+            mollify_driver(GridPath(0.5, 1 / 64, np.zeros(65)), 4)
 
     def test_grid_too_coarse_rejected(self):
         z = GridPath(0.0, 1 / 8, np.zeros(9))
@@ -667,3 +688,113 @@ def test_any_history_is_read_through_its_linear_interpolant(r, n, q, d, constant
                                        rtol=0, atol=1e-12)
     fine = _history_values(eta, m * q)[::m]
     assert np.array_equal(fine, new) and np.array_equal(np.signbit(fine), np.signbit(new))
+
+
+# --------------------------------------------------------------------------
+# the mollified driver against the rules it had before MollifiedDrift.zdot
+# became the one definition of dZ^N/dt
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    level=st.integers(1, 100),
+    fine=st.integers(1, 3),
+    extra=st.integers(0, 40),
+    reps=st.sampled_from([None, 1, 3]),
+    channels=st.integers(1, 2),
+    start=st.sampled_from([0.0, 0.5, -3.0, 250.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_zdot_and_the_ito_column_carry_the_bits_of_the_oracle(level, fine, extra, reps,
+                                                               channels, start, seed):
+    """``MollifiedDrift.zdot`` at the step times, at random times and at one
+    time, and the third column the Ito scheme hands its stepper, equal the
+    oracle's dZ^N/dt bit for bit: levels 1 to 100, a driver on the solver grid
+    or up to three times finer, single paths and replica blocks, drivers that
+    start off zero and move past the clamp."""
+    rng = np.random.default_rng(seed)
+    n = 4 * level + extra
+    cfg = SolverConfig(n_steps=n, horizon=1.0)
+    lead = () if reps is None else (reps,)
+    walk = np.cumsum(rng.standard_normal(lead + (fine * n + 1, channels)), axis=-2)
+    walk -= walk[..., :1, :]
+    z = GridPath(0.0, cfg.dt / fine, start + walk * (3.0 * level / np.abs(walk).max(initial=1.0)))
+    params, times = MollifierParams(level), cfg.dt * np.arange(n)
+    zero = CoeffBlock.build(1, 1)
+    spec = CoefficientSpec("no_delay", 1, 1, channels, zero, zero, CoeffBlock.build(channels, 1))
+    drift = MollifiedDrift(spec, z, level)
+    for t in (times, rng.uniform(0.0, 1.0, 17), float(rng.uniform(0.0, 1.0))):
+        assert np.array_equal(drift.zdot(t), oracle_zdot(z, params, t))
+    w = GridPath(0.0, cfg.dt, np.zeros(lead + (n + 1, 1)))
+    with mock.patch.object(solver, "_solve") as solve:
+        euler_ito_sdde(spec, constant_initial(1.0, 0.0, cfg.dt), w, z, cfg, level)
+    (third,) = solve.call_args.args[4]
+    expected = oracle_zdot(z, params, times).reshape(-1, n, channels).transpose(1, 2, 0)
+    assert np.array_equal(third, expected)
+
+
+# |Z^N - oracle| <= MOLLIFY_BAND * N * max|clamp_N Z| on every node.  4000
+# random draws of the test's inputs read at most 4.2e-16 (and kept the bits of
+# 56% of the values): the band is about 10 times that.
+MOLLIFY_BAND = 4e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    level=st.integers(3, 100),
+    fine=st.integers(1, 4),
+    extra=st.integers(0, 30),
+    dim=st.integers(1, 2),
+    scale=st.sampled_from([1.0, 20.0, 400.0]),
+    start=st.sampled_from([0.0, 0.7, -2.5]),
+)
+def test_mollify_driver_agrees_with_its_oracle_within_the_band(seed, level, fine, extra, dim,
+                                                               scale, start):
+    """Z^N of scaled fBm paths that start off zero, at levels 3 to 100, on
+    grids of the coarsest resolving step or finer: within the band of the
+    oracle, which integrates its own interpolant of the window's first cell.
+    A start off zero makes the window's part before time 0 count."""
+    params = FbmParams(0.75, fine * 4 * level + extra, 1.0, "davies_harte")
+    paths = sample_fbm(params, [SeedSpec(seed, k) for k in range(dim)]).values[..., 0].T
+    z = GridPath(0.0, 1.0 / level / 4.0 / fine, start + scale * paths)
+    got, want = mollify_driver(z, level).values, oracle_mollify_driver(z, level).values
+    bound = MOLLIFY_BAND * level * np.abs(_clamp(z.values, float(level))).max()
+    assert np.abs(got - want).max() <= bound
+
+
+def _plane_spec(gain: float) -> CoefficientSpec:
+    """d = 2 with drift ``gain x`` and no noise terms."""
+    zero = CoeffBlock.build(1, 2)
+    return CoefficientSpec("no_delay", 2, 1, 1, CoeffBlock.build(1, 2, gain_now=gain), zero, zero)
+
+
+def test_a_vector_state_past_1e154_stays_inside_a_wide_trust_region():
+    """|x| of a d = 2 state near 1.4e200 is finite, so a trust region of
+    1e300 holds the path; past a region of 1e200 the explosion reports the
+    finite magnitude."""
+    cfg = SolverConfig(n_steps=8, horizon=1.0, explosion_threshold=1e300)
+    eta = constant_initial(np.array([1e200, -1e200]), 0.0, cfg.dt)
+    w, z = drivers(8)
+    x = euler_mixed_sdde(_plane_spec(0.5), eta, w, z, cfg)
+    assert x.values[-1, 0] == -x.values[-1, 1] > 1e200 and np.isfinite(x.values).all()
+    narrow = SolverConfig(n_steps=8, horizon=1.0, explosion_threshold=1.5e200)
+    with pytest.raises(SolverExplosionError) as err:
+        euler_mixed_sdde(_plane_spec(0.5), eta, w, z, narrow)
+    assert err.value.time > 0.0
+    assert 1.5e200 < err.value.magnitude == pytest.approx(
+        np.hypot(*x.values[round(err.value.time / cfg.dt)]), rel=1e-15)
+
+
+def test_row_groups_must_share_dimensions_and_the_kind_of_delay_read():
+    cfg = SolverConfig(n_steps=16, horizon=1.0)
+    w, z = drivers(16)
+    eta = constant_initial(1.0, 0.5, cfg.dt)
+    zero = CoeffBlock.build(1, 1)
+    two_rough = CoefficientSpec("no_delay", 1, 1, 2, zero, zero, CoeffBlock.build(2, 1))
+    with pytest.raises(GridError, match="^row groups must share the state and driver "
+                                        "dimensions$"):
+        euler_mixed_sdde([geometric_spec(0.5, 0.4, 0.3), two_rough], eta, w, z, cfg)
+    tap = pointwise_delay_spec(0.3, 0.3, 0.1, 0.2, 0.0, 0.0, tau=0.25)
+    with pytest.raises(GridError, match="^row groups must share the kind of delay read$"):
+        euler_mixed_sdde([tap, window_spec(0.25)], eta, w, z, cfg)
