@@ -103,7 +103,7 @@ def _as_gain(x, channels: int, dim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         arr = arr * np.eye(dim)[None, :, :] * np.ones((channels, 1, 1))
-    elif arr.ndim == 2:
+    elif arr.shape == (dim, dim):
         arr = np.broadcast_to(arr, (channels, dim, dim)).copy()
     if arr.shape != (channels, dim, dim):
         raise ParamError(f"gain must have shape ({channels}, {dim}, {dim}), got {arr.shape}")

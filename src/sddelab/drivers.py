@@ -147,7 +147,7 @@ def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
         for i in range(k // _PANEL, len(panels)):
             lo = max(k, edges[i])
             panels[i][lo - edges[i] :, k] = a[lo - k : edges[i + 1] - k]
-    if not np.isfinite(buf).all():
+    if not all(np.isfinite(panel).all() for panel in panels):  # one panel's mask at a time
         raise DriverNumericsError("the Schur recursion produced non-finite entries")
     return panels
 

@@ -14,8 +14,12 @@ replica, and a ``reduce`` that turns the rows of all replicas into a report.
 and a replica's drivers and rows do not depend on the block they are drawn
 and solved in, so blocks follow the number of processes and the rows are
 reduced in replica order: the same configuration produces identical reports
-for any worker count.  The parent process draws the drivers of every block,
-so the fBm factor is built once per run.  The blocks run in rounds of P
+for any worker count.  P, the number of processes, is ``workers`` capped by
+the usable CPUs, the blocks and the run's work: a run forks one more process
+only for every ``_WORK_PER_PROCESS`` of stepper and norm work it counts from
+its config, so a small run stays in one process and imports no pool.  The
+parent process draws the drivers of every block, so the fBm factor is built
+once per run.  The blocks run in rounds of P
 processes, P - 1 forked workers and the parent solving one each, so at most
 P drawn blocks are unsolved, and the error of the lowest failing block is
 raised, from its draw or its solve.  A level study solves the reference and
@@ -438,6 +442,9 @@ def _block_quasi(cfg: ExperimentConfig, w: GridPath, z1: GridPath) -> np.ndarray
 # most: together they bound the memory of one block's solve.
 _BLOCK_REPLICAS = 50
 _BLOCK_ROWS = 450
+# The work of :func:`_run_work`, in row-steps, that one more process must get
+# to repay its start; alternating 1- and 2-worker runs set it (CHANGES.md).
+_WORK_PER_PROCESS = 3_000_000
 
 
 def _usable_cpus() -> int:
@@ -477,6 +484,14 @@ def _block_size(cfg: ExperimentConfig, workers: int) -> int:
                -(-cfg.replicas // workers))
 
 
+def _processes(cfg: ExperimentConfig) -> int:
+    """P, the processes of a run: ``workers``, capped by the usable CPUs, by
+    one per ``_WORK_PER_PROCESS`` of :func:`_run_work` (at least one) and by
+    the blocks that P processes split the replicas into."""
+    procs = min(cfg.workers, _usable_cpus(), max(1, _run_work(cfg) // _WORK_PER_PROCESS))
+    return min(procs, -(-cfg.replicas // _block_size(cfg, procs)))
+
+
 @contextmanager
 def _forked_pool(workers: int):
     """``workers`` processes forked now, before the parent draws its first
@@ -497,7 +512,7 @@ def _forked_pool(workers: int):
 def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     """Rows of all replicas in replica order.
 
-    The replicas are split evenly over P usable processes, at most
+    The replicas are split evenly over P processes (:func:`_processes`), at most
     ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block, and run
     in rounds of P blocks.  The parent draws every block in replica order, so
     the fBm factor is built once per run; of each round it hands the first
@@ -506,10 +521,9 @@ def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     failing block is raised, from its draw or its solve; no later round is
     drawn.
     """
-    workers = min(cfg.workers, _usable_cpus())
-    size = _block_size(cfg, workers)
+    procs = _processes(cfg)
+    size = _block_size(cfg, procs)
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
-    procs = min(workers, len(blocks))
     fbm = FbmParams(cfg.params.hurst, _driver_steps(cfg), cfg.horizon, cfg.driver_method)
 
     def drawn(replicas: range):
@@ -574,6 +588,19 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
                              * replicas * (len(cfg.levels) + 1) * spec.dim):
         field = "levels" if cfg.kind == "euler_refinement" else "n_steps"
         raise ExperimentError(f"experiment.{field}: {message}")
+
+
+def _run_work(cfg: ExperimentConfig) -> int:
+    """The work the processes of a run share, counted from its config alone:
+    the stepper row-steps of every replica, ``len(levels) + 1`` rows (one for
+    moments) of ``dim`` components over the n steps of the driver grid, and
+    the ``n * n / 2`` lag pairs of each fractional norm a replica takes, a
+    lag pair at an eighth of a row-step.  The parent draws every block, so
+    the draws are not shared and not counted."""
+    n, levels = _driver_steps(cfg), len(cfg.levels)
+    rows = 1 if cfg.kind == "moments" else levels + 1
+    norms = {"moments": 2, "quasi_contract": 3 * levels + 2}.get(cfg.kind, 0)
+    return cfg.replicas * (rows * n * cfg.spec.dim + norms * n * n // 16)
 
 
 def _check_coeff(cfg: ExperimentConfig) -> None:

@@ -485,6 +485,8 @@ def mollify_driver(Z: GridPath, level: int) -> GridPath:
     uniformly as the level grows.
     """
     params = MollifierParams(level)
+    if Z.replicas is not None:
+        raise GridError(f"mollify_driver takes one path, got a block of shape {Z.values.shape}")
     if not same_time(Z.t0, 0.0):
         raise GridError("driver must start at time 0")
     if not params.resolves(Z.dt):

@@ -366,6 +366,7 @@ def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
     }
     # 8 usable CPUs whatever the machine, so that 8 workers split the replicas
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     all_ok = True
     for name, case in cases.items():
         alias = name.split("_")[0]

@@ -165,7 +165,8 @@ class TestCliExperiment:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["runtime_seconds"] > 0
 
-    def test_reports_byte_identical_across_reruns_and_workers(self, tmp_path):
+    def test_reports_byte_identical_across_reruns_and_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
         cfg = write_config(tmp_path, geometric_doc())
         outs = []
         for name, workers in (("a", None), ("b", None), ("c", "8")):
@@ -1080,6 +1081,17 @@ def test_named_wrong_types_are_constraint_violations(tmp_path, capsys, section, 
     assert key in capsys.readouterr().err
 
 
+def test_a_2d_gain_of_the_wrong_shape_exits_three_naming_the_shape(tmp_path, capsys):
+    doc = TestCliSolve().solve_doc()
+    doc["coefficients"].update(family="linear", dim=2, n_wiener=2, n_holder=2, tau=0.0,
+                               drift={"gain_now": np.ones((3, 3)).tolist()})
+    doc["initial"]["constant"] = [1.0, -0.5]
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == ("config constraint violation: coefficients.drift: "
+                                       "gain must have shape (1, 2, 2), got (3, 3)\n")
+
+
 @pytest.mark.parametrize("drift, zdrive, named", [
     # the drift explodes on the paths whose rough part is large
     (16.0, 3.0, "replica 46, level 64"),
@@ -1093,8 +1105,9 @@ def test_named_wrong_types_are_constraint_violations(tmp_path, capsys, section, 
                  "replica 10, level 16", id="dim2"),
 ])
 def test_explosion_names_the_replica_identically_at_every_worker_count(
-    tmp_path, capsys, drift, zdrive, named
+    tmp_path, capsys, monkeypatch, drift, zdrive, named
 ):
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"].update(replicas=60, levels=[16, 64], n_steps=64)
     doc["coefficients"].update(
@@ -1117,10 +1130,11 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
     assert errs[0].startswith(f"solver explosion: {named}: ")
 
 
-def test_a_state_that_turns_nan_exits_four_naming_where(tmp_path, capsys):
+def test_a_state_that_turns_nan_exits_four_naming_where(tmp_path, capsys, monkeypatch):
     """Drift +inf and rough term -inf: at seed 2 the first step gives a NaN
     state, which is an explosion like an infinite one, for a solve and for a
     moments run at every worker count."""
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     coefficients = {"family": "no_delay", "dim": 1, "n_wiener": 1, "n_holder": 1,
                     "drift": {"gain_now": 1e305}, "diffusion": {"gain_now": 0.0},
                     "zdrive": {"gain_now": -1e306}}
@@ -1146,12 +1160,15 @@ def test_a_state_that_turns_nan_exits_four_naming_where(tmp_path, capsys):
         )
 
 
-def test_stacked_level_explosion_names_the_first_level_in_schedule_order(tmp_path, capsys):
+def test_stacked_level_explosion_names_the_first_level_in_schedule_order(
+    tmp_path, capsys, monkeypatch
+):
     """A stiff linear drift: the solution scales with the initial value, so
     the level shifted by 1/0.25 = 4 crosses the threshold at t=0.9375, before
     the level shifted by 1/2 does (at t=1).  Replica 5 is the lowest that
     explodes, the reference does not, and the error names its first level in
     schedule order, with that level's time, at every worker count."""
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"].update(flavor="coeff_convergence", levels=[2, 0.25], replicas=60,
                              n_steps=64, perturbation="initial_shift")
@@ -1181,6 +1198,7 @@ def test_a_worker_block_explosion_outranks_the_parents_own(tmp_path, capsys, mon
     30-59.  Both blocks explode, replica 5 in the worker's and replica 41 in
     the parent's, and the run names replica 5 at every worker count."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"].update(flavor="coeff_convergence", levels=[2, 0.25], replicas=60,
                              n_steps=64, perturbation="initial_shift")
@@ -1210,11 +1228,12 @@ def test_a_worker_block_explosion_outranks_the_parents_own(tmp_path, capsys, mon
     ("quasi_contract", [0.1, 0.05], {"m_trunc": 25.0}),
 ])
 def test_reports_byte_identical_across_workers_over_several_blocks(
-    tmp_path, flavor, levels, extra
+    tmp_path, monkeypatch, flavor, levels, extra
 ):
     # one worker solves 120 replicas in blocks of 50, 50 and 20; three
     # workers solve the same blocks on two CPUs, or blocks of 40 on three or
     # more, in separate processes
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"].update(flavor=flavor, levels=levels, replicas=120, n_steps=16,
                              epsilon=0.5, **extra)
@@ -1296,6 +1315,7 @@ def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
     made = _in_process_pool(monkeypatch)
     sizes = _count_blocks(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"].update(flavor="moments", levels=[2.0], replicas=130, n_steps=16)
     doc["criteria"] = {"max_final_exceedance": 1.0}
@@ -1320,6 +1340,7 @@ def test_parent_holds_at_most_one_round_of_blocks(tmp_path, monkeypatch, cpus):
     bound is reached; the report has the bytes of one worker."""
     _in_process_pool(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     held, peak = [0], [0]
     sample, run_block = experiments._sample_drivers, experiments._run_block
 
@@ -1405,6 +1426,7 @@ def test_a_lower_worker_block_error_outranks_the_parents_draw_or_solve(
     in its solve or in its draw.  The run raises block 1's error and draws no
     block of the second round."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     if parent_fails_in == "solve":
         log = _log_blocks(monkeypatch, fail_solve={1, 2})
     else:
@@ -1420,6 +1442,7 @@ def test_two_blocks_at_two_processes_run_as_one_round(tmp_path, monkeypatch):
     block 0 and hands it to the worker, draws and solves block 1, then
     collects block 0, which the in-process pool solves when collected."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     log = _log_blocks(monkeypatch)
     experiments.run_experiment(_moments_run(tmp_path, 100, 2))
     assert log == [("draw", 0), ("submit", 0), ("draw", 1), ("solve", 1),
@@ -1439,6 +1462,7 @@ def test_no_forked_worker_builds_the_fbm_factor(tmp_path, monkeypatch):
 
     monkeypatch.setattr(drivers, "_cholesky_factor", parent_only)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"]["emit_distances"] = True
     doc["criteria"] = {"max_final_exceedance": 1.0, "min_decreasing_steps": 0}
@@ -1449,6 +1473,59 @@ def test_no_forked_worker_builds_the_fbm_factor(tmp_path, monkeypatch):
         assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
                      "--workers", workers]) == 0
         blobs.append([(out / name).read_bytes() for name in ("report.json", "distances.csv")])
+    assert blobs[0] == blobs[1]
+
+
+def test_a_run_below_the_work_of_two_processes_forks_nothing(tmp_path, monkeypatch):
+    """At ``--workers 2`` on 2 CPUs a run whose work is below two processes'
+    worth stays in one process: no pool is made, and the report has the
+    bytes of 1 worker."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run below the work of two processes made a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, geometric_doc())
+    assert experiments._run_work(load_config(cfg).payload) < 2 * experiments._WORK_PER_PROCESS
+    blobs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_work_worth_two_processes_forks_one_worker_of_eight_cpus(tmp_path, monkeypatch):
+    """With 8 usable CPUs and ``--workers 8``, work of exactly two processes
+    makes a pool of one worker; a unit more per process keeps the run in one."""
+    made = _in_process_pool(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    run = _moments_run(tmp_path, 300, 8)
+    work = experiments._run_work(run)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", work // 2 + 1)
+    assert experiments._processes(run) == 1
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", work // 2)
+    assert experiments._processes(run) == 2
+    experiments.run_experiment(run)
+    assert made == [1]
+
+
+def test_run_meta_records_the_processes_next_to_the_workers(tmp_path, monkeypatch):
+    """``processes`` is 1 for a run below the work of two processes and 2
+    with the pool forced; ``report.json`` is the same."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, geometric_doc())
+    metas, blobs = [], []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)
+        out = tmp_path / str(forced)
+        assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
+                     "--workers", "2"]) == 0
+        metas.append(json.loads((out / "run_meta.json").read_text()))
+        blobs.append((out / "report.json").read_bytes())
+    assert [(meta["workers"], meta["processes"]) for meta in metas] == [(2, 1), (2, 2)]
     assert blobs[0] == blobs[1]
 
 
@@ -1495,6 +1572,24 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_a_small_run_at_two_workers_leaves_the_process_pool_unloaded(tmp_path):
+    """A ``--workers 2`` run below the work of two processes forks nothing and
+    imports neither ``multiprocessing`` nor ``concurrent.futures``."""
+    cfg = write_config(tmp_path, geometric_doc())
+    assert experiments._run_work(load_config(cfg).payload) < 2 * experiments._WORK_PER_PROCESS
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; from sddelab.cli import main; "
+             f"code = main(['experiment', 'euler', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'out')!r}, '--workers', '2']); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "0 []"
 
 
 def test_delay_run_leaves_numpy_ma_unloaded(tmp_path):

@@ -204,6 +204,8 @@ class TestFamilyValidation:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(gain_now=np.ones((2, 2, 2))), "gain must have shape (1, 2, 2), got (2, 2, 2)"),
         (dict(gain_delay=np.ones((1, 3, 3))), "gain must have shape (1, 2, 2), got (1, 3, 3)"),
+        (dict(gain_now=np.ones((3, 3))), "gain must have shape (1, 2, 2), got (3, 3)"),
+        (dict(gain_delay=np.ones((1, 2))), "gain must have shape (1, 2, 2), got (1, 2)"),
         (dict(const=np.ones(3)), "const must have shape (1, 2), got (3,)"),
         (dict(time_modulation="cos"), "time_modulation must be one of ('none', 'sin')"),
     ])

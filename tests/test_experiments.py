@@ -380,7 +380,8 @@ class TestAggregation:
         ("ito_limit", dict(levels=(4, 8))),
         ("quasi_contract", dict(levels=(0.1, 0.05), m_trunc=25.0)),
     ])
-    def test_worker_count_does_not_change_the_report(self, kind, extra):
+    def test_worker_count_does_not_change_the_report(self, kind, extra, monkeypatch):
+        monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
         base = dict(n_steps=64, replicas=32, emit_distances=True)
         base.update(extra)
         r1 = run_experiment(make_config(kind, **base, workers=1))
@@ -388,6 +389,17 @@ class TestAggregation:
         assert r1.to_dict() == r2.to_dict()
         if kind not in ("moments", "quasi_contract"):
             assert [lv.distances for lv in r1.levels] == [lv.distances for lv in r2.levels]
+
+    def test_run_work_counts_row_steps_and_lag_pairs(self):
+        """Replicas x (rows x dim x steps + an eighth of n^2 / 2 lag pairs per
+        norm): a level study steps the reference and every level, a moments
+        run one row and two norms, a quasi run 3 levels + 2 norms."""
+        euler = make_config("euler_refinement", n_steps=64, levels=(16, 64), replicas=32)
+        assert experiments._run_work(euler) == 32 * 3 * 64
+        moments = make_config("moments", n_steps=64, levels=(2.0, 4.0), replicas=32)
+        assert experiments._run_work(moments) == 32 * (64 + 2 * 64 * 64 // 16)
+        quasi = make_config("quasi_contract", n_steps=64, levels=(0.1, 0.05), replicas=32)
+        assert experiments._run_work(quasi) == 32 * (3 * 64 + 8 * 64 * 64 // 16)
 
     def test_monotone_violation_detection(self):
         def lv(level, est, lo, hi):

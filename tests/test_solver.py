@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -310,6 +311,17 @@ class TestMollifier:
     def test_driver_must_start_at_time_0(self):
         with pytest.raises(GridError, match="^driver must start at time 0$"):
             mollify_driver(GridPath(0.5, 1 / 64, np.zeros(65)), 4)
+
+    def test_a_replica_block_is_refused_naming_its_shape(self):
+        with pytest.raises(GridError, match=r"^mollify_driver takes one path, got a block "
+                                            r"of shape \(3, 65, 1\)$"):
+            mollify_driver(GridPath(0.0, 1 / 64, np.zeros((3, 65, 1))), 4)
+
+    def test_single_path_output_keeps_its_bits(self):
+        rng = np.random.default_rng(7)
+        z = GridPath(0.0, 1 / 256, rng.standard_normal((257, 2)).cumsum(axis=0) / 16)
+        digest = hashlib.sha256(mollify_driver(z, 16).values.tobytes()).hexdigest()
+        assert digest == "e508d158c2ea09492df4f5b0b416310cc2f8ec427d27a48dd73b3d5bb543283c"
 
     def test_grid_too_coarse_rejected(self):
         z = GridPath(0.0, 1 / 8, np.zeros(9))
