@@ -37,7 +37,7 @@ from . import __version__, fraccalc
 from .config import FLAVOR_ALIASES, ConfigError, LoadedConfig, load_config
 from .core import ParamError
 from .drivers import DriverNumericsError, sample_fbm
-from .experiments import ExperimentConfig, _processes, _sample_drivers, run_experiment
+from .experiments import ExperimentConfig, _sample_drivers, run_experiment
 from .grid import GridPath
 from .solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
@@ -172,7 +172,7 @@ def _cmd_experiment(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     runtime = time.perf_counter() - started
     _dump_json(args.out / "report.json", _record(loaded, report=report.to_dict()))
     _dump_json(args.out / "run_meta.json", {"runtime_seconds": runtime, "workers": cfg.workers,
-                                            "processes": _processes(cfg)})
+                                            "processes": report.processes})
     if cfg.emit_distances and hasattr(report, "levels"):
         lines = ["level,replica,distance"]
         for lv in report.levels:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -176,8 +176,9 @@ def estimate_exceedance(distances, epsilon: float) -> ExceedanceEstimate:
 
 
 def _report_fields(report, **overrides) -> dict:
-    """The report's fields as a dict, with ``overrides`` replacing or adding keys."""
-    return {**{f.name: getattr(report, f.name) for f in fields(report)}, **overrides}
+    """The report's fields but ``processes``, with ``overrides`` replacing or adding keys."""
+    names = [f.name for f in fields(report) if f.name != "processes"]
+    return {**{name: getattr(report, name) for name in names}, **overrides}
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,7 @@ class ConvergenceReport:
     passed: bool
     reasons: tuple[str, ...]
     reference: str = ""
+    processes: int = field(default=1, compare=False)  # for run_meta.json
 
     def to_dict(self) -> dict:
         return _report_fields(self, levels=[lv.to_dict() for lv in self.levels])
@@ -230,6 +232,7 @@ class MomentReport:
     master_seed: int
     passed: bool
     reasons: tuple[str, ...]
+    processes: int = field(default=1, compare=False)
 
     def to_dict(self) -> dict:
         return _report_fields(self, kind="moments")
@@ -249,6 +252,7 @@ class QuasiReport:
     master_seed: int
     passed: bool
     reasons: tuple[str, ...]
+    processes: int = field(default=1, compare=False)
 
     def to_dict(self) -> dict:
         return _report_fields(self, kind="quasi_contract")
@@ -442,9 +446,9 @@ def _block_quasi(cfg: ExperimentConfig, w: GridPath, z1: GridPath) -> np.ndarray
 # most: together they bound the memory of one block's solve.
 _BLOCK_REPLICAS = 50
 _BLOCK_ROWS = 450
-# The work of :func:`_run_work`, in row-steps, that one more process must get
-# to repay its start; alternating 1- and 2-worker runs set it (CHANGES.md).
-_WORK_PER_PROCESS = 3_000_000
+# The row-steps of :func:`_run_work` that repay one more process: alternating
+# 1- and 2-worker runs won 9 of 10 pairs only from ~33 million on (CHANGES.md).
+_WORK_PER_PROCESS = 16_000_000
 
 
 def _usable_cpus() -> int:
@@ -509,10 +513,10 @@ def _forked_pool(workers: int):
         yield pool
 
 
-def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
+def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
     """Rows of all replicas in replica order.
 
-    The replicas are split evenly over P processes (:func:`_processes`), at most
+    The replicas are split evenly over P = ``procs`` processes, at most
     ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block, and run
     in rounds of P blocks.  The parent draws every block in replica order, so
     the fBm factor is built once per run; of each round it hands the first
@@ -521,7 +525,6 @@ def _map_replicas(cfg: ExperimentConfig) -> np.ndarray:
     failing block is raised, from its draw or its solve; no later round is
     drawn.
     """
-    procs = _processes(cfg)
     size = _block_size(cfg, procs)
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
     fbm = FbmParams(cfg.params.hurst, _driver_steps(cfg), cfg.horizon, cfg.driver_method)
@@ -592,15 +595,18 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
 
 def _run_work(cfg: ExperimentConfig) -> int:
     """The work the processes of a run share, counted from its config alone:
-    the stepper row-steps of every replica, ``len(levels) + 1`` rows (one for
-    moments) of ``dim`` components over the n steps of the driver grid, and
-    the ``n * n / 2`` lag pairs of each fractional norm a replica takes, a
-    lag pair at an eighth of a row-step.  The parent draws every block, so
-    the draws are not shared and not counted."""
+    every replica's stepper row-steps, ``dim`` components of ``len(levels) + 1``
+    rows (one for moments) over the n driver steps, or of each mesh and a
+    fine-Euler reference over their own steps, plus an eighth of a row-step
+    for each of the ``n * n / 2`` lag pairs of a fractional norm.  The parent
+    draws every block, so the draws are not shared and not counted."""
     n, levels = _driver_steps(cfg), len(cfg.levels)
-    rows = 1 if cfg.kind == "moments" else levels + 1
+    if cfg.kind == "euler_refinement":
+        steps = sum(map(int, cfg.levels)) + (cfg.reference != "closed_form") * n
+    else:
+        steps = (1 if cfg.kind == "moments" else levels + 1) * n
     norms = {"moments": 2, "quasi_contract": 3 * levels + 2}.get(cfg.kind, 0)
-    return cfg.replicas * (rows * n * cfg.spec.dim + norms * n * n // 16)
+    return cfg.replicas * (steps * cfg.spec.dim + norms * n * n // 16)
 
 
 def _check_coeff(cfg: ExperimentConfig) -> None:
@@ -889,8 +895,9 @@ EXPERIMENT_KINDS = tuple(_FLAVORS)
 
 def run_experiment(cfg: ExperimentConfig):
     """Check the level schedule and the array sizes, compute the rows of all
-    replicas, reduce them to the kind's report."""
+    replicas in P processes, reduce them to a report that notes P, outside ``to_dict``."""
     check, _, reduce = _FLAVORS[cfg.kind]
     check(cfg)
     _check_sizes(cfg)
-    return reduce(cfg, _map_replicas(cfg))
+    procs = _processes(cfg)
+    return replace(reduce(cfg, _map_replicas(cfg, procs)), processes=procs)

@@ -391,11 +391,18 @@ class TestAggregation:
             assert [lv.distances for lv in r1.levels] == [lv.distances for lv in r2.levels]
 
     def test_run_work_counts_row_steps_and_lag_pairs(self):
-        """Replicas x (rows x dim x steps + an eighth of n^2 / 2 lag pairs per
-        norm): a level study steps the reference and every level, a moments
-        run one row and two norms, a quasi run 3 levels + 2 norms."""
+        """Replicas x (row-steps x dim + an eighth of n^2 / 2 lag pairs per
+        norm): a level study steps the reference and every level, a mesh
+        study each mesh and a fine-Euler reference on the 4x-finer driver
+        grid, a moments run one row and two norms, a quasi run 3 levels + 2
+        norms."""
+        delay = make_config("vanishing_delay", n_steps=64, levels=(0.1, 0.05), replicas=32)
+        assert experiments._run_work(delay) == 32 * 3 * 64
         euler = make_config("euler_refinement", n_steps=64, levels=(16, 64), replicas=32)
-        assert experiments._run_work(euler) == 32 * 3 * 64
+        assert experiments._run_work(euler) == 32 * (16 + 64)
+        fine = make_config("euler_refinement", levels=(16, 64), replicas=32,
+                           reference="fine_euler")
+        assert experiments._run_work(fine) == 32 * (16 + 64 + 4 * 64)
         moments = make_config("moments", n_steps=64, levels=(2.0, 4.0), replicas=32)
         assert experiments._run_work(moments) == 32 * (64 + 2 * 64 * 64 // 16)
         quasi = make_config("quasi_contract", n_steps=64, levels=(0.1, 0.05), replicas=32)
