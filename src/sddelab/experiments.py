@@ -40,9 +40,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import fraccalc
-from .core import CoefficientSpec, HolderParams, InitialCondition
+from .core import DELAY_READS, REACH, CoefficientSpec, HolderParams, InitialCondition
 from .drivers import _PAD, FbmParams, sample_fbm, sample_wiener
-from .grid import GridPath, SeedSpec, stack_paths, stack_replicas
+from .grid import GridError, GridPath, SeedSpec, stack_paths, stack_replicas
 from .solver import (
     MollifierParams,
     SolverConfig,
@@ -609,11 +609,28 @@ def _run_work(cfg: ExperimentConfig) -> int:
     return cfg.replicas * (steps * cfg.spec.dim + norms * n * n // 16)
 
 
+def _check_reads(cfg: ExperimentConfig, *meshes: int) -> None:
+    """Refuse a history or a delay read of the spec off the grid of a mesh
+    of ``meshes`` steps, naming the field that sets it, before any draw."""
+    for n in meshes:
+        dt = SolverConfig(n_steps=n, horizon=cfg.horizon).dt
+        try:
+            q = cfg.initial.steps(dt)
+        except GridError as exc:
+            raise ExperimentError(f"initial: {exc}") from exc
+        try:
+            _reach_steps(cfg.spec, dt, q)
+        except GridError as exc:
+            key = REACH[DELAY_READS[cfg.spec.family]]
+            raise ExperimentError(f"coefficients.{key}: {exc}") from exc
+
+
 def _check_coeff(cfg: ExperimentConfig) -> None:
     if any(not n > 0 for n in cfg.levels):
         raise ExperimentError(
             f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}"
         )
+    _check_reads(cfg, cfg.n_steps)
 
 
 def _check_delay(cfg: ExperimentConfig) -> None:
@@ -643,6 +660,8 @@ def _check_euler(cfg: ExperimentConfig) -> None:
         raise ExperimentError(
             "closed-form reference unavailable for this spec; use reference='fine_euler'"
         )
+    if cfg.spec.reach > 0:  # else the meshes read only the history's last value
+        _check_reads(cfg, *levels, _driver_steps(cfg))
 
 
 def _check_ito(cfg: ExperimentConfig) -> None:
@@ -652,11 +671,13 @@ def _check_ito(cfg: ExperimentConfig) -> None:
         raise ExperimentError(
             f"mesh dt={dt} too coarse for mollifier level {max(cfg.levels)}"
         )
+    _check_reads(cfg, cfg.n_steps)
 
 
 def _check_moments(cfg: ExperimentConfig) -> None:
     if any(not p > 0 for p in cfg.levels):
         raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}")
+    _check_reads(cfg, cfg.n_steps)
 
 
 def _check_quasi(cfg: ExperimentConfig) -> None:
@@ -665,6 +686,7 @@ def _check_quasi(cfg: ExperimentConfig) -> None:
         raise ExperimentError(
             f"moment order p={p} below the admissible range 4/(1-2 alpha)"
         )
+    _check_reads(cfg, cfg.n_steps)
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,10 @@ the kernel is integrated in closed form cell by cell.  This is exact for
 piecewise-linear inputs and avoids the blow-up of naive Riemann sums next to
 the singularity.  The rule lives in one place: every power kernel ``v^beta``
 (the RL tails, the norms, the GLS boundary terms) takes its cell weights from
-:func:`_power_cells`, and :func:`_cell_integrals` pairs them with node data.
-Only the two-sided weight of the GLS integral has its own cell moments
-(:func:`_beta_cell_moments`).
+:func:`_power_cells`, and :func:`_cell_integrals` pairs them with node data;
+the RL tail sums them over the lags in one real-FFT product.  Only the
+two-sided weight of the GLS integral has its own cell moments
+(:func:`_beta_cell_moments`), whose ``betainc`` is the one call outside numpy.
 
 Each singular integral has one one-sided kernel: the reflection
 ``s -> a + b - s`` turns a right-sided operator into its left-sided twin.  The
@@ -31,6 +32,7 @@ kernel run on its path alone, so :func:`_seminorm_0_alpha` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +53,6 @@ __all__ = [
 ]
 
 RS_RULES = ("left", "midpoint")  # Riemann-Stieltjes sum rules
-
-# Above this size the RL tail convolutions switch from direct to FFT.
-_FFT_THRESHOLD = 2048
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,6 @@ def _pair(f: GridPath, g: GridPath) -> tuple[GridPath, GridPath]:
     if not _scalar_grid(f).same_grid(_scalar_grid(g)):
         raise GridError("f and g must live on a common grid")
     return f, g
-
-
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) + len(b) > _FFT_THRESHOLD:
-        from scipy import signal  # heavy import, needed only above the threshold
-
-        return signal.fftconvolve(a, b)
-    return np.convolve(a, b)
 
 
 def _power_cells(beta: float, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,21 +138,21 @@ def _forward_tail(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
 
     Piecewise-linear product integration in units of ``dt``: the cell at lag
     m >= 2 weighs ``f(u)`` through ``p(m)`` and its slope through ``q(m)``;
-    the cell adjacent to the singularity reduces to its slope term.
+    the cell adjacent to the singularity reduces to its slope term.  Both lag
+    sums are one real-FFT product of a length above 2n, so none wraps into 0..n.
     """
     n = len(f) - 1
     m0, m1 = _power_cells(-1.0 - alpha, n, 1.0)
-    lag = np.arange(2.0, n + 1)
     p = np.zeros(n + 1)
     q = np.zeros(n + 1)
     p[2:] = alpha * m0[1:]
-    q[2:] = alpha * (m1[1:] - lag * m0[1:])
+    q[2:] = alpha * (m1[1:] - np.arange(2.0, n + 1) * m0[1:])
     delta = np.diff(f)
-    p_cum = np.cumsum(p)
-    conv_f = _convolve(f, p)[: n + 1]
-    conv_d = _convolve(delta, q)[: n + 1]
+    size = 1 << (2 * n).bit_length()
+    rfft = np.fft.rfft
+    sums = np.fft.irfft(rfft(f, size) * rfft(p, size) - rfft(delta, size) * rfft(q, size), size)
     tail = np.zeros(n + 1)
-    tail[1:] = f[1:] * p_cum[1:] - conv_f[1:] + conv_d[1:] + alpha * m1[0] * delta
+    tail[1:] = f[1:] * np.cumsum(p)[1:] - sums[1 : n + 1] + alpha * m1[0] * delta
     return tail * dt ** (-alpha)
 
 
@@ -171,15 +162,13 @@ def forward_rl_derivative(f: GridPath, alpha: float) -> GridPath:
     Returned on the grid nodes ``a + dt, ..., b``; the kernel is singular at
     ``x = a`` so no value is produced there.
     """
-    from scipy import special  # heavy import, needed only by the RL and GLS quadratures
-
     _check_alpha(alpha)
     p = _scalar_grid(f)
     vals = p.scalar_values()
     n = p.n_points - 1
     x_minus_a = p.dt * np.arange(1, n + 1)
     tail = _forward_tail(vals, p.dt, alpha)[1:]
-    deriv = (vals[1:] * x_minus_a ** (-alpha) + tail) / special.gamma(1.0 - alpha)
+    deriv = (vals[1:] * x_minus_a ** (-alpha) + tail) / math.gamma(1.0 - alpha)
     return GridPath(p.t0 + p.dt, p.dt, deriv)
 
 
@@ -202,12 +191,15 @@ def backward_rl_derivative(g: GridPath, alpha: float) -> GridPath:
 
 
 def _beta_cell_moments(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell integrals of ``s^-alpha (1-s)^(alpha-1)`` and ``s * (same)`` on [0,1]."""
-    from scipy import special
+    """Cell integrals of ``s^-alpha (1-s)^(alpha-1)`` and ``s * (same)`` on [0,1],
+    from ``B(1-alpha, alpha) = Gamma(alpha) Gamma(1-alpha)`` and ``B(2-alpha, alpha)
+    = (1-alpha) B(1-alpha, alpha)``."""
+    from scipy import special  # heavy import, needed only for betainc
 
+    b0 = math.gamma(alpha) * math.gamma(1.0 - alpha)
     s = np.linspace(0.0, 1.0, n + 1)
-    c0 = special.beta(1.0 - alpha, alpha) * special.betainc(1.0 - alpha, alpha, s)
-    c1 = special.beta(2.0 - alpha, alpha) * special.betainc(2.0 - alpha, alpha, s)
+    c0 = b0 * special.betainc(1.0 - alpha, alpha, s)
+    c1 = (1.0 - alpha) * b0 * special.betainc(2.0 - alpha, alpha, s)
     return np.diff(c0), np.diff(c1)
 
 
@@ -220,8 +212,6 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     integrated with kernel-exact product quadrature; the Holder cusps of the
     derivative tails at the interval ends get matched-exponent end cells.
     """
-    from scipy import special
-
     _check_alpha(alpha)
     pf, pg = _pair(f, g)
     fv = pf.scalar_values()
@@ -259,7 +249,7 @@ def gls_integral(f: GridPath, g: GridPath, alpha: float) -> float:
     i4 += 0.5 * (tail_f[-2] + tail_f[-1]) * tail_g[-2] * dt / (1.0 + alpha)
 
     # Net sign: the two dropped phases multiply to exp(i*pi) = -1.
-    return -(i1 + i2 + i3 + i4) / (special.gamma(alpha) * special.gamma(1.0 - alpha))
+    return -(i1 + i2 + i3 + i4) / (math.gamma(alpha) * math.gamma(1.0 - alpha))
 
 
 def riemann_stieltjes_integral(f: GridPath, g: GridPath, rule: str = "left") -> float:

@@ -18,6 +18,7 @@ from sddelab.core import (
     eval_coefficient,
     segment_at,
 )
+from sddelab.fraccalc import _power_cells
 from sddelab.grid import GridError, refinement, same_time
 from sddelab.solver import (
     MollifierParams,
@@ -615,3 +616,32 @@ def oracle_front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPat
         thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder))
     paths = oracle_solve(specs, etas, cfg, w, 1.0 if ito else cfg.dt, thirds, ito)
     return tuple(paths) if grouped else paths[0]
+
+
+# --------------------------------------------------------------------------
+# Oracle of the Riemann-Liouville tail: ``fraccalc._forward_tail`` as it was
+# with its two convolutions taken directly by ``np.convolve``, before both
+# became one spectral product.  No padding rule, so nothing can wrap.
+
+
+def oracle_forward_tail(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    """``alpha * int_a^x (f(x)-f(u)) (x-u)^(-1-alpha) du`` at nodes 1..n.
+
+    Piecewise-linear product integration in units of ``dt``: the cell at lag
+    m >= 2 weighs ``f(u)`` through ``p(m)`` and its slope through ``q(m)``;
+    the cell adjacent to the singularity reduces to its slope term.
+    """
+    n = len(f) - 1
+    m0, m1 = _power_cells(-1.0 - alpha, n, 1.0)
+    lag = np.arange(2.0, n + 1)
+    p = np.zeros(n + 1)
+    q = np.zeros(n + 1)
+    p[2:] = alpha * m0[1:]
+    q[2:] = alpha * (m1[1:] - lag * m0[1:])
+    delta = np.diff(f)
+    p_cum = np.cumsum(p)
+    conv_f = np.convolve(f, p)[: n + 1]
+    conv_d = np.convolve(delta, q)[: n + 1]
+    tail = np.zeros(n + 1)
+    tail[1:] = f[1:] * p_cum[1:] - conv_f[1:] + conv_d[1:] + alpha * m1[0] * delta
+    return tail * dt ** (-alpha)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -265,13 +266,14 @@ class TestCliSolve:
     def test_several_holder_channels_solve_on_the_stacked_channels(self, tmp_path, scheme):
         doc = self.solve_doc(scheme)
         doc["coefficients"]["n_holder"] = 2
+        doc["driver"] = {"method": "cholesky"}
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         solved = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 1]
 
         scfg, spec, initial, seed, _, mollifier = load_config(cfg).payload
-        fbm = FbmParams(0.75, 128, 1.0)
+        fbm = FbmParams(0.75, 128, 1.0, "cholesky")
         w = sample_wiener(128, 1.0, 1, seed.child(0))
         z = stack_paths([sample_fbm(fbm, seed.child(1).child(j)) for j in range(2)])
         if scheme == "euler_mixed":
@@ -770,6 +772,63 @@ def test_the_history_must_land_on_every_mesh_of_a_delay_spec(tmp_path, capsys):
     assert "delay 0.03125 does not land on the grid (dt=0.0625)" in capsys.readouterr().err
 
 
+def _count_draws(monkeypatch) -> list:
+    """Spy on ``experiments._sample_drivers``: one entry per call."""
+    calls, sample = [], experiments._sample_drivers
+    monkeypatch.setattr(experiments, "_sample_drivers",
+                        lambda *args: calls.append(args) or sample(*args))
+    return calls
+
+
+@pytest.mark.parametrize("alias, family, off, message", [
+    *((alias, "pointwise_delay", "read", "coefficients.tau: tap 0.3 does not land on the grid "
+       "(dt=0.015625)") for alias in ("coeff", "ito", "moments", "quasi")),
+    ("coeff", "distributed_delay", "read", "coefficients.delay_span: window 0.3 does not land"),
+    ("euler", "pointwise_delay", "read", "coefficients.tau: tap 0.3 does not land on the grid "
+     "(dt=0.25)"),
+    ("euler", "distributed_delay", "read", "coefficients.delay_span: window 0.3 does not land"),
+    ("euler", "pointwise_delay", "initial", "initial: delay 0.3 does not land on the grid "
+     "(dt=0.25)"),
+])
+def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                           alias, family, off, message):
+    """A tap or window of 0.3 (or a history of 0.3 under a tap of 0.25) lands
+    on no grid of 64 steps over [0, 1], nor on the coarsest of the meshes
+    4, 8, 16 and their fine-Euler grid of 64.  The run names the field that
+    sets it, draws no driver and writes no report."""
+    euler = alias == "euler"
+    levels = [4, 8, 16] if euler else DELAY_HISTORY_CASES[alias]
+    doc = _delay_history_doc(alias, levels, family, n_steps=64,
+                             **({"reference": "fine_euler"} if euler else {}))
+    if off == "read":
+        doc["coefficients"]["tau" if family == "pointwise_delay" else "delay_span"] = 0.3
+        doc["initial"]["delay"] = 0.5
+    else:
+        doc["initial"]["delay"] = 0.3
+    cfg = write_config(tmp_path, doc)
+    draws = _count_draws(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["experiment", alias, "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert draws == []
+    assert not (out / "report.json").exists()
+
+
+def test_vanishing_delay_never_reads_its_specs_own_tap(tmp_path, capsys, monkeypatch):
+    """The taps are the levels and the reference has no delay, so a spec tap
+    of 0.3, off the grid of 64 steps, is no fault: the run draws and reports."""
+    doc = _delay_history_doc("delay", [0.25, 0.125], n_steps=64)
+    doc["coefficients"]["tau"] = 0.3
+    doc["initial"]["delay"] = 0.5
+    cfg = write_config(tmp_path, doc)
+    draws = _count_draws(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["experiment", "delay", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(draws) == 1
+    assert (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("reference, levels", [
     ("closed_form", [16, 64]),
     ("closed_form", [64, 512]),
@@ -1206,9 +1265,10 @@ def test_a_worker_block_explosion_outranks_the_parents_own(tmp_path, capsys, mon
         drift={"gain_now": 16.0}, diffusion={"gain_now": 0.0}, zdrive={"gain_now": 3.0}
     )
     doc["seed"] = {"master": 2}
+    doc["driver"] = {"method": "cholesky"}
     cfg = write_config(tmp_path, doc)
     run = load_config(cfg).payload
-    fbm = FbmParams(run.params.hurst, run.n_steps, run.horizon)
+    fbm = FbmParams(run.params.hurst, run.n_steps, run.horizon, "cholesky")
     parents = range(30, 60)
     drawn = experiments._sample_drivers(run.spec, fbm, [SeedSpec(2, r) for r in parents])
     with pytest.raises(SolverExplosionError, match="^replica 41, level 0.25: "):
@@ -1549,8 +1609,8 @@ def test_blocks_bound_the_stepper_rows_and_leave_the_report_unchanged(tmp_path,
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    """No scipy module at all: ``scipy.special`` and ``scipy.signal`` are
-    imported by the few fraccalc functions that call them."""
+    """No scipy module at all: ``scipy.special`` is imported only by the GLS
+    integral, for ``betainc``."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, sddelab.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -1559,6 +1619,42 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_a_riemann_liouville_derivative_leaves_scipy_unloaded():
+    """The RL tails are one numpy FFT product and Gamma(1 - alpha) comes from
+    ``math``, so a forward derivative at n = 4096 imports no scipy module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, numpy as np; from sddelab import GridPath, forward_rl_derivative; "
+             "forward_rl_derivative(GridPath(0.0, 1 / 4096, np.linspace(0, 1, 4097) ** 2), 0.3); "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_a_large_frac_gls_run_leaves_scipy_signal_unloaded(tmp_path):
+    """``frac`` gls on 4097 rows, past the size where the RL tails once
+    switched to ``scipy.signal``, exits 0 and imports ``scipy.special`` only
+    for ``betainc``."""
+    n = 4096
+    rows = "\n".join(f"{k / n!r},{math.sin(3 * k / n)!r},{(k / n) ** 2!r}" for k in range(n + 1))
+    (tmp_path / "pair.csv").write_text("time,f,g\n" + rows + "\n")
+    cfg = write_config(tmp_path, {
+        "kind": "frac", "frac": {"operation": "gls", "input_csv": "pair.csv", "alpha": 0.3},
+    })
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = ["frac", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    probe = ("import sys; from sddelab.cli import main; "
+             f"code = main({args!r}); print(code, 'scipy.signal' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"  # after the value the run prints
+    assert (tmp_path / "out" / "frac_result.json").exists()
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

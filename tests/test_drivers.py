@@ -192,7 +192,7 @@ def matvec_oracle(params, seed):
 def test_any_partition_of_replicas_gives_each_replica_alone(n, streams, cuts):
     """A replica's fBm has the same bits in every block it is drawn in, and
     agrees with the per-replica matvec within 1e-12 of its sup norm."""
-    params = FbmParams(0.75, n, 1.0)
+    params = FbmParams(0.75, n, 1.0, "cholesky")
     seeds = [SeedSpec(29, s).child(1) for s in streams]
     alone = [sample_fbm(params, s).values for s in seeds]
     edges = [0, *sorted({c for c in cuts if c < len(seeds)}), len(seeds)]
