@@ -29,7 +29,8 @@ import numpy as np
 from .core import (_MODULATIONS, DELAY_READS, FAMILIES, REACH, CoeffBlock, CoefficientSpec,
                    HolderParams, InitialCondition, constant_initial)
 from .drivers import _METHODS, FbmParams
-from .experiments import EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig, _oversized
+from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
+                          _check_reads, _oversized)
 from .fraccalc import RS_RULES
 from .grid import GridPath, SeedSpec
 from .solver import SCHEMES, MollifierParams, SolverConfig
@@ -198,7 +199,7 @@ SEED = (
           "its replica r draws from stream r", 0),
 )
 _METHOD = Field("method", "string", "exact fBm sampler: Cholesky factor by the Schur "
-                "algorithm, or circulant embedding", "cholesky", _METHODS)
+                "algorithm, or circulant embedding", FbmParams.method, _METHODS)
 _HORIZON = Field("horizon", "float", "time horizon T", range=_POSITIVE)
 _N_STEPS = Field("n_steps", "integer", "Euler steps on the driver grid, at least 2 "
                  "(the meshes of euler_refinement are its levels)")
@@ -287,13 +288,13 @@ class LoadedConfig:
     resolved: dict  # canonical dict form, embedded into reports
 
 
-def _build(section: str, make, *args, **kwargs):
+def _build(section: str | None, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a domain error, or a size too large to
-    allocate, becomes a ConfigError naming the section."""
+    allocate, becomes a ConfigError naming the section (None: the error names it)."""
     try:
         return make(*args, **kwargs)
     except (ValueError, OverflowError, MemoryError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}" if section else str(exc)) from exc
 
 
 def _spec(c: dict, raw: dict, blocks: dict) -> CoefficientSpec:
@@ -393,15 +394,16 @@ def _parse_solve(v: dict, doc: dict) -> tuple:
     seed = _seed(v)
     s = v["solve"]
     scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], s["explosion_threshold"])
-    q = _build("solve", initial.steps, scfg.dt)  # the history must land on the grid
     level = s["mollifier_level"]
     if s["scheme"] == "euler_ito" and level is None:
         raise ConfigError("solve: scheme euler_ito requires mollifier_level")
     mollifier = None if level is None else _build("solve", MollifierParams, level)
-    fbm = _build("solve", FbmParams, holder.hurst, scfg.n_steps, scfg.horizon, method)
     n = scfg.n_steps
+    _build(None, _check_reads, spec, initial, scfg.horizon, n,
+           levels=[level] if s["scheme"] == "euler_ito" else [])
+    fbm = _build("solve", FbmParams, holder.hurst, n, scfg.horizon, method)
     if message := _oversized(n, method, (n + 1) * max(spec.n_wiener, spec.n_holder),
-                             (q + n + 1) * spec.dim):
+                             (round(initial.r / scfg.dt) + n + 1) * spec.dim):
         raise ConfigError(f"solve.n_steps: {message}")
     return (scfg, spec, initial, seed, fbm, mollifier), built
 

@@ -97,7 +97,7 @@ class ExperimentConfig:
     epsilon: float
     seed: int
     workers: int = 1
-    driver_method: str = "cholesky"
+    driver_method: str = FbmParams.method
     perturbation: str = "none"
     reference: str = "closed_form"
     m_trunc: float = 10.0
@@ -124,7 +124,6 @@ class ExperimentConfig:
             raise ExperimentError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.kind != "euler_refinement":  # n_steps sets the driver and solver grids
             FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
-            self.initial.steps(self.solver_config.dt)  # the history must land on it
         if len(self.levels) < 1:
             raise ExperimentError("need at least one level")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
@@ -550,7 +549,8 @@ def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # level checks, one per experiment kind: the rules a level schedule must meet
-# before any replica is solved
+# before any replica is solved.  Each returns the (spec, meshes, mollifier levels)
+# its run reads for :func:`_check_reads`, or None for the spec on the n_steps grid.
 
 
 def _require_counts(cfg: ExperimentConfig, what: str) -> None:
@@ -609,19 +609,22 @@ def _run_work(cfg: ExperimentConfig) -> int:
     return cfg.replicas * (steps * cfg.spec.dim + norms * n * n // 16)
 
 
-def _check_reads(cfg: ExperimentConfig, *meshes: int) -> None:
-    """Refuse a history or a delay read of the spec off the grid of a mesh
-    of ``meshes`` steps, naming the field that sets it, before any draw."""
+def _check_reads(spec: CoefficientSpec, initial: InitialCondition, horizon: float,
+                 *meshes: int, levels=()) -> None:
+    """Refuse, before any draw, a history, a delay read of ``spec`` or a mollifier level
+    of ``levels`` off the grid of a mesh of ``meshes`` steps on [0, horizon], naming its field."""
     for n in meshes:
-        dt = SolverConfig(n_steps=n, horizon=cfg.horizon).dt
+        dt = SolverConfig(n_steps=n, horizon=horizon).dt
         try:
-            q = cfg.initial.steps(dt)
+            q = initial.steps(dt)
         except GridError as exc:
             raise ExperimentError(f"initial: {exc}") from exc
+        if levels and not MollifierParams(int(max(levels))).resolves(dt):
+            raise ExperimentError(f"mesh dt={dt} too coarse for mollifier level {max(levels)}")
         try:
-            _reach_steps(cfg.spec, dt, q)
+            _reach_steps(spec, dt, q)
         except GridError as exc:
-            key = REACH[DELAY_READS[cfg.spec.family]]
+            key = REACH[DELAY_READS[spec.family]]
             raise ExperimentError(f"coefficients.{key}: {exc}") from exc
 
 
@@ -630,24 +633,24 @@ def _check_coeff(cfg: ExperimentConfig) -> None:
         raise ExperimentError(
             f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}"
         )
-    _check_reads(cfg, cfg.n_steps)
 
 
-def _check_delay(cfg: ExperimentConfig) -> None:
+def _check_delay(cfg: ExperimentConfig) -> tuple:
     if cfg.spec.family != "pointwise_delay":
         raise ExperimentError("vanishing delay needs a pointwise_delay spec")
-    dt = cfg.solver_config.dt
+    dt = cfg.solver_config.dt  # r rounded to it; _check_reads then refuses an r off it
     for tau in cfg.levels:
         try:
-            _reach_steps(cfg.spec.with_tau(tau), dt, cfg.initial.steps(dt))
+            _reach_steps(cfg.spec.with_tau(tau), dt, round(cfg.initial.r / dt))
         except ValueError as exc:
             raise ExperimentError(
                 f"levels of vanishing_delay are taps on the mesh in [0, {abs(cfg.initial.r):g}], "
                 f"the initial delay; got {list(cfg.levels)}: {exc}"
             ) from exc
+    return cfg.spec.merge_delay(), (cfg.n_steps,), ()  # the spec's own tap is never read
 
 
-def _check_euler(cfg: ExperimentConfig) -> None:
+def _check_euler(cfg: ExperimentConfig) -> tuple:
     _require_counts(cfg, "mesh sizes")
     levels = [int(n) for n in cfg.levels]
     finest = max(levels)
@@ -660,24 +663,18 @@ def _check_euler(cfg: ExperimentConfig) -> None:
         raise ExperimentError(
             "closed-form reference unavailable for this spec; use reference='fine_euler'"
         )
-    if cfg.spec.reach > 0:  # else the meshes read only the history's last value
-        _check_reads(cfg, *levels, _driver_steps(cfg))
+    # a spec that reads no delay reads only the history's last value
+    return cfg.spec, (*levels, _driver_steps(cfg)) if cfg.spec.reach > 0 else (), ()
 
 
-def _check_ito(cfg: ExperimentConfig) -> None:
+def _check_ito(cfg: ExperimentConfig) -> tuple:
     _require_counts(cfg, "mollifier levels")
-    dt = cfg.horizon / cfg.n_steps
-    if not MollifierParams(int(max(cfg.levels))).resolves(dt):
-        raise ExperimentError(
-            f"mesh dt={dt} too coarse for mollifier level {max(cfg.levels)}"
-        )
-    _check_reads(cfg, cfg.n_steps)
+    return cfg.spec, (cfg.n_steps,), cfg.levels
 
 
 def _check_moments(cfg: ExperimentConfig) -> None:
     if any(not p > 0 for p in cfg.levels):
         raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}")
-    _check_reads(cfg, cfg.n_steps)
 
 
 def _check_quasi(cfg: ExperimentConfig) -> None:
@@ -686,7 +683,6 @@ def _check_quasi(cfg: ExperimentConfig) -> None:
         raise ExperimentError(
             f"moment order p={p} below the admissible range 4/(1-2 alpha)"
         )
-    _check_reads(cfg, cfg.n_steps)
 
 
 # --------------------------------------------------------------------------
@@ -916,10 +912,12 @@ EXPERIMENT_KINDS = tuple(_FLAVORS)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Check the level schedule and the array sizes, compute the rows of all
-    replicas in P processes, reduce them to a report that notes P, outside ``to_dict``."""
+    """Check the level schedule, the grids it reads and the array sizes, compute
+    the rows of all replicas in P processes, reduce them to a report that notes
+    P, outside ``to_dict``."""
     check, _, reduce = _FLAVORS[cfg.kind]
-    check(cfg)
+    spec, meshes, levels = check(cfg) or (cfg.spec, (cfg.n_steps,), ())
+    _check_reads(spec, cfg.initial, cfg.horizon, *meshes, levels=levels)
     _check_sizes(cfg)
     procs = _processes(cfg)
     return replace(reduce(cfg, _map_replicas(cfg, procs)), processes=procs)

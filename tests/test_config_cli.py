@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab.cli import main
-from sddelab import FbmParams, config, drivers, experiments, sample_fbm, sample_wiener
+from sddelab import FbmParams, cli, config, drivers, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
 from sddelab.core import CoeffBlock
 from sddelab.drivers import DriverNumericsError
@@ -773,10 +773,12 @@ def test_the_history_must_land_on_every_mesh_of_a_delay_spec(tmp_path, capsys):
 
 
 def _count_draws(monkeypatch) -> list:
-    """Spy on ``experiments._sample_drivers``: one entry per call."""
+    """Spy on ``_sample_drivers`` in ``experiments`` and in ``cli``, which
+    binds the name at import for ``solve``: one entry per call."""
     calls, sample = [], experiments._sample_drivers
-    monkeypatch.setattr(experiments, "_sample_drivers",
-                        lambda *args: calls.append(args) or sample(*args))
+    for module in (experiments, cli):
+        monkeypatch.setattr(module, "_sample_drivers",
+                            lambda *args: calls.append(args) or sample(*args))
     return calls
 
 
@@ -789,13 +791,17 @@ def _count_draws(monkeypatch) -> list:
     ("euler", "distributed_delay", "read", "coefficients.delay_span: window 0.3 does not land"),
     ("euler", "pointwise_delay", "initial", "initial: delay 0.3 does not land on the grid "
      "(dt=0.25)"),
+    *((alias, "pointwise_delay", "initial", "initial: delay 0.3 does not land on the grid "
+       "(dt=0.015625)") for alias in ("coeff", "delay", "ito", "moments", "quasi")),
 ])
 def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, monkeypatch,
                                                            alias, family, off, message):
     """A tap or window of 0.3 (or a history of 0.3 under a tap of 0.25) lands
     on no grid of 64 steps over [0, 1], nor on the coarsest of the meshes
     4, 8, 16 and their fine-Euler grid of 64.  The run names the field that
-    sets it, draws no driver and writes no report."""
+    sets it, draws no driver and writes no report.  A history is named
+    ``initial`` in every flavor, vanishing_delay's included, whose taps 0.25
+    and 0.125 fit within it."""
     euler = alias == "euler"
     levels = [4, 8, 16] if euler else DELAY_HISTORY_CASES[alias]
     doc = _delay_history_doc(alias, levels, family, n_steps=64,
@@ -812,6 +818,51 @@ def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, mo
     assert message in capsys.readouterr().err
     assert draws == []
     assert not (out / "report.json").exists()
+
+
+def _off_grid_solve_doc(off: str) -> dict:
+    """A solve on 64 steps over [0, 1] (16 for ``mesh``) whose ``off`` input
+    misses its grid: a tap or a window of 0.3 within a history of 0.5, a
+    history of 0.3 under a tap of 0.25, or dt = 1/16 coarser than a quarter
+    window of mollifier level 64."""
+    doc = TestCliSolve().solve_doc("euler_ito" if off == "mesh" else "euler_mixed")
+    doc["solve"]["n_steps"] = 64
+    doc["initial"]["delay"] = 0.3 if off == "initial" else 0.5
+    if off == "tap" or off == "initial":
+        doc["coefficients"].update(family="pointwise_delay", tau=0.3 if off == "tap" else 0.25)
+    elif off == "window":
+        doc["coefficients"].update(family="distributed_delay", delay_span=0.3)
+    else:
+        doc["solve"].update(n_steps=16, mollifier_level=64)
+    return doc
+
+
+@pytest.mark.parametrize("off, message", [
+    ("tap", "coefficients.tau: tap 0.3 does not land on the grid (dt=0.015625)"),
+    ("window", "coefficients.delay_span: window 0.3 does not land on the grid (dt=0.015625)"),
+    ("initial", "initial: delay 0.3 does not land on the grid (dt=0.015625)"),
+    ("mesh", "mesh dt=0.0625 too coarse for mollifier level 64"),
+])
+def test_an_off_grid_solve_exits_three_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                      off, message):
+    """``solve`` makes the pre-draw check of an experiment, with the same
+    field names: it draws no driver and writes no solution."""
+    cfg = write_config(tmp_path, _off_grid_solve_doc(off))
+    draws = _count_draws(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert draws == []
+    assert not (out / "solution.csv").exists()
+    assert not (out / "solution_meta.json").exists()
+
+
+def test_the_draw_spy_sees_a_solve(tmp_path, monkeypatch):
+    """The spy of the tests above counts the one draw of a solve that runs."""
+    cfg = write_config(tmp_path, TestCliSolve().solve_doc())
+    draws = _count_draws(monkeypatch)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(draws) == 1
 
 
 def test_vanishing_delay_never_reads_its_specs_own_tap(tmp_path, capsys, monkeypatch):
