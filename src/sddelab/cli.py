@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-One config file describes one run; flags only override the master seed
-(``--seed`` replaces ``seed.master`` and is validated like it), the output
-directory and the worker count.  Subcommands: ``fbm`` (sample a driver path),
-``frac`` (fractional-calculus operations on a CSV path), ``solve`` (one SDDE
-solve), ``experiment`` (Monte Carlo studies).
+One config file describes one run.  Subcommands: ``fbm`` (sample a driver
+path), ``frac`` (fractional-calculus operations on a CSV path), ``solve`` (one
+SDDE solve), ``experiment`` (Monte Carlo studies).  Each takes ``--config``
+and ``--out`` (the output directory); a subcommand accepts only the other flags
+it reads: ``--seed`` (replaces ``seed.master`` and is validated like it) and
+``-v`` for all but ``frac``, whose config has no seed and which always prints
+its result, and ``--workers`` (the worker count) for ``experiment`` alone.  A
+flag a subcommand does not accept is a usage error (exit 2).
 
 Exit codes: 0 success and all configured pass criteria hold; 1 criteria
 failed; 2 config parse error (unreadable file or invalid JSON); 3 constraint
@@ -199,18 +202,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sddelab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        if name == "experiment":
+            p.add_argument("flavor", nargs="?", choices=sorted(FLAVOR_ALIASES), default=None)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--workers", type=int, default=None, help="override the worker count")
-        p.add_argument("-v", "--verbose", action="store_true")
-
-    for name in ("fbm", "frac", "solve"):
-        add_common(sub.add_parser(name))
-    exp = sub.add_parser("experiment")
-    exp.add_argument("flavor", nargs="?", choices=sorted(FLAVOR_ALIASES), default=None)
-    add_common(exp)
+        if name != "frac":  # a frac config has no seed, and frac always prints its result
+            p.add_argument("--seed", type=int, default=None, help="override the master seed")
+            p.add_argument("-v", "--verbose", action="store_true")
+        if name == "experiment":
+            p.add_argument("--workers", type=int, default=None, help="override the worker count")
     return parser
 
 
@@ -219,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args.config = Path(args.config)
     args.out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or Path.cwd())
     try:
-        loaded = load_config(args.config, args.seed)
+        loaded = load_config(args.config, getattr(args, "seed", None))  # frac takes none
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -12,10 +12,12 @@ grid past numpy's largest array names ``n_steps``.  The few rules linking
 fields are explicit lines after the read.  The history length r is a key of
 ``initial`` alone, and every solve takes its look-back window from it.
 Nothing physically meaningful (Hurst index, exponents, mesh, taps, Monte
-Carlo size) has a silent default, and every parsed config serializes to a
-canonical dict that round-trips losslessly: the resolved record is the values
-read, with the sections each kind builds put over them (the coefficients and
-the history as built, an experiment's levels as floats).
+Carlo size) has a silent default.  A key that a domain object also defaults
+reads its default from that object (a dataclass field or a parameter), so each
+default is written once.  Every parsed config serializes to a canonical dict
+that round-trips losslessly: the resolved record is the values read, with the
+sections each kind builds put over them (the coefficients and the history as
+built, an experiment's levels as floats).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (_MODULATIONS, DELAY_READS, FAMILIES, REACH, CoeffBlock, Coeff
 from .drivers import _METHODS, FbmParams
 from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
                           _check_reads, _oversized)
-from .fraccalc import RS_RULES
+from .fraccalc import RS_RULES, riemann_stieltjes_integral
 from .grid import GridPath, SeedSpec
 from .solver import SCHEMES, MollifierParams, SolverConfig
 
@@ -113,6 +115,13 @@ _TYPES = {
 }
 
 
+def _default(func, key: str):
+    """The default of parameter ``key`` of ``func``, read from its code object."""
+    code = func.__code__
+    names = code.co_varnames[code.co_argcount - len(func.__defaults__):code.co_argcount]
+    return dict(zip(names, func.__defaults__))[key]
+
+
 def _within(v, rng: tuple) -> bool:
     left, lo, hi, right = rng
     return (lo < v if left == "(" else lo <= v) and (v < hi if right == ")" else v <= hi)
@@ -157,14 +166,19 @@ HOLDER = (
     Field("gamma", "float", "Hölder order of the rough driver Z; above 1/2 and below hurst"),
     Field("alpha", "float", "order of the fractional norms, in (1-gamma, 1/2)"),
     Field("beta", "float", "time-Hölder order of the z-coefficient, in (1-gamma, 1]"),
-    Field("theta", "float", "Hölder order of the initial condition, in (1-gamma, 1/2)"),
+    Field("theta", "float", "validated, in (1-gamma, 1/2), but never read: the history's "
+          "claimed order is initial.theta"),
     Field("hurst", "float", "Hurst index of the fBm realizing Z, in (1/2, 1)"),
 )
 BLOCK = (
-    Field("gain_now", "array", "gain at psi(0): scalar, (d, d) or (channels, d, d)", 0.0),
-    Field("gain_delay", "array", "gain at the delay read, shaped like gain_now", 0.0),
-    Field("const", "array", "constant term: scalar or (channels, d)", 0.0),
-    Field("time_modulation", "string", "factor applied at time t", "none", _MODULATIONS),
+    Field("gain_now", "array", "gain at psi(0): scalar, (d, d) or (channels, d, d)",
+          _default(CoeffBlock.build, "gain_now")),
+    Field("gain_delay", "array", "gain at the delay read, shaped like gain_now",
+          _default(CoeffBlock.build, "gain_delay")),
+    Field("const", "array", "constant term: scalar or (channels, d)",
+          _default(CoeffBlock.build, "const")),
+    Field("time_modulation", "string", "factor applied at time t",
+          _default(CoeffBlock.build, "time_modulation"), _MODULATIONS),
 )
 CONSTANTS = (
     Field("K", "float", "claimed growth constant, at least the closed form", OPTIONAL),
@@ -176,8 +190,10 @@ COEFFICIENTS = (
     Field("dim", "integer", "state dimension d", range=_COUNT),
     Field("n_wiener", "integer", "number m of Wiener channels", range=_COUNT),
     Field("n_holder", "integer", "number l of rough-driver channels", range=_COUNT),
-    Field("tau", "float", "delay tap; required by linear and pointwise_delay", 0.0),
-    Field("delay_span", "float", "kernel support; required by distributed_delay", 0.0),
+    Field("tau", "float", "delay tap; required by linear and pointwise_delay",
+          CoefficientSpec.tau),
+    Field("delay_span", "float", "kernel support; required by distributed_delay",
+          CoefficientSpec.delay_span),
     Field("drift", BLOCK, "drift a, one channel", None),
     Field("diffusion", BLOCK, "diffusion b, n_wiener channels", None),
     Field("zdrive", BLOCK, "rough coefficient c, n_holder channels", None),
@@ -196,7 +212,7 @@ INITIAL = (
 SEED = (
     Field("master", "integer", "master seed, in [0, 2^64)"),
     Field("stream", "integer", "stream index, at least 0; an experiment takes 0 only, as "
-          "its replica r draws from stream r", 0),
+          "its replica r draws from stream r", SeedSpec.stream_index),
 )
 _METHOD = Field("method", "string", "exact fBm sampler: Cholesky factor by the Schur "
                 "algorithm, or circulant embedding", FbmParams.method, _METHODS)
@@ -220,7 +236,8 @@ FRAC = (
           None, range=_UNIT_HALF_OPEN),
     Field("interval", "numbers", "grid-aligned window [a, b]; not for delay_norms, whose "
           "window is [-delay, t]", None),
-    Field("rule", "string", "Riemann-Stieltjes sum rule of rs", "left", RS_RULES),
+    Field("rule", "string", "Riemann-Stieltjes sum rule of rs",
+          _default(riemann_stieltjes_integral, "rule"), RS_RULES),
     Field("delay", "number", "history length r; required by delay_norms", None,
           range=_NON_NEGATIVE),
     Field("t", "number", "end time t; required by delay_norms", None, range=_POSITIVE),
@@ -229,7 +246,8 @@ SOLVE = (
     Field("scheme", "string", "euler_ito solves the mollified Itô equation", REQUIRED, SCHEMES),
     _HORIZON,
     _N_STEPS,
-    Field("explosion_threshold", "float", "state norm that counts as an explosion, > 0", 1e8),
+    Field("explosion_threshold", "float", "state norm that counts as an explosion, > 0",
+          SolverConfig.explosion_threshold),
     Field("mollifier_level", "integer", "mollifier level N >= 1; required by euler_ito", None),
 )
 EXPERIMENT = (
@@ -239,23 +257,27 @@ EXPERIMENT = (
     Field("epsilon", "float", "exceedance threshold of the sup distance, > 0"),
     _HORIZON,
     _N_STEPS,
-    Field("perturbation", "string", "coefficient perturbation (coeff_convergence)", "none",
-          PERTURBATIONS),
-    Field("reference", "string", "reference solution (euler_refinement)", "closed_form",
-          REFERENCES),
-    Field("m_trunc", "float", "truncation level of the driver seminorm", 10.0),
-    Field("r_trunc", "float", "truncation level of the solution delay norm", 1e3),
+    Field("perturbation", "string", "coefficient perturbation (coeff_convergence)",
+          ExperimentConfig.perturbation, PERTURBATIONS),
+    Field("reference", "string", "reference solution (euler_refinement)",
+          ExperimentConfig.reference, REFERENCES),
+    Field("m_trunc", "float", "truncation level of the driver seminorm", ExperimentConfig.m_trunc),
+    Field("r_trunc", "float", "truncation level of the solution delay norm",
+          ExperimentConfig.r_trunc),
     Field("moment_p", "number", "moment order p of quasi_contract (default: smallest "
-          "admissible even order)", None),
-    Field("emit_distances", "boolean", "also write per-replica distances.csv", False),
+          "admissible even order)", ExperimentConfig.moment_p),
+    Field("emit_distances", "boolean", "also write per-replica distances.csv",
+          ExperimentConfig.emit_distances),
 )
 CRITERIA = (
-    Field("max_final_exceedance", "float", "last-level exceedance must stay below", 0.05),
+    Field("max_final_exceedance", "float", "last-level exceedance must stay below",
+          ExperimentConfig.max_final_exceedance),
     Field("min_decreasing_steps", "integer", "euler_refinement: mean-distance drops needed, >= 0 "
-          "(default: levels - 2, at least 1)", None),
-    Field("ratio_bound", "float", "quasi_contract: largest allowed ratio spread", 10.0),
+          "(default: levels - 2, at least 1)", ExperimentConfig.min_decreasing_steps),
+    Field("ratio_bound", "float", "quasi_contract: largest allowed ratio spread",
+          ExperimentConfig.ratio_bound),
     Field("heavy_tail_fails", "boolean", "moments: fail when the top 1% carry half the "
-          "moment", False),
+          "moment", ExperimentConfig.heavy_tail_fails),
 )
 _KIND = Field("kind", "string", "the run type: experiment, solve, fbm or frac")
 _SEED = Field("seed", SEED, "the master seed and stream")
@@ -366,7 +388,7 @@ def _model(v: dict, doc: dict) -> tuple:
 
 def _parse_fbm(v: dict, doc: dict) -> tuple:
     params = _build("fbm", FbmParams, **v["fbm"])
-    if message := _oversized(params.n_steps, params.method, params.n_steps + 1):
+    if message := _oversized(params.n_steps, params.method, params.horizon):
         raise ConfigError(f"fbm.n_steps: {message}")
     return (params, _seed(v)), {}
 
@@ -402,8 +424,7 @@ def _parse_solve(v: dict, doc: dict) -> tuple:
     _build(None, _check_reads, spec, initial, scfg.horizon, n,
            levels=[level] if s["scheme"] == "euler_ito" else [])
     fbm = _build("solve", FbmParams, holder.hurst, n, scfg.horizon, method)
-    if message := _oversized(n, method, (n + 1) * max(spec.n_wiener, spec.n_holder),
-                             (round(initial.r / scfg.dt) + n + 1) * spec.dim):
+    if message := _oversized(n, method, scfg.horizon, spec, initial.r):
         raise ConfigError(f"solve.n_steps: {message}")
     return (scfg, spec, initial, seed, fbm, mollifier), built
 

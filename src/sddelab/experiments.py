@@ -550,7 +550,8 @@ def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # level checks, one per experiment kind: the rules a level schedule must meet
 # before any replica is solved.  Each returns the (spec, meshes, mollifier levels)
-# its run reads for :func:`_check_reads`, or None for the spec on the n_steps grid.
+# its run reads for :func:`_check_reads`, or None for the spec on the n_steps grid;
+# vanishing_delay makes that check itself, before its taps, and returns no mesh.
 
 
 def _require_counts(cfg: ExperimentConfig, what: str) -> None:
@@ -561,17 +562,22 @@ def _require_counts(cfg: ExperimentConfig, what: str) -> None:
         )
 
 
-def _oversized(n: int, method: str, drivers: int, buffer: int = 0) -> str | None:
-    """Why a driver grid of n steps cannot be allocated, or None: counted
-    from ``drivers`` and ``buffer`` (stepper) values and the ``method``'s
-    sampler before anything is allocated.  Numpy refuses any array of more
-    than ``intp`` max / 8 float64 values on every machine."""
+def _oversized(n: int, method: str, horizon: float, spec: CoefficientSpec | None = None,
+               r: float = 0.0, replicas: int = 1, rows: int = 1) -> str | None:
+    """Why a driver grid of n steps on [0, horizon] cannot be allocated, or
+    None, counted before anything is allocated: ``replicas`` draws of n + 1
+    values on each driver channel of ``spec`` (one fBm path without a spec),
+    the ``method``'s sampler, and ``rows`` stepper rows per replica of
+    ``spec.dim`` values on the ``q + n + 1`` nodes of the history of length
+    ``r`` and the grid.  Numpy refuses any array of more than ``intp`` max / 8
+    float64 values on every machine."""
     pad = -(-n // _PAD) * _PAD
+    channels, dim = (1, 0) if spec is None else (max(spec.n_wiener, spec.n_holder), spec.dim)
     sizes = {
-        "the drivers": drivers,
+        "the drivers": replicas * (n + 1) * channels,
         "the Cholesky factor": pad * pad // 2 if method == "cholesky" else 0,
         "the circulant embedding": 4 * n if method == "davies_harte" else 0,
-        "the stepper buffer": buffer,
+        "the stepper buffer": replicas * rows * (round(r * n / horizon) + n + 1) * dim,
     }
     for what, values in sizes.items():
         if values > np.iinfo(np.intp).max // 8:
@@ -584,11 +590,8 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
     """Refuse a grid whose arrays numpy cannot allocate, naming the field that
     sets it: a block's drivers and its stepper buffer, ``(q + n + 1)`` nodes
     of every row, on the driver grid of n steps."""
-    n, spec, replicas = _driver_steps(cfg), cfg.spec, _block_size(cfg, 1)
-    if message := _oversized(n, cfg.driver_method,
-                             replicas * (n + 1) * max(spec.n_wiener, spec.n_holder),
-                             (round(cfg.initial.r * n / cfg.horizon) + n + 1)
-                             * replicas * (len(cfg.levels) + 1) * spec.dim):
+    if message := _oversized(_driver_steps(cfg), cfg.driver_method, cfg.horizon, cfg.spec,
+                             cfg.initial.r, _block_size(cfg, 1), len(cfg.levels) + 1):
         field = "levels" if cfg.kind == "euler_refinement" else "n_steps"
         raise ExperimentError(f"experiment.{field}: {message}")
 
@@ -638,16 +641,18 @@ def _check_coeff(cfg: ExperimentConfig) -> None:
 def _check_delay(cfg: ExperimentConfig) -> tuple:
     if cfg.spec.family != "pointwise_delay":
         raise ExperimentError("vanishing delay needs a pointwise_delay spec")
-    dt = cfg.solver_config.dt  # r rounded to it; _check_reads then refuses an r off it
+    reference = cfg.spec.merge_delay()  # the spec's own tap is never read
+    _check_reads(reference, cfg.initial, cfg.horizon, cfg.n_steps)  # the history before the taps
+    dt = cfg.solver_config.dt
     for tau in cfg.levels:
         try:
-            _reach_steps(cfg.spec.with_tau(tau), dt, round(cfg.initial.r / dt))
+            _reach_steps(cfg.spec.with_tau(tau), dt, cfg.initial.steps(dt))
         except ValueError as exc:
             raise ExperimentError(
                 f"levels of vanishing_delay are taps on the mesh in [0, {abs(cfg.initial.r):g}], "
                 f"the initial delay; got {list(cfg.levels)}: {exc}"
             ) from exc
-    return cfg.spec.merge_delay(), (cfg.n_steps,), ()  # the spec's own tap is never read
+    return reference, (), ()
 
 
 def _check_euler(cfg: ExperimentConfig) -> tuple:

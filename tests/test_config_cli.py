@@ -1,7 +1,6 @@
+import argparse
 import concurrent.futures
 import contextlib
-import dataclasses
-import inspect
 import io
 import json
 import math
@@ -21,11 +20,9 @@ from hypothesis import strategies as st
 from sddelab.cli import main
 from sddelab import FbmParams, cli, config, drivers, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
-from sddelab.core import CoeffBlock
 from sddelab.drivers import DriverNumericsError
-from sddelab.experiments import ExperimentConfig
 from sddelab.grid import SeedSpec, stack_paths
-from sddelab.solver import SolverConfig, SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
+from sddelab.solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 DATA = Path(__file__).parent / "data"
 
@@ -793,6 +790,8 @@ def _count_draws(monkeypatch) -> list:
      "(dt=0.25)"),
     *((alias, "pointwise_delay", "initial", "initial: delay 0.3 does not land on the grid "
        "(dt=0.015625)") for alias in ("coeff", "delay", "ito", "moments", "quasi")),
+    ("delay", "pointwise_delay", "beyond", "initial: delay 0.3 does not land on the grid "
+     "(dt=0.015625)"),
 ])
 def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, monkeypatch,
                                                            alias, family, off, message):
@@ -801,7 +800,7 @@ def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, mo
     4, 8, 16 and their fine-Euler grid of 64.  The run names the field that
     sets it, draws no driver and writes no report.  A history is named
     ``initial`` in every flavor, vanishing_delay's included, whose taps 0.25
-    and 0.125 fit within it."""
+    and 0.125 fit within it, before its taps ``beyond`` it, 0.3125 and 0.125."""
     euler = alias == "euler"
     levels = [4, 8, 16] if euler else DELAY_HISTORY_CASES[alias]
     doc = _delay_history_doc(alias, levels, family, n_steps=64,
@@ -811,6 +810,8 @@ def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, mo
         doc["initial"]["delay"] = 0.5
     else:
         doc["initial"]["delay"] = 0.3
+    if off == "beyond":
+        doc["experiment"]["levels"] = [0.3125, 0.125]
     cfg = write_config(tmp_path, doc)
     draws = _count_draws(monkeypatch)
     out = tmp_path / "out"
@@ -1073,24 +1074,6 @@ def test_a_solver_explosion_prints_one_line(tmp_path):
     assert out.stderr.startswith("solver explosion: ")
 
 
-def test_field_tables_restate_the_defaults_of_the_fields_they_feed():
-    """A table default and the default of the domain field it feeds are
-    written twice; they must agree."""
-    experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    build = inspect.signature(CoeffBlock.build).parameters
-    method = config.DRIVER[0]
-    threshold, = [f for f in config.SOLVE if f.key == "explosion_threshold"]
-    stream, = [f for f in config.SEED if f.key == "stream"]
-    pairs = [(f, experiment[f.key]) for f in config.EXPERIMENT + config.CRITERIA
-             if f.default is not config.REQUIRED]
-    pairs += [(f, build[f.key].default) for f in config.BLOCK]
-    pairs += [(method, experiment["driver_method"]), (method, FbmParams.method),
-              (threshold, SolverConfig.explosion_threshold), (stream, SeedSpec.stream_index)]
-    assert len(pairs) == 18
-    for f, default in pairs:
-        assert (type(f.default), f.default) == (type(default), default), f.key
-
-
 def test_an_experiment_rejects_a_stream_other_than_zero(tmp_path, capsys):
     """Replica r of an experiment draws from stream r, so ``seed.stream``
     would change nothing but the echoed config."""
@@ -1147,6 +1130,20 @@ def test_seed_flag_writes_the_bytes_of_a_config_with_that_master(tmp_path, subco
     for output in outputs:
         assert (tmp_path / "flag" / output).read_bytes() == (
             tmp_path / "config" / output).read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("fbm", "--workers 2"), ("solve", "--workers 2"),
+    ("frac", "--workers 2"), ("frac", "--seed 5"), ("frac", "-v"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, subcommand,
+                                                              flag):
+    """A subcommand accepts only the flags it reads; argparse refuses any
+    other with exit 2, before the config (here absent) is read."""
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", str(tmp_path / "cfg.json"), *flag.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_integral_float_meshes_run_as_integers(tmp_path):
@@ -1810,6 +1807,19 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_schema_matches_the_field_tables():
     assert render_schema() in README.read_text()
+
+
+def test_readme_usage_shows_the_flags_each_subcommand_accepts():
+    """Each ``sddelab <subcommand>`` line of the README's usage block shows
+    exactly the flags the parser accepts for that subcommand."""
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S)[1]
+    shown = {line.split()[1]: set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+             for line in block.splitlines() if line.startswith("sddelab ")}
+    sub, = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {name: {a.option_strings[0] for a in p._actions
+                       if a.option_strings and a.dest != "help"}
+                for name, p in sub.choices.items()}
+    assert shown == accepted
 
 
 def test_readme_json_examples_parse():
