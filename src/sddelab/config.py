@@ -217,8 +217,6 @@ SEED = (
 _METHOD = Field("method", "string", "exact fBm sampler: Cholesky factor by the Schur "
                 "algorithm, or circulant embedding", FbmParams.method, _METHODS)
 _HORIZON = Field("horizon", "float", "time horizon T", range=_POSITIVE)
-_N_STEPS = Field("n_steps", "integer", "Euler steps on the driver grid, at least 2 "
-                 "(the meshes of euler_refinement are its levels)")
 DRIVER = (_METHOD,)
 FBM = (
     Field("hurst", "float", "Hurst index, in (1/2, 1)"),
@@ -245,7 +243,7 @@ FRAC = (
 SOLVE = (
     Field("scheme", "string", "euler_ito solves the mollified Itô equation", REQUIRED, SCHEMES),
     _HORIZON,
-    _N_STEPS,
+    Field("n_steps", "integer", "Euler steps on the driver grid, at least 2"),
     Field("explosion_threshold", "float", "state norm that counts as an explosion, > 0",
           SolverConfig.explosion_threshold),
     Field("mollifier_level", "integer", "mollifier level N >= 1; required by euler_ito", None),
@@ -256,7 +254,8 @@ EXPERIMENT = (
     Field("replicas", "integer", "Monte Carlo size, at least 30"),
     Field("epsilon", "float", "exceedance threshold of the sup distance, > 0"),
     _HORIZON,
-    _N_STEPS,
+    Field("n_steps", "integer", "the driver grid of every flavor, at least 2 steps; for a mesh "
+          "study, its finest mesh, or 4x that mesh under fine_euler"),
     Field("perturbation", "string", "coefficient perturbation (coeff_convergence)",
           ExperimentConfig.perturbation, PERTURBATIONS),
     Field("reference", "string", "reference solution (euler_refinement)",
@@ -396,6 +395,10 @@ def _parse_fbm(v: dict, doc: dict) -> tuple:
 def _parse_frac(v: dict, doc: dict) -> tuple:
     f = v["frac"]
     op = f["operation"]
+    for key, readers in {"lambda": ("norms", "young_love"), "mu": ("young_love",),
+                         "delay": ("delay_norms",), "t": ("delay_norms",)}.items():
+        if f[key] is not None and op not in readers:
+            raise ConfigError(f"frac.{key}: operation {op} does not read it")
     if op == "young_love" and (f["lambda"] is None or f["mu"] is None):
         raise ConfigError("frac: young_love requires explicit lambda and mu")
     if op == "young_love" and not f["lambda"] + f["mu"] > 1.0:
@@ -417,8 +420,9 @@ def _parse_solve(v: dict, doc: dict) -> tuple:
     s = v["solve"]
     scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], s["explosion_threshold"])
     level = s["mollifier_level"]
-    if s["scheme"] == "euler_ito" and level is None:
-        raise ConfigError("solve: scheme euler_ito requires mollifier_level")
+    if (s["scheme"] == "euler_ito") != (level is not None):  # only euler_ito reads it
+        raise ConfigError(f"solve.mollifier_level: scheme {s['scheme']} "
+                          f"{'does not read' if level is not None else 'requires'} it")
     mollifier = None if level is None else _build("solve", MollifierParams, level)
     n = scfg.n_steps
     _build(None, _check_reads, spec, initial, scfg.horizon, n,

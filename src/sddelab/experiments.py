@@ -120,10 +120,7 @@ class ExperimentConfig:
             raise ExperimentError("epsilon must be positive")
         if not self.horizon > 0:
             raise ExperimentError(f"horizon must be positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ExperimentError(f"n_steps must be at least 1, got {self.n_steps}")
-        if self.kind != "euler_refinement":  # n_steps sets the driver and solver grids
-            FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
+        FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
         if len(self.levels) < 1:
             raise ExperimentError("need at least one level")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
@@ -312,17 +309,8 @@ def _at_levels(*labels):
 
 # --------------------------------------------------------------------------
 # per-block work, one function per experiment kind.  Each takes the drawn
-# drivers of a replica block, W and Z on the grid of ``_driver_steps``, solves
-# the block together and returns one row per replica.
-
-
-def _driver_steps(cfg: ExperimentConfig) -> int:
-    """The steps of the driver grid: the solver grid, or for a mesh study the
-    finest mesh (4x it under a fine-Euler reference)."""
-    if cfg.kind != "euler_refinement":
-        return cfg.n_steps
-    finest = int(max(cfg.levels))
-    return finest if cfg.reference == "closed_form" else 4 * finest
+# drivers of a replica block, W and Z on the grid of ``n_steps``, solves the
+# block together and returns one row per replica.
 
 
 def _level_distances(reference: GridPath, levels) -> np.ndarray:
@@ -373,21 +361,18 @@ def _geometric_triple(cfg: ExperimentConfig):
 
 def _block_euler(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Euler paths across dyadic meshes versus the closed form (or a 4x-finer solve)."""
-    use_closed = cfg.reference == "closed_form"
-    n_driver = _driver_steps(cfg)
     x0 = float(cfg.initial.eta.values[-1, 0])
     eta = cfg.initial
     if cfg.spec.reach == 0:  # x depends on eta(0) alone
         eta = replace(eta, eta=GridPath(0.0, eta.eta.dt, eta.eta.values[-1:]))
-    if use_closed:
+    if cfg.reference == "closed_form":
         reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
     else:
-        fine_cfg = SolverConfig(n_steps=n_driver, horizon=cfg.horizon)
         with _at_levels("reference"):
-            reference = euler_mixed_sdde(cfg.spec, eta, w, z, fine_cfg)
+            reference = euler_mixed_sdde(cfg.spec, eta, w, z, cfg.solver_config)
     out = np.empty((w.replicas, len(cfg.levels)))
     for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
-        step = n_driver // int(level)
+        step = cfg.n_steps // int(level)
         scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
         with _at_levels(level):
             level_path = euler_mixed_sdde(
@@ -526,7 +511,7 @@ def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
     """
     size = _block_size(cfg, procs)
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
-    fbm = FbmParams(cfg.params.hurst, _driver_steps(cfg), cfg.horizon, cfg.driver_method)
+    fbm = FbmParams(cfg.params.hurst, cfg.n_steps, cfg.horizon, cfg.driver_method)
 
     def drawn(replicas: range):
         w, z = _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
@@ -555,11 +540,12 @@ def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
 
 
 def _require_counts(cfg: ExperimentConfig, what: str) -> None:
-    """Levels that count something (mesh steps, mollifier levels): integers >= 1."""
-    if any(not float(n).is_integer() or n < 1 for n in cfg.levels):
-        raise ExperimentError(
-            f"levels of {cfg.kind} are {what}, integers >= 1; got {list(cfg.levels)}"
-        )
+    """Levels that count something (mesh steps, mollifier levels): increasing
+    integers >= 1, so that the schedule refines as its criteria assume."""
+    levels = list(cfg.levels)
+    if any(not float(n).is_integer() or n < 1 for n in levels) or levels != sorted(levels):
+        raise ExperimentError(f"experiment.levels: levels of {cfg.kind} are {what}, "
+                              f"increasing integers >= 1; got {levels}")
 
 
 def _oversized(n: int, method: str, horizon: float, spec: CoefficientSpec | None = None,
@@ -587,13 +573,12 @@ def _oversized(n: int, method: str, horizon: float, spec: CoefficientSpec | None
 
 
 def _check_sizes(cfg: ExperimentConfig) -> None:
-    """Refuse a grid whose arrays numpy cannot allocate, naming the field that
-    sets it: a block's drivers and its stepper buffer, ``(q + n + 1)`` nodes
-    of every row, on the driver grid of n steps."""
-    if message := _oversized(_driver_steps(cfg), cfg.driver_method, cfg.horizon, cfg.spec,
+    """Refuse a grid whose arrays numpy cannot allocate, naming ``n_steps``:
+    a block's drivers and its stepper buffer, ``(q + n + 1)`` nodes of every
+    row, on the driver grid of n steps."""
+    if message := _oversized(cfg.n_steps, cfg.driver_method, cfg.horizon, cfg.spec,
                              cfg.initial.r, _block_size(cfg, 1), len(cfg.levels) + 1):
-        field = "levels" if cfg.kind == "euler_refinement" else "n_steps"
-        raise ExperimentError(f"experiment.{field}: {message}")
+        raise ExperimentError(f"experiment.n_steps: {message}")
 
 
 def _run_work(cfg: ExperimentConfig) -> int:
@@ -603,7 +588,7 @@ def _run_work(cfg: ExperimentConfig) -> int:
     fine-Euler reference over their own steps, plus an eighth of a row-step
     for each of the ``n * n / 2`` lag pairs of a fractional norm.  The parent
     draws every block, so the draws are not shared and not counted."""
-    n, levels = _driver_steps(cfg), len(cfg.levels)
+    n, levels = cfg.n_steps, len(cfg.levels)
     if cfg.kind == "euler_refinement":
         steps = sum(map(int, cfg.levels)) + (cfg.reference != "closed_form") * n
     else:
@@ -659,8 +644,6 @@ def _check_euler(cfg: ExperimentConfig) -> tuple:
     _require_counts(cfg, "mesh sizes")
     levels = [int(n) for n in cfg.levels]
     finest = max(levels)
-    if finest < 2:
-        raise ExperimentError("levels of euler_refinement need a finest mesh of 2 or more steps")
     for n in levels:
         if finest % n != 0:
             raise ExperimentError("mesh levels must divide the finest mesh")
@@ -668,8 +651,12 @@ def _check_euler(cfg: ExperimentConfig) -> tuple:
         raise ExperimentError(
             "closed-form reference unavailable for this spec; use reference='fine_euler'"
         )
+    grid = finest if cfg.reference == "closed_form" else 4 * finest  # the reference's grid
+    if cfg.n_steps != grid:
+        raise ExperimentError(f"experiment.n_steps: a mesh study with reference {cfg.reference} "
+                              f"draws its drivers on {grid} steps; got {cfg.n_steps}")
     # a spec that reads no delay reads only the history's last value
-    return cfg.spec, (*levels, _driver_steps(cfg)) if cfg.spec.reach > 0 else (), ()
+    return cfg.spec, (*levels, cfg.n_steps) if cfg.spec.reach > 0 else (), ()
 
 
 def _check_ito(cfg: ExperimentConfig) -> tuple:

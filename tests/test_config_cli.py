@@ -686,6 +686,26 @@ RANGE_ERRORS = {
     "euler_half_mesh": (
         "experiment", "levels", _with(geometric_doc(), "experiment", levels=[16.5, 64]),
     ),
+    # a coarsening schedule would fail a correct solver on the criteria of a refining one
+    "euler_decreasing_meshes": (
+        "experiment", "experiment.levels",
+        _with(geometric_doc(), "experiment", levels=[256, 64, 16]),
+    ),
+    "ito_decreasing_levels": (
+        "experiment", "experiment.levels",
+        _with(geometric_doc(), "experiment", flavor="ito_limit", levels=[16, 4]),
+    ),
+    # an optional key that the scheme or the operation never reads
+    "solve_mixed_mollifier_level": (
+        "solve", "solve.mollifier_level",
+        _with(TestCliSolve().solve_doc(), "solve", mollifier_level=3),
+    ),
+    "gls_lambda": ("frac", "frac.lambda", _frac_doc(operation="gls", **{"lambda": 0.6})),
+    "norms_mu": ("frac", "frac.mu", _frac_doc(operation="norms", mu=0.6)),
+    "rs_delay": ("frac", "frac.delay", _frac_doc(operation="rs", delay=0.25)),
+    "young_love_t": (
+        "frac", "frac.t", _frac_doc(operation="young_love", t=1.0, **{"lambda": 0.6, "mu": 0.6}),
+    ),
     # JSON's NaN compares false to every bound, so it would pass any criterion
     "quasi_nan_ratio_bound": (
         "experiment", "ratio_bound",
@@ -750,7 +770,7 @@ def _delay_history_doc(alias, levels, family="pointwise_delay", **experiment):
 def test_every_flavor_runs_on_a_delay_history(tmp_path, capsys, alias, family):
     """The history length r = 0.25 sets the look-back window of every solve,
     the fine reference and each mesh of euler_refinement included."""
-    extra = {"reference": "fine_euler"} if alias == "euler" else {}
+    extra = {"reference": "fine_euler", "n_steps": 128} if alias == "euler" else {}
     doc = _delay_history_doc(alias, DELAY_HISTORY_CASES[alias], family, **extra)
     cfg = write_config(tmp_path, doc)
     code = main(["experiment", alias, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -761,7 +781,7 @@ def test_every_flavor_runs_on_a_delay_history(tmp_path, capsys, alias, family):
 
 def test_the_history_must_land_on_every_mesh_of_a_delay_spec(tmp_path, capsys):
     """r = 1/32 lands on the fine grids but not on the mesh of 16 steps."""
-    doc = _delay_history_doc("euler", [16, 64], reference="fine_euler")
+    doc = _delay_history_doc("euler", [16, 64], reference="fine_euler", n_steps=256)
     doc["coefficients"]["tau"] = 1 / 32
     doc["initial"] = {"constant": 1.0, "delay": 1 / 32, "theta": 0.45}
     cfg = write_config(tmp_path, doc)
@@ -819,6 +839,25 @@ def test_an_off_grid_delay_read_exits_three_before_any_draw(tmp_path, capsys, mo
     assert message in capsys.readouterr().err
     assert draws == []
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("reference, n_steps, grid", [
+    ("closed_form", 7, 256), ("closed_form", 1024, 256), ("fine_euler", 256, 1024),
+])
+def test_a_mesh_study_draws_on_its_reference_grid_or_exits_three(tmp_path, capsys, monkeypatch,
+                                                                   reference, n_steps, grid):
+    """``experiment.n_steps`` is the driver grid of a mesh study too: its finest
+    mesh, or 4x that mesh under a fine-Euler reference.  Any other value exits 3
+    naming the field and the grid, before any draw."""
+    doc = _with(geometric_doc(), "experiment", levels=[16, 64, 256], n_steps=n_steps,
+                reference=reference)
+    cfg = write_config(tmp_path, doc)
+    draws = _count_draws(monkeypatch)
+    assert main(["experiment", "euler", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert (f"experiment.n_steps: a mesh study with reference {reference} draws its drivers "
+            f"on {grid} steps; got {n_steps}") in capsys.readouterr().err
+    assert draws == []
+    assert not (tmp_path / "report.json").exists()
 
 
 def _off_grid_solve_doc(off: str) -> dict:
@@ -894,7 +933,8 @@ def test_no_delay_euler_reads_only_psi_0_of_the_history(tmp_path, reference, lev
     reports = []
     for r in (0.0, 1 / 32, 0.25):
         doc = _with(geometric_doc(), "experiment", levels=levels, replicas=30,
-                    reference=reference)
+                    reference=reference,
+                    n_steps=max(levels) * (4 if reference == "fine_euler" else 1))
         doc["initial"] = {"constant": 1.0, "delay": r, "theta": 0.45}
         out = tmp_path / str(r)
         assert main(["experiment", "euler", "--config", str(write_config(tmp_path, doc)),
@@ -1004,7 +1044,7 @@ def test_oversized_sizes_exit_three_without_traceback(tmp_path, case):
 
 @pytest.mark.parametrize("field, values", [
     ("experiment.n_steps", {"n_steps": 2**62}),
-    ("experiment.levels", {"flavor": "euler_refinement", "levels": [64, 2**62]}),
+    ("experiment.n_steps", {"flavor": "euler_refinement", "levels": [64, 2**62], "n_steps": 2**62}),
 ])
 def test_a_size_past_numpys_largest_array_names_its_field(tmp_path, field, values):
     """The arrays a run would allocate are counted from the config before any
@@ -1222,7 +1262,7 @@ def test_explosion_names_the_replica_identically_at_every_worker_count(
     )
     if np.ndim(drift) == 2:
         doc["coefficients"].update(family="linear", dim=2, n_wiener=2, n_holder=2, tau=0.0)
-        doc["experiment"]["reference"] = "fine_euler"
+        doc["experiment"].update(reference="fine_euler", n_steps=256)
         doc["initial"]["constant"] = [1.0, -0.5]
     cfg = write_config(tmp_path, doc)
     errs = []

@@ -11,7 +11,7 @@ from sddelab.core import (
     geometric_spec,
     pointwise_delay_spec,
 )
-from sddelab import experiments
+from sddelab import experiments, fraccalc
 from sddelab.experiments import (
     ExceedanceEstimate,
     ExperimentConfig,
@@ -24,6 +24,7 @@ from sddelab.experiments import (
     quasi_contraction_order,
     run_experiment,
 )
+from sddelab.grid import GridPath
 
 from helpers import standard_params
 
@@ -231,7 +232,7 @@ class TestEulerRefinement:
         cfg = make_config(
             "euler_refinement", spec=zero_spec(), levels=(16, 64),
             initial=constant_initial(1.0, 0.0, 1.0 / 64), emit_distances=True,
-            reference="fine_euler",
+            reference="fine_euler", n_steps=256,
         )
         rep = run_experiment(cfg)
         for lv in rep.levels:
@@ -248,7 +249,7 @@ class TestEulerRefinement:
     def test_fine_euler_reference_decays(self):
         cfg = make_config(
             "euler_refinement", levels=(16, 64, 256), reference="fine_euler",
-            replicas=40,
+            replicas=40, n_steps=1024,
         )
         rep = run_experiment(cfg)
         means = [lv.mean_distance for lv in rep.levels]
@@ -371,7 +372,7 @@ class TestQuasiContract:
 
 class TestAggregation:
     @pytest.mark.parametrize("kind,extra", [
-        ("euler_refinement", {}),
+        ("euler_refinement", dict(n_steps=128)),
         ("moments", dict(levels=(2.0, 4.0))),
         ("coeff_convergence", dict(levels=(1, 2, 4), perturbation="drift_shift")),
         ("vanishing_delay", dict(
@@ -400,13 +401,52 @@ class TestAggregation:
         assert experiments._run_work(delay) == 32 * 3 * 64
         euler = make_config("euler_refinement", n_steps=64, levels=(16, 64), replicas=32)
         assert experiments._run_work(euler) == 32 * (16 + 64)
-        fine = make_config("euler_refinement", levels=(16, 64), replicas=32,
+        fine = make_config("euler_refinement", n_steps=256, levels=(16, 64), replicas=32,
                            reference="fine_euler")
         assert experiments._run_work(fine) == 32 * (16 + 64 + 4 * 64)
         moments = make_config("moments", n_steps=64, levels=(2.0, 4.0), replicas=32)
         assert experiments._run_work(moments) == 32 * (64 + 2 * 64 * 64 // 16)
         quasi = make_config("quasi_contract", n_steps=64, levels=(0.1, 0.05), replicas=32)
         assert experiments._run_work(quasi) == 32 * (3 * 64 + 8 * 64 * 64 // 16)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("coeff_convergence", dict(levels=(1, 2, 4), perturbation="drift_shift")),
+        ("vanishing_delay", dict(
+            spec=pointwise_delay_spec(0.3, 0.3, 0.0, 0.2, 0.2, 0.0, tau=0.25),
+            levels=(0.25, 0.125), initial=constant_initial(1.0, 0.25, 1.0 / 64))),
+        ("euler_refinement", dict(levels=(16, 32, 64))),
+        ("euler_refinement", dict(levels=(8, 16), reference="fine_euler")),
+        ("ito_limit", dict(levels=(4, 8))),
+        ("moments", dict(levels=(2.0, 4.0))),
+        ("quasi_contract", dict(levels=(0.1, 0.05), m_trunc=25.0)),
+    ])
+    def test_run_work_counts_what_the_run_does(self, kind, extra, monkeypatch):
+        """On a run of two blocks in one process, ``_run_work`` is the row-steps
+        of every stepper call (its paths x its grid's steps) and the n^2 / 16 of
+        every norm a kernel call takes, one per replica it covers."""
+        cfg = make_config(kind, **{"n_steps": 64, "replicas": 60, **extra})
+        row_steps, norms = [], []
+
+        def stepper(solve):
+            def counted(*args):
+                out = solve(*args)
+                rows = sum(p.replicas for p in ([out] if isinstance(out, GridPath) else out))
+                row_steps.append(rows * args[4].n_steps)
+                return out
+            return counted
+
+        def kernel(norm):
+            return lambda x, *args: norms.append(len(getattr(x, "values", x))) or norm(x, *args)
+
+        for name in ("euler_mixed_sdde", "euler_ito_sdde"):
+            monkeypatch.setattr(experiments, name, stepper(getattr(experiments, name)))
+        for name in ("_seminorm_block", "_delay_norm_block"):
+            monkeypatch.setattr(fraccalc, name, kernel(getattr(fraccalc, name)))
+        run_experiment(cfg)
+        assert sum(row_steps) % cfg.replicas == sum(norms) % cfg.replicas == 0
+        per_replica = (sum(row_steps) // cfg.replicas * cfg.spec.dim
+                       + sum(norms) // cfg.replicas * cfg.n_steps ** 2 // 16)
+        assert experiments._run_work(cfg) == cfg.replicas * per_replica
 
     def test_monotone_violation_detection(self):
         def lv(level, est, lo, hi):
