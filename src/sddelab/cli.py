@@ -13,10 +13,11 @@ Exit codes: 0 success and all configured pass criteria hold; 1 criteria
 failed; 2 config parse error (unreadable file or invalid JSON); 3 constraint
 violation (a key, type, choice or range outside the config schema, ``--seed``
 included, a broken rule linking fields, a malformed input CSV, or a level
-schedule the experiment cannot run), with the offending field named on stderr,
-and also a driver covariance that cannot be factored or a size too large to
-allocate, at load (the section or the field named) or at run; 4 solver
-explosion; 5 I/O error.
+schedule the experiment cannot run), printed as ``field: message`` from the
+field that the :class:`~sddelab.grid.FieldError` carries, and also a driver
+covariance that cannot be factored or a size too large to allocate, at load
+(the section or the field named) or at run; 4 solver explosion, a closed-form
+reference past the trust region included; 5 I/O error.
 
 Every output record that carries the config (``report.json``,
 ``solution_meta.json``, ``fbm_path.json``, ``frac_result.json``) is built by
@@ -38,10 +39,9 @@ import numpy as np
 
 from . import __version__, fraccalc
 from .config import FLAVOR_ALIASES, ConfigError, LoadedConfig, load_config
-from .core import ParamError
 from .drivers import DriverNumericsError, sample_fbm
 from .experiments import ExperimentConfig, _sample_drivers, run_experiment
-from .grid import GridPath
+from .grid import FieldError, GridPath, _build
 from .solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 __all__ = ["main"]
@@ -78,7 +78,7 @@ def _read_csv(path: Path) -> GridPath:
     lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), 1)
              if ln.strip()]
     if len(lines) < 3:
-        raise ConfigError(f"{path}: need a header and at least two rows")
+        raise ConfigError(f"{path}: need a header and at least two rows", "frac.input_csv")
     rows = []
     for i, ln in lines[1:]:
         try:
@@ -87,15 +87,16 @@ def _read_csv(path: Path) -> GridPath:
                 raise ValueError
         except ValueError:
             raise ConfigError(f"{path}, line {i}: expected comma-separated finite numbers, "
-                              f"got {ln!r}") from None
+                              f"got {ln!r}", "frac.input_csv") from None
         if len(rows[-1]) < 2 or len(rows[-1]) != len(rows[0]):
             raise ConfigError(f"{path}, line {i}: {len(rows[-1])} columns; every row needs "
-                              f"the time and the value columns of the first row")
+                              f"the time and the value columns of the first row",
+                              "frac.input_csv")
     arr = np.asarray(rows)
     times, values = arr[:, 0], arr[:, 1:]
     steps = np.diff(times)
     if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * max(1.0, steps.max()):
-        raise ConfigError(f"{path}: time column is not a uniform grid")
+        raise ConfigError(f"{path}: time column is not a uniform grid", "frac.input_csv")
     return GridPath(float(times[0]), float(steps.mean()), values)
 
 
@@ -117,13 +118,13 @@ def _cmd_frac(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     op = f["operation"]
     alpha = f["alpha"]
     if op in ("gls", "rs", "young_love") and grid.dim != 2:
-        raise ConfigError(f"operation {op!r} needs a two-column CSV (f and g)")
+        raise ConfigError(f"operation {op!r} needs a two-column CSV (f and g)", "frac.input_csv")
     if f["interval"] is not None:
-        grid = grid.window(*f["interval"])
+        grid = _build("frac.interval", grid.window, *f["interval"])
     if op == "norms":
         result = asdict(fraccalc.fractional_norms(grid, alpha, f["lambda"]))
     elif op == "delay_norms":
-        bundle = fraccalc.delay_norms(grid, alpha, f["delay"], f["t"])
+        bundle = _build("frac", fraccalc.delay_norms, grid, alpha, f["delay"], f["t"])
         result = {**asdict(bundle), "norm_t": bundle.norm_t}
     else:
         fp = GridPath(grid.t0, grid.dt, grid.values[:, 0])
@@ -167,7 +168,7 @@ def _cmd_experiment(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     cfg: ExperimentConfig = loaded.payload
     if args.flavor is not None and FLAVOR_ALIASES[args.flavor] != cfg.kind:
         raise ConfigError(f"experiment subcommand {args.flavor!r} does not match config "
-                          f"flavor {cfg.kind!r}")
+                          f"flavor {cfg.kind!r}", "experiment.flavor")
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
     started = time.perf_counter()
@@ -192,6 +193,12 @@ def _cmd_experiment(loaded: LoadedConfig, args: argparse.Namespace) -> int:
 
 _COMMANDS = {"fbm": _cmd_fbm, "frac": _cmd_frac, "solve": _cmd_solve,
              "experiment": _cmd_experiment}
+
+
+def _named(exc: Exception) -> str:
+    """The stderr text of an exit 3: ``field: message`` where the error carries its field."""
+    field = getattr(exc, "field", None)
+    return f"{field}: {exc}" if field else str(exc)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,17 +232,17 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, ParamError) as exc:
-        print(f"config constraint violation: {exc}", file=sys.stderr)
+    except FieldError as exc:
+        print(f"config constraint violation: {_named(exc)}", file=sys.stderr)
         return EXIT_CONSTRAINT
 
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         if loaded.kind != args.subcommand:
-            raise ConfigError(f"subcommand {args.subcommand} got a {loaded.kind!r} config")
+            raise ConfigError(f"subcommand {args.subcommand} got a {loaded.kind!r} config", "kind")
         return _COMMANDS[args.subcommand](loaded, args)
-    except (ValueError, DriverNumericsError) as exc:  # ConfigError, GridError and the like
-        print(f"constraint violation: {exc}", file=sys.stderr)
+    except (ValueError, DriverNumericsError) as exc:  # FieldError and the like
+        print(f"constraint violation: {_named(exc)}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except (MemoryError, OverflowError) as exc:
         print(f"constraint violation: the run does not fit in memory: {exc}",

@@ -5,12 +5,15 @@ One config file describes one run.  Each section is a table of
 one-line doc), and one generic reader derives from it the unknown-key,
 missing-key, type, choice and range checks and the defaults.  Ranges that a
 domain object already enforces (``HolderParams``, ``FbmParams``,
-``SolverConfig``, ``MollifierParams``, ``ExperimentConfig``) are left to it,
-and a domain error or a size too large to allocate, raised while loading,
-becomes a :class:`ConfigError` that names the section; a ``solve`` or ``fbm``
-grid past numpy's largest array names ``n_steps``.  The few rules linking
-fields are explicit lines after the read.  The history length r is a key of
-``initial`` alone, and every solve takes its look-back window from it.
+``SolverConfig``, ``MollifierParams``, ``ExperimentConfig``) are left to it.
+Every error of a bad value is a :class:`~sddelab.grid.FieldError` that
+carries its field's config path: the reader and the rules linking fields
+name it themselves, and a domain object built by :func:`~sddelab.grid._build`
+names the parameter it tests, which ``_build`` puts under the section (or
+renames), or the section for a size too large to allocate; a ``solve`` or
+``fbm`` grid past numpy's largest array names ``n_steps``.  The few rules
+linking fields are explicit lines after the read.  The history length r is a
+key of ``initial`` alone, and every solve takes its look-back window from it.
 Nothing physically meaningful (Hurst index, exponents, mesh, taps, Monte
 Carlo size) has a silent default.  A key that a domain object also defaults
 reads its default from that object (a dataclass field or a parameter), so each
@@ -34,7 +37,7 @@ from .drivers import _METHODS, FbmParams
 from .experiments import (EXPERIMENT_KINDS, PERTURBATIONS, REFERENCES, ExperimentConfig,
                           _check_reads, _oversized)
 from .fraccalc import RS_RULES, riemann_stieltjes_integral
-from .grid import GridPath, SeedSpec
+from .grid import FieldError, GridPath, SeedSpec, _build
 from .solver import SCHEMES, MollifierParams, SolverConfig
 
 __all__ = [
@@ -58,7 +61,7 @@ FLAVOR_ALIASES = {
 FRAC_OPERATIONS = ("norms", "delay_norms", "gls", "rs", "young_love")
 
 
-class ConfigError(ValueError):
+class ConfigError(FieldError):
     """A config violates the schema or an admissibility constraint."""
 
 
@@ -109,8 +112,8 @@ _TYPES = {
     "integer": ("an integer", lambda v: v if _is_number(v) and isinstance(v, int) else None),
     "boolean": ("true or false", lambda v: v if isinstance(v, bool) else None),
     "string": ("a string", lambda v: v if isinstance(v, str) else None),
-    "numbers": ("a list of numbers",
-                lambda v: v if isinstance(v, list) and all(map(_is_number, v)) else None),
+    "numbers": ("a list of finite numbers", lambda v: v if isinstance(v, list) and all(
+        map(_is_number, v)) and _as_array(v) is not None else None),
     "array": ("a finite number or a nested list of finite numbers", _as_array),
 }
 
@@ -129,15 +132,15 @@ def _within(v, rng: tuple) -> bool:
 
 def _read(table: tuple, d, context: str = "") -> dict:
     """Section ``d`` checked against ``table``, absent keys at their defaults."""
-    where = context or "config"
+    where = context or None
     if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+        raise ConfigError(f"expected an object, got {type(d).__name__}", where)
     unknown = set(d) - {f.key for f in table}
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"unknown keys {sorted(unknown)}", where)
     missing = [f.key for f in table if f.default is REQUIRED and f.key not in d]
     if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+        raise ConfigError(f"missing required keys {sorted(missing)}", where)
     return {f.key: _read_field(f, d, f"{context}.{f.key}".lstrip(".")) for f in table}
 
 
@@ -150,12 +153,12 @@ def _read_field(f: Field, d: dict, where: str):
     what, read = _TYPES[f.type]
     value = read(v)
     if value is None:
-        raise ConfigError(f"{where}: expected {what}, got {v!r}")
+        raise ConfigError(f"expected {what}, got {v!r}", where)
     if f.choices and value not in f.choices:
-        raise ConfigError(f"{where}: expected one of {', '.join(f.choices)}, got {v!r}")
+        raise ConfigError(f"expected one of {', '.join(f.choices)}, got {v!r}", where)
     if f.range and not _within(value, f.range):
         left, lo, hi, right = f.range
-        raise ConfigError(f"{where}: expected a value in {left}{lo:g}, {hi:g}{right}, got {v!r}")
+        raise ConfigError(f"expected a value in {left}{lo:g}, {hi:g}{right}, got {v!r}", where)
     return value
 
 
@@ -309,29 +312,20 @@ class LoadedConfig:
     resolved: dict  # canonical dict form, embedded into reports
 
 
-def _build(section: str | None, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a domain error, or a size too large to
-    allocate, becomes a ConfigError naming the section (None: the error names it)."""
-    try:
-        return make(*args, **kwargs)
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise ConfigError(f"{section}: {exc}" if section else str(exc)) from exc
-
-
 def _spec(c: dict, raw: dict, blocks: dict) -> CoefficientSpec:
     family = c["family"]
     key = REACH.get(DELAY_READS[family])
     if key is not None and key not in raw:
-        raise ConfigError(f"family {family!r} requires an explicit {key}")
+        raise ConfigError(f"family {family!r} requires an explicit {key}", key)
     spec = CoefficientSpec(family, c["dim"], c["n_wiener"], c["n_holder"], **blocks,
                            tau=c["tau"], delay_span=c["delay_span"])
     k, k_r, tol = c["constants"]["K"], c["constants"]["K_R"], 1e-9
     if k is not None and k < spec.growth_constant() - tol:
-        raise ConfigError(f"constants.K={k} is below the closed-form growth constant "
-                          f"{spec.growth_constant():.6g} of this family")
+        raise ConfigError(f"{k} is below the closed-form growth constant "
+                          f"{spec.growth_constant():.6g} of this family", "constants.K")
     if k_r is not None and k_r < spec.lipschitz_constant() - tol:
-        raise ConfigError(f"constants.K_R={k_r} is below the closed-form Lipschitz "
-                          f"constant {spec.lipschitz_constant():.6g}")
+        raise ConfigError(f"{k_r} is below the closed-form Lipschitz constant "
+                          f"{spec.lipschitz_constant():.6g}", "constants.K_R")
     return spec
 
 
@@ -372,6 +366,9 @@ def _model(v: dict, doc: dict) -> tuple:
     spec = _build("coefficients", _spec, c, doc["coefficients"], blocks)
     initial = _build("initial", _initial, v["initial"], doc["initial"])
     eta = initial.eta
+    if eta.dim != spec.dim:  # the stepper would refuse it after the draw
+        raise ConfigError(f"a history of dimension {eta.dim} for coefficients of dim {spec.dim}",
+                          "initial")
     built = {
         "coefficients": {
             **c,
@@ -388,7 +385,7 @@ def _model(v: dict, doc: dict) -> tuple:
 def _parse_fbm(v: dict, doc: dict) -> tuple:
     params = _build("fbm", FbmParams, **v["fbm"])
     if message := _oversized(params.n_steps, params.method, params.horizon):
-        raise ConfigError(f"fbm.n_steps: {message}")
+        raise ConfigError(message, "fbm.n_steps")
     return (params, _seed(v)), {}
 
 
@@ -398,18 +395,18 @@ def _parse_frac(v: dict, doc: dict) -> tuple:
     for key, readers in {"lambda": ("norms", "young_love"), "mu": ("young_love",),
                          "delay": ("delay_norms",), "t": ("delay_norms",)}.items():
         if f[key] is not None and op not in readers:
-            raise ConfigError(f"frac.{key}: operation {op} does not read it")
-    if op == "young_love" and (f["lambda"] is None or f["mu"] is None):
-        raise ConfigError("frac: young_love requires explicit lambda and mu")
+            raise ConfigError(f"operation {op} does not read it", f"frac.{key}")
+        if f[key] is None and op == readers[-1]:  # the last reader requires it
+            raise ConfigError(f"{op} requires an explicit {key}", f"frac.{key}")
     if op == "young_love" and not f["lambda"] + f["mu"] > 1.0:
-        raise ConfigError(f"frac: young_love needs lambda + mu > 1, got {f['lambda']} + {f['mu']}")
-    if op == "delay_norms" and (f["delay"] is None or f["t"] is None):
-        raise ConfigError("frac: delay_norms requires explicit delay and t")
+        raise ConfigError(f"young_love needs lambda + mu > 1, got {f['lambda']} + {f['mu']}",
+                          "frac.lambda")
     if op == "delay_norms" and f["interval"] is not None:
-        raise ConfigError("frac.interval: delay_norms takes no interval; its window is [-delay, t]")
+        raise ConfigError("delay_norms takes no interval; its window is [-delay, t]",
+                          "frac.interval")
     if f["interval"] is not None:
         if len(f["interval"]) != 2:
-            raise ConfigError("frac.interval must be a [a, b] pair")
+            raise ConfigError("interval must be a [a, b] pair", "frac.interval")
         f["interval"] = [float(x) for x in f["interval"]]
     return f, {}
 
@@ -421,15 +418,16 @@ def _parse_solve(v: dict, doc: dict) -> tuple:
     scfg = _build("solve", SolverConfig, s["n_steps"], s["horizon"], s["explosion_threshold"])
     level = s["mollifier_level"]
     if (s["scheme"] == "euler_ito") != (level is not None):  # only euler_ito reads it
-        raise ConfigError(f"solve.mollifier_level: scheme {s['scheme']} "
-                          f"{'does not read' if level is not None else 'requires'} it")
+        raise ConfigError(f"scheme {s['scheme']} "
+                          f"{'does not read' if level is not None else 'requires'} it",
+                          "solve.mollifier_level")
     mollifier = None if level is None else _build("solve", MollifierParams, level)
     n = scfg.n_steps
-    _build(None, _check_reads, spec, initial, scfg.horizon, n,
+    _build("solve", _check_reads, spec, initial, scfg.horizon, n,
            levels=[level] if s["scheme"] == "euler_ito" else [])
     fbm = _build("solve", FbmParams, holder.hurst, n, scfg.horizon, method)
     if message := _oversized(n, method, scfg.horizon, spec, initial.r):
-        raise ConfigError(f"solve.n_steps: {message}")
+        raise ConfigError(message, "solve.n_steps")
     return (scfg, spec, initial, seed, fbm, mollifier), built
 
 
@@ -437,8 +435,8 @@ def _parse_experiment(v: dict, doc: dict) -> tuple:
     (holder, spec, initial, method), built = _model(v, doc)
     seed = _seed(v)
     if seed.stream_index != 0:
-        raise ConfigError(f"seed.stream: an experiment's replica r draws from stream r, "
-                          f"so it takes stream 0, got {seed.stream_index}")
+        raise ConfigError(f"an experiment's replica r draws from stream r, so it takes "
+                          f"stream 0, got {seed.stream_index}", "seed.stream")
     e = dict(v["experiment"])
     # worker count is run machinery, not experiment identity: flag-only, so
     # that reports are byte-identical across worker counts
@@ -460,10 +458,10 @@ _PARSERS = {  # kind: parse(values, doc) -> (payload, the sections built)
 def parse_config(doc: dict) -> LoadedConfig:
     """Validate a decoded config document and build the domain objects."""
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("config must be an object with a 'kind' key")
+        raise ConfigError("config must be an object with a 'kind' key", "kind")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _PARSERS:
-        raise ConfigError(f"kind must be one of {sorted(_PARSERS)}, got {kind!r}")
+        raise ConfigError(f"kind must be one of {sorted(_PARSERS)}, got {kind!r}", "kind")
     values = _read(DOCUMENTS[kind], doc)
     payload, built = _PARSERS[kind](values, doc)
     return LoadedConfig(kind, payload, {**values, **built})

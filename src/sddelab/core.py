@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridError, GridPath, grid_steps, same_time
+from .grid import FieldError, GridError, GridPath, grid_steps, same_time
 from .fraccalc import _mags, holder_seminorm
 
 __all__ = [
@@ -55,7 +55,7 @@ FAMILIES = tuple(DELAY_READS)
 _MODULATIONS = ("none", "sin")
 
 
-class ParamError(ValueError):
+class ParamError(FieldError):
     """An exponent bundle or coefficient spec violates an admissibility rule."""
 
 
@@ -76,37 +76,37 @@ class HolderParams:
 
     def __post_init__(self) -> None:
         if not self.gamma > 0.5:
-            raise ParamError(f"gamma must exceed 1/2; got {self.gamma}")
+            raise ParamError(f"gamma must exceed 1/2; got {self.gamma}", "gamma")
         lo = 1.0 - self.gamma
         if not lo < self.alpha < 0.5:
             raise ParamError(
-                f"alpha must lie in (1-gamma, 1/2) = ({lo:.3g}, 0.5); got {self.alpha}"
+                f"alpha must lie in (1-gamma, 1/2) = ({lo:.3g}, 0.5); got {self.alpha}", "alpha"
             )
         if not lo < self.beta <= 1.0:
             raise ParamError(
-                f"beta must lie in (1-gamma, 1] = ({lo:.3g}, 1]; got {self.beta}"
+                f"beta must lie in (1-gamma, 1] = ({lo:.3g}, 1]; got {self.beta}", "beta"
             )
         if not lo < self.theta < 0.5:
             raise ParamError(
-                f"theta must lie in (1-gamma, 1/2) = ({lo:.3g}, 0.5); got {self.theta}"
+                f"theta must lie in (1-gamma, 1/2) = ({lo:.3g}, 0.5); got {self.theta}", "theta"
             )
         if not 0.5 < self.hurst < 1.0:
-            raise ParamError(f"hurst must lie in (1/2, 1); got {self.hurst}")
+            raise ParamError(f"hurst must lie in (1/2, 1); got {self.hurst}", "hurst")
         if not self.gamma < self.hurst:
             raise ParamError(
                 f"gamma must be strictly below hurst; got gamma={self.gamma}, "
-                f"hurst={self.hurst}"
+                f"hurst={self.hurst}", "gamma"
             )
 
 
-def _as_gain(x, channels: int, dim: int) -> np.ndarray:
+def _as_gain(x, channels: int, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         arr = arr * np.eye(dim)[None, :, :] * np.ones((channels, 1, 1))
     elif arr.shape == (dim, dim):
         arr = np.broadcast_to(arr, (channels, dim, dim)).copy()
     if arr.shape != (channels, dim, dim):
-        raise ParamError(f"gain must have shape ({channels}, {dim}, {dim}), got {arr.shape}")
+        raise ParamError(f"gain must have shape ({channels}, {dim}, {dim}), got {arr.shape}", name)
     return arr
 
 
@@ -115,7 +115,7 @@ def _as_const(x, channels: int, dim: int) -> np.ndarray:
     if arr.ndim == 0:
         arr = np.full((channels, dim), float(arr))
     if arr.shape != (channels, dim):
-        raise ParamError(f"const must have shape ({channels}, {dim}), got {arr.shape}")
+        raise ParamError(f"const must have shape ({channels}, {dim}), got {arr.shape}", "const")
     return arr
 
 
@@ -130,7 +130,7 @@ class CoeffBlock:
 
     def __post_init__(self) -> None:
         if self.time_modulation not in _MODULATIONS:
-            raise ParamError(f"time_modulation must be one of {_MODULATIONS}")
+            raise ParamError(f"time_modulation must be one of {_MODULATIONS}", "time_modulation")
 
     @property
     def channels(self) -> int:
@@ -139,19 +139,20 @@ class CoeffBlock:
     @classmethod
     def build(cls, channels, dim, gain_now=0.0, gain_delay=0.0, const=0.0, time_modulation="none"):
         return cls(
-            gain_now=_as_gain(gain_now, channels, dim),
-            gain_delay=_as_gain(gain_delay, channels, dim),
+            gain_now=_as_gain(gain_now, channels, dim, "gain_now"),
+            gain_delay=_as_gain(gain_delay, channels, dim, "gain_delay"),
             const=_as_const(const, channels, dim),
             time_modulation=time_modulation,
         )
 
     def growth_constant(self, delay_scale: float) -> float:
-        """K with |block(t, psi)| <= K (1 + ||psi||_C)."""
+        """K with |block(t, psi)| <= K (1 + ||psi||_C); inf past the float range."""
         k = 0.0
         for i in range(self.channels):
             k += np.linalg.norm(self.gain_now[i], 2)
             k += delay_scale * np.linalg.norm(self.gain_delay[i], 2)
-            k += float(np.linalg.norm(self.const[i]))
+            with np.errstate(over="ignore"):
+                k += float(np.linalg.norm(self.const[i]))
         return k
 
     def lipschitz_constant(self, delay_scale: float) -> float:
@@ -188,7 +189,7 @@ class CoefficientSpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ParamError(f"unknown coefficient family {self.family!r}")
+            raise ParamError(f"unknown coefficient family {self.family!r}", "family")
         shapes = {
             "drift": (self.drift, 1),
             "diffusion": (self.diffusion, self.n_wiener),
@@ -198,18 +199,18 @@ class CoefficientSpec:
             if block.gain_now.shape != (channels, self.dim, self.dim):
                 raise ParamError(
                     f"{name} block has {block.gain_now.shape[0]} channels, "
-                    f"expected {channels}"
+                    f"expected {channels}", name
                 )
         blocks = (self.drift, self.diffusion, self.zdrive)
         read = DELAY_READS[self.family]
         if read == "none" and any(np.any(b.gain_delay != 0.0) for b in blocks):
-            raise ParamError(f"family {self.family!r} must not carry delay gains")
+            raise ParamError(f"family {self.family!r} must not carry delay gains", "family")
         if self.family == "constant" and any(np.any(b.gain_now != 0.0) for b in blocks):
-            raise ParamError("family 'constant' must not carry gains")
+            raise ParamError("family 'constant' must not carry gains", "family")
         if read == "tap" and self.tau < 0:
-            raise ParamError("tau must be non-negative")
+            raise ParamError("tau must be non-negative", "tau")
         if read == "window" and not self.delay_span > 0:
-            raise ParamError("distributed_delay requires a positive delay_span")
+            raise ParamError("distributed_delay requires a positive delay_span", "delay_span")
 
     @property
     def reach(self) -> float:
@@ -380,9 +381,10 @@ class InitialCondition:
 
     def __post_init__(self) -> None:
         if not same_time(self.eta.end_time, 0.0):
-            raise ParamError(f"initial condition must end at time 0, ends at {self.eta.end_time}")
+            raise ParamError(f"initial condition must end at time 0, ends at {self.eta.end_time}",
+                             "t0")
         if not 0.0 < self.holder_theta < 1.0:
-            raise ParamError("holder_theta must lie in (0, 1)")
+            raise ParamError("holder_theta must lie in (0, 1)", "holder_theta")
 
     @property
     def r(self) -> float:
@@ -406,9 +408,9 @@ def constant_initial(value, r: float, dt: float) -> InitialCondition:
     vec = np.atleast_1d(np.asarray(value, dtype=float))
     if r == 0.0:
         return InitialCondition(GridPath(0.0, dt, vec[None, :]), 0.45)
-    q = grid_steps(r, dt, what="delay horizon")
+    q = grid_steps(r, dt, what="delay horizon", field="r")
     if q < 1:
-        raise GridError(f"delay horizon {r} is not a positive multiple of dt={dt}")
+        raise GridError(f"delay horizon {r} is not a positive multiple of dt={dt}", "r")
     return InitialCondition(GridPath(-r, dt, np.tile(vec, (q + 1, 1))), 0.45)
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridPath, SeedSpec
+from .grid import FieldError, GridPath, SeedSpec
 
 __all__ = [
     "FbmParams",
@@ -60,13 +60,13 @@ class FbmParams:
 
     def __post_init__(self) -> None:
         if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie strictly in (0.5, 1.0), got {self.hurst}")
+            raise FieldError(f"hurst must lie strictly in (0.5, 1.0), got {self.hurst}", "hurst")
         if self.n_steps < 2:
-            raise ValueError("n_steps must be at least 2")
+            raise FieldError("n_steps must be at least 2", "n_steps")
         if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+            raise FieldError("horizon must be positive", "horizon")
         if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+            raise FieldError(f"method must be one of {_METHODS}", "method")
 
     @property
     def dt(self) -> float:

@@ -40,9 +40,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import fraccalc
-from .core import DELAY_READS, REACH, CoefficientSpec, HolderParams, InitialCondition
+from .core import CoefficientSpec, HolderParams, InitialCondition
 from .drivers import _PAD, FbmParams, sample_fbm, sample_wiener
-from .grid import GridError, GridPath, SeedSpec, stack_paths, stack_replicas
+from .grid import FieldError, GridPath, SeedSpec, _build, stack_paths, stack_replicas
 from .solver import (
     MollifierParams,
     SolverConfig,
@@ -72,7 +72,7 @@ REFERENCES = ("closed_form", "fine_euler")
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-class ExperimentError(ValueError):
+class ExperimentError(FieldError):
     """Configuration or runtime inconsistency inside the harness."""
 
 
@@ -114,27 +114,29 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown experiment kind {self.kind!r}")
         if self.replicas < 30:
             raise ExperimentError(
-                f"replicas must be at least 30 for interval estimates, got {self.replicas}"
+                f"replicas must be at least 30 for interval estimates, got {self.replicas}",
+                "replicas",
             )
         if not self.epsilon > 0:
-            raise ExperimentError("epsilon must be positive")
+            raise ExperimentError("epsilon must be positive", "epsilon")
         if not self.horizon > 0:
-            raise ExperimentError(f"horizon must be positive, got {self.horizon}")
+            raise ExperimentError(f"horizon must be positive, got {self.horizon}", "horizon")
         FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
         if len(self.levels) < 1:
-            raise ExperimentError("need at least one level")
+            raise ExperimentError("need at least one level", "levels")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ExperimentError("level schedule must be strictly monotone")
+            raise ExperimentError("level schedule must be strictly monotone", "levels")
         if self.perturbation not in PERTURBATIONS:
-            raise ExperimentError(f"unknown perturbation {self.perturbation!r}")
+            raise ExperimentError(f"unknown perturbation {self.perturbation!r}", "perturbation")
         if self.reference not in REFERENCES:
-            raise ExperimentError(f"unknown reference {self.reference!r}")
+            raise ExperimentError(f"unknown reference {self.reference!r}", "reference")
         if self.workers < 1:
-            raise ExperimentError("workers must be positive")
+            raise ExperimentError("workers must be positive")  # a flag, not a config key
         if self.min_decreasing_steps is not None and self.min_decreasing_steps < 0:
             raise ExperimentError(
-                f"min_decreasing_steps must be non-negative, got {self.min_decreasing_steps}"
+                f"min_decreasing_steps must be non-negative, got {self.min_decreasing_steps}",
+                "min_decreasing_steps",
             )
 
     @property
@@ -365,10 +367,10 @@ def _block_euler(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     eta = cfg.initial
     if cfg.spec.reach == 0:  # x depends on eta(0) alone
         eta = replace(eta, eta=GridPath(0.0, eta.eta.dt, eta.eta.values[-1:]))
-    if cfg.reference == "closed_form":
-        reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
-    else:
-        with _at_levels("reference"):
+    with _at_levels("reference"):
+        if cfg.reference == "closed_form":
+            reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
+        else:
             reference = euler_mixed_sdde(cfg.spec, eta, w, z, cfg.solver_config)
     out = np.empty((w.replicas, len(cfg.levels)))
     for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
@@ -544,8 +546,8 @@ def _require_counts(cfg: ExperimentConfig, what: str) -> None:
     integers >= 1, so that the schedule refines as its criteria assume."""
     levels = list(cfg.levels)
     if any(not float(n).is_integer() or n < 1 for n in levels) or levels != sorted(levels):
-        raise ExperimentError(f"experiment.levels: levels of {cfg.kind} are {what}, "
-                              f"increasing integers >= 1; got {levels}")
+        raise ExperimentError(f"levels of {cfg.kind} are {what}, increasing integers >= 1; "
+                              f"got {levels}", "levels")
 
 
 def _oversized(n: int, method: str, horizon: float, spec: CoefficientSpec | None = None,
@@ -578,7 +580,7 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
     row, on the driver grid of n steps."""
     if message := _oversized(cfg.n_steps, cfg.driver_method, cfg.horizon, cfg.spec,
                              cfg.initial.r, _block_size(cfg, 1), len(cfg.levels) + 1):
-        raise ExperimentError(f"experiment.n_steps: {message}")
+        raise ExperimentError(message, "n_steps")
 
 
 def _run_work(cfg: ExperimentConfig) -> int:
@@ -600,32 +602,28 @@ def _run_work(cfg: ExperimentConfig) -> int:
 def _check_reads(spec: CoefficientSpec, initial: InitialCondition, horizon: float,
                  *meshes: int, levels=()) -> None:
     """Refuse, before any draw, a history, a delay read of ``spec`` or a mollifier level
-    of ``levels`` off the grid of a mesh of ``meshes`` steps on [0, horizon], naming its field."""
+    of ``levels`` off the grid of a mesh of ``meshes`` steps on [0, horizon]: the
+    history names ``initial``, the read its ``coefficients`` key, a level ``level``."""
     for n in meshes:
         dt = SolverConfig(n_steps=n, horizon=horizon).dt
-        try:
-            q = initial.steps(dt)
-        except GridError as exc:
-            raise ExperimentError(f"initial: {exc}") from exc
+        q = _build("initial", initial.steps, dt)
         if levels and not MollifierParams(int(max(levels))).resolves(dt):
-            raise ExperimentError(f"mesh dt={dt} too coarse for mollifier level {max(levels)}")
-        try:
-            _reach_steps(spec, dt, q)
-        except GridError as exc:
-            key = REACH[DELAY_READS[spec.family]]
-            raise ExperimentError(f"coefficients.{key}: {exc}") from exc
+            raise ExperimentError(f"mesh dt={dt} too coarse for mollifier level {max(levels)}",
+                                  "level")
+        _build("coefficients", _reach_steps, spec, dt, q)
 
 
 def _check_coeff(cfg: ExperimentConfig) -> None:
     if any(not n > 0 for n in cfg.levels):
         raise ExperimentError(
-            f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}"
+            f"levels of coeff_convergence are perturbation indices n > 0; got {list(cfg.levels)}",
+            "levels",
         )
 
 
 def _check_delay(cfg: ExperimentConfig) -> tuple:
     if cfg.spec.family != "pointwise_delay":
-        raise ExperimentError("vanishing delay needs a pointwise_delay spec")
+        raise ExperimentError("vanishing delay needs a pointwise_delay spec", "family")
     reference = cfg.spec.merge_delay()  # the spec's own tap is never read
     _check_reads(reference, cfg.initial, cfg.horizon, cfg.n_steps)  # the history before the taps
     dt = cfg.solver_config.dt
@@ -635,7 +633,7 @@ def _check_delay(cfg: ExperimentConfig) -> tuple:
         except ValueError as exc:
             raise ExperimentError(
                 f"levels of vanishing_delay are taps on the mesh in [0, {abs(cfg.initial.r):g}], "
-                f"the initial delay; got {list(cfg.levels)}: {exc}"
+                f"the initial delay; got {list(cfg.levels)}: {exc}", "levels"
             ) from exc
     return reference, (), ()
 
@@ -644,17 +642,17 @@ def _check_euler(cfg: ExperimentConfig) -> tuple:
     _require_counts(cfg, "mesh sizes")
     levels = [int(n) for n in cfg.levels]
     finest = max(levels)
-    for n in levels:
-        if finest % n != 0:
-            raise ExperimentError("mesh levels must divide the finest mesh")
+    if any(finest % n for n in levels):
+        raise ExperimentError(f"mesh levels must divide the finest mesh; got {levels}", "levels")
     if cfg.reference == "closed_form" and _geometric_triple(cfg) is None:
         raise ExperimentError(
-            "closed-form reference unavailable for this spec; use reference='fine_euler'"
+            "closed-form reference unavailable for this spec; use reference='fine_euler'",
+            "reference",
         )
     grid = finest if cfg.reference == "closed_form" else 4 * finest  # the reference's grid
     if cfg.n_steps != grid:
-        raise ExperimentError(f"experiment.n_steps: a mesh study with reference {cfg.reference} "
-                              f"draws its drivers on {grid} steps; got {cfg.n_steps}")
+        raise ExperimentError(f"a mesh study with reference {cfg.reference} draws its drivers "
+                              f"on {grid} steps; got {cfg.n_steps}", "n_steps")
     # a spec that reads no delay reads only the history's last value
     return cfg.spec, (*levels, cfg.n_steps) if cfg.spec.reach > 0 else (), ()
 
@@ -666,15 +664,15 @@ def _check_ito(cfg: ExperimentConfig) -> tuple:
 
 def _check_moments(cfg: ExperimentConfig) -> None:
     if any(not p > 0 for p in cfg.levels):
-        raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}")
+        raise ExperimentError(f"levels of moments are moment orders p > 0; got {list(cfg.levels)}",
+                              "levels")
 
 
 def _check_quasi(cfg: ExperimentConfig) -> None:
     p = _quasi_p(cfg)
     if p < 4.0 / (1.0 - 2.0 * cfg.params.alpha) - 1e-12:
-        raise ExperimentError(
-            f"moment order p={p} below the admissible range 4/(1-2 alpha)"
-        )
+        raise ExperimentError(f"moment order p={p} below the admissible range 4/(1-2 alpha)",
+                              "moment_p")
 
 
 # --------------------------------------------------------------------------
@@ -783,6 +781,7 @@ def _quasi_p(cfg: ExperimentConfig) -> float:
     return quasi_contraction_order(cfg.params.alpha) if cfg.moment_p is None else cfg.moment_p
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a moment past the float range reads inf
 def _reduce_moments(cfg: ExperimentConfig, rows: np.ndarray) -> MomentReport:
     """Moment estimates of the sup norm and the truncated delay norm."""
     sup, delay_norm, z_semi = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -908,8 +907,8 @@ def run_experiment(cfg: ExperimentConfig):
     the rows of all replicas in P processes, reduce them to a report that notes
     P, outside ``to_dict``."""
     check, _, reduce = _FLAVORS[cfg.kind]
-    spec, meshes, levels = check(cfg) or (cfg.spec, (cfg.n_steps,), ())
-    _check_reads(spec, cfg.initial, cfg.horizon, *meshes, levels=levels)
-    _check_sizes(cfg)
+    spec, meshes, levels = _build("experiment", check, cfg) or (cfg.spec, (cfg.n_steps,), ())
+    _build("experiment", _check_reads, spec, cfg.initial, cfg.horizon, *meshes, levels=levels)
+    _build("experiment", _check_sizes, cfg)
     procs = _processes(cfg)
     return replace(reduce(cfg, _map_replicas(cfg, procs)), processes=procs)

@@ -4,7 +4,9 @@ A :class:`GridPath` holds a d-dimensional path sampled on the uniform grid
 ``t0 + k*dt`` for ``k = 0..n-1``.  Times are never stored; they are always
 recomputed from ``(t0, dt, k)`` so that grid alignment checks are exact.
 It also owns the alignment rule every module asks: :func:`same_time`,
-:func:`grid_steps` and :func:`refinement`.
+:func:`grid_steps` and :func:`refinement`, and the error of a value that its
+field does not admit, :class:`FieldError`, with :func:`_build`, which names
+that field by its config path.
 """
 
 from __future__ import annotations
@@ -14,15 +16,51 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridPath", "SeedSpec", "GridError", "grid_steps", "refinement", "same_time",
-           "stack_paths", "stack_replicas"]
+__all__ = ["GridPath", "SeedSpec", "FieldError", "GridError", "grid_steps", "refinement",
+           "same_time", "stack_paths", "stack_replicas"]
 
 # Relative slack for "does this time land on a grid node" checks.
 _ALIGN_RTOL = 1e-9
 
 
-class GridError(ValueError):
+class FieldError(ValueError):
+    """A value that its field does not admit.  ``field`` names it: the
+    parameter that a domain check tests, made a config path by :func:`_build`
+    under ``section``, or None; ``str(exc)`` is the message alone."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field, self.section = field, None
+
+
+class GridError(FieldError):
     """Raised for misaligned times, mismatched grids or malformed paths."""
+
+
+# (section, domain name): the config path of a name that differs from its key there
+_PATHS = {("initial", "holder_theta"): "initial.theta", ("initial", "r"): "initial.delay",
+          ("seed", "master_seed"): "seed.master", ("seed", "stream_index"): "seed.stream",
+          ("solve", "level"): "solve.mollifier_level", ("experiment", "level"): "experiment.levels",
+          ("experiment", "family"): "coefficients.family",
+          **{("experiment", key): f"criteria.{key}" for key in (
+              "max_final_exceedance", "min_decreasing_steps", "ratio_bound", "heavy_tail_fails")}}
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the field of a :class:`FieldError` it
+    raises made a config path: the path ``_PATHS`` gives, else the field under
+    ``section``, or ``section`` when it carries none.  Another ValueError, or
+    a size too large to allocate, becomes a FieldError that names ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        error = exc if isinstance(exc, FieldError) else FieldError(str(exc))
+        if error.section is None:  # the innermost section names it
+            path = ".".join(filter(None, (section, error.field)))
+            error.section, error.field = section, _PATHS.get((section, error.field), path)
+        if error is exc:
+            raise
+        raise error from exc
 
 
 def same_time(s: float, t: float) -> bool:
@@ -31,14 +69,15 @@ def same_time(s: float, t: float) -> bool:
     return abs(s - t) <= _ALIGN_RTOL * max(1.0, abs(t))
 
 
-def grid_steps(t: float, dt: float, t0: float = 0.0, what: str = "time") -> int:
+def grid_steps(t: float, dt: float, t0: float = 0.0, what: str = "time",
+               field: str | None = None) -> int:
     """The k with ``t0 + k*dt`` agreeing with ``t`` (:func:`same_time`);
     k may be zero or negative.  A time off the grid raises :class:`GridError`
-    naming it as ``what``."""
+    naming it as ``what`` and carrying ``field``."""
     pos = (t - t0) / dt
     k = round(pos) if math.isfinite(pos) else None
     if k is None or not same_time(t0 + k * dt, t):
-        raise GridError(f"{what} {t} does not land on the grid (dt={dt})")
+        raise GridError(f"{what} {t} does not land on the grid (dt={dt})", field)
     return k
 
 
@@ -182,9 +221,9 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+            raise FieldError("master_seed must be a 64-bit unsigned integer", "master_seed")
         if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
+            raise FieldError("stream_index must be non-negative", "stream_index")
 
     def child(self, key: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.stream_index, self._subkeys + (key,))

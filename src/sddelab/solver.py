@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DELAY_READS, CoefficientSpec, InitialCondition, eval_coefficient
+from .core import DELAY_READS, REACH, CoefficientSpec, InitialCondition, eval_coefficient
 from .fraccalc import _mags
-from .grid import GridError, GridPath, grid_steps, refinement, same_time
+from .grid import FieldError, GridError, GridPath, grid_steps, refinement, same_time
 
 __all__ = [
     "SolverConfig",
@@ -92,12 +92,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+            raise FieldError("n_steps must be positive", "n_steps")
         if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+            raise FieldError("horizon must be positive", "horizon")
         if not self.explosion_threshold > 0:  # also refuses NaN
-            raise ValueError(
-                f"explosion_threshold must be positive, got {self.explosion_threshold}"
+            raise FieldError(
+                f"explosion_threshold must be positive, got {self.explosion_threshold}",
+                "explosion_threshold",
             )
 
     @property
@@ -118,7 +119,8 @@ class MollifierParams:
 
     def __post_init__(self) -> None:
         if self.level < 1:
-            raise ValueError(f"mollifier level must be a positive integer, got {self.level}")
+            raise FieldError(f"mollifier level must be a positive integer, got {self.level}",
+                             "level")
 
     @property
     def window(self) -> float:
@@ -167,11 +169,12 @@ def _reach_steps(spec: CoefficientSpec, dt: float, q: int) -> int:
     on a grid of step ``dt``, within a history of q steps; a window spans one
     step at least."""
     read = DELAY_READS[spec.family]
-    steps = grid_steps(spec.reach, dt, what=read)
+    field = REACH.get(read)
+    steps = grid_steps(spec.reach, dt, what=read, field=field)
     if steps > q:
-        raise GridError(f"{read} {spec.reach} exceeds the history length {q * dt:g}")
+        raise GridError(f"{read} {spec.reach} exceeds the history length {q * dt:g}", field)
     if read == "window" and steps == 0:
-        raise GridError(f"window {spec.reach} is shorter than the step {dt}")
+        raise GridError(f"window {spec.reach} is shorter than the step {dt}", field)
     return steps
 
 
@@ -260,11 +263,8 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
     group lacks skipped, the window a running sum of trapezoid cells): a
     row's path depends neither on its block nor on the other groups.
 
-    Once the paths are complete the trust region is checked a slice of steps
-    at a time; a NaN node is outside it.  The first group with a node outside
-    it is named, then its first such node (earliest step, lowest row), where
-    a step-by-step check of the groups solved one by one would have stopped.
-    Returns one path per group, read-only views of the buffer.
+    Once the paths are complete, :func:`_trust_region` checks them.  Returns
+    one path per group, read-only views of the buffer.
     """
     groups, d, m, n, dt = len(specs), specs[0].dim, specs[0].n_wiener, cfg.n_steps, cfg.dt
     q = etas[0].steps(dt)
@@ -342,19 +342,30 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
             if span is not None:
                 add(win, cell(q + k), win)
                 np.subtract(win, ring[(q + k - span) % (span + 1)], win)
-    hit, size = (groups,), max(1, _SLICE // buf[0].size)  # hit: (group, step, row, magnitude)
-    for lo in range(q + 1, q + n + 1, size):  # node-major slices, as norm(axis=-1) reads them
-        mags = _mags(np.ascontiguousarray(np.moveaxis(buf[lo : lo + size], 1, -1)))
-        over = ~(mags <= cfg.explosion_threshold)
-        g = int(over.any(axis=(0, 2)).argmax()) if over.any() else groups
-        if g < hit[0]:  # a later slice can only name a lower group
-            k, r = np.argwhere(over[:, g])[0]
-            hit = g, lo - q + k, int(r), float(mags[k, g, r])
-    if hit[0] < groups:
-        raise SolverExplosionError(hit[1] * dt, hit[3], cfg.explosion_threshold, hit[2], hit[0])
+    _trust_region(buf[q + 1 :], dt, cfg.explosion_threshold)
     buf.flags.writeable = False
     return [GridPath(-etas[0].r, dt, path if w.replicas else path[0])
             for path in buf.transpose(2, 3, 0, 1)]  # (replicas, n, d) per group
+
+
+def _trust_region(nodes: np.ndarray, dt: float, threshold: float, first: int = 1) -> None:
+    """Check ``nodes``, the states ``(steps, d, groups, replicas)`` at steps
+    ``first``, ``first + 1``, ..., against the trust region a slice of steps at
+    a time; a NaN or infinite node is outside it, whatever the threshold.  The
+    first group with a node outside it is named, then its first such node
+    (earliest step, lowest row), where a step-by-step check of the groups
+    solved one by one would have stopped."""
+    groups, limit = nodes.shape[2], min(threshold, np.finfo(float).max)
+    hit, size = (groups,), max(1, _SLICE // nodes[0].size)  # hit: (group, step, row, magnitude)
+    for lo in range(0, len(nodes), size):  # node-major slices, as norm(axis=-1) reads them
+        mags = _mags(np.ascontiguousarray(np.moveaxis(nodes[lo : lo + size], 1, -1)))
+        over = ~(mags <= limit)
+        g = int(over.any(axis=(0, 2)).argmax()) if over.any() else groups
+        if g < hit[0]:  # a later slice can only name a lower group
+            k, r = np.argwhere(over[:, g])[0]
+            hit = g, first + lo + k, int(r), float(mags[k, g, r])
+    if hit[0] < groups:
+        raise SolverExplosionError(hit[1] * dt, hit[3], threshold, hit[2], hit[0])
 
 
 def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tuple:
@@ -447,12 +458,17 @@ def geometric_closed_form(
     The Wiener integral is an Ito integral (hence the -b^2/2 correction); the
     rough integral obeys the pathwise chain rule with no correction:
     ``X(t) = x0 exp((a - b^2/2) t + b W(t) + c Z(t))``.  Replica blocks give
-    a block.
+    a block.  A value outside the trust region of :class:`SolverConfig`,
+    NaN or infinite included, is a :class:`SolverExplosionError`, named as
+    the stepper names it.
     """
     if not W.same_grid(Z):
         raise GridError("W and Z must live on a common grid")
     t = W.times
-    vals = x0 * np.exp((a - 0.5 * b * b) * t + b * W.scalar_values() + c * Z.scalar_values())
+    with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
+        vals = x0 * np.exp((a - 0.5 * b * b) * t + b * W.scalar_values() + c * Z.scalar_values())
+    _trust_region(np.moveaxis(vals.reshape(-1, t.size), 0, -1)[:, None, None], W.dt,
+                  SolverConfig.explosion_threshold, 0)
     return GridPath(W.t0, W.dt, vals[..., None])
 
 

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from sddelab.cli import main
 from sddelab import FbmParams, cli, config, drivers, experiments, sample_fbm, sample_wiener
 from sddelab.config import ConfigError, load_config, parse_config
+from sddelab.core import ParamError
 from sddelab.drivers import DriverNumericsError
+from sddelab.experiments import ExperimentError
 from sddelab.grid import SeedSpec, stack_paths
 from sddelab.solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
@@ -111,20 +113,23 @@ class TestParsing:
     def test_low_hurst_rejected_with_named_constraint(self):
         doc = geometric_doc()
         doc["holder"]["hurst"] = 0.4
-        with pytest.raises(ConfigError, match="hurst must lie in"):
+        with pytest.raises(ParamError, match="hurst must lie in") as err:
             parse_config(doc)
+        assert err.value.field == "holder.hurst"
 
     def test_alpha_outside_gamma_window(self):
         doc = geometric_doc()
         doc["holder"]["alpha"] = 0.6
-        with pytest.raises(ConfigError, match=r"alpha must lie in \(1-gamma, 1/2\)"):
+        with pytest.raises(ParamError, match=r"alpha must lie in \(1-gamma, 1/2\)") as err:
             parse_config(doc)
+        assert err.value.field == "holder.alpha"
 
     def test_small_monte_carlo_budget_rejected(self):
         doc = geometric_doc()
         doc["experiment"]["replicas"] = 10
-        with pytest.raises(ConfigError, match="at least 30"):
+        with pytest.raises(ExperimentError, match="at least 30") as err:
             parse_config(doc)
+        assert err.value.field == "experiment.replicas"
 
     def test_tau_required_for_delay_families(self):
         doc = geometric_doc()
@@ -141,8 +146,9 @@ class TestParsing:
     def test_flavor_must_be_known(self):
         doc = geometric_doc()
         doc["experiment"]["flavor"] = "magic"
-        with pytest.raises(ConfigError, match="flavor"):
+        with pytest.raises(ConfigError, match="^expected one of coeff_convergence, ") as err:
             parse_config(doc)
+        assert err.value.field == "experiment.flavor"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -556,7 +562,8 @@ def _range_cases(flavor):
 def test_out_of_range_fields_exit_three_naming_the_field(tmp_path_factory, data):
     """A right-typed value outside its field's range (a zero or negative
     count, a non-positive horizon, a non-integral mesh, a hurst outside
-    (1/2, 1), ...) is a constraint violation that names the field."""
+    (1/2, 1), ...) is a constraint violation whose message starts with the
+    field's dotted path."""
     flavor = data.draw(st.sampled_from(sorted(RANGE_DOCS)))
     path, value = data.draw(st.sampled_from(_range_cases(flavor)))
     doc = RANGE_DOCS[flavor]()
@@ -570,8 +577,9 @@ def test_out_of_range_fields_exit_three_naming_the_field(tmp_path_factory, data)
     with contextlib.redirect_stderr(err):
         code = main(["experiment", flavor, "--config", str(cfg), "--out", str(tmp)])
     assert code == 3
-    named = [k for k in path if isinstance(k, str)][-1]
-    assert named in err.getvalue()
+    named = ".".join(k for k in path if isinstance(k, str))
+    last = err.getvalue().strip().splitlines()[-1]
+    assert last.partition("constraint violation: ")[2].startswith(f"{named}: "), last
 
 
 def _frac_doc(**frac):
@@ -600,12 +608,12 @@ RANGE_ERRORS = {
         _with(geometric_doc(), "experiment", flavor="ito_limit", levels=[0.5, 4]),
     ),
     "mollifier_level_zero": (
-        "solve", "mollifier",
+        "solve", "solve.mollifier_level: mollifier level must be a positive integer, got 0",
         _with(TestCliSolve().solve_doc("euler_ito"), "solve", mollifier_level=0),
     ),
     # dt = 1/16 is coarser than a quarter window of level 64, as in `experiment ito`
     "solve_ito_mesh_too_coarse": (
-        "solve", "mesh dt=0.0625 too coarse for mollifier level 64",
+        "solve", "solve.mollifier_level: mesh dt=0.0625 too coarse for mollifier level 64",
         _with(TestCliSolve().solve_doc("euler_ito"), "solve", n_steps=16, mollifier_level=64),
     ),
     "young_love_lambda_above_one": (
@@ -620,6 +628,60 @@ RANGE_ERRORS = {
     "delay_norms_interval": (
         "frac", "frac.interval",
         _frac_doc(operation="delay_norms", delay=0.25, t=1.0, interval=[0.0, 0.5]),
+    ),
+    # each names its own key path, a level rule `experiment.levels`
+    "euler_mesh_not_dividing_the_finest": (
+        "experiment", "experiment.levels: mesh levels must divide the finest mesh; "
+        "got [16, 24, 64]",
+        _with(geometric_doc(), "experiment", levels=[16, 24, 64], n_steps=64),
+    ),
+    "ito_mesh_too_coarse": (
+        "experiment", "experiment.levels: mesh dt=0.00390625 too coarse for mollifier level 512",
+        _with(geometric_doc(), "experiment", flavor="ito_limit", levels=[4, 512], n_steps=256),
+    ),
+    "delay_on_a_no_delay_spec": (
+        "experiment", "coefficients.family: vanishing delay needs a pointwise_delay spec",
+        _with(geometric_doc(), "experiment", flavor="vanishing_delay", levels=[0.5, 0.25]),
+    ),
+    "closed_form_unavailable": (
+        "experiment", "experiment.reference: closed-form reference unavailable for this spec",
+        _with(_with(geometric_doc(), "experiment", levels=[16, 64], n_steps=64),
+              "coefficients", zdrive={"gain_now": 0.3, "time_modulation": "sin"}),
+    ),
+    "quasi_order_below_range": (
+        "experiment", "experiment.moment_p: moment order p=2 below the admissible range",
+        _with(geometric_doc(), "experiment", flavor="quasi_contract", levels=[0.1, 0.05],
+              n_steps=32, moment_p=2),
+    ),
+    "negative_stream": (
+        "solve", "seed.stream: stream_index must be non-negative",
+        _with(TestCliSolve().solve_doc(), "seed", stream=-1),
+    ),
+    "constants_below_the_closed_form": (
+        "experiment", "coefficients.constants.K: 0.1 is below the closed-form growth constant",
+        _with(geometric_doc(), "coefficients", constants={"K": 0.1}),
+    ),
+    "linear_without_tau": (
+        "experiment", "coefficients.tau: family 'linear' requires an explicit tau",
+        _with(geometric_doc(), "coefficients", family="linear"),
+    ),
+    # a scalar history for coefficients of dimension 2, refused before any draw
+    "history_of_another_dimension": (
+        "solve", "initial: a history of dimension 1 for coefficients of dim 2",
+        _with(TestCliSolve().solve_doc(), "coefficients", dim=2, n_wiener=2, n_holder=2),
+    ),
+    # a rule linking two keys names one of them
+    "young_love_without_mu": (
+        "frac", "frac.mu: young_love requires an explicit mu",
+        _frac_doc(operation="young_love", **{"lambda": 0.6}),
+    ),
+    "delay_norms_without_t": (
+        "frac", "frac.t: delay_norms requires an explicit t",
+        _frac_doc(operation="delay_norms", delay=0.25),
+    ),
+    "young_love_exponents_summing_to_one": (
+        "frac", "frac.lambda: young_love needs lambda + mu > 1, got 0.5 + 0.5",
+        _frac_doc(operation="young_love", **{"lambda": 0.5, "mu": 0.5}),
     ),
     "euler_zero_mesh": (
         "experiment", "levels", _with(geometric_doc(), "experiment", levels=[0, 64]),
@@ -670,7 +732,7 @@ RANGE_ERRORS = {
     ),
     # a constant coefficient reads no state: gain_now 0.5 would solve as no_delay
     "constant_family_gain": (
-        "solve", "coefficients: family 'constant' must not carry gains",
+        "solve", "coefficients.family: family 'constant' must not carry gains",
         _with(TestCliSolve().solve_doc(), "coefficients", family="constant"),
     ),
     "negative_explosion_threshold": (
@@ -679,7 +741,7 @@ RANGE_ERRORS = {
     ),
     # drops < need never holds below zero: the criterion would be vacuous
     "negative_min_decreasing_steps": (
-        "experiment", "min_decreasing_steps",
+        "experiment", "criteria.min_decreasing_steps: min_decreasing_steps must be non-negative",
         {**geometric_doc(), "criteria": {"min_decreasing_steps": -1}},
     ),
     # int(16.5) would run mesh 16 while the report says 16.5
@@ -1114,6 +1176,41 @@ def test_a_solver_explosion_prints_one_line(tmp_path):
     assert out.stderr.startswith("solver explosion: ")
 
 
+@pytest.mark.parametrize("block, gain", [("zdrive", 1e3), ("drift", 1e300)])
+def test_a_closed_form_reference_past_the_trust_region_is_an_explosion(
+    tmp_path, capsys, monkeypatch, block, gain
+):
+    """A closed form past the threshold, or past the float range, explodes as
+    a fine-Euler reference does: exit 4, naming the replica and the reference
+    level, at every worker count."""
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
+    doc = _with(geometric_doc(), "experiment", replicas=30, levels=[16, 64], n_steps=64)
+    doc["coefficients"][block] = {"gain_now": gain}
+    cfg = write_config(tmp_path, doc)
+    errs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 4
+        assert not (out / "report.json").exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("solver explosion: replica 0, level reference: ")
+
+
+def test_an_infinite_state_explodes_under_an_infinite_threshold(tmp_path, capsys):
+    """A state past the float range is outside the trust region whatever the
+    threshold: the explosion is named at the first infinite node, not at a
+    NaN that may come later or never, and no solution is written."""
+    doc = _with(_solve_n_steps(16), "solve", explosion_threshold=float("inf"))
+    doc["coefficients"]["drift"]["gain_now"] = 1e300
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "solver explosion: solution magnitude inf exceeded the explosion threshold inf at t=")
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_an_experiment_rejects_a_stream_other_than_zero(tmp_path, capsys):
     """Replica r of an experiment draws from stream r, so ``seed.stream``
     would change nothing but the echoed config."""
@@ -1235,16 +1332,16 @@ def test_a_2d_gain_of_the_wrong_shape_exits_three_naming_the_shape(tmp_path, cap
     doc["initial"]["constant"] = [1.0, -0.5]
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == ("config constraint violation: coefficients.drift: "
+    assert capsys.readouterr().err == ("config constraint violation: coefficients.drift.gain_now: "
                                        "gain must have shape (1, 2, 2), got (3, 3)\n")
 
 
 @pytest.mark.parametrize("drift, zdrive, named", [
-    # the drift explodes on the paths whose rough part is large
-    (16.0, 3.0, "replica 46, level 64"),
-    # replica 34 explodes at level 64 only; its block first trips on a later
-    # replica at level 16, so the block is solved again replica by replica
-    (0.0, 20.0, "replica 34, level 64"),
+    # the drift explodes on the paths whose rough part is large; the closed-form
+    # reference, checked like a solve, passes the threshold first (replica 10, t = 1)
+    (16.0, 3.0, "replica 10, level reference"),
+    # a large rough part: the closed form of replica 2 passes it at t = 0.59375
+    (0.0, 20.0, "replica 2, level reference"),
     # a stiff 2-d linear system: the 16-step mesh is unstable, and replica 10
     # passes the threshold by 2.6%, so solved alone it must reproduce the bits
     # it has in its block
