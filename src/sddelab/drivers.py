@@ -7,12 +7,13 @@ order gamma for any gamma < H.  Two samplers are provided:
   of the fractional Gaussian noise covariance.  The covariance is Toeplitz,
   so the generalized Schur algorithm gives the factor in O(n^2) elementwise
   work; only its lower triangle is stored, in row panels.  LAPACK's dense
-  factorization is the test oracle.  The factor is cached per process; an
-  experiment draws every block in one process, so it builds the factor
-  once per run.  Replicas are drawn in fixed-width chunks of stream
-  indices: one matrix product per panel and chunk reads the factor once for
-  up to ``_CHUNK`` replicas;
+  factorization is the test oracle.  Replicas are drawn in fixed-width
+  chunks of stream indices: one matrix product per panel and chunk reads
+  the factor once for up to ``_CHUNK`` replicas;
 * ``davies_harte`` -- circulant embedding, O(n log n), for large grids.
+
+A sampler's set-up for a grid, the factor or the circulant eigenvalues, is
+cached per process; processes forked after :func:`prepare_fbm` inherit it.
 
 ``sample_fbm`` takes one seed (a path) or a list of seeds (a replica block,
 in list order).  Sampling is a pure function of ``(params, seed)``: a path
@@ -34,6 +35,7 @@ __all__ = [
     "FbmParams",
     "DriverNumericsError",
     "fbm_covariance",
+    "prepare_fbm",
     "sample_fbm",
     "sample_wiener",
 ]
@@ -222,6 +224,13 @@ def _cholesky_fgn(n: int, hurst: float, seeds: list[SeedSpec]) -> np.ndarray:
     fgn = {key: np.concatenate([g[:, : p.shape[1]] @ p.T for p in panels], axis=1)
            for key, g in chunks.items()}
     return np.stack([fgn[key][row, :n] for key, row in slots])
+
+
+def prepare_fbm(params: FbmParams) -> None:
+    """Build and cache the set-up that :func:`sample_fbm` reuses on the grid
+    of ``params``: the Cholesky factor, or the circulant eigenvalues."""
+    build = _cholesky_factor if params.method == "cholesky" else _circulant_sqrt_eigs
+    build(params.n_steps, params.hurst)
 
 
 def sample_fbm(params: FbmParams, seed: SeedSpec | list[SeedSpec]) -> GridPath:

@@ -17,18 +17,17 @@ reduced in replica order: the same configuration produces identical reports
 for any worker count.  P, the number of processes, is ``workers`` capped by
 the usable CPUs, the blocks and the run's work: a run forks one more process
 only for every ``_WORK_PER_PROCESS`` of stepper and norm work it counts from
-its config, so a small run stays in one process and imports no pool.  The
-parent process draws the drivers of every block, so the fBm factor is built
-once per run.  The blocks run in rounds of P
-processes, P - 1 forked workers and the parent solving one each, so at most
-P drawn blocks are unsolved, and the error of the lowest failing block is
-raised, from its draw or its solve.  A level study solves the reference and
-all levels of a block as row groups of one stepper call where one grid and
-one scheme allow it.  A solver explosion names the lowest exploding replica
-and, of that replica, the first exploding level in schedule order (the
-reference first): the block is solved again replica by replica from its
-drawn drivers, and the stepper names the first exploding row group.  Reports
-hold no timing; the CLI times the run and writes it to a sidecar.
+its config, so a small run stays in one process and imports no pool.  Each
+block is drawn and solved in one process.  A pool run builds the fBm
+sampler's set-up once, before it forks P workers, which inherit it; the
+blocks run in rounds of P while the parent waits, and the error of the
+lowest failing block is raised, from its draw or its solve.  A level study
+solves the reference and all levels of a block as row groups of one stepper
+call where one grid and one scheme allow it.  A solver explosion names the
+lowest exploding replica and, of that replica, the first exploding level in
+schedule order (the reference first): the replicas below the one the
+stepper names are solved again as one block, until none of them explodes.
+Reports hold no timing; the CLI times the run and writes it to a sidecar.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import fraccalc
 from .core import CoefficientSpec, HolderParams, InitialCondition
-from .drivers import _PAD, FbmParams, sample_fbm, sample_wiener
+from .drivers import _PAD, FbmParams, prepare_fbm, sample_fbm, sample_wiener
 from .grid import FieldError, GridPath, SeedSpec, _build, stack_paths, stack_replicas
 from .solver import (
     MollifierParams,
@@ -121,7 +120,7 @@ class ExperimentConfig:
             raise ExperimentError("epsilon must be positive", "epsilon")
         if not self.horizon > 0:
             raise ExperimentError(f"horizon must be positive, got {self.horizon}", "horizon")
-        FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
+        self.fbm  # the driver grid and law must be valid
         if len(self.levels) < 1:
             raise ExperimentError("need at least one level", "levels")
         diffs = np.diff(np.asarray(self.levels, dtype=float))
@@ -142,6 +141,10 @@ class ExperimentConfig:
     @property
     def solver_config(self) -> SolverConfig:
         return SolverConfig(n_steps=self.n_steps, horizon=self.horizon)
+
+    @property
+    def fbm(self) -> FbmParams:
+        return FbmParams(self.params.hurst, self.n_steps, self.horizon, self.driver_method)
 
 
 @dataclass(frozen=True)
@@ -444,27 +447,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _replica(path: GridPath, i: int) -> GridPath:
-    """Row i of a replica block, as a block of one."""
-    return GridPath(path.t0, path.dt, path.values[i : i + 1])
-
-
-def _run_block(cfg: ExperimentConfig, replicas: range, w: GridPath, z: GridPath) -> np.ndarray:
-    """The rows of one block from its drawn drivers.  An explosion names the
-    lowest exploding replica: the block is solved again replica by replica,
-    each from its rows of the drawn drivers."""
+def _run_block(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
+    """The rows of one block, drawn and solved here.  An explosion names the
+    lowest exploding replica: while the stepper names a replica above the
+    block's first, the replicas below it are solved again as one block."""
     _, fn, _ = _FLAVORS[cfg.kind]
+    w, z = _sample_drivers(cfg.spec, cfg.fbm, [SeedSpec(cfg.seed, r) for r in replicas])
     try:
         return fn(cfg, w, z)
     except SolverExplosionError as exc:
-        for i, r in enumerate(replicas):
-            try:
-                fn(cfg, _replica(w, i), _replica(z, i))
-            except SolverExplosionError as single:
-                single.replica = r
-                raise single from None
-        exc.replica = replicas[exc.replica]
-        raise
+        named = exc
+    while named.replica:
+        try:
+            fn(cfg, *(GridPath(p.t0, p.dt, p.values[: named.replica]) for p in (w, z)))
+            break
+        except SolverExplosionError as lower:
+            named = lower
+    named.replica = replicas[named.replica]
+    raise named
 
 
 def _block_size(cfg: ExperimentConfig, workers: int) -> int:
@@ -482,55 +482,27 @@ def _processes(cfg: ExperimentConfig) -> int:
     return min(procs, -(-cfg.replicas // _block_size(cfg, procs)))
 
 
-@contextmanager
-def _forked_pool(workers: int):
-    """``workers`` processes forked now, before the parent draws its first
-    block and builds the fBm factor, so that none of them maps it; None for
-    no workers.  A forked worker starts with the parent's imports, and the
-    executor forks every worker before it starts its own thread."""
-    if not workers:
-        yield None
-        return
-    import multiprocessing  # only a run that forks pays for these imports
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        pool.submit(int)  # a fork pool starts every process at its first task
-        yield pool
-
-
 def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
     """Rows of all replicas in replica order.
 
     The replicas are split evenly over P = ``procs`` processes, at most
-    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block, and run
-    in rounds of P blocks.  The parent draws every block in replica order, so
-    the fBm factor is built once per run; of each round it hands the first
-    P - 1 blocks to forked workers, solves the last itself and collects the
-    rest, so at most P drawn blocks are unsolved.  The error of the lowest
-    failing block is raised, from its draw or its solve; no later round is
-    drawn.
+    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block.  At P = 1
+    the blocks run here in replica order.  Otherwise the fBm sampler's set-up
+    is built here, then P forked workers inherit it and run the blocks in
+    rounds of P while this process waits.  The error of the lowest failing
+    block is raised, from its draw or its solve; no later round runs.
     """
     size = _block_size(cfg, procs)
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
-    fbm = FbmParams(cfg.params.hurst, cfg.n_steps, cfg.horizon, cfg.driver_method)
-
-    def drawn(replicas: range):
-        w, z = _sample_drivers(cfg.spec, fbm, [SeedSpec(cfg.seed, r) for r in replicas])
-        return cfg, replicas, w, z
-
+    if procs == 1:
+        return np.concatenate([_run_block(cfg, replicas) for replicas in blocks])
+    import multiprocessing  # only a run that forks pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+    prepare_fbm(cfg.fbm)
     rows = []
-    with _forked_pool(procs - 1) as pool:
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
         for lo in range(0, len(blocks), procs):
-            *theirs, own = blocks[lo : lo + procs]
-            futures = []
-            try:
-                for replicas in theirs:
-                    futures.append(pool.submit(_run_block, *drawn(replicas)))
-                mine = _run_block(*drawn(own))
-            finally:  # the error of a lower block outranks a later one
-                rows += [future.result() for future in futures]
-            rows.append(mine)
+            rows += pool.map(_run_block, [cfg] * procs, blocks[lo : lo + procs])
     return np.concatenate(rows)
 
 
@@ -588,8 +560,8 @@ def _run_work(cfg: ExperimentConfig) -> int:
     every replica's stepper row-steps, ``dim`` components of ``len(levels) + 1``
     rows (one for moments) over the n driver steps, or of each mesh and a
     fine-Euler reference over their own steps, plus an eighth of a row-step
-    for each of the ``n * n / 2`` lag pairs of a fractional norm.  The parent
-    draws every block, so the draws are not shared and not counted."""
+    for each of the ``n * n / 2`` lag pairs of a fractional norm.  The draws
+    run in the workers too, but count and cut stay as measured without them."""
     n, levels = cfg.n_steps, len(cfg.levels)
     if cfg.kind == "euler_refinement":
         steps = sum(map(int, cfg.levels)) + (cfg.reference != "closed_form") * n
@@ -800,7 +772,7 @@ def _reduce_moments(cfg: ExperimentConfig, rows: np.ndarray) -> MomentReport:
     contrib = np.sort(sup**p_top)
     k_top = max(1, int(np.ceil(0.01 * cfg.replicas)))
     share = float(contrib[-k_top:].sum() / contrib.sum()) if contrib.sum() > 0 else 0.0
-    alarm = share > 0.5
+    alarm = not share <= 0.5  # a NaN share raises the alarm
 
     thresholds = tuple(float(q) for q in np.quantile(sup, [0.5, 0.75, 0.9, 0.95, 0.99]))
     survival = tuple(float(np.mean(sup > thr)) for thr in thresholds)
@@ -816,12 +788,12 @@ def _reduce_moments(cfg: ExperimentConfig, rows: np.ndarray) -> MomentReport:
         )
         se = float(np.std(sup**2.0, ddof=1) / np.sqrt(cfg.replicas))
         gap_se = (sup_moments[p_values.index(2.0)] - oracle) / se if se > 0 else np.inf
-        if sup_moments[p_values.index(2.0)] < oracle - 3.0 * se:
+        if not sup_moments[p_values.index(2.0)] >= oracle - 3.0 * se:
             reasons.append(
                 f"sup second moment {sup_moments[p_values.index(2.0)]:.4f} below the "
                 f"terminal-moment lower bound {oracle:.4f} by more than 3 SE"
             )
-    if rel_change >= 0.10:
+    if not rel_change < 0.10:  # each criterion fails on a NaN
         reasons.append(
             f"half-sample p={stability_p:g} estimate moved by {rel_change:.1%} (>= 10%)"
         )

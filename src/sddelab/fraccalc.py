@@ -420,9 +420,10 @@ def _delay_norm_block(
     _check_alpha(alpha)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    f.index_of(-r, "r"), f.index_of(t, "t")  # an end off the path names its parameter
     p = f.window(-r, t)
     vals = p.values if p.replicas is not None else p.values[None]
-    n_lags = p.n_points - 1 - p.index_of(0.0)
+    n_lags = p.n_points - 1 - p.index_of(0.0, "r")
     # h[:, k] = sup over u in [-r, t - k dt] of |f(u + k dt) - f(u)|: the shift
     # sup at distance k dt = t - s from the kernel singularity, 0 at k = 0.
     h = np.zeros((vals.shape[0], n_lags + 1))

@@ -39,7 +39,8 @@ class GridError(FieldError):
 
 # (section, domain name): the config path of a name that differs from its key there
 _PATHS = {("initial", "holder_theta"): "initial.theta", ("initial", "r"): "initial.delay",
-          ("seed", "master_seed"): "seed.master", ("seed", "stream_index"): "seed.stream",
+          ("frac", "r"): "frac.delay", ("seed", "master_seed"): "seed.master",
+          ("seed", "stream_index"): "seed.stream",
           ("solve", "level"): "solve.mollifier_level", ("experiment", "level"): "experiment.levels",
           ("experiment", "family"): "coefficients.family",
           **{("experiment", key): f"criteria.{key}" for key in (
@@ -153,11 +154,11 @@ class GridPath:
             raise GridError(f"expected a scalar path, got dim={self.dim}")
         return self.values[..., 0]
 
-    def index_of(self, t: float) -> int:
-        """Exact grid index of time ``t``; rejects off-grid times."""
-        k = grid_steps(t, self.dt, self.t0)
+    def index_of(self, t: float, field: str | None = None) -> int:
+        """Exact grid index of time ``t``; rejects off-grid times, carrying ``field``."""
+        k = grid_steps(t, self.dt, self.t0, field=field)
         if k < 0 or k >= self.n_points:
-            raise GridError(f"time {t} outside [{self.t0}, {self.end_time}]")
+            raise GridError(f"time {t} outside [{self.t0}, {self.end_time}]", field)
         return k
 
     def restrict(self, step: int) -> "GridPath":

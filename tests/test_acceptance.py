@@ -310,11 +310,10 @@ def test_criterion_8_quasi_contractivity():
     assert rep.passed
 
 
-def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
-    """Every experiment kind re-run at worker counts 1 and 8 produces
-    byte-identical report files.  The 40 replicas are one block at 1 worker
-    and eight blocks of 5 at 8; the dim-2 and distributed-delay equations
-    sum several products per coefficient."""
+def _determinism_docs(method: str = "cholesky") -> dict:
+    """(CLI alias, config document) of every case of criterion 9, drawn by ``method``:
+    every experiment kind, and the dim-2 and distributed-delay equations,
+    which sum several products per coefficient."""
     base_holder = {"gamma": 0.7, "alpha": 0.35, "beta": 1.0, "theta": 0.45,
                    "hurst": 0.75}
     geo = {
@@ -364,12 +363,8 @@ def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
         "ito_distributed": dict(flavor="ito_limit", levels=[4, 8], coeff=distributed,
                                 initial=window_initial, n_steps=128),
     }
-    # 8 usable CPUs whatever the machine, so that 8 workers split the replicas
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
-    all_ok = True
+    docs = {}
     for name, case in cases.items():
-        alias = name.split("_")[0]
         doc = {
             "kind": "experiment",
             "experiment": {
@@ -381,23 +376,53 @@ def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
             "holder": base_holder,
             "coefficients": case["coeff"],
             "initial": case["initial"],
+            "driver": {"method": method},
             "seed": {"master": 4242},
         }
         for key in ("perturbation", "m_trunc"):
             if key in case:
                 doc["experiment"][key] = case[key]
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps(doc))
-        blobs = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"{name}_w{workers}"
-            code = main([
-                "experiment", alias, "--config", str(cfg),
-                "--out", str(out), "--workers", workers,
-            ])
-            assert code in (0, 1), f"{alias} run crashed with exit {code}"
-            blobs.append((out / "report.json").read_bytes())
+        docs[name] = name.split("_")[0], doc
+    return docs
+
+
+def _reports_at(tmp_path, name: str, alias: str, doc: dict, workers: tuple) -> list:
+    """The ``report.json`` bytes of ``doc`` run at each worker count of ``workers``."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    blobs = []
+    for count in workers:
+        out = tmp_path / f"{name}_w{count}"
+        code = main(["experiment", alias, "--config", str(cfg), "--out", str(out),
+                     "--workers", str(count)])
+        assert code in (0, 1), f"{alias} run crashed with exit {code}"
+        blobs.append((out / "report.json").read_bytes())
+    return blobs
+
+
+def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
+    """Every experiment kind re-run at worker counts 1 and 8 produces
+    byte-identical report files.  The 40 replicas are one block at 1 worker
+    and eight blocks of 5 at 8."""
+    # 8 usable CPUs whatever the machine, so that 8 workers split the replicas
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
+    all_ok = True
+    for name, (alias, doc) in _determinism_docs().items():
+        blobs = _reports_at(tmp_path, name, alias, doc, (1, 8))
         identical = blobs[0] == blobs[1]
         all_ok = all_ok and identical
         assert identical, f"{name}: reports differ between 1 and 8 workers"
     report_line("9 determinism across worker counts", all_ok, "8 cases x 2 runs")
+
+
+def test_criterion_9_holds_with_davies_harte(tmp_path, monkeypatch):
+    """The cases of criterion 9 drawn by Davies-Harte give byte-identical
+    report files at 1, 2 and 4 workers: one block, then blocks of 20 and of
+    10, drawn in the forked workers from the eigenvalues built before the
+    fork."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
+    for name, (alias, doc) in _determinism_docs("davies_harte").items():
+        blobs = _reports_at(tmp_path, name, alias, doc, (1, 2, 4))
+        assert blobs[0] == blobs[1] == blobs[2], f"{name}: reports differ across workers"

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import contextlib
+import functools
 import io
 import json
 import math
@@ -8,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from sddelab.config import ConfigError, load_config, parse_config
 from sddelab.core import ParamError
 from sddelab.drivers import DriverNumericsError
 from sddelab.experiments import ExperimentError
-from sddelab.grid import SeedSpec, stack_paths
+from sddelab.grid import GridPath, stack_paths
 from sddelab.solver import SolverExplosionError, euler_ito_sdde, euler_mixed_sdde
 
 DATA = Path(__file__).parent / "data"
@@ -1074,6 +1074,18 @@ def _moments_doc(**experiment):
         "flavor": "moments", "levels": [2.0], "replicas": 30, "n_steps": 16, **experiment})
 
 
+def test_a_moments_run_fails_closed_on_a_nan_statistic(tmp_path):
+    """A moment order of 1e308 overflows the moments to inf, so the
+    half-sample change and the heavy-tail share are NaN: the half-sample
+    criterion fails and the alarm is raised, and the run exits 1."""
+    cfg = write_config(tmp_path, _moments_doc(levels=[1e308]))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert math.isnan(report["stability_rel_change"]) and math.isnan(report["heavy_tail_share"])
+    assert report["heavy_tail_alarm"] and not report["passed"]
+    assert report["reasons"] == ["half-sample p=1e+308 estimate moved by nan% (>= 10%)"]
+
+
 OVERSIZED = {  # case: (the section named at load or None, the section edited, its values)
     # r / dt overflows a C long in np.tile
     "history_steps_overflow": ("initial", "initial", {"delay": 1.0, "dt": 1e-300}),
@@ -1437,10 +1449,13 @@ def test_stacked_level_explosion_names_the_first_level_in_schedule_order(
     assert errs[2].rstrip().endswith("at t=0.9375")
 
 
-def test_a_worker_block_explosion_outranks_the_parents_own(tmp_path, capsys, monkeypatch):
-    """At 2 processes a forked worker solves replicas 0-29 and the parent
-    30-59.  Both blocks explode, replica 5 in the worker's and replica 41 in
-    the parent's, and the run names replica 5 at every worker count."""
+def test_a_lower_block_explosion_outranks_a_higher_ones(tmp_path, capsys, monkeypatch):
+    """At 2 processes one forked worker solves replicas 0-29 and the other
+    30-59.  Both blocks explode, replica 5 in the first and replica 41 in the
+    second, and the run names replica 5 at every worker count.  The second
+    block alone names replica 41 at level 0.25: the replicas below the one
+    the stepper names are solved again as one block, not one by one (30,
+    then twelve blocks of one)."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
@@ -1452,12 +1467,18 @@ def test_a_worker_block_explosion_outranks_the_parents_own(tmp_path, capsys, mon
     doc["seed"] = {"master": 2}
     doc["driver"] = {"method": "cholesky"}
     cfg = write_config(tmp_path, doc)
-    run = load_config(cfg).payload
-    fbm = FbmParams(run.params.hurst, run.n_steps, run.horizon, "cholesky")
-    parents = range(30, 60)
-    drawn = experiments._sample_drivers(run.spec, fbm, [SeedSpec(2, r) for r in parents])
-    with pytest.raises(SolverExplosionError, match="^replica 41, level 0.25: "):
-        experiments._run_block(run, parents, *drawn)
+    check, block, reduce = experiments._FLAVORS["coeff_convergence"]
+    sizes = []
+
+    def spy(cfg, w, z):
+        sizes.append(w.replicas)
+        return block(cfg, w, z)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(experiments._FLAVORS, "coeff_convergence", (check, spy, reduce))
+        with pytest.raises(SolverExplosionError, match="^replica 41, level 0.25: "):
+            experiments._run_block(load_config(cfg).payload, range(30, 60))
+    assert sizes == [30, 20, 11]
     errs = []
     for workers in ("1", "2"):
         out = tmp_path / workers
@@ -1518,9 +1539,12 @@ def test_reports_byte_identical_across_blas_thread_counts(tmp_path, levels):
 
 
 def _in_process_pool(monkeypatch):
-    """Replace the fork pool by a stand-in that runs each task in this
-    process when its result is asked for; return the sizes of the pools made."""
-    made = []
+    """Replace the fork pool by a stand-in that runs in this process.  As a
+    pool does, its ``map`` runs every task of a round before the first
+    result is read, then yields the results in order and raises the error of
+    the first failing task.  Return the sizes of the pools made and the
+    argument tuple of every task."""
+    made, tasks = [], []
 
     class InProcessPool:
         def __init__(self, max_workers, mp_context):
@@ -1533,11 +1557,24 @@ def _in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            return types.SimpleNamespace(result=lambda: fn(*args))
+        def map(self, fn, *iterables):
+            outcomes = []
+            for args in zip(*iterables):
+                tasks.append(args)
+                try:
+                    outcomes.append((fn(*args), None))
+                except Exception as exc:
+                    outcomes.append((None, exc))
+
+            def results():
+                for rows, error in outcomes:
+                    if error is not None:
+                        raise error
+                    yield rows
+            return results()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return made
+    return made, tasks
 
 
 def _count_blocks(monkeypatch):
@@ -1545,8 +1582,7 @@ def _count_blocks(monkeypatch):
     sizes, run_block = [], experiments._run_block
     monkeypatch.setattr(
         experiments, "_run_block",
-        lambda cfg, replicas, *drivers: sizes.append(len(replicas)) or run_block(
-            cfg, replicas, *drivers),
+        lambda cfg, replicas: sizes.append(len(replicas)) or run_block(cfg, replicas),
     )
     return sizes
 
@@ -1554,10 +1590,10 @@ def _count_blocks(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3, 64])
 def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
     """``--workers 10000`` keeps at most min(CPUs, blocks) processes at work,
-    the parent and a pool of one fewer, each block at most
-    ``_BLOCK_REPLICAS`` replicas, and reports the bytes of one worker.  The
-    pool is a stand-in that runs the tasks in this process."""
-    made = _in_process_pool(monkeypatch)
+    a pool of that many workers, each block at most ``_BLOCK_REPLICAS``
+    replicas, and reports the bytes of one worker.  The pool is a stand-in
+    that runs the tasks in this process."""
+    made, _ = _in_process_pool(monkeypatch)
     sizes = _count_blocks(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
@@ -1574,67 +1610,42 @@ def test_pool_is_bounded_by_the_cpus_and_the_tasks(tmp_path, monkeypatch, cpus):
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
     assert sum(sizes) == 130 and max(sizes) <= experiments._BLOCK_REPLICAS
-    assert made == ([] if cpus == 1 else [min(cpus, len(sizes)) - 1])
+    assert made == ([] if cpus == 1 else [min(cpus, len(sizes))])
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_parent_holds_at_most_one_round_of_blocks(tmp_path, monkeypatch, cpus):
-    """With P processes the parent has at most P blocks drawn and not yet
-    solved: it collects a round's worker blocks before it draws the next
-    round.  300 replicas make 6 blocks of 50, so every round is full and the
-    bound is reached; the report has the bytes of one worker."""
-    _in_process_pool(monkeypatch)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+def test_every_pool_task_carries_the_config_and_its_replicas(tmp_path, monkeypatch):
+    """A worker draws its own block: each task handed to the pool is the run's
+    config and a range of replicas, no driver array or path."""
+    _, tasks = _in_process_pool(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
-    held, peak = [0], [0]
-    sample, run_block = experiments._sample_drivers, experiments._run_block
-
-    def draw(*args):
-        held[0] += 1
-        peak[0] = max(peak[0], held[0])
-        return sample(*args)
-
-    def solve(*args):
-        rows = run_block(*args)
-        held[0] -= 1
-        return rows
-
-    monkeypatch.setattr(experiments, "_sample_drivers", draw)
-    monkeypatch.setattr(experiments, "_run_block", solve)
-    doc = geometric_doc()
-    doc["experiment"].update(flavor="moments", levels=[2.0], replicas=300, n_steps=16)
-    doc["criteria"] = {"max_final_exceedance": 1.0}
-    cfg = write_config(tmp_path, doc)
-    blobs = []
-    for workers in ("1", str(cpus)):
-        out = tmp_path / workers
-        peak[0] = 0
-        assert main(["experiment", "--config", str(cfg), "--out", str(out),
-                     "--workers", workers]) in (0, 1)
-        blobs.append((out / "report.json").read_bytes())
-        assert held[0] == 0
-    assert peak[0] == cpus
-    assert blobs[0] == blobs[1]
+    run = _moments_run(tmp_path, 300, 3)
+    experiments.run_experiment(run)
+    assert [replicas for _, replicas in tasks] == [range(lo, lo + 50) for lo in range(0, 300, 50)]
+    assert all(len(task) == 2 and task[0] is run for task in tasks)
+    assert not any(isinstance(arg, (np.ndarray, GridPath)) for task in tasks for arg in task)
 
 
 def _log_blocks(monkeypatch, fail_solve=(), fail_draw=()):
-    """Run the pool in this process and log, by block number, each draw,
-    hand-over to the pool, solve and collection of a 50-replica block.  The
+    """Run the pool in this process and log, by block number, each hand-over
+    to the pool, draw, solve and collection of a 50-replica block.  The
     blocks in ``fail_solve`` explode at their first replica, those in
     ``fail_draw`` fail in their draw."""
     _in_process_pool(monkeypatch)
-    log, sample, run_block = [], experiments._sample_drivers, experiments._run_block
-    size = experiments._BLOCK_REPLICAS
+    log, sample, size = [], experiments._sample_drivers, experiments._BLOCK_REPLICAS
+    check, block_rows, reduce = experiments._FLAVORS["moments"]
 
     class LoggedPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            future = super().submit(fn, *args)
-            if not args:  # the task that starts the workers
-                return future
-            block = args[1].start // size
-            log.append(("submit", block))
-            return types.SimpleNamespace(
-                result=lambda: log.append(("collect", block)) or future.result())
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            log.extend(("submit", replicas.start // size) for _, replicas in tasks)
+            results = super().map(fn, *zip(*tasks))
+
+            def collected():
+                for _, replicas in tasks:
+                    log.append(("collect", replicas.start // size))
+                    yield next(results)
+            return collected()
 
     def draw(spec, fbm, seeds):
         block = seeds[0].stream_index // size
@@ -1643,16 +1654,16 @@ def _log_blocks(monkeypatch, fail_solve=(), fail_draw=()):
             raise DriverNumericsError(f"the draw of block {block} failed")
         return sample(spec, fbm, seeds)
 
-    def solve(cfg, replicas, w, z):
-        block = replicas.start // size
+    def solve(cfg, w, z):
+        block = log[-1][1]  # the block drawn last, in this process
         log.append(("solve", block))
         if block in fail_solve:
-            raise SolverExplosionError(0.5, 1e9, 1e8, replica=replicas[0])
-        return run_block(cfg, replicas, w, z)
+            raise SolverExplosionError(0.5, 1e9, 1e8)
+        return block_rows(cfg, w, z)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LoggedPool)
     monkeypatch.setattr(experiments, "_sample_drivers", draw)
-    monkeypatch.setattr(experiments, "_run_block", solve)
+    monkeypatch.setitem(experiments._FLAVORS, "moments", (check, solve, reduce))
     return log
 
 
@@ -1662,17 +1673,45 @@ def _moments_run(tmp_path, replicas, workers):
     return replace(load_config(write_config(tmp_path, doc)).payload, workers=workers)
 
 
-@pytest.mark.parametrize("parent_fails_in", ["solve", "draw"])
-def test_a_lower_worker_block_error_outranks_the_parents_draw_or_solve(
-    tmp_path, monkeypatch, parent_fails_in
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_parent_holds_at_most_one_round_of_blocks(tmp_path, monkeypatch, cpus):
+    """With P processes at most P blocks are handed over and not yet
+    collected: the parent collects every block of a round before it submits
+    the next.  300 replicas make 6 blocks of 50, so every round is full and
+    the bound is reached; the report has the bytes of one worker."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
+    log = _log_blocks(monkeypatch)
+    doc = geometric_doc()
+    doc["experiment"].update(flavor="moments", levels=[2.0], replicas=300, n_steps=16)
+    doc["criteria"] = {"max_final_exceedance": 1.0}
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for workers in ("1", str(cpus)):
+        out = tmp_path / workers
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) in (0, 1)
+        blobs.append((out / "report.json").read_bytes())
+    handed = [(call, block) for call, block in log if call in ("submit", "collect")]
+    rounds = [range(lo, lo + cpus) for lo in range(0, 6, cpus)]
+    assert handed == [(call, block) for blocks in rounds
+                      for call in ("submit", "collect") for block in blocks]
+    held = np.cumsum([1 if call == "submit" else -1 for call, _ in handed])
+    assert held.max() == cpus and held[-1] == 0
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("higher_fails_in", ["solve", "draw"])
+def test_a_lower_block_error_outranks_a_higher_blocks_draw_or_solve(
+    tmp_path, monkeypatch, higher_fails_in
 ):
-    """At 3 processes 300 replicas make 6 blocks of 50 in two rounds.  Worker
-    block 1 explodes at replica 50, and the parent's own block 2 fails too,
-    in its solve or in its draw.  The run raises block 1's error and draws no
-    block of the second round."""
+    """At 3 processes 300 replicas make 6 blocks of 50 in two rounds.  Block
+    1 explodes at replica 50, and block 2 of the same round fails too, in its
+    solve or in its draw.  The run raises block 1's error and draws no block
+    of the second round."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
-    if parent_fails_in == "solve":
+    if higher_fails_in == "solve":
         log = _log_blocks(monkeypatch, fail_solve={1, 2})
     else:
         log = _log_blocks(monkeypatch, fail_solve={1}, fail_draw={2})
@@ -1683,41 +1722,54 @@ def test_a_lower_worker_block_error_outranks_the_parents_draw_or_solve(
 
 
 def test_two_blocks_at_two_processes_run_as_one_round(tmp_path, monkeypatch):
-    """100 replicas at 2 processes make blocks 0 and 1: the parent draws
-    block 0 and hands it to the worker, draws and solves block 1, then
-    collects block 0, which the in-process pool solves when collected."""
+    """100 replicas at 2 processes make blocks 0 and 1, one round: the parent
+    hands both to the pool, each is drawn and solved in its worker (here in
+    order, by the in-process pool), and the parent collects them in order."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     log = _log_blocks(monkeypatch)
     experiments.run_experiment(_moments_run(tmp_path, 100, 2))
-    assert log == [("draw", 0), ("submit", 0), ("draw", 1), ("solve", 1),
-                   ("collect", 0), ("solve", 0)]
+    assert log == [("submit", 0), ("submit", 1), ("draw", 0), ("solve", 0), ("draw", 1),
+                   ("solve", 1), ("collect", 0), ("collect", 1)]
 
 
-def test_no_forked_worker_builds_the_fbm_factor(tmp_path, monkeypatch):
-    """The parent draws every block, so the Cholesky factor is built in this
-    process only: a forked worker inherits a factor that raises, and the run
-    at 2 workers still exits 0 with the bytes of 1 worker."""
-    factor, parent = drivers._cholesky_factor, os.getpid()
+@pytest.mark.parametrize("method", ["cholesky", "davies_harte"])
+def test_no_forked_worker_builds_the_fbm_set_up(tmp_path, monkeypatch, method):
+    """The parent builds the sampler's set-up, the Cholesky factor or the
+    circulant eigenvalues, before it forks, so the workers of a real fork
+    pool inherit it: building it raises in any other process, and the run at
+    2 workers still exits 0 with the bytes of 1 worker.  The caches start
+    empty, so the parent builds the set-up once, in the 2-worker run."""
+    parent, built = os.getpid(), []
 
-    def parent_only(n, hurst):
-        if os.getpid() != parent:
-            raise RuntimeError("a forked worker built the fBm factor")
-        return factor(n, hurst)
+    def parent_only(build):
+        def hooked(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a forked worker built the fBm set-up")
+            built.append(build)
+            return build(*args)
+        return hooked
 
-    monkeypatch.setattr(drivers, "_cholesky_factor", parent_only)
+    monkeypatch.setattr(drivers, "_schur_panels", parent_only(drivers._schur_panels))
+    monkeypatch.setattr(drivers, "_cholesky_factor",
+                        functools.lru_cache(drivers._cholesky_factor.__wrapped__))
+    monkeypatch.setattr(drivers, "_circulant_sqrt_eigs", functools.lru_cache(
+        parent_only(drivers._circulant_sqrt_eigs.__wrapped__)))
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
     doc["experiment"]["emit_distances"] = True
     doc["criteria"] = {"max_final_exceedance": 1.0, "min_decreasing_steps": 0}
+    doc["driver"] = {"method": method}
     cfg = write_config(tmp_path, doc)
     blobs = []
-    for workers in ("1", "2"):
+    for workers in ("2", "1"):
         out = tmp_path / workers
         assert main(["experiment", "euler", "--config", str(cfg), "--out", str(out),
                      "--workers", workers]) == 0
+        assert json.loads((out / "run_meta.json").read_text())["processes"] == int(workers)
         blobs.append([(out / name).read_bytes() for name in ("report.json", "distances.csv")])
+    assert len(built) == 1
     assert blobs[0] == blobs[1]
 
 
@@ -1741,10 +1793,10 @@ def test_a_run_below_the_work_of_two_processes_forks_nothing(tmp_path, monkeypat
     assert blobs[0] == blobs[1]
 
 
-def test_work_worth_two_processes_forks_one_worker_of_eight_cpus(tmp_path, monkeypatch):
+def test_work_worth_two_processes_makes_a_pool_of_two_of_eight_cpus(tmp_path, monkeypatch):
     """With 8 usable CPUs and ``--workers 8``, work of exactly two processes
-    makes a pool of one worker; a unit more per process keeps the run in one."""
-    made = _in_process_pool(monkeypatch)
+    makes a pool of two workers; a unit more per process keeps the run in one."""
+    made, _ = _in_process_pool(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
     run = _moments_run(tmp_path, 300, 8)
     work = experiments._run_work(run)
@@ -1753,7 +1805,7 @@ def test_work_worth_two_processes_forks_one_worker_of_eight_cpus(tmp_path, monke
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", work // 2)
     assert experiments._processes(run) == 2
     experiments.run_experiment(run)
-    assert made == [1]
+    assert made == [2]
 
 
 def test_run_meta_records_the_processes_next_to_the_workers(tmp_path, monkeypatch):

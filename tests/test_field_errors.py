@@ -87,12 +87,18 @@ DOCS = {
         "frac": {"operation": "young_love", "input_csv": "f.csv", "alpha": 0.3,
                  "lambda": 0.6, "mu": 0.6, "interval": [0.0, 0.5]},
     },
+    "delay_norms": {
+        "kind": "frac",
+        "frac": {"operation": "delay_norms", "input_csv": "f.csv", "alpha": 0.3,
+                 "delay": 0.25, "t": 0.5},
+    },
 }
 
 
 def _run(tmp_path: Path, alias: str, doc: dict) -> tuple[int, str]:
-    """Exit code and stderr of ``sddelab`` on ``doc``, run in this process."""
-    rows = [f"{k / 32!r},{math.sin(k / 8)!r},{(k / 32) ** 2!r}" for k in range(33)]
+    """Exit code and stderr of ``sddelab`` on ``doc``, run in this process;
+    a frac document reads a CSV on [-0.25, 1] with dt = 1/32."""
+    rows = [f"{k / 32!r},{math.sin(k / 8)!r},{(k / 32) ** 2!r}" for k in range(-8, 33)]
     (tmp_path / "f.csv").write_text("time,f,g\n" + "\n".join(rows) + "\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -228,6 +234,23 @@ def test_valid_extremes_run(tmp_path, alias, sections):
         doc[section].update(values)
     code, err = _run(tmp_path, alias, doc)
     assert code in (0, 1, 4), err
+
+
+@pytest.mark.parametrize("delay, t, message", [
+    (0.5, 0.5, "frac.delay: time -0.5 outside [-0.25, 1.0]"),
+    (0.01, 0.5, "frac.delay: time -0.01 does not land on the grid (dt=0.03125)"),
+    (0.25, 1.5, "frac.t: time 1.5 outside [-0.25, 1.0]"),
+    (0.25, 0.51, "frac.t: time 0.51 does not land on the grid (dt=0.03125)"),
+])
+def test_a_delay_norms_window_off_the_csv_names_its_end(tmp_path, delay, t, message):
+    """A window [-delay, t] that the CSV does not cover names the end that is
+    off: ``frac.delay`` below the first time or off the grid, ``frac.t``
+    past the last time or off the grid."""
+    doc = copy.deepcopy(DOCS["delay_norms"])
+    doc["frac"].update(delay=delay, t=t)
+    code, err = _run(tmp_path, "delay_norms", doc)
+    assert code == 3
+    assert err.strip().splitlines()[-1] == f"constraint violation: {message}"
 
 
 def test_no_message_starts_with_a_config_path():
