@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -56,8 +57,39 @@ EXIT_IO = 5
 OUTPUT_DIR_ENV = "SDDELAB_OUT"
 
 
+def _finite(obj):
+    """``obj`` with every float that is not finite replaced by None, so that
+    its JSON holds ``null`` there: RFC 8259 has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
+def _json(obj, **options) -> str:
+    return json.dumps(_finite(obj), sort_keys=True, allow_nan=False, **options)
+
+
 def _dump_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json(obj, indent=2) + "\n")
+
+
+def _peak_rss(forked: bool) -> dict:
+    """The ``run_meta.json`` keys of peak resident memory, in MB: this
+    process's, and for a run that ``forked`` the largest of its reaped
+    workers'; none where the platform has no ``resource`` module."""
+    try:
+        import resource  # read here: importing the CLI does not load it
+    except ImportError:
+        return {}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, else KiB
+    peaks = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+    if forked:
+        peaks["worker_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return {key: value * unit / 2**20 for key, value in peaks.items()}
 
 
 def _record(loaded: LoadedConfig, **fields) -> dict:
@@ -136,7 +168,7 @@ def _cmd_frac(loaded: LoadedConfig, args: argparse.Namespace) -> int:
         else:
             result = {"bound": fraccalc.young_love_bound(fp, gp, f["lambda"], f["mu"])}
     _dump_json(args.out / "frac_result.json", _record(loaded, result=result))
-    print(json.dumps(result, sort_keys=True))
+    print(_json(result))
     return EXIT_OK
 
 
@@ -176,7 +208,8 @@ def _cmd_experiment(loaded: LoadedConfig, args: argparse.Namespace) -> int:
     runtime = time.perf_counter() - started
     _dump_json(args.out / "report.json", _record(loaded, report=report.to_dict()))
     _dump_json(args.out / "run_meta.json", {"runtime_seconds": runtime, "workers": cfg.workers,
-                                            "processes": report.processes})
+                                            "processes": report.processes,
+                                            **_peak_rss(report.processes > 1)})
     if cfg.emit_distances and hasattr(report, "levels"):
         lines = ["level,replica,distance"]
         for lv in report.levels:

@@ -15,10 +15,12 @@ order gamma for any gamma < H.  Two samplers are provided:
 A sampler's set-up for a grid, the factor or the circulant eigenvalues, is
 cached per process; processes forked after :func:`prepare_fbm` inherit it.
 
-``sample_fbm`` takes one seed (a path) or a list of seeds (a replica block,
-in list order).  Sampling is a pure function of ``(params, seed)``: a path
-has the same bits alone and in any block, and at 1, 2 and 4 OpenBLAS
-threads (tested).
+``sample_wiener`` and ``sample_fbm`` take one seed (a path) or a list of
+seeds (a replica block, in list order).  A block is one array, scaled and
+summed in place, which the returned :class:`GridPath` keeps read-only as
+it is.  Sampling is a pure function of ``(params, seed)``: a path has the
+same bits alone and in any block, and at 1, 2 and 4 OpenBLAS threads
+(tested).
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
     the zero upper triangle is stored only inside the diagonal blocks.  All
     panels are views of one buffer: a grid too large for memory fails at its
     allocation, before any work.
+
+    The factor is finite if and only if ``head`` ends finite, so only its n
+    values are checked.  Column k of L is the generator a = ``head[:n-k]``,
+    and slot i of ``head`` keeps its last value once it leaves a.  While it
+    is in a, each rotation maps it to ``s (a_i - rho b_i)`` with |rho| < 1,
+    so s is finite: NaN stays NaN and +-inf stays non-finite.  So a
+    non-finite entry of L stays non-finite in its slot of ``head``.
     """
     n = cov.size
     edges = [*range(0, n, _PANEL), n]
@@ -149,7 +158,7 @@ def _schur_panels(cov: np.ndarray) -> list[np.ndarray]:
         for i in range(k // _PANEL, len(panels)):
             lo = max(k, edges[i])
             panels[i][lo - edges[i] :, k] = a[lo - k : edges[i + 1] - k]
-    if not all(np.isfinite(panel).all() for panel in panels):  # one panel's mask at a time
+    if not np.isfinite(head).all():
         raise DriverNumericsError("the Schur recursion produced non-finite entries")
     return panels
 
@@ -244,13 +253,23 @@ def sample_fbm(params: FbmParams, seed: SeedSpec | list[SeedSpec]) -> GridPath:
         fgn = _cholesky_fgn(n, params.hurst, seeds)
     else:
         fgn = np.stack([_fgn_davies_harte(n, params.hurst, s.generator()) for s in seeds])
+    fgn *= params.dt**params.hurst
     values = np.zeros((len(seeds), n + 1))
-    np.cumsum(fgn * params.dt**params.hurst, axis=1, out=values[:, 1:])
+    np.cumsum(fgn, axis=1, out=values[:, 1:])
+    values.flags.writeable = False
     return GridPath(0.0, params.dt, values[0] if isinstance(seed, SeedSpec) else values[..., None])
 
 
-def sample_wiener(n_steps: int, horizon: float, dim: int, seed: SeedSpec) -> GridPath:
-    """Standard Wiener path in R^dim on ``{0, dt, ..., horizon}``."""
+def sample_wiener(n_steps: int, horizon: float, dim: int,
+                  seed: SeedSpec | list[SeedSpec]) -> GridPath:
+    """Standard Wiener path in R^dim on ``{0, dt, ..., horizon}`` starting at
+    0: one path for a seed, a replica block in list order for a list of
+    seeds.  Each seed draws its ``standard_normal((n_steps, dim))`` into its
+    row of one ``(replicas, n_steps + 1, dim)`` array, which one multiply by
+    sqrt(dt) and one running sum along time turn into nodes."""
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not horizon > 0:
@@ -258,7 +277,11 @@ def sample_wiener(n_steps: int, horizon: float, dim: int, seed: SeedSpec) -> Gri
     if dim < 1:
         raise ValueError("dim must be at least 1")
     dt = horizon / n_steps
-    rng = seed.generator()
-    increments = rng.standard_normal((n_steps, dim)) * np.sqrt(dt)
-    values = np.vstack([np.zeros((1, dim)), np.cumsum(increments, axis=0)])
-    return GridPath(0.0, dt, values)
+    values = np.zeros((len(seeds), n_steps + 1, dim))
+    steps = values[:, 1:]
+    for row, s in zip(steps, seeds):
+        s.generator().standard_normal(out=row)
+    np.multiply(steps, np.sqrt(dt), steps)
+    np.cumsum(steps, axis=1, out=steps)
+    values.flags.writeable = False
+    return GridPath(0.0, dt, values[0] if isinstance(seed, SeedSpec) else values)

@@ -18,16 +18,18 @@ for any worker count.  P, the number of processes, is ``workers`` capped by
 the usable CPUs, the blocks and the run's work: a run forks one more process
 only for every ``_WORK_PER_PROCESS`` of stepper and norm work it counts from
 its config, so a small run stays in one process and imports no pool.  Each
-block is drawn and solved in one process.  A pool run builds the fBm
-sampler's set-up once, before it forks P workers, which inherit it; the
-blocks run in rounds of P while the parent waits, and the error of the
-lowest failing block is raised, from its draw or its solve.  A level study
-solves the reference and all levels of a block as row groups of one stepper
-call where one grid and one scheme allow it.  A solver explosion names the
-lowest exploding replica and, of that replica, the first exploding level in
-schedule order (the reference first): the replicas below the one the
-stepper names are solved again as one block, until none of them explodes.
-Reports hold no timing; the CLI times the run and writes it to a sidecar.
+block is drawn and solved in one process: W and each fBm channel in one
+sampler call, into one array that the block's paths keep.  A pool run
+builds the fBm sampler's set-up once, before it forks P workers, which
+inherit it; the blocks run in rounds of P while the parent waits, and the
+error of the lowest failing block is raised, from its draw or its solve.
+A level study solves the reference and all levels of a block as row groups
+of one stepper call where one grid and one scheme allow it.  A solver
+explosion names the lowest exploding replica and, of that replica, the
+first exploding level in schedule order (the reference first): the replicas
+below the one the stepper names are solved again as one block, until none
+of them explodes.  Reports hold no timing; the CLI times the run and writes
+it to a sidecar.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from . import fraccalc
 from .core import CoefficientSpec, HolderParams, InitialCondition
 from .drivers import _PAD, FbmParams, prepare_fbm, sample_fbm, sample_wiener
-from .grid import FieldError, GridPath, SeedSpec, _build, stack_paths, stack_replicas
+from .grid import FieldError, GridPath, SeedSpec, _build, stack_paths
 from .solver import (
     MollifierParams,
     SolverConfig,
@@ -267,13 +269,15 @@ def _sample_drivers(spec: CoefficientSpec, fbm: FbmParams, seeds: SeedSpec | lis
     """Wiener and fBm drivers on the grid of ``fbm``: one path each for a
     seed, replica blocks for a list of replica seeds.
 
-    A single fBm channel draws from ``seed.child(1)``, channel j of several
-    from ``seed.child(1).child(j)``; each channel is one ``sample_fbm`` call
-    for all seeds.  Experiment blocks and ``sddelab solve`` both sample here.
+    W draws from ``seed.child(0)``, in one ``sample_wiener`` call for all
+    seeds.  A single fBm channel draws from ``seed.child(1)``, channel j of
+    several from ``seed.child(1).child(j)``; each channel is one
+    ``sample_fbm`` call for all seeds.  The paths keep the samplers' arrays
+    (or, for several channels, their one stacked copy).  Experiment blocks
+    and ``sddelab solve`` both sample here.
     """
     each = [seeds] if isinstance(seeds, SeedSpec) else list(seeds)
-    w = stack_replicas([sample_wiener(fbm.n_steps, fbm.horizon, spec.n_wiener, s.child(0))
-                        for s in each])
+    w = sample_wiener(fbm.n_steps, fbm.horizon, spec.n_wiener, [s.child(0) for s in each])
     zs = [s.child(1) for s in each]
     if spec.n_holder == 1:
         z = sample_fbm(fbm, zs)
@@ -298,8 +302,11 @@ def _perturbed_spec(spec: CoefficientSpec, perturbation: str, n: float) -> Coeff
 
 
 def _sup_distance(x: GridPath, y: GridPath) -> np.ndarray:
-    """Per-replica sup distance between two replica blocks."""
-    return fraccalc._mags(x.values - y.values).max(axis=-1)
+    """Per-replica sup distance between two replica blocks; for scalar
+    paths |x - y| is taken in place, one temporary in all."""
+    diff = x.values - y.values
+    mags = np.abs(diff, out=diff)[..., 0] if x.dim == 1 else fraccalc._mags(diff)
+    return mags.max(axis=-1)
 
 
 @contextmanager

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["GridPath", "SeedSpec", "FieldError", "GridError", "grid_steps", "refinement",
-           "same_time", "stack_paths", "stack_replicas"]
+           "same_time", "stack_paths"]
 
 # Relative slack for "does this time land on a grid node" checks.
 _ALIGN_RTOL = 1e-9
@@ -184,27 +184,18 @@ class GridPath:
         )
 
 
-def _common_grid(paths: list[GridPath]) -> GridPath:
+def stack_paths(paths: list[GridPath]) -> GridPath:
+    """Stack scalar paths (or replica blocks) on a common grid into one
+    vector-valued path (or block), one coordinate per path, which keeps the
+    stacked array."""
     if not paths:
         raise GridError("need at least one path")
     head = paths[0]
-    for p in paths[1:]:
-        if not head.same_grid(p):
-            raise GridError("paths are not on a common grid")
-    return head
-
-
-def stack_paths(paths: list[GridPath]) -> GridPath:
-    """Stack scalar paths (or replica blocks) on a common grid into one
-    vector-valued path (or block), one coordinate per path."""
-    head = _common_grid(paths)
-    return GridPath(head.t0, head.dt, np.stack([p.scalar_values() for p in paths], axis=-1))
-
-
-def stack_replicas(paths: list[GridPath]) -> GridPath:
-    """Stack paths on a common grid into a replica block, in list order."""
-    head = _common_grid(paths)
-    return GridPath(head.t0, head.dt, np.stack([p.values for p in paths]))
+    if not all(head.same_grid(p) for p in paths[1:]):
+        raise GridError("paths are not on a common grid")
+    values = np.stack([p.scalar_values() for p in paths], axis=-1)
+    values.flags.writeable = False
+    return GridPath(head.t0, head.dt, values)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ condition, and the scheme is the entry point called.  A
 :class:`CoefficientSpec` is compiled once into arrays (gain matrices,
 constants, the delay tap or window span, the time modulation), and each step
 advances a channel-major ``(d, groups, replicas)`` state block with one affine
-update; the returned paths are read-only views of one buffer.  Drivers given
-as a replica block (a :class:`GridPath` with values ``(replicas, n, d)``) are
-solved together; a single path is a block of one.
+update; the returned paths are read-only views of one buffer.  The step
+increments are tabulated ``_STEPS`` steps at a time, from the driver nodes,
+as the loop reaches them.  Drivers given as a replica block (a
+:class:`GridPath` with values ``(replicas, n, d)``) are solved together; a
+single path is a block of one.
 Row groups, given as lists of specs, initial conditions, rough drivers or
 mollifier levels, are solved in the same pass on a shared Wiener block, each
 group with its own gains, constants, delay read and history (all histories of
@@ -57,6 +59,7 @@ __all__ = [
 
 SCHEMES = ("euler_mixed", "euler_ito")
 _SLICE = 1 << 13  # values per slice of the trust-region check
+_STEPS = 256  # steps per fill of the increment table
 
 
 class SolverExplosionError(RuntimeError):
@@ -250,18 +253,22 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
     """Euler steps of a ``(d, groups, replicas)`` state block, for both schemes.
 
     Row group g solves ``specs[g]`` from history ``etas[g]`` on the shared
-    Wiener increments; ``thirds`` holds the third column, once or per group,
-    step-major ``(steps, l, replicas)``: dZ (mixed scheme) or dZ^N/dt (Ito
-    scheme).  The increments ``[dt | dW | dZ]`` or ``[1 | dW |
-    dZ^N/dt]`` multiply the coefficient columns; the mixed step adds ``((x +
-    a dt) + b dW) + c dZ``, the Ito step ``((a + c dZ^N/dt) dt + x) + b dW``,
-    with channels summed as numpy's contiguous reduce sums them.  Every
-    operation runs along the replica axis of one buffer ``(q + n + 1, d,
+    Wiener increments; ``thirds`` holds the source of the third column, once
+    or per group, step-major: the nodes of Z ``(n + 1, l, replicas)`` (mixed
+    scheme, whose dZ are their differences) or dZ^N/dt ``(n, l, replicas)``
+    (Ito scheme).  The increments ``[dt | dW | dZ]`` or ``[1 | dW |
+    dZ^N/dt]`` multiply the coefficient columns.  Their table holds
+    ``_STEPS`` steps and is filled again each time the loop reaches its end,
+    dW and dZ taken there as differences of the driver nodes.  The mixed step
+    adds ``((x + a dt) + b dW) + c dZ``, the Ito step ``((a + c dZ^N/dt) dt +
+    x) + b dW``, with channels summed as numpy's contiguous reduce sums them.
+    Every operation runs along the replica axis of one buffer ``(q + n + 1, d,
     groups, replicas)``, a column block ``(d * cols, groups, replicas)`` and
-    increments ``(steps, 1, cols, thirds, replicas)``, and reads one row only,
+    increments ``(_STEPS, 1, cols, thirds, replicas)``, and reads one row only,
     in an order fixed by the spec (products added in component order, terms a
     group lacks skipped, the window a running sum of trapezoid cells): a
-    row's path depends neither on its block nor on the other groups.
+    row's path depends neither on its block, nor on the other groups, nor on
+    the steps per fill.
 
     Once the paths are complete, :func:`_trust_region` checks them.  Returns
     one path per group, read-only views of the buffer.
@@ -277,11 +284,19 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
             raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
     wiener = w.values.reshape(-1, n + 1, m).transpose(1, 2, 0)[:, :, None]  # (n + 1, m, 1, reps)
     reps, cols = wiener.shape[-1], now.shape[1] // d
-    inc = np.empty((n, 1, cols, len(thirds), reps))  # built once, in stepping order
+    inc = np.empty((min(n, _STEPS), 1, cols, len(thirds), reps))  # steps k0..k1-1
     inc[:, 0, 0] = 1.0 if ito else dt
-    np.subtract(wiener[1:], wiener[:-1], inc[:, 0, 1 : 1 + m])
-    for g, third in enumerate(thirds):
-        inc[:, 0, 1 + m :, g] = third
+
+    def fill(k0: int, k1: int) -> np.ndarray:
+        table = inc[: k1 - k0, 0]
+        np.subtract(wiener[k0 + 1 : k1 + 1], wiener[k0:k1], table[:, 1 : 1 + m])
+        for g, third in enumerate(thirds):
+            if ito:
+                table[:, 1 + m :, g] = third[k0:k1]
+            else:
+                np.subtract(third[k0 + 1 : k1 + 1], third[k0:k1], table[:, 1 + m :, g])
+        return inc[: k1 - k0]
+
     buf = np.empty((q + n + 1, d, groups, reps))
     buf[: q + 1] = np.stack(hist, axis=-1)[..., None]
     row = buf.shape[1:]
@@ -319,29 +334,32 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
     a, sums = p[:, 0], [add_up for add_up in (sum_b, sum_c) if add_up is not None]
     add, multiply = np.add, np.multiply  # outputs passed positionally: no keyword parsing per call
     with np.errstate(over="ignore", invalid="ignore"):  # past an explosion
-        for k, (x, nxt, x0, step) in enumerate(zip(buf[q:], buf[q + 1 :], buf[q:, 0], inc)):
-            if gather is not None:
-                np.take(flat, gather[k], 0, into)
-            multiply(x0, gains0, v)
-            for j, run, src, gains, out, scratch in rest:
-                multiply(x[j, run] if src is None else src, gains, scratch)
-                add(out, scratch, out)
-            for out, term in consts:
-                add(out, term, out)
-            if mods is not None:
-                multiply(p, mods[k], p)
-            multiply(p, step, p)
-            for chans, last, total in sums:  # contiguous: in order below 8, pairwise from 8 on
-                np.copyto(last, chans)
-                np.add.reduce(last, -1, None, total)
-            if ito:  # nxt holds (a + c) dt before x is added to it
-                multiply(add(a, c, nxt), dt, nxt)
-                add(add(x, nxt, nxt), b, nxt)
-            else:
-                add(add(add(x, a, nxt), b, nxt), c, nxt)
-            if span is not None:
-                add(win, cell(q + k), win)
-                np.subtract(win, ring[(q + k - span) % (span + 1)], win)
+        for k0 in range(0, n, _STEPS):
+            k1 = min(k0 + _STEPS, n)
+            for k, x, nxt, x0, step in zip(range(k0, k1), buf[q + k0 :], buf[q + k0 + 1 :],
+                                           buf[q + k0 :, 0], fill(k0, k1)):
+                if gather is not None:
+                    np.take(flat, gather[k], 0, into)
+                multiply(x0, gains0, v)
+                for j, run, src, gains, out, scratch in rest:
+                    multiply(x[j, run] if src is None else src, gains, scratch)
+                    add(out, scratch, out)
+                for out, term in consts:
+                    add(out, term, out)
+                if mods is not None:
+                    multiply(p, mods[k], p)
+                multiply(p, step, p)
+                for chans, last, total in sums:  # contiguous: in order below 8, pairwise from 8 on
+                    np.copyto(last, chans)
+                    np.add.reduce(last, -1, None, total)
+                if ito:  # nxt holds (a + c) dt before x is added to it
+                    multiply(add(a, c, nxt), dt, nxt)
+                    add(add(x, nxt, nxt), b, nxt)
+                else:
+                    add(add(add(x, a, nxt), b, nxt), c, nxt)
+                if span is not None:
+                    add(win, cell(q + k), win)
+                    np.subtract(win, ring[(q + k - span) % (span + 1)], win)
     _trust_region(buf[q + 1 :], dt, cfg.explosion_threshold)
     buf.flags.writeable = False
     return [GridPath(-etas[0].r, dt, path if w.replicas else path[0])
@@ -373,10 +391,10 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     against the solver grid, the third increment column, one :func:`_solve`.
 
     ``level`` None selects the mixed scheme, whose third column is dZ on the
-    solver grid.  Otherwise it is the mollifier level of the Ito scheme,
-    whose third column is dZ^N/dt at the step times, tabulated from Z on its
-    own grid.  A list of ``Z`` or of ``level`` gives each group its own
-    column; otherwise the groups share one.
+    solver grid, taken from the nodes of Z there.  Otherwise it is the
+    mollifier level of the Ito scheme, whose third column is dZ^N/dt at the
+    step times, tabulated from Z on its own grid.  A list of ``Z`` or of
+    ``level`` gives each group its own column; otherwise the groups share one.
     """
     (specs, etas, zs, levels), grouped = _row_groups(spec, eta, Z, level)
     ito = level is not None
@@ -387,16 +405,15 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     head = specs[0]
     w = _align_driver(W, cfg, head.n_wiener, "W")
     own = any(isinstance(a, (list, tuple)) for a in (Z, level))
-    times = cfg.dt * np.arange(cfg.n_steps)
+    times = cfg.dt * np.arange(cfg.n_steps) if ito else None
     thirds = []
     for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
         aligned = _align_driver(z, cfg, head.n_holder, "Z")
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
         # dZ^N/dt is tabulated from Z on its own grid
-        third = (MollifiedDrift(head, z, lvl).zdot(times) if ito
-                 else np.diff(aligned.values, axis=-2))
-        thirds.append(third.reshape(-1, cfg.n_steps, head.n_holder).transpose(1, 2, 0))
+        third = MollifiedDrift(head, z, lvl).zdot(times) if ito else aligned.values
+        thirds.append(third.reshape(-1, third.shape[-2], head.n_holder).transpose(1, 2, 0))
     paths = _solve(specs, etas, cfg, w, thirds, ito)
     return tuple(paths) if grouped else paths[0]
 
@@ -469,6 +486,7 @@ def geometric_closed_form(
         vals = x0 * np.exp((a - 0.5 * b * b) * t + b * W.scalar_values() + c * Z.scalar_values())
     _trust_region(np.moveaxis(vals.reshape(-1, t.size), 0, -1)[:, None, None], W.dt,
                   SolverConfig.explosion_threshold, 0)
+    vals.flags.writeable = False
     return GridPath(W.t0, W.dt, vals[..., None])
 
 

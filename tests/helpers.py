@@ -33,6 +33,14 @@ from sddelab.solver import (
 )
 
 
+def stack_replicas(paths: list) -> GridPath:
+    """Stack paths on a common grid into a replica block, in list order."""
+    head = paths[0]
+    if not all(head.same_grid(p) for p in paths[1:]):
+        raise GridError("paths are not on a common grid")
+    return GridPath(head.t0, head.dt, np.stack([p.values for p in paths]))
+
+
 def grid_fn(fn, a: float, b: float, n: int) -> GridPath:
     """Sample a callable on the uniform grid over [a, b] with n cells."""
     t = np.linspace(a, b, n + 1)

@@ -1076,12 +1076,14 @@ def _moments_doc(**experiment):
 
 def test_a_moments_run_fails_closed_on_a_nan_statistic(tmp_path):
     """A moment order of 1e308 overflows the moments to inf, so the
-    half-sample change and the heavy-tail share are NaN: the half-sample
-    criterion fails and the alarm is raised, and the run exits 1."""
+    half-sample change and the heavy-tail share are NaN, written as null:
+    the half-sample criterion fails and the alarm is raised, and the run
+    exits 1."""
     cfg = write_config(tmp_path, _moments_doc(levels=[1e308]))
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "report.json").read_text())["report"]
-    assert math.isnan(report["stability_rel_change"]) and math.isnan(report["heavy_tail_share"])
+    report = json.loads((tmp_path / "report.json").read_text(),
+                        parse_constant=pytest.fail)["report"]  # no NaN token: RFC 8259
+    assert report["stability_rel_change"] is None and report["heavy_tail_share"] is None
     assert report["heavy_tail_alarm"] and not report["passed"]
     assert report["reasons"] == ["half-sample p=1e+308 estimate moved by nan% (>= 10%)"]
 
@@ -1810,7 +1812,8 @@ def test_work_worth_two_processes_makes_a_pool_of_two_of_eight_cpus(tmp_path, mo
 
 def test_run_meta_records_the_processes_next_to_the_workers(tmp_path, monkeypatch):
     """``processes`` is 1 for a run below the work of two processes and 2
-    with the pool forced; ``report.json`` is the same."""
+    with the pool forced; ``report.json`` is the same.  Both runs record
+    their peak resident memory, and the forked run its largest worker's."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     cfg = write_config(tmp_path, geometric_doc())
     metas, blobs = [], []
@@ -1824,6 +1827,9 @@ def test_run_meta_records_the_processes_next_to_the_workers(tmp_path, monkeypatc
         blobs.append((out / "report.json").read_bytes())
     assert [(meta["workers"], meta["processes"]) for meta in metas] == [(2, 1), (2, 2)]
     assert blobs[0] == blobs[1]
+    assert [sorted(key for key in meta if "rss" in key) for meta in metas] == [
+        ["peak_rss_mb"], ["peak_rss_mb", "worker_peak_rss_mb"]]
+    assert all(value > 1.0 for meta in metas for key, value in meta.items() if "rss" in key)
 
 
 def test_blocks_bound_the_stepper_rows_and_leave_the_report_unchanged(tmp_path,

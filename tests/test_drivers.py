@@ -248,6 +248,16 @@ def test_schur_rejects_a_covariance_that_is_not_positive_definite(cov):
         drivers._schur_panels(np.array(cov))
 
 
+@pytest.mark.parametrize("cov", [[0.0], [-1.0], [np.inf], [np.nan]])
+def test_schur_refuses_a_non_finite_factor_that_no_reflection_reads(cov):
+    """A factor of one column reads no reflection coefficient: a first
+    covariance that is not positive or not finite leaves a non-finite
+    diagonal, which the finiteness check names."""
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(DriverNumericsError, match="produced non-finite entries"):
+        drivers._schur_panels(np.array(cov))
+
+
 def test_cholesky_and_davies_harte_agree_in_distribution():
     """Two-sample KS on B(T) passes at the 1% level (pre-registered seeds)."""
     n, m = 128, 4000
@@ -314,6 +324,30 @@ class TestWiener:
     def test_validation(self, args):
         with pytest.raises(ValueError):
             sample_wiener(*args, SeedSpec(0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_path_holds_the_running_sums_of_its_scaled_normals(self, dim):
+        """Node k is the sum of the first k normals of the seed's generator
+        times sqrt(dt), added in time order from the zero node."""
+        n, horizon, seed = 40, 2.0, SeedSpec(6, 3).child(0)
+        steps = seed.generator().standard_normal((n, dim)) * np.sqrt(horizon / n)
+        expected = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+        assert np.array_equal(sample_wiener(n, horizon, dim, seed).values, expected)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("streams", [[7], [9, 2, 30, 0]])
+    def test_a_block_stacks_the_single_paths(self, dim, streams):
+        """A list of seeds, a block of one or unordered stream indices, gives
+        each seed's path, bit for bit, in list order."""
+        seeds = [SeedSpec(4, r).child(0) for r in streams]
+        block = sample_wiener(40, 2.0, dim, seeds)
+        assert block.values.shape == (len(seeds), 41, dim) and block.dt == 2.0 / 40
+        for row, seed in zip(block.values, seeds):
+            assert np.array_equal(row, sample_wiener(40, 2.0, dim, seed).values)
+
+    def test_an_empty_seed_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            sample_wiener(16, 1.0, 1, [])
 
 
 class TestHolderSeminorm:

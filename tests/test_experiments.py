@@ -24,7 +24,8 @@ from sddelab.experiments import (
     quasi_contraction_order,
     run_experiment,
 )
-from sddelab.grid import GridPath
+from sddelab.drivers import FbmParams
+from sddelab.grid import GridPath, SeedSpec
 
 from helpers import standard_params
 
@@ -464,3 +465,20 @@ class TestAggregation:
         rep = run_experiment(cfg)
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         assert json.loads(blob)["kind"] == "euler_refinement"
+
+
+@pytest.mark.parametrize("seeds", [SeedSpec(3, 4), [SeedSpec(3, r) for r in (5, 1, 2)]])
+def test_sampled_drivers_are_the_samplers_read_only_arrays(monkeypatch, seeds):
+    """A path or a block draws W and Z in one sampler call each, and the
+    paths returned hold the samplers' own arrays, read-only, not copies."""
+    drawn = []
+    for name in ("sample_wiener", "sample_fbm"):
+        sample = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, sample=sample: drawn.append(sample(*args)) or drawn[-1])
+    w, z = experiments._sample_drivers(geometric_spec(0.5, 0.4, 0.3), FbmParams(0.75, 64, 1.0),
+                                       seeds)
+    assert len(drawn) == 2
+    for path, out in zip((w, z), drawn):
+        assert not path.values.flags.writeable
+        assert np.shares_memory(path.values, out.values)

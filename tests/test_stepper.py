@@ -28,7 +28,7 @@ from sddelab.core import (
     geometric_spec,
     pointwise_delay_spec,
 )
-from sddelab.grid import GridError, stack_replicas
+from sddelab.grid import GridError
 from sddelab.solver import (
     MollifiedDrift,
     SolverConfig,
@@ -37,7 +37,8 @@ from sddelab.solver import (
     euler_mixed_sdde,
 )
 
-from helpers import callable_ito, coefficient, mollified_ito_oracle, oracle_front
+from helpers import (callable_ito, coefficient, mollified_ito_oracle, oracle_front,
+                     stack_replicas)
 
 # Vector and distributed-delay specs sum several products per coefficient.
 # The stepper adds them in component order and keeps a running window sum;
@@ -537,7 +538,9 @@ def _oracle_block(rng, channels, d, family, sin, zeros, terms):
     reps=st.integers(1, 7),
     single=st.booleans(),
     ito=st.booleans(),
-    n=st.sampled_from([8, 16, 32]),
+    steps=st.sampled_from([8, 16]),
+    past=st.sampled_from([(1, -1), (1, 0), (1, 1), (3, 5)]),
+    stride=st.sampled_from([1, 2]),
     q=st.sampled_from([0, 1, 3, 6]),
     sins=st.tuples(st.booleans(), st.booleans(), st.booleans()),
     zeros=st.booleans(),
@@ -546,13 +549,16 @@ def _oracle_block(rng, channels, d, family, sin, zeros, terms):
     slice_values=st.sampled_from([1, 5, 64, solver._SLICE]),
 )
 def test_channel_major_stepper_gives_the_paths_of_the_oracle(
-        seed, family, dims, groups, reps, single, ito, n, q, sins, zeros, own_z, threshold,
-        slice_values):
+        seed, family, dims, groups, reps, single, ito, steps, past, stride, q, sins, zeros,
+        own_z, threshold, slice_values):
     """Every family (the tap and the window included), state and driver
     dimensions, row groups and replica counts, both schemes, trust-region
-    slices down to one step: the stepper's paths carry the oracle's bits, signs of zero
-    included, and an explosion names the same group, replica, time and
-    magnitude."""
+    slices down to one step, increment tables of ``steps`` steps on grids of
+    one step less, one table, one step more and three tables and five steps,
+    drivers on the solver grid or restricted from one twice as fine: the
+    stepper's paths carry the oracle's bits, signs of zero included, and an
+    explosion names the same group, replica, time and magnitude."""
+    n = past[0] * steps + past[1]
     rng = np.random.default_rng(seed)
     d, m, l = dims
     read = DELAY_READS[family]
@@ -574,12 +580,12 @@ def test_channel_major_stepper_gives_the_paths_of_the_oracle(
         levels.append(int(rng.integers(1, n // 4 + 1)))
     lead = () if single and reps == 1 else (reps,)
 
-    def path(channels):
-        shape = lead + (n + 1, channels)
+    def path(channels):  # on the solver grid refined ``stride`` times
+        shape, dt = lead + (n * stride + 1, channels), cfg.dt / stride
         if zeros:
-            return GridPath(0.0, cfg.dt, rng.choice([0.0, -0.0, 0.25], size=shape,
-                                                    p=[0.45, 0.45, 0.1]))
-        return GridPath(0.0, cfg.dt, np.cumsum(rng.normal(size=shape) * cfg.dt**0.5, axis=-2))
+            return GridPath(0.0, dt, rng.choice([0.0, -0.0, 0.25], size=shape,
+                                                p=[0.45, 0.45, 0.1]))
+        return GridPath(0.0, dt, np.cumsum(rng.normal(size=shape) * dt**0.5, axis=-2))
 
     w = path(m)
     zs = [path(l) for _ in range(groups)]
@@ -595,7 +601,8 @@ def test_channel_major_stepper_gives_the_paths_of_the_oracle(
 
     with mock.patch.object(solver, "_front", oracle_front):
         expected = solve()
-    with mock.patch.object(solver, "_SLICE", slice_values):
+    with mock.patch.object(solver, "_SLICE", slice_values), \
+            mock.patch.object(solver, "_STEPS", steps):
         got = solve()
     if isinstance(expected, tuple) and not isinstance(expected[0], GridPath):
         assert got == expected or (math.isnan(got[3]) and math.isnan(expected[3])
@@ -719,3 +726,25 @@ def test_a_delay_block_solve_holds_one_copy_of_its_paths():
     assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
     assert all(not path.values.flags.writeable for path in paths)
     assert all(np.may_share_memory(paths[0].values, path.values) for path in paths[1:])
+
+
+def test_a_long_mixed_solve_holds_one_table_of_increments():
+    """A mixed solve of 2^14 steps and 50 replicas peaks below its path
+    buffer, one table of ``_STEPS`` steps of ``[dt | dW | dZ]`` and a slack
+    for the finiteness mask of its path (a byte per value) and 512 KiB: no
+    table of every step and no copy of dZ."""
+    n, reps = 1 << 14, 50
+    cfg = SolverConfig(n_steps=n, horizon=1.0)
+    rng = np.random.default_rng(5)
+    w, z = (GridPath(0.0, cfg.dt, np.cumsum(rng.normal(size=(reps, n + 1, 1)) * 0.01, axis=1))
+            for _ in range(2))
+    eta = constant_initial(1.0, 0.0, cfg.dt)
+    tracemalloc.start()
+    try:
+        path = euler_mixed_sdde(geometric_spec(0.5, 0.4, 0.3), eta, w, z, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer_bytes, table_bytes = (n + 1) * reps * 8, solver._STEPS * 3 * reps * 8
+    assert peak <= buffer_bytes + table_bytes + buffer_bytes // 8 + (512 << 10), peak
+    assert path.values.shape == (reps, n + 1, 1)
