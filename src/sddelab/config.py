@@ -384,7 +384,7 @@ def _model(v: dict, doc: dict) -> tuple:
 
 def _parse_fbm(v: dict, doc: dict) -> tuple:
     params = _build("fbm", FbmParams, **v["fbm"])
-    if message := _oversized(params.n_steps, params.method, params.horizon):
+    if message := _oversized(params):
         raise ConfigError(message, "fbm.n_steps")
     return (params, _seed(v)), {}
 
@@ -426,7 +426,7 @@ def _parse_solve(v: dict, doc: dict) -> tuple:
     _build("solve", _check_reads, spec, initial, scfg.horizon, n,
            levels=[level] if s["scheme"] == "euler_ito" else [])
     fbm = _build("solve", FbmParams, holder.hurst, n, scfg.horizon, method)
-    if message := _oversized(n, method, scfg.horizon, spec, initial.r):
+    if message := _oversized(fbm, spec, initial.r):
         raise ConfigError(message, "solve.n_steps")
     return (scfg, spec, initial, seed, fbm, mollifier), built
 

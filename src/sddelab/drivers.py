@@ -205,8 +205,8 @@ def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndar
     return np.sqrt(m) * np.fft.ifft(sq * v).real[:n]
 
 
-def _cholesky_fgn(n: int, hurst: float, seeds: list[SeedSpec]) -> np.ndarray:
-    """Unit-step fGn ``L g``, one row per seed, by products of fixed shapes.
+def _cholesky_fgn(n: int, hurst: float, seeds: list[SeedSpec], out: np.ndarray) -> None:
+    """Unit-step fGn ``L g`` into ``out``, one row per seed, by products of fixed shapes.
 
     Each seed draws its ``standard_normal(n)`` into row ``stream_index %
     _CHUNK`` of its chunk: the seeds of one master seed and sub-stream whose
@@ -221,18 +221,18 @@ def _cholesky_fgn(n: int, hurst: float, seeds: list[SeedSpec]) -> np.ndarray:
     threads).
     """
     panels = _cholesky_factor(n, hurst)
-    width = panels[-1].shape[1]
-    chunks: dict[SeedSpec, np.ndarray] = {}  # keyed by the seed of row 0
-    slots = []
-    for seed in seeds:
+    chunks: dict[SeedSpec, list] = {}  # keyed by the seed of row 0: (row of out, row of g)
+    for i, seed in enumerate(seeds):
         row = seed.stream_index % _CHUNK
-        key = replace(seed, stream_index=seed.stream_index - row)
-        g = chunks.setdefault(key, np.zeros((_CHUNK, width)))
-        g[row, :n] = seed.generator().standard_normal(n)
-        slots.append((key, row))
-    fgn = {key: np.concatenate([g[:, : p.shape[1]] @ p.T for p in panels], axis=1)
-           for key, g in chunks.items()}
-    return np.stack([fgn[key][row, :n] for key, row in slots])
+        chunks.setdefault(replace(seed, stream_index=seed.stream_index - row), []).append((i, row))
+    g = np.empty((_CHUNK, panels[-1].shape[1]))  # one chunk at a time
+    for slots in chunks.values():
+        g.fill(0.0)
+        for i, row in slots:
+            g[row, :n] = seeds[i].generator().standard_normal(n)
+        into, rows = zip(*slots)
+        for lo, p in zip(range(0, n, _PANEL), panels):  # both slices end at column n
+            out[into, lo : lo + p.shape[0]] = (g[:, : p.shape[1]] @ p.T)[rows, : n - lo]
 
 
 def prepare_fbm(params: FbmParams) -> None:
@@ -248,14 +248,15 @@ def sample_fbm(params: FbmParams, seed: SeedSpec | list[SeedSpec]) -> GridPath:
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
     if not seeds:
         raise ValueError("need at least one seed")
-    n = params.n_steps
+    values = np.zeros((len(seeds), params.n_steps + 1))
+    steps = values[:, 1:]
     if params.method == "cholesky":
-        fgn = _cholesky_fgn(n, params.hurst, seeds)
+        _cholesky_fgn(params.n_steps, params.hurst, seeds, steps)
     else:
-        fgn = np.stack([_fgn_davies_harte(n, params.hurst, s.generator()) for s in seeds])
-    fgn *= params.dt**params.hurst
-    values = np.zeros((len(seeds), n + 1))
-    np.cumsum(fgn, axis=1, out=values[:, 1:])
+        for row, s in zip(steps, seeds):
+            row[:] = _fgn_davies_harte(params.n_steps, params.hurst, s.generator())
+    np.multiply(steps, params.dt**params.hurst, steps)
+    np.cumsum(steps, axis=1, out=steps)
     values.flags.writeable = False
     return GridPath(0.0, params.dt, values[0] if isinstance(seed, SeedSpec) else values[..., None])
 

@@ -24,18 +24,16 @@ builds the fBm sampler's set-up once, before it forks P workers, which
 inherit it; the blocks run in rounds of P while the parent waits, and the
 error of the lowest failing block is raised, from its draw or its solve.
 A level study solves the reference and all levels of a block as row groups
-of one stepper call where one grid and one scheme allow it.  A solver
-explosion names the lowest exploding replica and, of that replica, the
-first exploding level in schedule order (the reference first): the replicas
-below the one the stepper names are solved again as one block, until none
-of them explodes.  Reports hold no timing; the CLI times the run and writes
-it to a sidecar.
+of one stepper call where one grid and one scheme allow it.  A block makes
+its stepper calls in schedule order until its first replica explodes, and an
+explosion names the lowest exploding replica and, of that replica, the first
+exploding level in schedule order (the reference first).  Reports hold no
+timing; the CLI times the run and writes it to a sidecar.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -309,14 +307,24 @@ def _sup_distance(x: GridPath, y: GridPath) -> np.ndarray:
     return mags.max(axis=-1)
 
 
-@contextmanager
-def _at_levels(*labels):
-    """Tag a solver explosion inside the block with the level of its row group."""
-    try:
-        yield
-    except SolverExplosionError as exc:
-        exc.level = labels[exc.group]
-        raise
+class _Explosions(list):
+    """``with _Explosions() as solve``: ``solve(labels, stepper, *args)`` returns the
+    stepper's result, or None if it explodes or, without a call, once row 0 has exploded.
+    Leaving raises the lowest row's explosion (the earliest on a tie), tagged ``labels[group]``."""
+
+    def __call__(self, labels, stepper, *args):
+        try:
+            return None if any(exc.replica == 0 for exc in self) else stepper(*args)
+        except SolverExplosionError as exc:
+            exc.level = labels[exc.group]
+            self.append(exc)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failure, *_):
+        if self and failure is None:
+            raise min(self, key=lambda exc: exc.replica)
 
 
 # --------------------------------------------------------------------------
@@ -335,30 +343,28 @@ def _block_coeff(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     shifted = cfg.perturbation == "initial_shift"
     specs = [_perturbed_spec(cfg.spec, cfg.perturbation, n) for n in cfg.levels]
     etas = [cfg.initial.shifted(1.0 / n) if shifted else cfg.initial for n in cfg.levels]
-    with _at_levels("reference", *cfg.levels):
-        reference, *levels = euler_mixed_sdde(
-            [cfg.spec, *specs], [cfg.initial, *etas], w, z, cfg.solver_config
-        )
-    return _level_distances(reference, levels)
+    with _Explosions() as solve:
+        paths = solve(("reference", *cfg.levels), euler_mixed_sdde,
+                      [cfg.spec, *specs], [cfg.initial, *etas], w, z, cfg.solver_config)
+    return _level_distances(paths[0], paths[1:])
 
 
 def _block_delay(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Pointwise-delay solutions as the tap shrinks versus the no-delay equation."""
     specs = [cfg.spec.merge_delay(), *(cfg.spec.with_tau(tau) for tau in cfg.levels)]
-    with _at_levels("reference", *cfg.levels):
-        reference, *levels = euler_mixed_sdde(specs, cfg.initial, w, z, cfg.solver_config)
-    return _level_distances(reference, levels)
+    with _Explosions() as solve:
+        paths = solve(("reference", *cfg.levels), euler_mixed_sdde,
+                      specs, cfg.initial, w, z, cfg.solver_config)
+    return _level_distances(paths[0], paths[1:])
 
 
 def _block_ito(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Mollified-drift Ito solutions versus the mixed solution as the level grows."""
     scfg = cfg.solver_config
-    with _at_levels("reference"):
-        reference = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, scfg)
-    with _at_levels(*cfg.levels):
-        levels = euler_ito_sdde(
-            cfg.spec, cfg.initial, w, z, scfg, [int(level) for level in cfg.levels]
-        )
+    with _Explosions() as solve:
+        reference = solve(("reference",), euler_mixed_sdde, cfg.spec, cfg.initial, w, z, scfg)
+        levels = solve(cfg.levels, euler_ito_sdde, cfg.spec, cfg.initial, w, z, scfg,
+                       [int(level) for level in cfg.levels])
     return _level_distances(reference, levels)
 
 
@@ -377,20 +383,19 @@ def _block_euler(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     eta = cfg.initial
     if cfg.spec.reach == 0:  # x depends on eta(0) alone
         eta = replace(eta, eta=GridPath(0.0, eta.eta.dt, eta.eta.values[-1:]))
-    with _at_levels("reference"):
-        if cfg.reference == "closed_form":
-            reference = geometric_closed_form(*_geometric_triple(cfg), x0, w, z)
-        else:
-            reference = euler_mixed_sdde(cfg.spec, eta, w, z, cfg.solver_config)
     out = np.empty((w.replicas, len(cfg.levels)))
-    for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
-        step = cfg.n_steps // int(level)
-        scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
-        with _at_levels(level):
-            level_path = euler_mixed_sdde(
-                cfg.spec, eta, w.restrict(step), z.restrict(step), scfg
-            )
-        out[:, i] = _sup_distance(level_path, reference.restrict(step))
+    with _Explosions() as solve:
+        reference = solve(("reference",), *(
+            (geometric_closed_form, *_geometric_triple(cfg), x0, w, z)
+            if cfg.reference == "closed_form" else
+            (euler_mixed_sdde, cfg.spec, eta, w, z, cfg.solver_config)))
+        for i, level in enumerate(cfg.levels):  # one solve per mesh: the grids differ
+            step = cfg.n_steps // int(level)
+            scfg = SolverConfig(n_steps=int(level), horizon=cfg.horizon)
+            level_path = solve((level,), euler_mixed_sdde,
+                               cfg.spec, eta, w.restrict(step), z.restrict(step), scfg)
+            if level_path is not None and reference is not None:
+                out[:, i] = _sup_distance(level_path, reference.restrict(step))
     return out
 
 
@@ -402,8 +407,8 @@ def _delay_norm_t(cfg: ExperimentConfig, x: GridPath) -> np.ndarray:
 
 def _block_moments(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
     """Per replica: the sup norm, the delay norm of the solution and the driver seminorm."""
-    with _at_levels("reference"):
-        x = euler_mixed_sdde(cfg.spec, cfg.initial, w, z, cfg.solver_config)
+    with _Explosions() as solve:
+        x = solve(("reference",), euler_mixed_sdde, cfg.spec, cfg.initial, w, z, cfg.solver_config)
     return np.column_stack((
         fraccalc._mags(x.values).max(axis=1),
         _delay_norm_t(cfg, x),
@@ -421,8 +426,10 @@ def _block_quasi(cfg: ExperimentConfig, w: GridPath, z1: GridPath) -> np.ndarray
 
     ramp = z1.times[:, None]
     z2s = [GridPath(z1.t0, z1.dt, z1.values + eps * ramp) for eps in cfg.levels]
-    with _at_levels("reference", *cfg.levels):
-        y1, *y2s = euler_mixed_sdde(cfg.spec, cfg.initial, w, [z1, *z2s], scfg)
+    with _Explosions() as solve:
+        paths = solve(("reference", *cfg.levels), euler_mixed_sdde,
+                      cfg.spec, cfg.initial, w, [z1, *z2s], scfg)
+    y1, *y2s = paths
     inside_1 = (semi(z1.values) <= cfg.m_trunc) & (_delay_norm_t(cfg, y1) <= cfg.r_trunc)
     out = np.zeros((w.replicas, len(cfg.levels), 3))
     for i, (z2, y2) in enumerate(zip(z2s, y2s)):
@@ -455,23 +462,14 @@ def _usable_cpus() -> int:
 
 
 def _run_block(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
-    """The rows of one block, drawn and solved here.  An explosion names the
-    lowest exploding replica: while the stepper names a replica above the
-    block's first, the replicas below it are solved again as one block."""
+    """The rows of one block, drawn and solved here; an explosion names its replica."""
     _, fn, _ = _FLAVORS[cfg.kind]
     w, z = _sample_drivers(cfg.spec, cfg.fbm, [SeedSpec(cfg.seed, r) for r in replicas])
     try:
         return fn(cfg, w, z)
     except SolverExplosionError as exc:
-        named = exc
-    while named.replica:
-        try:
-            fn(cfg, *(GridPath(p.t0, p.dt, p.values[: named.replica]) for p in (w, z)))
-            break
-        except SolverExplosionError as lower:
-            named = lower
-    named.replica = replicas[named.replica]
-    raise named
+        exc.replica = replicas[exc.replica]
+        raise
 
 
 def _block_size(cfg: ExperimentConfig, workers: int) -> int:
@@ -529,22 +527,23 @@ def _require_counts(cfg: ExperimentConfig, what: str) -> None:
                               f"got {levels}", "levels")
 
 
-def _oversized(n: int, method: str, horizon: float, spec: CoefficientSpec | None = None,
-               r: float = 0.0, replicas: int = 1, rows: int = 1) -> str | None:
-    """Why a driver grid of n steps on [0, horizon] cannot be allocated, or
-    None, counted before anything is allocated: ``replicas`` draws of n + 1
-    values on each driver channel of ``spec`` (one fBm path without a spec),
-    the ``method``'s sampler, and ``rows`` stepper rows per replica of
+def _oversized(fbm: FbmParams, spec: CoefficientSpec | None = None, r: float = 0.0,
+               replicas: int = 1, rows: int = 1) -> str | None:
+    """Why the driver grid of ``fbm``, n steps on [0, horizon], cannot be
+    allocated, or None, counted before anything is allocated: ``replicas`` draws
+    of n + 1 values on each driver channel of ``spec`` (one fBm path without a
+    spec), the sampler's set-up, and ``rows`` stepper rows per replica of
     ``spec.dim`` values on the ``q + n + 1`` nodes of the history of length
     ``r`` and the grid.  Numpy refuses any array of more than ``intp`` max / 8
     float64 values on every machine."""
+    n, method = fbm.n_steps, fbm.method
     pad = -(-n // _PAD) * _PAD
     channels, dim = (1, 0) if spec is None else (max(spec.n_wiener, spec.n_holder), spec.dim)
     sizes = {
         "the drivers": replicas * (n + 1) * channels,
         "the Cholesky factor": pad * pad // 2 if method == "cholesky" else 0,
         "the circulant embedding": 4 * n if method == "davies_harte" else 0,
-        "the stepper buffer": replicas * rows * (round(r * n / horizon) + n + 1) * dim,
+        "the stepper buffer": replicas * rows * (round(r * n / fbm.horizon) + n + 1) * dim,
     }
     for what, values in sizes.items():
         if values > np.iinfo(np.intp).max // 8:
@@ -557,8 +556,8 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
     """Refuse a grid whose arrays numpy cannot allocate, naming ``n_steps``:
     a block's drivers and its stepper buffer, ``(q + n + 1)`` nodes of every
     row, on the driver grid of n steps."""
-    if message := _oversized(cfg.n_steps, cfg.driver_method, cfg.horizon, cfg.spec,
-                             cfg.initial.r, _block_size(cfg, 1), len(cfg.levels) + 1):
+    if message := _oversized(cfg.fbm, cfg.spec, cfg.initial.r, _block_size(cfg, 1),
+                             len(cfg.levels) + 1):
         raise ExperimentError(message, "n_steps")
 
 

@@ -115,7 +115,7 @@ class GridPath:
             arr = arr[:, None]
         if arr.ndim not in (2, 3) or arr.shape[-2] == 0:
             raise GridError("values must be a non-empty (n,), (n, d) or (reps, n, d) array")
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
             raise GridError("path values must be finite")
         if not self.dt > 0:
             raise GridError(f"dt must be positive, got {self.dt}")
@@ -162,12 +162,13 @@ class GridPath:
         return k
 
     def restrict(self, step: int) -> "GridPath":
-        """Keep every ``step``-th node; the coupling device for dyadic grids."""
+        """Keep every ``step``-th node; the coupling device for dyadic grids.  A
+        step of 1 keeps the path itself."""
         if step < 1 or (self.n_points - 1) % step != 0:
             raise GridError(
                 f"cannot restrict {self.n_points} points by step {step}: end node lost"
             )
-        return GridPath(self.t0, self.dt * step, self.values[..., ::step, :])
+        return self if step == 1 else GridPath(self.t0, self.dt * step, self.values[..., ::step, :])
 
     def window(self, a: float, b: float) -> "GridPath":
         """Sub-path on the grid-aligned interval ``[a, b]``."""

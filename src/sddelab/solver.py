@@ -31,8 +31,8 @@ All solves are pure functions of their inputs: identical arguments give
 bit-identical output paths.  Each row's path is independent of its block:
 every replica of every group is bit-identical to its solve as a block of
 one, in any dimension and for every coefficient family.  An explosion names
-the first exploding group, then that group's first node outside the trust
-region.
+the lowest exploding row, then that row's first exploding group, then that
+group's first node outside the trust region.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ _STEPS = 256  # steps per fill of the increment table
 class SolverExplosionError(RuntimeError):
     """The discrete path left the configured trust region.
 
-    ``replica`` is the row of the exploding path in its block and ``group``
-    its row group; callers that know more (the Monte Carlo harness)
-    overwrite ``replica`` with the replica index and set ``level``.
+    ``replica`` is the lowest exploding row of its block and ``group`` that
+    row's first exploding row group; callers that know more (the Monte Carlo
+    harness) overwrite ``replica`` with the replica index and set ``level``.
     """
 
     def __init__(self, time: float, magnitude: float, threshold: float, replica: int = 0,
@@ -150,7 +150,7 @@ def _align_driver(path: GridPath, cfg: SolverConfig, dim: int, name: str) -> Gri
             f"{name} covers [0, {path.end_time}], expected [0, {cfg.horizon}]"
         )
     step = refinement(cfg.dt, path.dt, f"{name} grid")
-    return path if step == 1 else path.restrict(step)
+    return path.restrict(step)
 
 
 def _history_values(eta: InitialCondition, q: int) -> np.ndarray:
@@ -370,20 +370,19 @@ def _trust_region(nodes: np.ndarray, dt: float, threshold: float, first: int = 1
     """Check ``nodes``, the states ``(steps, d, groups, replicas)`` at steps
     ``first``, ``first + 1``, ..., against the trust region a slice of steps at
     a time; a NaN or infinite node is outside it, whatever the threshold.  The
-    first group with a node outside it is named, then its first such node
-    (earliest step, lowest row), where a step-by-step check of the groups
-    solved one by one would have stopped."""
+    lowest row with a node outside it is named, then that row's first group
+    with one, then that group's first such step."""
     groups, limit = nodes.shape[2], min(threshold, np.finfo(float).max)
-    hit, size = (groups,), max(1, _SLICE // nodes[0].size)  # hit: (group, step, row, magnitude)
+    hit, size = (nodes.shape[3],), max(1, _SLICE // nodes[0].size)  # (row, group, step, mag)
     for lo in range(0, len(nodes), size):  # node-major slices, as norm(axis=-1) reads them
         mags = _mags(np.ascontiguousarray(np.moveaxis(nodes[lo : lo + size], 1, -1)))
         over = ~(mags <= limit)
-        g = int(over.any(axis=(0, 2)).argmax()) if over.any() else groups
-        if g < hit[0]:  # a later slice can only name a lower group
-            k, r = np.argwhere(over[:, g])[0]
-            hit = g, first + lo + k, int(r), float(mags[k, g, r])
-    if hit[0] < groups:
-        raise SolverExplosionError(hit[1] * dt, hit[3], threshold, hit[2], hit[0])
+        r, g = divmod(int(over.any(axis=0).T.argmax()), groups)  # lowest row, its first group
+        if over[:, g, r].any() and (r, g) < hit[:2]:  # a later slice names a lower pair only
+            k = int(over[:, g, r].argmax())
+            hit = r, g, first + lo + k, float(mags[k, g, r])
+    if len(hit) > 1:
+        raise SolverExplosionError(hit[2] * dt, hit[3], threshold, hit[0], hit[1])
 
 
 def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tuple:

@@ -494,10 +494,9 @@ def oracle_solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first:
     depends neither on the block it is solved in nor on the other groups.
 
     The trust region is checked once the paths are complete, and a NaN node
-    is outside it.  The first group with a node outside it is named, and in
-    it the first such node (earliest step, then lowest row): where a
-    step-by-step check of the groups solved one after the other would have
-    stopped.  Returns one path per group.
+    is outside it.  The lowest row with a node outside it is named, then the
+    first group in which that row has one, then that group's first such step.
+    Returns one path per group.
     """
     groups, d, m = len(specs), specs[0].dim, specs[0].n_wiener
     n, dt = cfg.n_steps, cfg.dt
@@ -582,10 +581,11 @@ def oracle_solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, first:
     mags = np.linalg.norm(buf[q + 1 :], axis=-1)
     over = ~(mags <= cfg.explosion_threshold)
     if over.any():
-        g = int(over.any(axis=(0, 2)).argmax())
-        k, row = np.argwhere(over[:, g])[0]
+        row = np.flatnonzero(over.any(axis=(0, 1)))[0]
+        g = np.flatnonzero(over[:, :, row].any(axis=0))[0]
+        k = np.flatnonzero(over[:, g, row])[0]
         raise SolverExplosionError(
-            (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), g
+            (k + 1) * dt, float(mags[k, g, row]), cfg.explosion_threshold, int(row), int(g)
         )
     single = w.replicas is None
     return [GridPath(-etas[0].r, dt, buf[:, g, 0] if single else buf[:, g].transpose(1, 0, 2))

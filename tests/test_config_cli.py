@@ -1455,9 +1455,7 @@ def test_a_lower_block_explosion_outranks_a_higher_ones(tmp_path, capsys, monkey
     """At 2 processes one forked worker solves replicas 0-29 and the other
     30-59.  Both blocks explode, replica 5 in the first and replica 41 in the
     second, and the run names replica 5 at every worker count.  The second
-    block alone names replica 41 at level 0.25: the replicas below the one
-    the stepper names are solved again as one block, not one by one (30,
-    then twelve blocks of one)."""
+    block alone names replica 41 at level 0.25 from its one stepper call."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
     doc = geometric_doc()
@@ -1480,7 +1478,7 @@ def test_a_lower_block_explosion_outranks_a_higher_ones(tmp_path, capsys, monkey
         patch.setitem(experiments._FLAVORS, "coeff_convergence", (check, spy, reduce))
         with pytest.raises(SolverExplosionError, match="^replica 41, level 0.25: "):
             experiments._run_block(load_config(cfg).payload, range(30, 60))
-    assert sizes == [30, 20, 11]
+    assert sizes == [30]
     errs = []
     for workers in ("1", "2"):
         out = tmp_path / workers
@@ -1489,6 +1487,86 @@ def test_a_lower_block_explosion_outranks_a_higher_ones(tmp_path, capsys, monkey
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert errs[0].startswith("solver explosion: replica 5, level 2: ")
+
+
+@pytest.mark.parametrize("flavor,levels,gains,seed,calls,exploded,named", [
+    pytest.param("ito_limit", [1, 2, 4], (19.0, 0.0, 3.0), 5,
+                 ["euler_mixed_sdde", "euler_ito_sdde"], [(0, 6), (1, 2)],
+                 "replica 2, level 2: solution magnitude 1.032e+08 exceeded the explosion "
+                 "threshold 1.000e+08 at t=1", id="ito_limit"),
+    pytest.param("euler_refinement", [16, 32, 64], (25.0, 4.0, 0.5), 2,
+                 ["geometric_closed_form"] + ["euler_mixed_sdde"] * 3, [(0, 3), (2, 10), (3, 2)],
+                 "replica 2, level 64: solution magnitude 1.013e+08 exceeded the explosion "
+                 "threshold 1.000e+08 at t=0.890625", id="euler_refinement"),
+])
+def test_a_lower_replica_exploding_in_a_later_stepper_call_is_named(
+    tmp_path, capsys, monkeypatch, flavor, levels, gains, seed, calls, exploded, named
+):
+    """The reference call of the block explodes first, at a higher replica
+    than a later call does: the block makes each of its stepper calls once,
+    and the run names the lower replica at its level at 1 and 2 processes."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_WORK_PER_PROCESS", 1)  # fork for any work
+    doc = geometric_doc()
+    doc["experiment"].update(flavor=flavor, levels=levels, replicas=30, n_steps=64)
+    a, b, c = gains
+    doc["coefficients"].update(
+        drift={"gain_now": a}, diffusion={"gain_now": b}, zdrive={"gain_now": c}
+    )
+    doc["seed"] = {"master": seed}
+    cfg = write_config(tmp_path, doc)
+    made, rows = [], []
+
+    def spy(name):
+        solve = getattr(experiments, name)
+
+        def call(*args):
+            made.append(name)
+            try:
+                return solve(*args)
+            except SolverExplosionError as exc:
+                rows.append((len(made) - 1, exc.replica))
+                raise
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("euler_mixed_sdde", "euler_ito_sdde", "geometric_closed_form"):
+            patch.setattr(experiments, name, spy(name))
+        with pytest.raises(SolverExplosionError, match=f"^{re.escape(named)}$"):
+            experiments._run_block(load_config(cfg).payload, range(30))
+    assert made == calls
+    assert rows == exploded
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 4
+        assert capsys.readouterr().err == f"solver explosion: {named}\n"
+
+
+def test_block_explosions_name_the_lowest_row_then_the_earliest_call():
+    """Three stepper calls explode at rows 3, 1 and 1: row 1 of the second
+    call is raised, with the level of its group.  Once row 0 has exploded,
+    no later call is made; with no explosion the results come back."""
+    def boom(row, group=0):
+        def stepper():
+            raise SolverExplosionError(0.5, 1e9, 1e8, row, group)
+        return stepper
+
+    with pytest.raises(SolverExplosionError) as err:
+        with experiments._Explosions() as solve:
+            assert solve(("reference",), boom(3)) is None
+            assert solve((16, 32), boom(1, 1)) is None
+            assert solve((64,), boom(1)) is None
+    assert (err.value.replica, err.value.level) == (1, 32)
+    made = []
+    with pytest.raises(SolverExplosionError) as err:
+        with experiments._Explosions() as solve:
+            solve((16,), boom(2))
+            solve(("reference",), boom(0))
+            assert solve((32,), made.append, 32) is None
+    assert (err.value.replica, err.value.level, made) == (0, "reference", [])
+    with experiments._Explosions() as solve:
+        assert solve(("reference",), abs, -5) == 5
 
 
 @pytest.mark.parametrize("flavor,levels,extra", [

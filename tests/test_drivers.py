@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -232,6 +233,22 @@ def test_davies_harte_block_stacks_the_single_paths():
     block = sample_fbm(params, seeds)
     for row, seed in zip(block.values, seeds):
         assert np.array_equal(row, sample_fbm(params, seed).values)
+
+
+@pytest.mark.parametrize("method", ["cholesky", "davies_harte"])
+def test_a_block_draw_peaks_below_twice_its_output(method):
+    """50 seeds on 2048 steps, with the set-up built and numpy's generator
+    modules imported before: the draw holds its output block, one chunk of
+    normals or one row of noise and one panel product at a time."""
+    params = FbmParams(0.75, 2048, 1.0, method)
+    sample_fbm(params, SeedSpec(0, 0))
+    tracemalloc.start()
+    try:
+        size = sample_fbm(params, [SeedSpec(3, r).child(1) for r in range(50)]).values.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * size, peak / size
 
 
 def test_empty_seed_list_is_refused():

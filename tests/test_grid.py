@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,32 @@ def test_times_are_recomputed_from_t0_dt():
 def test_malformed_paths_rejected(kwargs):
     with pytest.raises(GridError):
         GridPath(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("node", [0, 2, -1])
+def test_a_non_finite_node_anywhere_is_rejected(bad, node):
+    """min and max propagate a NaN: one NaN or infinity at the first, a middle
+    or the last node of a block is found."""
+    values = np.ones((3, 5, 2))
+    values[1, node, 1] = bad
+    with pytest.raises(GridError, match="^path values must be finite$"):
+        GridPath(0.0, 0.1, values)
+
+
+def test_wrapping_a_read_only_block_allocates_nothing_of_its_size():
+    """The finiteness check of a read-only 50 x 2^14 block, which the path
+    keeps as given, peaks below 1% of the block."""
+    values = np.ones((50, 2**14 + 1, 1))
+    values.flags.writeable = False
+    tracemalloc.start()
+    try:
+        path = GridPath(0.0, 2.0**-14, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.values is values
+    assert peak < 0.01 * values.nbytes
 
 
 def test_values_are_read_only():
