@@ -47,6 +47,7 @@ from .solver import (
     SolverConfig,
     SolverExplosionError,
     _reach_steps,
+    _STEPS,
     euler_ito_sdde,
     euler_mixed_sdde,
     geometric_closed_form,
@@ -300,11 +301,11 @@ def _perturbed_spec(spec: CoefficientSpec, perturbation: str, n: float) -> Coeff
 
 
 def _sup_distance(x: GridPath, y: GridPath) -> np.ndarray:
-    """Per-replica sup distance between two replica blocks; for scalar
-    paths |x - y| is taken in place, one temporary in all."""
-    diff = x.values - y.values
-    mags = np.abs(diff, out=diff)[..., 0] if x.dim == 1 else fraccalc._mags(diff)
-    return mags.max(axis=-1)
+    """Per-replica sup distance between two replica blocks, |x - y| taken
+    ``_STEPS`` nodes at a time."""
+    return np.max([fraccalc._mags(x.values[..., lo : lo + _STEPS, :]
+                                  - y.values[..., lo : lo + _STEPS, :]).max(axis=-1)
+                   for lo in range(0, x.n_points, _STEPS)], axis=0)
 
 
 class _Explosions(list):
@@ -396,6 +397,7 @@ def _block_euler(cfg: ExperimentConfig, w: GridPath, z: GridPath) -> np.ndarray:
                                cfg.spec, eta, w.restrict(step), z.restrict(step), scfg)
             if level_path is not None and reference is not None:
                 out[:, i] = _sup_distance(level_path, reference.restrict(step))
+            del level_path  # the next mesh is solved without this one held
     return out
 
 
@@ -445,8 +447,8 @@ def _block_quasi(cfg: ExperimentConfig, w: GridPath, z1: GridPath) -> np.ndarray
     return out
 
 
-# Replicas per block, and stepper rows (replicas x (levels + 1)) per block, at
-# most: together they bound the memory of one block's solve.
+# Replicas per block, and stepper rows (replicas x the rows of :func:`_per_replica`)
+# per block, at most: together they bound the memory of one block's solve.
 _BLOCK_REPLICAS = 50
 _BLOCK_ROWS = 450
 # The row-steps of :func:`_run_work` that repay one more process: alternating
@@ -474,8 +476,8 @@ def _run_block(cfg: ExperimentConfig, replicas: range) -> np.ndarray:
 
 def _block_size(cfg: ExperimentConfig, workers: int) -> int:
     """Replicas per block: the replicas split evenly over ``workers``
-    processes, at most ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows."""
-    return min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // (len(cfg.levels) + 1)),
+    processes, at most ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` rows held at once."""
+    return min(_BLOCK_REPLICAS, max(1, _BLOCK_ROWS // _per_replica(cfg)[0]),
                -(-cfg.replicas // workers))
 
 
@@ -491,11 +493,12 @@ def _map_replicas(cfg: ExperimentConfig, procs: int) -> np.ndarray:
     """Rows of all replicas in replica order.
 
     The replicas are split evenly over P = ``procs`` processes, at most
-    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows per block.  At P = 1
-    the blocks run here in replica order.  Otherwise the fBm sampler's set-up
-    is built here, then P forked workers inherit it and run the blocks in
-    rounds of P while this process waits.  The error of the lowest failing
-    block is raised, from its draw or its solve; no later round runs.
+    ``_BLOCK_REPLICAS`` and ``_BLOCK_ROWS`` stepper rows held at once per
+    block.  At P = 1 the blocks run here in replica order.  Otherwise the
+    fBm sampler's set-up is built here, then P forked workers inherit it and
+    run the blocks in rounds of P while this process waits.  The error of the
+    lowest failing block is raised, from its draw or its solve; no later
+    round runs.
     """
     size = _block_size(cfg, procs)
     blocks = [range(lo, min(lo + size, cfg.replicas)) for lo in range(0, cfg.replicas, size)]
@@ -552,29 +555,34 @@ def _oversized(fbm: FbmParams, spec: CoefficientSpec | None = None, r: float = 0
     return None
 
 
+def _per_replica(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """What one replica of a block solves, from the config alone: the stepper rows
+    held at once, the row-steps of all stepper calls and the norm passes."""
+    n, levels = cfg.n_steps, len(cfg.levels)
+    if cfg.kind == "euler_refinement":
+        return 2, sum(map(int, cfg.levels)) + (cfg.reference != "closed_form") * n, 0
+    if cfg.kind == "moments":
+        return 1, n, 2
+    return levels + 1, (levels + 1) * n, (cfg.kind == "quasi_contract") * (3 * levels + 2)
+
+
 def _check_sizes(cfg: ExperimentConfig) -> None:
     """Refuse a grid whose arrays numpy cannot allocate, naming ``n_steps``:
     a block's drivers and its stepper buffer, ``(q + n + 1)`` nodes of every
-    row, on the driver grid of n steps."""
+    row it holds at once, on the driver grid of n steps."""
     if message := _oversized(cfg.fbm, cfg.spec, cfg.initial.r, _block_size(cfg, 1),
-                             len(cfg.levels) + 1):
+                             _per_replica(cfg)[0]):
         raise ExperimentError(message, "n_steps")
 
 
 def _run_work(cfg: ExperimentConfig) -> int:
     """The work the processes of a run share, counted from its config alone:
-    every replica's stepper row-steps, ``dim`` components of ``len(levels) + 1``
-    rows (one for moments) over the n driver steps, or of each mesh and a
-    fine-Euler reference over their own steps, plus an eighth of a row-step
-    for each of the ``n * n / 2`` lag pairs of a fractional norm.  The draws
-    run in the workers too, but count and cut stay as measured without them."""
-    n, levels = cfg.n_steps, len(cfg.levels)
-    if cfg.kind == "euler_refinement":
-        steps = sum(map(int, cfg.levels)) + (cfg.reference != "closed_form") * n
-    else:
-        steps = (1 if cfg.kind == "moments" else levels + 1) * n
-    norms = {"moments": 2, "quasi_contract": 3 * levels + 2}.get(cfg.kind, 0)
-    return cfg.replicas * (steps * cfg.spec.dim + norms * n * n // 16)
+    every replica's stepper row-steps (:func:`_per_replica`) of ``dim``
+    components, plus an eighth of a row-step for each of the ``n * n / 2`` lag
+    pairs of each norm pass.  The draws run in the workers too, but count and
+    cut stay as measured without them."""
+    _, steps, norms = _per_replica(cfg)
+    return cfg.replicas * (steps * cfg.spec.dim + norms * cfg.n_steps * cfg.n_steps // 16)
 
 
 def _check_reads(spec: CoefficientSpec, initial: InitialCondition, horizon: float,

@@ -16,15 +16,16 @@ condition, and the scheme is the entry point called.  A
 constants, the delay tap or window span, the time modulation), and each step
 advances a channel-major ``(d, groups, replicas)`` state block with one affine
 update; the returned paths are read-only views of one buffer.  The step
-increments are tabulated ``_STEPS`` steps at a time, from the driver nodes,
-as the loop reaches them.  Drivers given as a replica block (a
+increments are tabulated ``_STEPS`` steps at a time, from the driver nodes
+(the Ito scheme's dZ^N/dt from :meth:`MollifiedDrift.zdot` at those steps'
+times), as the loop reaches them.  Drivers given as a replica block (a
 :class:`GridPath` with values ``(replicas, n, d)``) are solved together; a
 single path is a block of one.
 Row groups, given as lists of specs, initial conditions, rough drivers or
 mollifier levels, are solved in the same pass on a shared Wiener block, each
 group with its own gains, constants, delay read and history (all histories of
 one length).  The mixed step adds ``a dt + b dW + c dZ``; the mollified Ito
-step adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt tabulated on the step
+step adds ``(a + c dZ^N/dt) dt + b dW``, with dZ^N/dt read at the step
 times from driver values at or before each step time.
 
 All solves are pure functions of their inputs: identical arguments give
@@ -248,18 +249,24 @@ def _row_groups(*args):
     return [a if isinstance(a, (list, tuple)) else [a] * n for a in args], bool(sizes)
 
 
+def _step_major(values: np.ndarray) -> np.ndarray:
+    """The values ``(..., k, l)`` of a path or a replica block as a view ``(k, l, replicas)``."""
+    return values.reshape(-1, *values.shape[-2:]).transpose(1, 2, 0)
+
+
 def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list,
            ito: bool) -> list:
     """Euler steps of a ``(d, groups, replicas)`` state block, for both schemes.
 
     Row group g solves ``specs[g]`` from history ``etas[g]`` on the shared
     Wiener increments; ``thirds`` holds the source of the third column, once
-    or per group, step-major: the nodes of Z ``(n + 1, l, replicas)`` (mixed
-    scheme, whose dZ are their differences) or dZ^N/dt ``(n, l, replicas)``
-    (Ito scheme).  The increments ``[dt | dW | dZ]`` or ``[1 | dW |
-    dZ^N/dt]`` multiply the coefficient columns.  Their table holds
-    ``_STEPS`` steps and is filled again each time the loop reaches its end,
-    dW and dZ taken there as differences of the driver nodes.  The mixed step
+    or per group: the nodes of Z step-major, ``(n + 1, l, replicas)`` (mixed
+    scheme, whose dZ are their differences), or the ``zdot`` of a
+    :class:`MollifiedDrift` (Ito scheme).  The increments ``[dt | dW | dZ]``
+    or ``[1 | dW | dZ^N/dt]`` multiply the coefficient columns.  Their table
+    holds ``_STEPS`` steps and is filled again each time the loop reaches its
+    end, dW and dZ taken there as differences of the driver nodes and
+    dZ^N/dt as ``zdot`` at those steps' times.  The mixed step
     adds ``((x + a dt) + b dW) + c dZ``, the Ito step ``((a + c dZ^N/dt) dt +
     x) + b dW``, with channels summed as numpy's contiguous reduce sums them.
     Every operation runs along the replica axis of one buffer ``(q + n + 1, d,
@@ -282,7 +289,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
     for h in hist:
         if h.shape[1] != d:
             raise GridError(f"initial condition dimension {h.shape[1]} != spec dim {d}")
-    wiener = w.values.reshape(-1, n + 1, m).transpose(1, 2, 0)[:, :, None]  # (n + 1, m, 1, reps)
+    wiener = _step_major(w.values)[:, :, None]  # (n + 1, m, 1, reps)
     reps, cols = wiener.shape[-1], now.shape[1] // d
     inc = np.empty((min(n, _STEPS), 1, cols, len(thirds), reps))  # steps k0..k1-1
     inc[:, 0, 0] = 1.0 if ito else dt
@@ -292,7 +299,7 @@ def _solve(specs: list, etas: list, cfg: SolverConfig, w: GridPath, thirds: list
         np.subtract(wiener[k0 + 1 : k1 + 1], wiener[k0:k1], table[:, 1 : 1 + m])
         for g, third in enumerate(thirds):
             if ito:
-                table[:, 1 + m :, g] = third[k0:k1]
+                table[:, 1 + m :, g] = _step_major(third(dt * np.arange(k0, k1)))
             else:
                 np.subtract(third[k0 + 1 : k1 + 1], third[k0:k1], table[:, 1 + m :, g])
         return inc[: k1 - k0]
@@ -392,7 +399,8 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     ``level`` None selects the mixed scheme, whose third column is dZ on the
     solver grid, taken from the nodes of Z there.  Otherwise it is the
     mollifier level of the Ito scheme, whose third column is dZ^N/dt at the
-    step times, tabulated from Z on its own grid.  A list of ``Z`` or of
+    step times: :meth:`MollifiedDrift.zdot` of Z on its own grid, which
+    :func:`_solve` reads a chunk of steps at a time.  A list of ``Z`` or of
     ``level`` gives each group its own column; otherwise the groups share one.
     """
     (specs, etas, zs, levels), grouped = _row_groups(spec, eta, Z, level)
@@ -404,15 +412,13 @@ def _front(spec, eta, W: GridPath, Z, cfg: SolverConfig, level) -> GridPath | tu
     head = specs[0]
     w = _align_driver(W, cfg, head.n_wiener, "W")
     own = any(isinstance(a, (list, tuple)) for a in (Z, level))
-    times = cfg.dt * np.arange(cfg.n_steps) if ito else None
     thirds = []
     for z, lvl in zip(zs, levels) if own else [(zs[0], levels[0])]:
         aligned = _align_driver(z, cfg, head.n_holder, "Z")
         if w.replicas != z.replicas:
             raise GridError(f"W has {w.replicas} replicas, Z has {z.replicas}")
-        # dZ^N/dt is tabulated from Z on its own grid
-        third = MollifiedDrift(head, z, lvl).zdot(times) if ito else aligned.values
-        thirds.append(third.reshape(-1, third.shape[-2], head.n_holder).transpose(1, 2, 0))
+        # dZ^N/dt is read from Z on its own grid
+        thirds.append(MollifiedDrift(head, z, lvl).zdot if ito else _step_major(aligned.values))
     paths = _solve(specs, etas, cfg, w, thirds, ito)
     return tuple(paths) if grouped else paths[0]
 
@@ -493,18 +499,21 @@ def _clamp(values: np.ndarray, level: float) -> np.ndarray:
     return values * (level / np.maximum(_mags(values)[..., None], level))
 
 
-def _interpolate(path: GridPath, s):
+def _interpolate(path: GridPath, s, clamp: float | None = None):
     """Linear interpolation of ``path`` at the time(s) ``s``, clamped to its
-    grid.  A time within rounding of a node reads that node alone, so a read
-    at a node time never touches a later node."""
+    grid; given ``clamp``, each node is taken to that :func:`_clamp` level as
+    it is read.  A time within rounding of a node reads that node alone, so a
+    read at a node time never touches a later node."""
     s = np.clip(s, path.t0, path.end_time)
     pos = (s - path.t0) / path.dt
     node = np.rint(pos)
     pos = np.where(np.abs(pos - node) <= 1e-9 * np.maximum(pos, 1.0), node, pos)
     j = np.minimum(pos.astype(int), path.n_points - 2)
     theta = (pos - j)[..., None]
-    vals = path.values
-    return vals[..., j, :] + theta * (vals[..., j + 1, :] - vals[..., j, :])
+    lo, hi = path.values[..., j, :], path.values[..., j + 1, :]
+    if clamp is not None:
+        lo, hi = _clamp(lo, clamp), _clamp(hi, clamp)
+    return lo + theta * (hi - lo)
 
 
 def mollify_driver(Z: GridPath, level: int) -> GridPath:
@@ -543,8 +552,9 @@ class MollifiedDrift:
     This is the coefficient that turns the mixed equation into an Ito delay
     equation: the derivative of the mollified driver is
     ``N (h(t) - h(max(t - 1/N, 0)))``, with h the linear interpolant of the
-    clamped nodes ``clamp_N Z(t_k)``; the Ito scheme tabulates :meth:`zdot`,
-    and :func:`mollify_driver` integrates the same h.
+    clamped nodes ``clamp_N Z(t_k)``; the Ito scheme reads :meth:`zdot` a
+    chunk of steps at a time, and :func:`mollify_driver` integrates the same
+    h.
     """
 
     def __init__(self, spec: CoefficientSpec, Z: GridPath, level: int):
@@ -555,10 +565,11 @@ class MollifiedDrift:
     def zdot(self, t) -> np.ndarray:
         """dZ^N/dt at one time, ``(l,)``, or at an array of times,
         ``(len(t), l)``; a replica block adds a leading replica axis.  The
-        value at time t reads the driver at nodes at or before t only."""
-        lvl = float(self.level.level)
-        h = GridPath(self.driver.t0, self.driver.dt, _clamp(self.driver.values, lvl))
-        return lvl * (_interpolate(h, t) - _interpolate(h, np.maximum(t - self.level.window, 0.0)))
+        value at time t reads the driver at nodes at or before t only, and
+        clamps only the nodes it reads."""
+        lvl, z = float(self.level.level), self.driver
+        return lvl * (_interpolate(z, t, lvl)
+                      - _interpolate(z, np.maximum(t - self.level.window, 0.0), lvl))
 
     def __call__(self, t: float, psi) -> np.ndarray:
         a = eval_coefficient(self.spec, "a", t, psi)

@@ -1929,6 +1929,24 @@ def test_blocks_bound_the_stepper_rows_and_leave_the_report_unchanged(tmp_path,
     assert blobs[0] == blobs[1]
 
 
+def test_a_moments_block_counts_the_one_path_it_solves(tmp_path, monkeypatch):
+    """A moments run solves one path per replica whatever its orders, so 60
+    orders keep blocks of ``_BLOCK_REPLICAS``, not 450 // 61 = 7 replicas,
+    and give the report bytes of a run with the row bound lifted."""
+    doc = _with(geometric_doc(), "experiment", flavor="moments",
+                levels=[0.5 + 0.125 * k for k in range(60)], replicas=100, n_steps=64)
+    cfg = write_config(tmp_path, doc)
+    sizes = _count_blocks(monkeypatch)
+    blobs = []
+    for rows in (experiments._BLOCK_ROWS, 10**6):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", rows)
+        out = tmp_path / str(rows)
+        assert main(["experiment", "moments", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        blobs.append((out / "report.json").read_bytes())
+    assert sizes == [50, 50, 50, 50]
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     """No scipy module at all: ``scipy.special`` is imported only by the GLS
     integral, for ``betainc``."""

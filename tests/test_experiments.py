@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,14 +425,17 @@ class TestAggregation:
     def test_run_work_counts_what_the_run_does(self, kind, extra, monkeypatch):
         """On a run of two blocks in one process, ``_run_work`` is the row-steps
         of every stepper call (its paths x its grid's steps) and the n^2 / 16 of
-        every norm a kernel call takes, one per replica it covers."""
+        every norm a kernel call takes, one per replica it covers.  But in the
+        mesh study, which holds one mesh at a time, the rows a block holds per
+        replica (``_per_replica``) are the rows of all its stepper calls."""
         cfg = make_config(kind, **{"n_steps": 64, "replicas": 60, **extra})
-        row_steps, norms = [], []
+        rows_solved, row_steps, norms = [], [], []
 
         def stepper(solve):
             def counted(*args):
                 out = solve(*args)
                 rows = sum(p.replicas for p in ([out] if isinstance(out, GridPath) else out))
+                rows_solved.append(rows)
                 row_steps.append(rows * args[4].n_steps)
                 return out
             return counted
@@ -448,6 +452,8 @@ class TestAggregation:
         per_replica = (sum(row_steps) // cfg.replicas * cfg.spec.dim
                        + sum(norms) // cfg.replicas * cfg.n_steps ** 2 // 16)
         assert experiments._run_work(cfg) == cfg.replicas * per_replica
+        if kind != "euler_refinement":
+            assert sum(rows_solved) == cfg.replicas * experiments._per_replica(cfg)[0]
 
     def test_monotone_violation_detection(self):
         def lv(level, est, lo, hi):
@@ -482,3 +488,41 @@ def test_sampled_drivers_are_the_samplers_read_only_arrays(monkeypatch, seeds):
     for path, out in zip((w, z), drawn):
         assert not path.values.flags.writeable
         assert np.shares_memory(path.values, out.values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_sup_distance_reads_a_slice_of_nodes_at_a_time(dim):
+    """The per-replica max of |x - y| over two 50 x 4097-node blocks equals
+    the max over one full difference, bit for bit, and allocates less than
+    four slices of ``_STEPS`` nodes: no temporary of every node."""
+    rng = np.random.default_rng(3)
+    x, y = (GridPath(0.0, 1 / 4096, rng.standard_normal((50, 4097, dim))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        sup = experiments._sup_distance(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sup, fraccalc._mags(x.values - y.values).max(axis=-1))
+    assert peak < 4 * 50 * experiments._STEPS * dim * 8, peak
+
+
+def test_a_mesh_study_block_holds_the_reference_and_one_mesh():
+    """A block of 50 replicas on meshes up to 4096 steps peaks below two
+    paths of 4097 nodes (the closed-form reference and the finest mesh), one
+    increment table of ``_STEPS`` steps and 512 KiB, as ``_per_replica``
+    counts it: no coarser mesh is held while the next one is solved."""
+    n, reps = 4096, 50
+    cfg = make_config("euler_refinement", n_steps=n, levels=(64, 256, 1024, n), replicas=reps)
+    rng = np.random.default_rng(7)
+    w, z = (GridPath(0.0, 1 / n, np.cumsum(rng.normal(size=(reps, n + 1, 1)) * 0.01, axis=1))
+            for _ in range(2))
+    assert experiments._per_replica(cfg)[0] == 2
+    tracemalloc.start()
+    try:
+        rows = experiments._block_euler(cfg, w, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (reps, 4)
+    assert peak <= 2 * (n + 1) * reps * 8 + experiments._STEPS * 3 * reps * 8 + (512 << 10), peak

@@ -720,10 +720,10 @@ def test_any_history_is_read_through_its_linear_interpolant(r, n, q, d, constant
 def test_zdot_and_the_ito_column_carry_the_bits_of_the_oracle(level, fine, extra, reps,
                                                                channels, start, seed):
     """``MollifiedDrift.zdot`` at the step times, at random times and at one
-    time, and the third column the Ito scheme hands its stepper, equal the
-    oracle's dZ^N/dt bit for bit: levels 1 to 100, a driver on the solver grid
-    or up to three times finer, single paths and replica blocks, drivers that
-    start off zero and move past the clamp."""
+    time, and the third column the Ito stepper fills a chunk of steps at a
+    time, equal the oracle's dZ^N/dt bit for bit: levels 1 to 100, a driver on
+    the solver grid or up to three times finer, single paths and replica
+    blocks, drivers that start off zero and move past the clamp."""
     rng = np.random.default_rng(seed)
     n = 4 * level + extra
     cfg = SolverConfig(n_steps=n, horizon=1.0)
@@ -738,9 +738,19 @@ def test_zdot_and_the_ito_column_carry_the_bits_of_the_oracle(level, fine, extra
     for t in (times, rng.uniform(0.0, 1.0, 17), float(rng.uniform(0.0, 1.0))):
         assert np.array_equal(drift.zdot(t), oracle_zdot(z, params, t))
     w = GridPath(0.0, cfg.dt, np.zeros(lead + (n + 1, 1)))
-    with mock.patch.object(solver, "_solve") as solve:
+    filled, solve = [], solver._solve
+
+    def spy(specs, etas, cfg, w, thirds, ito):  # each chunk's step times and column
+        (third,) = thirds
+        return solve(specs, etas, cfg, w, [lambda t: filled.append((t, third(t))) or
+                                           filled[-1][1]], ito)
+
+    with mock.patch.object(solver, "_solve", spy):
         euler_ito_sdde(spec, constant_initial(1.0, 0.0, cfg.dt), w, z, cfg, level)
-    (third,) = solve.call_args.args[4]
+    chunks, columns = zip(*filled)
+    assert len(chunks) == -(-n // solver._STEPS)
+    assert np.array_equal(np.concatenate(chunks), times)
+    third = np.concatenate([solver._step_major(column) for column in columns])
     expected = oracle_zdot(z, params, times).reshape(-1, n, channels).transpose(1, 2, 0)
     assert np.array_equal(third, expected)
 

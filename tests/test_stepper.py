@@ -755,3 +755,26 @@ def test_a_long_mixed_solve_holds_one_table_of_increments():
     buffer_bytes, table_bytes = (n + 1) * reps * 8, solver._STEPS * 3 * reps * 8
     assert peak <= buffer_bytes + table_bytes + (512 << 10), peak
     assert path.values.shape == (reps, n + 1, 1)
+
+
+def test_a_long_ito_solve_reads_its_drift_a_chunk_of_steps_at_a_time():
+    """An Ito solve of three mollifier levels, 4096 steps and 50 replicas
+    peaks below its three groups' path buffer, one table of ``_STEPS`` steps
+    of ``[1 | dW | dZ^N/dt]`` and 1 MiB for one chunk's reads of the clamped
+    driver: no table of dZ^N/dt over every step and no clamped copy of Z."""
+    n, reps, levels = 4096, 50, [16, 64, 256]
+    cfg = SolverConfig(n_steps=n, horizon=1.0)
+    rng = np.random.default_rng(5)
+    w, z = (GridPath(0.0, cfg.dt, np.cumsum(rng.normal(size=(reps, n + 1, 1)) * 0.01, axis=1))
+            for _ in range(2))
+    eta = constant_initial(1.0, 0.0, cfg.dt)
+    tracemalloc.start()
+    try:
+        paths = euler_ito_sdde(geometric_spec(0.5, 0.4, 0.3), eta, w, z, cfg, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer_bytes = len(levels) * (n + 1) * reps * 8
+    table_bytes = solver._STEPS * 3 * len(levels) * reps * 8
+    assert peak <= buffer_bytes + table_bytes + (1 << 20), peak
+    assert [path.values.shape for path in paths] == [(reps, n + 1, 1)] * len(levels)
